@@ -14,7 +14,9 @@ from the orthogonality-measure integral
 
     P(X_k = n | X_0 = m) = (pi_n / pi_m) B^{-k} int x^k p_m(x) ptilde_n(x) nu(dx),
 
-kept as a cross-validation route.
+kept as a cross-validation route.  The local-limit drivers use a Chebyshev
+expansion of P^k (:func:`_chebyshev_power`), which needs about
+sqrt(2 k ln(4/eps)) tridiagonal products instead of k.
 """
 
 from __future__ import annotations
@@ -187,6 +189,9 @@ def transition_arrays(spec, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         spec._ensure(cap + 1)
         m = spec.model
         s = spec._s
+        bad = np.flatnonzero(~np.isfinite(s[:cap + 2]))
+        if bad.size:
+            raise OverflowError(f"s-values overflowed at n={bad[0]}")
         ns = np.arange(cap + 1)
         decay = 1.0 - np.power(m.q, ns + 1)
         up = decay * s[1:cap + 2] / (2.0 * (1.0 + m.sigma) * s[:cap + 1])
@@ -232,6 +237,16 @@ def initial_law(which: str, spec: ChainSpec, tail_tol: float = 1e-12) -> Distrib
     return Distribution(offset=0, probs=np.array(probs))
 
 
+def _tridiagonal_step(v: np.ndarray, up: np.ndarray, flat: np.ndarray,
+                      down: np.ndarray) -> np.ndarray:
+    """One step v -> vP on states 0..cap; the flux up[-1] v[-1] past the
+    cap is dropped."""
+    new = flat * v
+    new[1:] += up[:-1] * v[:-1]
+    new[:-1] += down[1:] * v[1:]
+    return new
+
+
 def _iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
                          down: np.ndarray) -> tuple[np.ndarray, float]:
     """k tridiagonal steps; returns (vector, mass lost past the cap)."""
@@ -239,11 +254,62 @@ def _iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarr
     lost = 0.0
     for _ in range(k):
         lost += up[-1] * v[-1]
-        new = flat * v
-        new[1:] += up[:-1] * v[:-1]
-        new[:-1] += down[1:] * v[1:]
-        v = new
+        v = _tridiagonal_step(v, up, flat, down)
     return v, lost
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _chebyshev_power_coefficients(k: int) -> np.ndarray:
+    """c_0..c_d with x^k = sum_j c_j T_j(x) up to eps on [-1, 1].
+
+    c_j = 2^(1-k) C(k, (k-j)/2) for j = k (mod 2), c_0 halved, from the
+    ratio c_(j+2)/c_j = (k-j)/(k+j+2) normalized to sum 1.  The terms past
+    J = sqrt(2k ln(4/eps)) sum to at most 2 exp(-J^2/2k) = eps/2 (Hoeffding)
+    and are not formed; the series is cut at the first degree d whose tail
+    falls to eps/2 (d = k keeps it exact).
+    """
+    top = min(k, int(math.sqrt(2.0 * k * math.log(4.0 / _EPS))) + 2)
+    js = np.arange(k % 2, top + 1, 2, dtype=float)
+    rel = np.cumprod(np.concatenate(([1.0], (k - js[:-1]) / (k + js[:-1] + 2.0))))
+    if js[0] == 0:
+        rel[1:] *= 2.0  # c_0 is halved, the ratio from it is doubled
+    rel /= rel.sum()
+    tail = np.cumsum(rel[::-1])[::-1]  # tail[i] = sum of rel[i:]
+    keep = int(np.argmax(tail <= 0.5 * _EPS)) if tail[-1] <= 0.5 * _EPS else len(js)
+    c = np.zeros(int(js[keep - 1]) + 1)
+    c[k % 2::2] = rel[:keep]
+    return c
+
+
+def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
+                     down: np.ndarray) -> tuple[np.ndarray, int]:
+    """vec P^k as sum_j c_j T_j(P) vec by the Chebyshev three-term recurrence
+    T_(j+1)(P) v = 2 T_j(P) v P - T_(j-1)(P) v; returns (vector, degree d).
+
+    The capped chain is reversible and substochastic, so P is similar to a
+    symmetric matrix with spectrum in [-1, 1], where the truncated series
+    is within eps of x^k: d ~ sqrt(2 k ln(4/eps)) products instead of k.
+    The error is absolute in the pi-symmetrized entries
+    out[n] sqrt(pi_m / pi_n), so tiny values need a guard by the caller.
+    """
+    c = _chebyshev_power_coefficients(k)
+    d = len(c) - 1
+    prev = vec.astype(float)
+    out = c[0] * prev
+    if d == 0:
+        return out, d
+    cur = _tridiagonal_step(prev, up, flat, down)
+    out += c[1] * cur
+    up2, flat2, down2 = 2.0 * up, 2.0 * flat, 2.0 * down
+    for j in range(2, d + 1):
+        nxt = _tridiagonal_step(cur, up2, flat2, down2)
+        nxt -= prev
+        prev, cur = cur, nxt
+        if c[j]:
+            out += c[j] * cur
+    return out, d
 
 
 def kstep_distribution(start: Distribution, k: int, spec, height_cap: int,

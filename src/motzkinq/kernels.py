@@ -14,9 +14,12 @@ Two scaling regimes of the boundary chain are covered:
 
   started from 4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^{-x}).
 
-The lattice sides of the limit statements are computed exactly by
-tridiagonal iteration of the chain (never Monte Carlo), so the reported
-errors reflect convergence in N, not sampling noise.
+The lattice sides of the limit statements are computed deterministically
+(never Monte Carlo), so the reported errors reflect convergence in N, not
+sampling noise.  P^k e_m is the Chebyshev expansion sum_j c_j T_j(P) e_m of
+degree d ~ sqrt(2 k ln(4/eps)), accurate to about (d+1) eps in the
+pi-symmetrized value P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value below
+10^6 times that (a far tail) is recomputed by exact tridiagonal stepping.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascpoly import QModelParams, s_values
-from .chains import ChainSpec, _iterate_tridiagonal, transition_arrays
+from .chains import (
+    _EPS,
+    ChainSpec,
+    _chebyshev_power,
+    _iterate_tridiagonal,
+    transition_arrays,
+)
 from .errors import CapacityError, ConvergenceError
 from .numerics import DEFAULT_QUADRATURE, QuadraturePolicy, panel_rule
 from .qspecial import bessel_k_imag, bessel_k_imag_grid, qpoch_infinite
@@ -181,8 +190,13 @@ def index_map(z: float, N: int, sigma: float) -> int:
 
 def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int,
                            extra_hint: int) -> float:
-    """P(X_k = n | X_0 = m) by tridiagonal iteration with an automatically
-    grown state cap (leaked mass below 1e-9)."""
+    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k with an
+    automatically grown state cap (mass deficit below 1e-9).
+
+    The expansion is accurate to about (d+1) eps in the pi-symmetrized value
+    out[n] sqrt(pi_m / pi_n); a value within 10^6 times that of zero (far
+    tails) is recomputed by exact stepping on the same cap.
+    """
     if n > m + k:
         return 0.0  # unreachable: at most one level per step
     extra = extra_hint
@@ -192,9 +206,16 @@ def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int,
         up, flat, down = transition_arrays(spec, cap)
         vec = np.zeros(cap + 1)
         vec[m] = 1.0
-        out, lost = _iterate_tridiagonal(vec, k, up, flat, down)
-        if lost <= 1e-9:
-            return float(out[n])
+        out, d = _chebyshev_power(vec, k, up, flat, down)
+        if 1.0 - float(out.sum()) <= 1e-9:
+            lo, hi = min(m, n), max(m, n)
+            log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
+            if n < m:
+                log_ratio = -log_ratio  # log(pi_n / pi_m)
+            floor = 1e6 * (d + 1) * _EPS
+            if out[n] > 0.0 and math.log(out[n]) - 0.5 * log_ratio >= math.log(floor):
+                return float(out[n])
+            return float(_iterate_tridiagonal(vec, k, up, flat, down)[0][n])
         extra *= 2
     raise CapacityError("state cap kept leaking mass > 1e-9 while growing")
 

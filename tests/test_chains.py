@@ -8,6 +8,9 @@ import pytest
 from motzkinq.ascpoly import QModelParams, pi_values, q_number, s_values
 from motzkinq.chains import (
     ChainSpec,
+    _chebyshev_power,
+    _chebyshev_power_coefficients,
+    _iterate_tridiagonal,
     Distribution,
     chain_head_law,
     endpoint_pair_correlation,
@@ -105,6 +108,15 @@ def test_initial_law_normalizer_closed_form(which, rho):
     assert law.total() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_transition_arrays_report_s_value_overflow():
+    # at q = e^{-2/300} the s-values leave double range at n = 928
+    spec = ChainSpec(QModelParams(q=math.exp(-2.0 / 300.0), sigma=1.0), height=1002)
+    with pytest.raises(OverflowError, match="s-values overflowed at n=928"):
+        transition_arrays(spec, 1000)
+    up, flat, down = transition_arrays(spec, 900)
+    assert np.all(np.isfinite(up)) and np.all(np.isfinite(down))
+
+
 # ------------------------------------------------------------ k-step laws
 
 def test_kstep_identity_and_single_step():
@@ -157,6 +169,71 @@ def test_kstep_integral_route_agrees_with_iteration(k, mm, nn):
     if k == 0:
         assert via_int == pytest.approx(1.0 if mm == nn else 0.0, abs=1e-8)
     assert via_int == pytest.approx(via_iter, rel=1e-7, abs=1e-10)
+
+
+# ------------------------------------------------- Chebyshev power of P
+
+def _exact_chebyshev_coefficient(mpmath, k, j):
+    c = mpmath.binomial(k, (k - j) // 2) * mpmath.mpf(2) ** (1 - k)
+    return c / 2 if j == 0 else c
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 125, 2500, 40000])
+def test_chebyshev_coefficients_match_exact_binomials(k):
+    mpmath = pytest.importorskip("mpmath")
+    c = _chebyshev_power_coefficients(k)
+    d = len(c) - 1
+    assert d % 2 == k % 2
+    with mpmath.workdps(30):
+        for j in range(d + 1):
+            if (k - j) % 2:
+                assert c[j] == 0.0
+                continue
+            exact = _exact_chebyshev_coefficient(mpmath, k, j)
+            assert abs(float((mpmath.mpf(c[j]) - exact) / exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 125, 2500, 40000])
+def test_chebyshev_series_reproduces_power_on_interval(k):
+    mpmath = pytest.importorskip("mpmath")
+    c = _chebyshev_power_coefficients(k)
+    grid = list(np.linspace(-1.0, 1.0, 41)) + [-1.0 + 1e-4, 1.0 - 1e-4, 1.0 - 1e-3 / k]
+    with mpmath.workdps(30):
+        for x in grid:
+            x = mpmath.mpf(float(x))
+            t_prev, t_cur = mpmath.mpf(1), x  # T_0(x), T_1(x)
+            total = c[0] * t_prev + (c[1] * t_cur if len(c) > 1 else 0)
+            for j in range(2, len(c)):
+                t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
+                if c[j]:
+                    total += c[j] * t_cur
+            assert abs(float(total - x**k)) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 125, 2500, 40000])
+def test_chebyshev_degree(k):
+    d = len(_chebyshev_power_coefficients(k)) - 1
+    if k <= 3:
+        assert d == k  # exact expansion
+    else:
+        eps = float(np.finfo(float).eps)
+        assert d < k
+        assert d <= math.sqrt(2.0 * k * math.log(4.0 / eps)) + 2
+
+
+def test_chebyshev_power_matches_stepping_with_leaking_cap():
+    # a cap well inside the reach of k steps: the mass deficit of the
+    # expansion is the top-cap flux summed by exact stepping
+    spec = ChainSpec(QModelParams(q=0.5, sigma=0.8), height=80)
+    up, flat, down = transition_arrays(spec, 60)
+    vec = np.zeros(61)
+    vec[30] = 1.0
+    want, lost = _iterate_tridiagonal(vec, 900, up, flat, down)
+    got, d = _chebyshev_power(vec, 900, up, flat, down)
+    assert d < 900
+    assert lost > 1e-3
+    assert 1.0 - got.sum() == pytest.approx(lost, rel=1e-9, abs=0.0)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
 
 
 # --------------------------------------------------------------- simulation

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from motzkinq.ascpoly import QModelParams
+from motzkinq.chains import ChainSpec, _chebyshev_power, _iterate_tridiagonal, transition_arrays
 from motzkinq.kernels import (
     KernelQuery,
+    _chain_point_evolution,
     bessel3d_transition,
     error_table,
     index_map,
@@ -185,6 +187,57 @@ def test_local_limit_fixed_q_unreachable_level_is_zero():
     # y sqrt(N) beyond reach of floor(N t) steps
     out = local_limit_error_fixed_q(100, 0.05, 1.0, 3.0, m)
     assert out.lhs == 0.0
+
+
+def _lattice_query(regime: str, N: int, t: float, x: float, y: float):
+    """(model, m, n, k, extra) as the two local-limit drivers set them up."""
+    rn = math.sqrt(N)
+    if regime == "fixed-q":
+        model = QModelParams(q=0.5, sigma=0.8)
+        m, n = math.floor(x * rn), math.floor(y * rn)
+    else:
+        model = QModelParams(q=math.exp(-2.0 / rn), sigma=1.0)
+        m, n = index_map(x, N, 1.0), index_map(y, N, 1.0)
+    extra = int(8.0 * math.sqrt(N * t / (1.0 + model.sigma))) + 64
+    return model, m, n, math.floor(N * t), extra
+
+
+def _exact_stepping(model, m, k, cap):
+    up, flat, down = transition_arrays(ChainSpec(model, height=cap + 2), cap)
+    vec = np.zeros(cap + 1)
+    vec[m] = 1.0
+    return vec, (up, flat, down), _iterate_tridiagonal(vec, k, up, flat, down)
+
+
+_PARITY_POINTS = {"fixed-q": [(1.0, 2.0), (2.0, 1.0), (1.5, 0.5)],
+                  "q-to-1": [(-1.0, 1.0), (1.0, -1.0), (0.5, 0.0)]}
+
+
+@pytest.mark.parametrize("regime", ["fixed-q", "q-to-1"])
+@pytest.mark.parametrize("N", [400, 2500, 10_000])
+def test_chebyshev_route_matches_exact_stepping(regime, N):
+    for x, y in _PARITY_POINTS[regime]:
+        model, m, n, k, extra = _lattice_query(regime, N, 1.0, x, y)
+        cap = max(m, n) + extra
+        vec, rows, (want, lost) = _exact_stepping(model, m, k, cap)
+        got, _ = _chebyshev_power(vec, k, *rows)
+        assert got[n] == pytest.approx(want[n], rel=1e-9, abs=0.0)
+        assert abs((1.0 - got.sum()) - lost) <= 1e-9
+        lattice = _chain_point_evolution(model, m, n, k, extra)
+        assert lattice == pytest.approx(want[n], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("regime,N,t,x,y", [("fixed-q", 2500, 0.05, 1.0, 3.0),
+                                            ("q-to-1", 2500, 0.1, 1.0, -1.0)])
+def test_far_tail_point_falls_back_to_exact_stepping(regime, N, t, x, y):
+    # the expansion has no relative accuracy this far out (at (1, 3) its
+    # degree does not even reach level n); the guard hands the point to
+    # exact stepping
+    model, m, n, k, extra = _lattice_query(regime, N, t, x, y)
+    _, _, (want, _) = _exact_stepping(model, m, k, max(m, n) + extra)
+    assert 0.0 < want[n] < 1e-15
+    lattice = _chain_point_evolution(model, m, n, k, extra)
+    assert lattice == pytest.approx(want[n], rel=1e-9, abs=0.0)
 
 
 def test_initial_limit_fixed_q():
