@@ -12,6 +12,7 @@ tripped (cap/convergence/overflow), 3 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -62,6 +63,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     p = _Parser(prog="motzkinq", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -38,8 +38,8 @@ from .chains import (
     _iterate_tridiagonal,
     transition_arrays,
 )
-from .errors import CapacityError, ConvergenceError
-from .numerics import DEFAULT_QUADRATURE, QuadraturePolicy, panel_rule
+from .errors import CapacityError
+from .numerics import DEFAULT_QUADRATURE, QuadraturePolicy, _nested_trapezoid
 from .qspecial import bessel_k_imag, bessel_k_imag_grid, qpoch_infinite
 
 __all__ = [
@@ -115,46 +115,34 @@ def xi0_density(x: float, c: float) -> float:
     return c * c * x * math.exp(-c * x)
 
 
-def _sinh(x: float) -> float:
-    return math.sinh(x) if abs(x) < 700 else math.inf
-
-
 def yakubovich_kernel(q: KernelQuery, quad: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
     """Heat kernel p_t(x, y) built from Bessel K of imaginary order,
     at time q.t (no sigma dilation here; see :func:`zeta_transition`).
 
-    The u-integral truncates where the Gaussian factor reaches e^-40 and
-    uses 1/|Gamma(iu)|^2 = u sinh(pi u)/pi in closed form.
+    The u-integral truncates where the Gaussian factor reaches e^-40, uses
+    1/|Gamma(iu)|^2 = u sinh(pi u)/pi in closed form, and runs on the nested
+    trapezoidal rule (the integrand is even and analytic in u), so each
+    level computes the Bessel grids only at its new u nodes.
     """
     t, x, y = q.t, q.x, q.y
     for z in (x, y):
         if math.exp(-z) < 1e-8:
             warnings.warn(f"kernel argument e^-{z} < 1e-8: Bessel accuracy degrades",
                           RuntimeWarning, stacklevel=2)
-    U = max(math.sqrt(80.0 / t), 10.0)
     ex, ey = math.exp(-x), math.exp(-y)
-    eps = float(np.finfo(float).eps)
-    prev = None
-    panels = max(2, quad.min_nodes // 32)
-    while panels * 32 <= quad.max_nodes:
-        us, w = panel_rule(0.0, U, panels)
+
+    def integrand(us):
         kx = bessel_k_imag_grid(us, ex, quad)
         ky = kx if ex == ey else bessel_k_imag_grid(us, ey, quad)
-        f = (2.0 / math.pi**2) * np.exp(-t * us**2 / 2.0) * kx * ky * us * np.sinh(math.pi * us)
-        val = float(np.dot(w, f))
-        l1 = float(np.dot(w, np.abs(f)))
-        # rounding noise of the Bessel grids is amplified by sinh(pi u), so
-        # the attainable absolute accuracy scales with the L1 mass
-        floor = 4096.0 * eps * l1 + 1e-300
-        if prev is not None:
-            scale = max(abs(val), abs(prev))
-            if abs(val - prev) <= quad.rel_tol * scale + floor:
-                if val < -floor:
-                    raise ArithmeticError(f"kernel value {val} below noise floor yet negative")
-                return max(val, 0.0)
-        prev = val
-        panels *= 2
-    raise ConvergenceError("Yakubovich kernel quadrature did not converge")
+        return (2.0 / math.pi**2) * np.exp(-t * us**2 / 2.0) * kx * ky * us * np.sinh(math.pi * us)
+
+    # rounding noise of the Bessel grids is amplified by sinh(pi u), so the
+    # attainable absolute accuracy scales with the L1 mass
+    val, l1 = _nested_trapezoid(integrand, max(math.sqrt(80.0 / t), 10.0), quad, 4096.0,
+                                f"Yakubovich u-integral at t={t}, x={x}, y={y}")
+    if val < -4096.0 * _EPS * l1 - 1e-300:
+        raise ArithmeticError(f"kernel value {val} below noise floor yet negative")
+    return max(float(val), 0.0)
 
 
 def zeta_transition(q: KernelQuery, quad: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:

@@ -137,6 +137,16 @@ def test_locallimit_fixed_q_table(capsys):
     assert float(rows[1][6]) < float(rows[0][6])  # error shrinks here
 
 
+def test_locallimit_q_to_1_small_time(capsys):
+    # dilated kernel time t / (1 + sigma) = 0.05, below the old Bessel-noise limit
+    status, out = run_cli(capsys, "locallimit", "--regime", "q-to-1", "--t", "0.1",
+                          "--sigma", "1", "--x", "0", "--y", "1")
+    assert status == 0
+    rows = [r.split(",") for r in data_rows(out)]
+    assert [int(r[0]) for r in rows] == [400, 2500]
+    assert float(rows[1][6]) < float(rows[0][6]) < 0.5
+
+
 def test_locallimit_empty_N_is_config_error(capsys):
     status, _ = run_cli(capsys, "locallimit", "--N", "")
     assert status == 3
@@ -189,3 +199,32 @@ def test_csv_float_formatting_17_digits(capsys):
     assert status == 0
     val = [r for r in data_rows(out) if r.startswith("q_gamma")][0].split(",")[2]
     assert len(val.replace(".", "").replace("-", "").lstrip("0")) >= 15
+
+
+def test_parser_reuse_matches_fresh_parser(capsys):
+    # the parser is built once per process; reusing it across subcommands,
+    # and after a bad flag, must give what a freshly built one gives
+    from motzkinq import cli
+
+    runs = [("specialfn", "--x", "0.5"),
+            ("enumerate", "--L", "3", "--format", "json"),
+            ("locallimit", "--N", "400", "--t", "0.5"),
+            ("enumerate", "--bogus", "1"),
+            ("sample", "--L", "4", "--count", "3", "--seed", "2"),
+            ("verify", "--q", "2.0"),
+            ("chain", "--L", "5")]
+    reused = []
+    for argv in runs:
+        status = cli.main(list(argv))
+        captured = capsys.readouterr()
+        reused.append((status, captured.out, captured.err))
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        status = cli.main(list(argv))
+        captured = capsys.readouterr()
+        fresh.append((status, captured.out, captured.err))
+    assert reused == fresh
+    assert cli._build_parser() is cli._build_parser()
+    assert [r[0] for r in reused] == [0, 0, 0, 3, 0, 3, 0]
+    assert "configuration error" in reused[3][2]

@@ -7,6 +7,7 @@ import pytest
 
 from motzkinq.ascpoly import QModelParams
 from motzkinq.chains import ChainSpec, _chebyshev_power, _iterate_tridiagonal, transition_arrays
+from motzkinq.errors import ConvergenceError
 from motzkinq.kernels import (
     KernelQuery,
     _chain_point_evolution,
@@ -100,9 +101,10 @@ def test_xi0_density_properties():
 # --------------------------------------------------------- Yakubovich side
 
 def test_yakubovich_symmetry():
-    a = yakubovich_kernel(KernelQuery(t=1.0, x=0.3, y=-0.4))
-    b = yakubovich_kernel(KernelQuery(t=1.0, x=-0.4, y=0.3))
-    assert a == pytest.approx(b, rel=1e-12)
+    for t, x, y in [(1.0, 0.3, -0.4), (0.125, 1.0, 2.0), (0.125, 0.0, 1.0)]:
+        a = yakubovich_kernel(KernelQuery(t=t, x=x, y=y))
+        b = yakubovich_kernel(KernelQuery(t=t, x=y, y=x))
+        assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_yakubovich_against_reference_quadrature():
@@ -116,6 +118,38 @@ def test_yakubovich_against_reference_quadrature():
     for (t, x, y) in [(0.5, 0.0, 0.0), (1.0, 0.4, -0.3), (2.0, 1.0, 1.0)]:
         mine = yakubovich_kernel(KernelQuery(t=t, x=x, y=y))
         assert mine == pytest.approx(oracle(t, x, y), rel=1e-8)
+
+
+# mpmath values (dps 40 at t = 0.125 and 0.1, dps 30 below) of p_t(x, y) at
+# small time, where sinh(pi u) amplifies the rounding noise of K_{iu}
+SMALL_T_ORACLE = [
+    (0.125, 1.0, 2.0, 2.058853397345338e-02),
+    (0.125, 2.0, 2.0, 1.127033129069237),
+    (0.125, -1.0, 1.0, 1.129624484893921e-07),
+    (0.125, 0.0, 2.0, 1.249841266894302e-07),
+]
+
+
+@pytest.mark.parametrize("t, x, y, want", SMALL_T_ORACLE)
+def test_yakubovich_small_time_against_oracle(t, x, y, want):
+    assert yakubovich_kernel(KernelQuery(t=t, x=x, y=y)) == pytest.approx(want, rel=0.0, abs=5e-12)
+
+
+@pytest.mark.parametrize("t, x, y, want", [
+    (0.1, 0.0, 1.0, 8.31291841044003e-03),
+    (0.1, 2.0, 2.0, 1.2603722344493842),
+    (0.05, 0.0, 1.0, 8.0114750499212498e-05),
+    (0.05, 1.0, 1.0, 1.7779968482777882),
+    (0.05, 2.0, 2.0, 1.783293625761378),
+])
+def test_yakubovich_smaller_time_against_oracle(t, x, y, want):
+    assert yakubovich_kernel(KernelQuery(t=t, x=x, y=y)) == pytest.approx(want, rel=1e-8)
+
+
+def test_yakubovich_failure_names_the_u_integral():
+    # below t ~ 0.03 the amplified Bessel noise outgrows the u-integral's floor
+    with pytest.raises(ConvergenceError, match=r"Yakubovich u-integral at t=0\.02"):
+        yakubovich_kernel(KernelQuery(t=0.02, x=0.0, y=0.0))
 
 
 def test_yakubovich_decays_for_large_time():

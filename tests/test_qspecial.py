@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from motzkinq.errors import ConvergenceError
-from motzkinq.numerics import TruncationPolicy
+from motzkinq.numerics import QuadraturePolicy, TruncationPolicy
 from motzkinq.qspecial import (
     bessel_k_imag,
     bessel_k_imag_grid,
@@ -391,3 +391,21 @@ def test_bessel_k_grid_matches_scalar():
     got = bessel_k_imag_grid(us, 1.3)
     want = np.array([bessel_k_imag(float(u), 1.3) for u in us])
     assert np.allclose(got, want, rtol=1e-10, atol=1e-15)
+
+
+def test_bessel_k_grid_against_mpmath_up_to_order_25():
+    # absolute accuracy at the rounding level of the envelope mass K_0(x)
+    mpmath = pytest.importorskip("mpmath")
+    eps = float(np.finfo(float).eps)
+    us = np.linspace(0.0, 25.0, 26)
+    for x in (math.exp(-2.0), 1.0, math.e):
+        got = bessel_k_imag_grid(us, x)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.re(mpmath.besselk(1j * u, x))) for u in us])
+        assert np.max(np.abs(got - want)) <= 64.0 * eps * want[0]
+
+
+def test_bessel_k_grid_names_itself_on_failure():
+    tight = QuadraturePolicy(min_nodes=4, max_nodes=8)
+    with pytest.raises(ConvergenceError, match=r"K grid at x=0\.5 did not converge within 8"):
+        bessel_k_imag_grid(np.array([0.0, 20.0]), 0.5, tight)
