@@ -10,7 +10,7 @@ length, and cross-checks a multi-step probability through the moment
 integral.
 """
 
-from motzkinq import ChainSpec, Distribution, QModelParams, WeightModel
+from motzkinq import Distribution, QModelParams, WeightModel
 from motzkinq.chains import (
     chain_head_law,
     finite_path_head_law,
@@ -22,16 +22,15 @@ from motzkinq.chains import (
 )
 
 model = QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2)
-spec = ChainSpec(model, height=128)
 
 print("one-step transition rows:")
 for n in (0, 1, 2, 5, 10):
-    row = transition_row(n, spec)
+    row = transition_row(n, model)
     decorated = {k: round(v, 6) for k, v in row.rows()}
     print(f"  from {n:2d}: {decorated}")
 print()
 
-chain = chain_head_law(spec, "X", 3, 1e-10)
+chain = chain_head_law(model, "X", 3, 1e-10)
 wm = WeightModel.from_qmodel(model)
 print("TV distance between the length-L head law (g_0..g_3) and the chain law:")
 for L in (25, 50, 100, 200):
@@ -40,13 +39,13 @@ for L in (25, 50, 100, 200):
 print()
 
 k, start, target = 7, 1, 3
-via_iteration = kstep_distribution(Distribution.point_mass(start), k, spec,
+via_iteration = kstep_distribution(Distribution.point_mass(start), k, model,
                                    height_cap=start + k + 1).prob(target)
-via_integral = kstep_transition_integral(start, target, k, spec)
+via_integral = kstep_transition_integral(start, target, k, model)
 print(f"P(X_{k} = {target} | X_0 = {start}):")
 print(f"  tridiagonal iteration : {via_iteration:.12f}")
 print(f"  moment integral       : {via_integral:.12f}")
 print()
 
-traj = simulate_chain(spec, 30, seed=5)
+traj = simulate_chain(model, 30, seed=5)
 print("a short simulated trajectory:", ",".join(str(int(v)) for v in traj))

@@ -15,7 +15,7 @@ Layout:
 """
 
 from .ascpoly import AscParams, QModelParams, SupportInterval
-from .chains import ChainSpec, Distribution
+from .chains import Distribution
 from .errors import CapacityError, ConvergenceError
 from .kernels import KernelQuery, LimitComparison
 from .motzkin import MotzkinPath, WeightModel
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AscParams",
     "CapacityError",
-    "ChainSpec",
     "ConvergenceError",
     "Distribution",
     "KernelQuery",

@@ -11,9 +11,11 @@ supported on an interval ``[A, B]``; their values ``pi_n = p_n(B)`` at the
 right endpoint drive the boundary chains.
 
 The recurrences below run over the real coefficient pair
-``(a+b, ab)``, so all public outputs of the Motzkin model are real; complex
+``(a+b, ab)``, so all public outputs of the Motzkin model are real; the
+endpoint values come from the ratio recurrence of :func:`s_ratios`.  Complex
 arithmetic only enters the coefficient arrays of the convolution form of
-``Q_n(1)`` and carries an imaginary-residue guard.
+``Q_n(1)`` (:func:`asc_at_one`, an independent reference) and carries an
+imaginary-residue guard.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ __all__ = [
     "asc_density",
     "density_times_sine",
     "nu_integrate",
-    "s_value",
+    "s_ratios",
+    "log_s_values",
     "s_values",
-    "pi_value",
     "pi_values",
-    "pi_tilde_value",
     "motzkin_poly_eval",
     "motzkin_poly_table",
     "asc_endpoint_limit_fixed_q",
@@ -304,44 +305,58 @@ def nu_integrate(f, m: QModelParams,
 
 # ------------------------------------------------------- Motzkin specialization
 
-def s_values(nmax: int, m: QModelParams) -> np.ndarray:
-    """Boundary convolution values s_0..s_nmax,
-    s_n = sum_k (a;q)_k (b;q)_{n-k} / ((q;q)_k (q;q)_{n-k})."""
+def _decay(nmax: int, q: float) -> np.ndarray:
+    """1 - q^(n+1) for n = 0..nmax, by expm1 so it keeps its relative
+    accuracy as q -> 1."""
+    if q == 0.0:
+        return np.ones(nmax + 1)
+    return -np.expm1(np.arange(1, nmax + 2) * math.log(q))
+
+
+def s_ratios(nmax: int, m: QModelParams) -> np.ndarray:
+    """Ratios r_n = s_(n+1) / s_n of the boundary values for n = 0..nmax.
+
+    At x = 1 the three-term recurrence, with a + b = -2 sigma q and ab = q^2,
+    gives them in real arithmetic:
+
+        (1 - q^(n+1)) r_n = 2 + 2 sigma q^(n+1) - (1 - q^(n+1)) / r_(n-1),
+
+    with 1 / r_(-1) = 0.  s_n is the dominant solution, so the forward
+    recurrence is stable.
+    """
     _check_order(nmax)
-    A = asc_coeff_ratio_array(m.asc_a, m.q, nmax)
-    B = asc_coeff_ratio_array(m.asc_b, m.q, nmax)
-    s = np.convolve(A, B)[: nmax + 1]
-    worst = float(np.max(np.abs(s.imag) / np.maximum(1.0, np.abs(s.real))))
-    if worst > _IMAG_GUARD:
-        raise ValueError(f"imaginary residue {worst} in s-values")
-    out = s.real
-    if np.any(out <= 0.0):
-        raise ValueError("s-values must be strictly positive")
-    return out
+    decay = _decay(nmax, m.q)
+    num = 2.0 + 2.0 * m.sigma * (1.0 - decay)
+    out = []
+    r = math.inf
+    for nu, de in zip(num.tolist(), decay.tolist()):
+        r = (nu - de / r) / de
+        out.append(r)
+    return np.array(out)
 
 
-def s_value(n: int, m: QModelParams) -> float:
-    """s_n; equals n+1 when q = 0."""
-    if n == -1:
-        return 0.0
-    return float(s_values(n, m)[n])
+def log_s_values(nmax: int, m: QModelParams) -> np.ndarray:
+    """log s_0..log s_nmax as cumulative log-ratios; finite at levels where
+    s_n itself leaves double range."""
+    return np.concatenate(([0.0], np.cumsum(np.log(s_ratios(nmax, m)[:nmax]))))
+
+
+def s_values(nmax: int, m: QModelParams) -> np.ndarray:
+    """Boundary values s_0..s_nmax, s_n = Q_n(1; a, b | q) / (q; q)_n, as exp
+    of the cumulative log-ratios of :func:`s_ratios` (:func:`asc_at_one` is
+    the independent convolution form).  Raises ``OverflowError`` naming the
+    first level whose value leaves double range."""
+    with np.errstate(over="ignore"):
+        s = np.exp(log_s_values(nmax, m))
+    bad = np.flatnonzero(np.isinf(s))
+    if bad.size:
+        raise OverflowError(f"s-values overflowed at n={bad[0]}")
+    return s
 
 
 def pi_values(nmax: int, m: QModelParams) -> np.ndarray:
     """pi_n = s_n / [n+1]_q for n = 0..nmax (right-endpoint polynomial values)."""
-    s = s_values(nmax, m)
-    ns = np.arange(1, nmax + 2)
-    qnum = (1.0 - np.power(m.q, ns)) / (1.0 - m.q) if m.q > 0 else np.ones(nmax + 1)
-    return s / qnum
-
-
-def pi_value(n: int, m: QModelParams) -> float:
-    return float(pi_values(n, m)[n])
-
-
-def pi_tilde_value(n: int, m: QModelParams) -> float:
-    """Renormalized endpoint value; coincides with s_n."""
-    return s_value(n, m)
+    return s_values(nmax, m) * (1.0 - m.q) / _decay(nmax, m.q)
 
 
 def motzkin_poly_eval(n: int, x: float, m: QModelParams) -> float:

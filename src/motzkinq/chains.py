@@ -8,7 +8,12 @@ polynomial values:
     flat(n) = (1 - q^{n+1}) sigma / (1 + sigma)
     down(n) = (1 - q^{n+1}) s_{n-1} / (2 (1+sigma) s_n)       (s_{-1} = 0)
 
-with initial laws  P(X_0 = n) ~ rho0^n s_n  and  P(Y_0 = n) ~ rho1^n s_n.
+with initial laws  P(X_0 = n) = rho0^n s_n / C  and  P(Y_0 = n) = rho1^n s_n / C,
+C = (a rho, b rho; q)_inf / (rho; q)_inf^2.  The rows need only the ratios
+r_n = s_{n+1} / s_n, which :func:`motzkinq.ascpoly.s_ratios` gives in O(cap)
+real arithmetic, and the initial laws combine log s_n with log C, so both
+stay finite where s_n and C leave double range (q -> 1 at large N).  Every
+function takes the model parameters directly; nothing is cached.
 k-step probabilities come either from tridiagonal iteration (default) or
 from the orthogonality-measure integral
 
@@ -26,21 +31,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascpoly import QModelParams, motzkin_poly_table, nu_integrate, q_number, s_values
-from .errors import CapacityError, ConvergenceError
+from .ascpoly import (
+    QModelParams,
+    _decay,
+    log_s_values,
+    motzkin_poly_table,
+    nu_integrate,
+    pi_values,
+    q_number,
+    s_ratios,
+)
+from .errors import CapacityError
 from .motzkin import WeightModel, _col_step, _row_step
 from .numerics import (
     DEFAULT_QUADRATURE,
     DEFAULT_TRUNCATION,
     QuadraturePolicy,
 )
-from .qspecial import qpoch_infinite
+from .qspecial import qpoch_log_abs
 
 __all__ = [
     "Distribution",
-    "ChainSpec",
     "transition_row",
     "transition_arrays",
+    "initial_log_normalizer",
     "initial_law",
     "kstep_distribution",
     "kstep_transition_integral",
@@ -93,148 +107,65 @@ class Distribution:
         return "\n".join(lines) + "\n"
 
 
-class ChainSpec:
-    """Boundary chain of a weight model.
-
-    For the q-model the endpoint values are cached as the convolution array
-    s_0..s_height and extended on demand (growth is not thread-safe; build
-    with the final height up front when sharing across threads).  A general
-    model needs the endpoint B and a table of right-endpoint polynomial
-    values pi_n.
-    """
-
-    def __init__(self, model: QModelParams, height: int = 256):
-        self.model = model
-        self._s = s_values(height + 2, model)
-
-    @staticmethod
-    def from_weight_model(wm: WeightModel, B: float, pis: np.ndarray) -> "GeneralChainSpec":
-        return GeneralChainSpec(wm, B, pis)
-
-    def _ensure(self, n: int) -> None:
-        if n + 2 >= len(self._s):
-            self._s = s_values(max(2 * len(self._s), n + 2), self.model)
-
-    def s(self, n: int) -> float:
-        if n < 0:
-            return 0.0
-        self._ensure(n)
-        return float(self._s[n])
-
-    def pi(self, n: int) -> float:
-        if n < 0:
-            return 0.0
-        return self.s(n) / q_number(n + 1, self.model.q) if n else self.s(0)
-
-    def up(self, n: int) -> float:
-        m = self.model
-        return (1.0 - m.q ** (n + 1)) * self.s(n + 1) / (2.0 * (1.0 + m.sigma) * self.s(n))
-
-    def flat(self, n: int) -> float:
-        m = self.model
-        return (1.0 - m.q ** (n + 1)) * m.sigma / (1.0 + m.sigma)
-
-    def down(self, n: int) -> float:
-        if n == 0:
-            return 0.0
-        m = self.model
-        return (1.0 - m.q ** (n + 1)) * self.s(n - 1) / (2.0 * (1.0 + m.sigma) * self.s(n))
-
-
-class GeneralChainSpec:
-    """Boundary chain from explicit weights, endpoint B, and pi values."""
-
-    def __init__(self, wm: WeightModel, B: float, pis: np.ndarray):
-        if B <= 0:
-            raise ValueError("endpoint B must be positive")
-        pis = np.asarray(pis, dtype=float)
-        if np.any(pis <= 0.0):
-            raise ValueError("pi values must be strictly positive")
-        self.wm = wm
-        self.B = B
-        self._pi = pis
-
-    def pi(self, n: int) -> float:
-        if n < 0:
-            return 0.0
-        if n >= len(self._pi):
-            raise CapacityError(f"pi table holds {len(self._pi)} levels, needs {n + 1}")
-        return float(self._pi[n])
-
-    def up(self, n: int) -> float:
-        return self.wm.up(n) * self.pi(n + 1) / (self.B * self.pi(n))
-
-    def flat(self, n: int) -> float:
-        return self.wm.flat(n) / self.B
-
-    def down(self, n: int) -> float:
-        if n == 0:
-            return 0.0
-        return self.wm.down(n) * self.pi(n - 1) / (self.B * self.pi(n))
-
-
-def transition_row(n: int, spec) -> Distribution:
+def transition_row(n: int, model: QModelParams) -> Distribution:
     """One-step distribution from altitude n (support {n-1, n, n+1})."""
     if n < 0:
         raise ValueError("altitude must be nonnegative")
-    up, flat, down = spec.up(n), spec.flat(n), spec.down(n)
+    up, flat, down = (float(arr[n]) for arr in transition_arrays(model, n))
     if n == 0:
         return Distribution(offset=0, probs=np.array([flat, up]))
     return Distribution(offset=n - 1, probs=np.array([down, flat, up]))
 
 
-def transition_arrays(spec, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(up, flat, down) probability tables for altitudes 0..cap."""
-    if isinstance(spec, ChainSpec):
-        spec._ensure(cap + 1)
-        m = spec.model
-        s = spec._s
-        bad = np.flatnonzero(~np.isfinite(s[:cap + 2]))
-        if bad.size:
-            raise OverflowError(f"s-values overflowed at n={bad[0]}")
-        ns = np.arange(cap + 1)
-        decay = 1.0 - np.power(m.q, ns + 1)
-        up = decay * s[1:cap + 2] / (2.0 * (1.0 + m.sigma) * s[:cap + 1])
-        flat = decay * m.sigma / (1.0 + m.sigma)
-        down = np.empty(cap + 1)
-        down[0] = 0.0
-        down[1:] = decay[1:] * s[:cap] / (2.0 * (1.0 + m.sigma) * s[1:cap + 1])
-        return up, flat, down
-    up = np.array([spec.up(n) for n in range(cap + 1)])
-    flat = np.array([spec.flat(n) for n in range(cap + 1)])
-    down = np.array([spec.down(n) for n in range(cap + 1)])
+def transition_arrays(model: QModelParams, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(up, flat, down) probability tables for altitudes 0..cap, from the
+    ratios r_n = s_(n+1) / s_n (finite wherever the recurrence is)."""
+    r = s_ratios(cap, model)
+    decay = _decay(cap, model.q)
+    scale = 2.0 * (1.0 + model.sigma)
+    up = decay * r / scale
+    flat = decay * model.sigma / (1.0 + model.sigma)
+    down = np.empty(cap + 1)
+    down[0] = 0.0
+    down[1:] = decay[1:] / (scale * r[:-1])
     return up, flat, down
 
 
-def initial_law(which: str, spec: ChainSpec, tail_tol: float = 1e-12) -> Distribution:
+def initial_log_normalizer(model: QModelParams, rho: float) -> float:
+    """log C of the initial-law normalizer C = sum_n rho^n s_n
+    = (a rho, b rho; q)_inf / (rho; q)_inf^2, taken in log space because C
+    leaves double range as q and rho approach 1."""
+    q = model.q
+    return qpoch_log_abs(model.asc_a * rho, q) + qpoch_log_abs(model.asc_b * rho, q) \
+        - 2.0 * qpoch_log_abs(rho, q)
+
+
+def _initial_probs(model: QModelParams, rho: float, nmax: int) -> np.ndarray:
+    """rho^n s_n / C for n = 0..nmax (rho > 0), combined in log space so the
+    levels where s_n or C overflow stay finite."""
+    ns = np.arange(nmax + 1)
+    return np.exp(ns * math.log(rho) + log_s_values(nmax, model)
+                  - initial_log_normalizer(model, rho))
+
+
+def initial_law(which: str, model: QModelParams, tail_tol: float = 1e-12) -> Distribution:
     """Initial distribution of the head chain (which='X', weight rho0) or
-    the tail chain (which='Y', weight rho1): P(n) = rho^n s_n / C with the
-    closed-form normalizer C = (a rho, b rho; q)_inf / (rho; q)_inf^2.
+    the tail chain (which='Y', weight rho1): P(n) = rho^n s_n / C, cut at the
+    first n > 10 whose term is below tail_tol (1 - rho) / 2 of the mass so far.
     """
-    m = spec.model
     if which not in ("X", "Y"):
         raise ValueError("which must be 'X' or 'Y'")
-    rho = m.rho0 if which == "X" else m.rho1
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"boundary weight rho={rho} must lie in [0, 1)")
+    rho = model.rho0 if which == "X" else model.rho1
     if rho == 0.0:
         return Distribution.point_mass(0)
-    q = m.q
-    C = (qpoch_infinite(m.asc_a * rho, q) * qpoch_infinite(m.asc_b * rho, q)).real \
-        / qpoch_infinite(rho, q) ** 2
-    probs = []
-    acc = 0.0
-    n = 0
+    nmax = 64
     while True:
-        term = rho**n * spec.s(n) / C
-        probs.append(term)
-        acc += term
-        if n > 10 and term < tail_tol * acc * (1.0 - rho) / 2.0:
-            break
-        if n > 1_000_000:
-            raise ConvergenceError("initial law truncation did not terminate")
-        n += 1
-    return Distribution(offset=0, probs=np.array(probs))
+        probs = _initial_probs(model, rho, nmax)
+        small = probs < tail_tol * np.cumsum(probs) * (1.0 - rho) / 2.0
+        cut = np.flatnonzero(small[11:])
+        if cut.size:
+            return Distribution(offset=0, probs=probs[:cut[0] + 12])
+        nmax *= 2
 
 
 def _tridiagonal_step(v: np.ndarray, up: np.ndarray, flat: np.ndarray,
@@ -312,7 +243,7 @@ def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
     return out, d
 
 
-def kstep_distribution(start: Distribution, k: int, spec, height_cap: int,
+def kstep_distribution(start: Distribution, k: int, model: QModelParams, height_cap: int,
                        strict: bool = True) -> Distribution:
     """Distribution after k steps from ``start`` on states 0..height_cap.
 
@@ -325,7 +256,7 @@ def kstep_distribution(start: Distribution, k: int, spec, height_cap: int,
     if strict and height_cap < max_support + k:
         raise CapacityError(
             f"height_cap={height_cap} < max support + k = {max_support + k}")
-    up, flat, down = transition_arrays(spec, height_cap)
+    up, flat, down = transition_arrays(model, height_cap)
     vec = np.zeros(height_cap + 1)
     vec[start.offset: start.offset + len(start.probs)] = start.probs
     out, lost = _iterate_tridiagonal(vec, k, up, flat, down)
@@ -334,7 +265,7 @@ def kstep_distribution(start: Distribution, k: int, spec, height_cap: int,
     return Distribution(offset=0, probs=out)
 
 
-def kstep_transition_integral(m: int, n: int, k: int, spec: ChainSpec,
+def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams,
                               quad: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
     """P(X_k = n | X_0 = m) through the orthogonality-measure moment
     integral; cross-validates the tridiagonal route.
@@ -343,37 +274,38 @@ def kstep_transition_integral(m: int, n: int, k: int, spec: ChainSpec,
     capped (a :class:`ConvergenceError` is preferable to a silently
     inaccurate value).
     """
-    qm = spec.model
-    B = qm.support().B
+    B = model.support().B
     nmax = max(m, n)
 
     def integrand(x):
-        tbl = motzkin_poly_table(nmax, x, qm)
+        tbl = motzkin_poly_table(nmax, x, model)
         return (x / B) ** k * tbl[m] * tbl[n]
 
-    val = nu_integrate(integrand, qm, quad, DEFAULT_TRUNCATION)
-    return spec.pi(n) / spec.pi(m) * q_number(n + 1, qm.q) * val
+    val = nu_integrate(integrand, model, quad, DEFAULT_TRUNCATION)
+    pis = pi_values(nmax, model)
+    return pis[n] / pis[m] * q_number(n + 1, model.q) * val
 
 
-def simulate_chain(spec, steps: int, seed: int, start: int | None = None) -> np.ndarray:
+def simulate_chain(model: QModelParams, steps: int, seed: int,
+                   start: int | None = None) -> np.ndarray:
     """Trajectory of the boundary chain, drawn from the initial law unless a
     fixed start altitude is given.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
     if start is None:
-        law = initial_law("X", spec)
+        law = initial_law("X", model)
         cdf = np.cumsum(law.probs)
         state = int(law.offset + np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
     else:
         state = int(start)
     cap = state + 4 * int(math.sqrt(steps + 1)) + 64
-    up, flat, down = transition_arrays(spec, cap)
+    up, flat, down = transition_arrays(model, cap)
     out = np.empty(steps + 1, dtype=np.int64)
     out[0] = state
     draws = rng.random(steps)
     for i in range(steps):
         if state + 1 >= cap:
             cap = 2 * cap + 16
-            up, flat, down = transition_arrays(spec, cap)
+            up, flat, down = transition_arrays(model, cap)
         r = draws[i]
         if r < up[state]:
             state += 1
@@ -444,10 +376,11 @@ def finite_path_head_law(wm: WeightModel, L: int, K: int,
     return law
 
 
-def chain_head_law(spec: ChainSpec, which: str, K: int,
+def chain_head_law(model: QModelParams, which: str, K: int,
                    tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
     """Joint law of the first K+1 chain states (X_0..X_K or Y_0..Y_K)."""
-    init = initial_law(which, spec, tail_tol)
+    init = initial_law(which, model, tail_tol)
+    up, flat, down = transition_arrays(model, len(init.probs) + K)
     law: dict[tuple[int, ...], float] = {}
 
     def walk(prefix: list[int], p: float) -> None:
@@ -457,8 +390,7 @@ def chain_head_law(spec: ChainSpec, which: str, K: int,
             law[tuple(prefix)] = p
             return
         h = prefix[-1]
-        row = transition_row(h, spec)
-        for nh, pr in row.rows():
+        for nh, pr in ((h - 1, down[h]), (h, flat[h]), (h + 1, up[h])):
             prefix.append(nh)
             walk(prefix, p * pr)
             prefix.pop()

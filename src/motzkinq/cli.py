@@ -18,7 +18,7 @@ import json
 import sys
 
 from .ascpoly import QModelParams
-from .chains import ChainSpec, simulate_chain
+from .chains import simulate_chain
 from .errors import CapacityError, ConvergenceError
 from .kernels import error_table
 from .motzkin import (
@@ -202,8 +202,7 @@ def _cmd_sample(cfg: dict) -> tuple[list[str], list[list], int]:
 
 
 def _cmd_chain(cfg: dict) -> tuple[list[str], list[list], int]:
-    spec = ChainSpec(_qmodel(cfg), height=64)
-    traj = simulate_chain(spec, cfg["L"], cfg["seed"])
+    traj = simulate_chain(_qmodel(cfg), cfg["L"], cfg["seed"])
     return ["k", "state"], [[k, int(v)] for k, v in enumerate(traj)], 0
 
 

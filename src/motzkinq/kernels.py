@@ -20,6 +20,8 @@ sampling noise.  P^k e_m is the Chebyshev expansion sum_j c_j T_j(P) e_m of
 degree d ~ sqrt(2 k ln(4/eps)), accurate to about (d+1) eps in the
 pi-symmetrized value P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value below
 10^6 times that (a far tail) is recomputed by exact tridiagonal stepping.
+The chain rows come from the ratios s_{n+1} / s_n and the initial masses
+from log s_n - log C, so neither overflows at large N as q -> 1.
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascpoly import QModelParams, s_values
+from .ascpoly import QModelParams
 from .chains import (
     _EPS,
-    ChainSpec,
     _chebyshev_power,
+    _initial_probs,
     _iterate_tridiagonal,
     transition_arrays,
 )
 from .errors import CapacityError
 from .numerics import DEFAULT_QUADRATURE, QuadraturePolicy, _nested_trapezoid
-from .qspecial import bessel_k_imag, bessel_k_imag_grid, qpoch_infinite
+from .qspecial import bessel_k_imag, bessel_k_imag_grid
 
 __all__ = [
     "KernelQuery",
@@ -190,8 +192,7 @@ def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int,
     extra = extra_hint
     for _ in range(6):
         cap = max(m, n) + extra
-        spec = ChainSpec(model, height=cap + 2)
-        up, flat, down = transition_arrays(spec, cap)
+        up, flat, down = transition_arrays(model, cap)
         vec = np.zeros(cap + 1)
         vec[m] = 1.0
         out, d = _chebyshev_power(vec, k, up, flat, down)
@@ -222,14 +223,6 @@ def local_limit_error_fixed_q(N: int, t: float, x: float, y: float,
     return LimitComparison(lhs=lhs, rhs=rhs)
 
 
-def _initial_mass(model: QModelParams, level: int) -> float:
-    """P(X_0 = level) under the chain initial law with weight rho0."""
-    rho, q = model.rho0, model.q
-    C = (qpoch_infinite(model.asc_a * rho, q) * qpoch_infinite(model.asc_b * rho, q)).real \
-        / qpoch_infinite(rho, q) ** 2
-    return rho**level * float(s_values(level, model)[level]) / C
-
-
 def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> LimitComparison:
     """sqrt(N) P(X_0 = floor(x sqrt N)) with rho0 = exp(-c/sqrt(N)) against
     the density c^2 x exp(-c x)."""
@@ -239,7 +232,7 @@ def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> Li
     varying = QModelParams(q=model.q, sigma=model.sigma,
                            rho0=math.exp(-c / rn), rho1=model.rho1)
     m = math.floor(x * rn)
-    lhs = rn * _initial_mass(varying, m)
+    lhs = rn * float(_initial_probs(varying, varying.rho0, m)[m])
     return LimitComparison(lhs=lhs, rhs=xi0_density(x, c))
 
 
@@ -268,7 +261,7 @@ def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitCompa
     level = index_map(x, N, sigma)
     if level < 0:
         raise CapacityError(f"index map gave negative level (x={x}, N={N})")
-    lhs = rn * _initial_mass(model, level)
+    lhs = rn * float(_initial_probs(model, model.rho0, level)[level])
     rhs = 4.0 / (2.0**c * math.gamma(c / 2.0) ** 2) * bessel_k_imag(0.0, math.exp(-x))
     return LimitComparison(lhs=lhs, rhs=rhs)
 

@@ -42,7 +42,6 @@ __all__ = [
     "matrix_ansatz_expectation",
     "integral_expectation",
     "integral_normalizing_constant",
-    "sample_path",
     "sample_paths",
     "path_line",
     "parse_path_line",
@@ -474,13 +473,6 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
         states = states + step
         paths[:, k + 1] = states
     return paths
-
-
-def sample_path(L: int, model: WeightModel, height_cap: int | None = None,
-                tail_tol: float = 1e-12, seed: int = 0) -> MotzkinPath:
-    """One exact sample from the path measure."""
-    row = sample_paths(L, model, 1, seed, height_cap, tail_tol)[0]
-    return MotzkinPath(tuple(int(x) for x in row))
 
 
 # ------------------------------------------------------------- serialization

@@ -24,7 +24,6 @@ from motzkinq.ascpoly import (
     s_values,
 )
 from motzkinq.chains import (
-    ChainSpec,
     chain_head_law,
     endpoint_pair_correlation,
     finite_path_head_law,
@@ -162,8 +161,7 @@ def test_criterion_05_boundary_limit_tv():
     t0 = time.monotonic()
     m = QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2)
     wm = WeightModel.from_qmodel(m)
-    spec = ChainSpec(m, height=96)
-    chain = chain_head_law(spec, "X", 3, 1e-10)
+    chain = chain_head_law(m, "X", 3, 1e-10)
     tv = tv_distance(finite_path_head_law(wm, 200, 3), chain)
     corr = abs(endpoint_pair_correlation(wm, 200))
     elapsed = time.monotonic() - t0
@@ -180,8 +178,7 @@ def test_criterion_06_row_stochasticity():
     worst = 0.0
     for q in (0.0, 0.25, 0.5, 0.75, 0.95):
         for sigma in (0.2, 0.4, 0.6, 0.8, 1.0):
-            spec = ChainSpec(QModelParams(q=q, sigma=sigma), height=1030)
-            up, flat, down = transition_arrays(spec, 1000)
+            up, flat, down = transition_arrays(QModelParams(q=q, sigma=sigma), 1000)
             worst = max(worst, float(np.max(np.abs(up + flat + down - 1.0))))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-10 and elapsed < 1.0

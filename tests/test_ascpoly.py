@@ -19,10 +19,8 @@ from motzkinq.ascpoly import (
     motzkin_poly_eval,
     motzkin_poly_table,
     nu_integrate,
-    pi_value,
     pi_values,
-    pi_tilde_value,
-    s_value,
+    s_ratios,
     s_values,
 )
 from motzkinq.qspecial import bessel_k_imag, q_number, qpoch_finite, qpoch_infinite
@@ -177,30 +175,30 @@ def test_s_values_at_q_zero():
     m = QModelParams(q=0.0, sigma=0.5)
     got = s_values(12, m)
     assert np.allclose(got, np.arange(1, 14), rtol=1e-14)
-    assert s_value(-1, m) == 0.0
-    assert s_value(0, m) == 1.0
+    assert got[0] == 1.0
 
 
 def test_s_value_matches_polynomial_recurrence():
     m = QModelParams(q=0.5, sigma=1.0)
     B = m.support().B
+    s = s_values(8, m)
     for n in (1, 3, 8):
         via_poly = motzkin_poly_eval(n, B, m) * q_number(n + 1, m.q)
-        assert s_value(n, m) == pytest.approx(via_poly, rel=1e-11)
+        assert s[n] == pytest.approx(via_poly, rel=1e-11)
 
 
 def test_pi_values_at_q_zero():
     m = QModelParams(q=0.0, sigma=0.4)
-    assert pi_value(0, m) == 1.0
     got = pi_values(10, m)
+    assert got[0] == 1.0
     assert np.allclose(got, np.arange(1, 12), rtol=1e-14)
 
 
 def test_pi_tilde_equals_s():
     m = QModelParams(q=0.35, sigma=0.65)
+    s, pis = s_values(9, m), pi_values(9, m)
     for n in (0, 2, 9):
-        assert pi_tilde_value(n, m) == pytest.approx(
-            pi_value(n, m) * q_number(n + 1, m.q) if n else 1.0, rel=1e-12)
+        assert s[n] == pytest.approx(pis[n] * q_number(n + 1, m.q) if n else 1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("q,sigma", [(0.0, 0.3), (0.2, 1.0), (0.5, 0.7), (0.9, 0.15), (0.98, 0.6)])
@@ -223,6 +221,42 @@ def test_endpoint_recurrence_identity(q, sigma):
         assert lhs == pytest.approx(B * pis[n + 1], rel=1e-10)
 
 
+# ------------------------------------------------------- ratio recurrence
+
+def _mp_s_ratios(mpmath, nmax, q, sigma):
+    """s_(n+1)/s_n for n = 0..nmax from the s-recurrence in 60 digits."""
+    with mpmath.workdps(60):
+        q, sigma = mpmath.mpf(q), mpmath.mpf(sigma)
+        prev, cur, qn = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+        out = []
+        for _ in range(nmax + 1):
+            qn *= q
+            prev, cur = cur, ((2 + 2 * sigma * qn) * cur - (1 - qn) * prev) / (1 - qn)
+            out.append(cur / prev)
+        return out
+
+
+@pytest.mark.parametrize("q,sigma,nmax", [(math.exp(-2.0 / 300.0), 0.3, 1000),
+                                          (0.998, 1.0, 3000), (0.9999, 0.05, 3000)])
+def test_s_ratios_against_mpmath(q, sigma, nmax):
+    # the convolution form trips its imaginary-residue guard at the first
+    # point and overflows at n = 224 at the second; at the third, 1 - q^2
+    # taken as a difference would already be off by 3e-13
+    mpmath = pytest.importorskip("mpmath")
+    got = s_ratios(nmax, QModelParams(q=q, sigma=sigma))
+    want = _mp_s_ratios(mpmath, nmax, q, sigma)
+    worst = max(abs(float(g / w - 1)) for g, w in zip(got, want))
+    assert worst <= 1e-13
+
+
+def test_s_ratios_agree_with_convolution():
+    m = QModelParams(q=math.exp(-0.02), sigma=0.6)
+    conv = np.array([asc_at_one(n, m.asc_params()) for n in range(2002)])
+    r = s_ratios(2000, m)
+    assert np.max(np.abs(r / (conv[1:] / conv[:-1]) - 1.0)) <= 1e-13
+    assert np.max(np.abs(s_values(2001, m) / conv - 1.0)) <= 1e-10
+
+
 # ------------------------------------------------------ polynomial relations
 
 def test_motzkin_poly_first_orders():
@@ -236,7 +270,7 @@ def test_motzkin_poly_first_orders():
 def test_motzkin_poly_at_right_endpoint_is_pi():
     m = QModelParams(q=0.5, sigma=1.0)
     B = m.support().B
-    assert motzkin_poly_eval(5, B, m) == pytest.approx(pi_value(5, m), rel=1e-10)
+    assert motzkin_poly_eval(5, B, m) == pytest.approx(pi_values(5, m)[5], rel=1e-10)
 
 
 @pytest.mark.parametrize("q,sigma", [(0.3, 0.9), (0.7, 0.4)])

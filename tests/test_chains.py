@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzkinq.ascpoly import QModelParams, pi_values, q_number, s_values
 from motzkinq.chains import (
-    ChainSpec,
     _chebyshev_power,
     _chebyshev_power_coefficients,
     _iterate_tridiagonal,
@@ -30,8 +31,8 @@ from motzkinq.motzkin import WeightModel
 # ------------------------------------------------------------- transitions
 
 def test_transition_row_at_zero_q_zero():
-    spec = ChainSpec(QModelParams(q=0.0, sigma=0.5))
-    row = transition_row(0, spec)
+    m = QModelParams(q=0.0, sigma=0.5)
+    row = transition_row(0, m)
     assert row.offset == 0
     assert row.probs[1] == pytest.approx(1 / 1.5, rel=1e-14)       # up
     assert row.probs[0] == pytest.approx(0.5 / 1.5, rel=1e-14)     # flat
@@ -41,53 +42,64 @@ def test_transition_row_at_zero_q_zero():
 @pytest.mark.parametrize("q", [0.0, 0.2, 0.5, 0.8, 0.95])
 @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 0.8, 1.0])
 def test_rows_sum_to_one(q, sigma):
-    spec = ChainSpec(QModelParams(q=q, sigma=sigma), height=520)
-    up, flat, down = transition_arrays(spec, 500)
+    m = QModelParams(q=q, sigma=sigma)
+    up, flat, down = transition_arrays(m, 500)
     assert np.max(np.abs(up + flat + down - 1.0)) < 1e-10
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.9, 0.9999), sigma=st.floats(0.0, 1.0, exclude_min=True),
+       cap=st.integers(0, 3000))
+def test_rows_finite_and_stochastic_near_q_one(q, sigma, cap):
+    up, flat, down = transition_arrays(QModelParams(q=q, sigma=sigma), cap)
+    assert np.all(np.isfinite(up)) and np.all(np.isfinite(down))
+    assert np.all(up[1:] > 0.0) and np.all(down[1:] > 0.0)
+    assert np.max(np.abs(up + flat + down - 1.0)) <= 1e-14
+
+
 def test_transition_matches_general_endpoint_form():
-    # the s-value rows coincide with up_n pi_{n+1} / (B pi_n) etc.
+    # the ratio rows coincide with up_n pi_{n+1} / (B pi_n) etc.
     m = QModelParams(q=0.55, sigma=0.7)
-    spec = ChainSpec(m, height=80)
     wm = WeightModel.from_qmodel(m)
     B = m.support().B
-    general = ChainSpec.from_weight_model(wm, B, pi_values(60, m))
+    pis = pi_values(60, m)
+    up, flat, down = transition_arrays(m, 59)
     for n in (0, 1, 5, 17, 40):
-        assert spec.up(n) == pytest.approx(general.up(n), rel=1e-12)
-        assert spec.flat(n) == pytest.approx(general.flat(n), rel=1e-12)
-        assert spec.down(n) == pytest.approx(general.down(n), rel=1e-12)
+        assert up[n] == pytest.approx(wm.up(n) * pis[n + 1] / (B * pis[n]), rel=1e-12)
+        assert flat[n] == pytest.approx(wm.flat(n) / B, rel=1e-12)
+        want_down = wm.down(n) * pis[n - 1] / (B * pis[n]) if n else 0.0
+        assert down[n] == pytest.approx(want_down, rel=1e-12)
 
 
 def test_head_and_tail_chains_share_rows():
     # the reversed-endpoint chain built from the renormalized values
     # pi~_n = [n+1]_q pi_n has identical one-step probabilities
     m = QModelParams(q=0.4, sigma=0.9)
-    spec = ChainSpec(m, height=64)
     wm = WeightModel.from_qmodel(m)
     B = m.support().B
     s = s_values(50, m)  # pi~ = s
+    up, flat, down = transition_arrays(m, 49)
     for n in (0, 1, 4, 20):
         upY = wm.down(n + 1) * s[n + 1] / (B * s[n])
         flatY = wm.flat(n) / B
         downY = (wm.up(n - 1) * s[n - 1] / (B * s[n])) if n else 0.0
-        assert upY == pytest.approx(spec.up(n), rel=1e-12)
-        assert flatY == pytest.approx(spec.flat(n), rel=1e-12)
-        assert downY == pytest.approx(spec.down(n), rel=1e-12)
+        assert upY == pytest.approx(up[n], rel=1e-12)
+        assert flatY == pytest.approx(flat[n], rel=1e-12)
+        assert downY == pytest.approx(down[n], rel=1e-12)
 
 
 # ------------------------------------------------------------- initial law
 
 def test_initial_law_point_mass_when_rho_zero():
-    spec = ChainSpec(QModelParams(q=0.3, sigma=0.5, rho0=0.0))
-    law = initial_law("X", spec)
+    m = QModelParams(q=0.3, sigma=0.5, rho0=0.0)
+    law = initial_law("X", m)
     assert law.offset == 0 and len(law.probs) == 1 and law.probs[0] == 1.0
 
 
 def test_initial_law_q_zero_geometric_times_linear():
     rho = 0.35
-    spec = ChainSpec(QModelParams(q=0.0, sigma=0.5, rho0=rho))
-    law = initial_law("X", spec)
+    m = QModelParams(q=0.0, sigma=0.5, rho0=rho)
+    law = initial_law("X", m)
     for n in (0, 1, 2, 7, 20):
         assert law.prob(n) == pytest.approx((1 - rho) ** 2 * rho**n * (n + 1), rel=1e-10)
     assert law.total() == pytest.approx(1.0, abs=1e-10)
@@ -96,8 +108,7 @@ def test_initial_law_q_zero_geometric_times_linear():
 @pytest.mark.parametrize("which,rho", [("X", 0.45), ("Y", 0.6)])
 def test_initial_law_normalizer_closed_form(which, rho):
     m = QModelParams(q=0.5, sigma=0.7, rho0=0.45, rho1=0.6)
-    spec = ChainSpec(m, height=400)
-    law = initial_law(which, spec, tail_tol=1e-12)
+    law = initial_law(which, m, tail_tol=1e-12)
     # direct summation oracle of rho^n s_n against the product normalizer
     s = s_values(len(law.probs) + 600, m)
     direct = float(np.sum(np.power(rho, np.arange(len(s))) * s))
@@ -108,33 +119,45 @@ def test_initial_law_normalizer_closed_form(which, rho):
     assert law.total() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_transition_arrays_report_s_value_overflow():
-    # at q = e^{-2/300} the s-values leave double range at n = 928
-    spec = ChainSpec(QModelParams(q=math.exp(-2.0 / 300.0), sigma=1.0), height=1002)
-    with pytest.raises(OverflowError, match="s-values overflowed at n=928"):
-        transition_arrays(spec, 1000)
-    up, flat, down = transition_arrays(spec, 900)
+def test_transition_arrays_finite_where_s_values_overflow():
+    # at q = e^{-2/300} the s-values leave double range at n = 928; the rows
+    # need only their ratios and stay finite and stochastic past that level
+    m = QModelParams(q=math.exp(-2.0 / 300.0), sigma=1.0)
+    up, flat, down = transition_arrays(m, 1000)
     assert np.all(np.isfinite(up)) and np.all(np.isfinite(down))
+    assert np.max(np.abs(up + flat + down - 1.0)) <= 1e-14
+    with pytest.raises(OverflowError, match="n=928"):
+        s_values(1000, m)
+    assert np.all(np.isfinite(s_values(927, m)))
+
+
+def test_initial_law_normalized_where_s_values_overflow():
+    # q -> 1 scaling at N = 9e4: s_n leaves double range at n = 928 and the
+    # mode of the law is at n = 2074
+    m = QModelParams(q=math.exp(-2.0 / 300.0), sigma=1.0, rho0=math.exp(-1.0 / 300.0))
+    law = initial_law("X", m)
+    assert np.all(np.isfinite(law.probs))
+    assert law.total() == pytest.approx(1.0, abs=1e-9)
+    assert 928 < int(np.argmax(law.probs)) < len(law.probs) - 1
 
 
 # ------------------------------------------------------------ k-step laws
 
 def test_kstep_identity_and_single_step():
-    spec = ChainSpec(QModelParams(q=0.35, sigma=0.8))
+    m = QModelParams(q=0.35, sigma=0.8)
     start = Distribution.point_mass(3)
-    out0 = kstep_distribution(start, 0, spec, height_cap=10)
+    out0 = kstep_distribution(start, 0, m, height_cap=10)
     assert out0.prob(3) == 1.0
-    out1 = kstep_distribution(start, 1, spec, height_cap=10)
-    row = transition_row(3, spec)
+    out1 = kstep_distribution(start, 1, m, height_cap=10)
+    row = transition_row(3, m)
     for n in (2, 3, 4):
         assert out1.prob(n) == pytest.approx(row.prob(n), rel=1e-14)
 
 
 def test_kstep_matches_trajectory_enumeration():
     m = QModelParams(q=0.45, sigma=0.6)
-    spec = ChainSpec(m, height=32)
     k, start = 6, 2
-    got = kstep_distribution(Distribution.point_mass(start), k, spec, height_cap=start + k + 1)
+    got = kstep_distribution(Distribution.point_mass(start), k, m, height_cap=start + k + 1)
     # oracle: sum over all 3^k step sequences of products of row entries
     probs: dict[int, float] = {}
 
@@ -142,7 +165,7 @@ def test_kstep_matches_trajectory_enumeration():
         if steps == 0:
             probs[h] = probs.get(h, 0.0) + p
             return
-        row = transition_row(h, spec)
+        row = transition_row(h, m)
         for nh, pr in row.rows():
             if pr > 0:
                 walk(nh, p * pr, steps - 1)
@@ -154,17 +177,16 @@ def test_kstep_matches_trajectory_enumeration():
 
 
 def test_kstep_cap_validation():
-    spec = ChainSpec(QModelParams(q=0.3, sigma=0.5))
+    m = QModelParams(q=0.3, sigma=0.5)
     with pytest.raises(CapacityError):
-        kstep_distribution(Distribution.point_mass(4), 10, spec, height_cap=8)
+        kstep_distribution(Distribution.point_mass(4), 10, m, height_cap=8)
 
 
 @pytest.mark.parametrize("k,mm,nn", [(0, 1, 1), (0, 1, 2), (5, 1, 2), (12, 0, 3), (20, 2, 2)])
 def test_kstep_integral_route_agrees_with_iteration(k, mm, nn):
     m = QModelParams(q=0.3, sigma=0.7)
-    spec = ChainSpec(m, height=64)
-    via_int = kstep_transition_integral(mm, nn, k, spec)
-    via_iter = kstep_distribution(Distribution.point_mass(mm), k, spec,
+    via_int = kstep_transition_integral(mm, nn, k, m)
+    via_iter = kstep_distribution(Distribution.point_mass(mm), k, m,
                                   height_cap=mm + k + 1).prob(nn)
     if k == 0:
         assert via_int == pytest.approx(1.0 if mm == nn else 0.0, abs=1e-8)
@@ -224,8 +246,8 @@ def test_chebyshev_degree(k):
 def test_chebyshev_power_matches_stepping_with_leaking_cap():
     # a cap well inside the reach of k steps: the mass deficit of the
     # expansion is the top-cap flux summed by exact stepping
-    spec = ChainSpec(QModelParams(q=0.5, sigma=0.8), height=80)
-    up, flat, down = transition_arrays(spec, 60)
+    m = QModelParams(q=0.5, sigma=0.8)
+    up, flat, down = transition_arrays(m, 60)
     vec = np.zeros(61)
     vec[30] = 1.0
     want, lost = _iterate_tridiagonal(vec, 900, up, flat, down)
@@ -239,9 +261,9 @@ def test_chebyshev_power_matches_stepping_with_leaking_cap():
 # --------------------------------------------------------------- simulation
 
 def test_simulation_steps_and_determinism():
-    spec = ChainSpec(QModelParams(q=0.4, sigma=0.7, rho0=0.3))
-    a = simulate_chain(spec, 500, seed=11)
-    b = simulate_chain(spec, 500, seed=11)
+    m = QModelParams(q=0.4, sigma=0.7, rho0=0.3)
+    a = simulate_chain(m, 500, seed=11)
+    b = simulate_chain(m, 500, seed=11)
     assert np.array_equal(a, b)
     assert a.min() >= 0
     assert np.all(np.isin(np.diff(a), (-1, 0, 1)))
@@ -249,8 +271,8 @@ def test_simulation_steps_and_determinism():
 
 def test_simulation_flat_frequency_from_high_altitude():
     # sigma = 1, q = 0: flat probability tends to 1/2 high up
-    spec = ChainSpec(QModelParams(q=0.0, sigma=1.0))
-    traj = simulate_chain(spec, 1_000_000, seed=42, start=500)
+    m = QModelParams(q=0.0, sigma=1.0)
+    traj = simulate_chain(m, 1_000_000, seed=42, start=500)
     flat = float(np.mean(np.diff(traj) == 0))
     se = math.sqrt(0.25 / 1_000_000)
     assert abs(flat - 0.5) <= 4 * se + 1e-3  # +1e-3 for the O(1/n) row bias
@@ -258,13 +280,12 @@ def test_simulation_flat_frequency_from_high_altitude():
 
 def test_simulated_mean_drifts_upward():
     m = QModelParams(q=0.3, sigma=0.6, rho0=0.4)
-    spec = ChainSpec(m, height=200)
-    law = initial_law("X", spec)
+    law = initial_law("X", m)
     k = 400
-    exact = kstep_distribution(law, k, spec,
+    exact = kstep_distribution(law, k, m,
                                height_cap=len(law.probs) + k + 2)
     assert exact.mean() > law.mean()
-    trajs = np.array([simulate_chain(spec, k, seed=1000 + i)[-1] for i in range(400)])
+    trajs = np.array([simulate_chain(m, k, seed=1000 + i)[-1] for i in range(400)])
     se = float(np.std(trajs)) / math.sqrt(len(trajs))
     assert abs(float(np.mean(trajs)) - exact.mean()) <= 4 * se
 
@@ -274,8 +295,7 @@ def test_simulated_mean_drifts_upward():
 def test_finite_length_law_approaches_chain_law():
     m = QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2)
     wm = WeightModel.from_qmodel(m)
-    spec = ChainSpec(m, height=80)
-    chain = chain_head_law(spec, "X", 3, 1e-10)
+    chain = chain_head_law(m, "X", 3, 1e-10)
     assert sum(chain.values()) == pytest.approx(1.0, abs=1e-8)
     tv100 = tv_distance(finite_path_head_law(wm, 100, 3), chain)
     tv200 = tv_distance(finite_path_head_law(wm, 200, 3), chain)
@@ -288,8 +308,7 @@ def test_reversed_head_law_approaches_Y_chain():
     # the law of (g_L, g_{L-1}, ..) is the head law of the reversed model
     m = QModelParams(q=0.2, sigma=0.6, rho0=0.25, rho1=0.15)
     reversed_m = QModelParams(q=m.q, sigma=m.sigma, rho0=m.rho1, rho1=m.rho0)
-    spec = ChainSpec(m, height=80)
-    chain_y = chain_head_law(spec, "Y", 2, 1e-10)
+    chain_y = chain_head_law(m, "Y", 2, 1e-10)
     # the symmetric weight is reversal-invariant, so reading the path
     # backwards is a head law with rho0 and rho1 exchanged
     path_rev = finite_path_head_law(WeightModel.from_qmodel(reversed_m), 200, 2)

@@ -147,6 +147,15 @@ def test_locallimit_q_to_1_small_time(capsys):
     assert float(rows[1][6]) < float(rows[0][6]) < 0.5
 
 
+def test_locallimit_q_to_1_large_N(capsys):
+    # start level 1919 lies past n = 928, where the s-values overflow
+    status, out = run_cli(capsys, "locallimit", "--regime", "q-to-1", "--N", "90000",
+                          "--t", "1", "--x", "0", "--y", "0", "--sigma", "1")
+    assert status == 0
+    (row,) = [r.split(",") for r in data_rows(out)]
+    assert float(row[6]) < 0.01
+
+
 def test_locallimit_empty_N_is_config_error(capsys):
     status, _ = run_cli(capsys, "locallimit", "--N", "")
     assert status == 3

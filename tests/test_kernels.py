@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motzkinq.ascpoly import QModelParams
-from motzkinq.chains import ChainSpec, _chebyshev_power, _iterate_tridiagonal, transition_arrays
+from motzkinq.chains import _chebyshev_power, _iterate_tridiagonal, transition_arrays
 from motzkinq.errors import ConvergenceError
 from motzkinq.kernels import (
     KernelQuery,
@@ -237,7 +237,7 @@ def _lattice_query(regime: str, N: int, t: float, x: float, y: float):
 
 
 def _exact_stepping(model, m, k, cap):
-    up, flat, down = transition_arrays(ChainSpec(model, height=cap + 2), cap)
+    up, flat, down = transition_arrays(model, cap)
     vec = np.zeros(cap + 1)
     vec[m] = 1.0
     return vec, (up, flat, down), _iterate_tridiagonal(vec, k, up, flat, down)
@@ -318,6 +318,19 @@ def test_initial_limit_q_to_1():
     assert out.rel_err < 0.10
     at_c2 = initial_limit_q_to_1(10_000, 0.0, 2.0, 1.0)
     assert at_c2.rhs == pytest.approx(bessel_k_imag(0.0, 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [90_000, 250_000])
+def test_initial_limit_q_to_1_large_N(N):
+    # s_n and the normalizer both leave double range here
+    out = initial_limit_q_to_1(N, 0.0, 1.0, 1.0)
+    assert math.isfinite(out.lhs)
+    assert out.rel_err < 0.01
+
+
+def test_initial_limit_q_to_1_value_at_desk_N():
+    out = initial_limit_q_to_1(10_000, 0.0, 1.0, 1.0)
+    assert out.lhs == pytest.approx(0.26822646439816894, rel=1e-12)
 
 
 # ------------------------------------------------------- f.d.d. surrogates

@@ -21,7 +21,6 @@ from motzkinq.motzkin import (
     partition_weight,
     path_line,
     path_weight,
-    sample_path,
     sample_paths,
 )
 
@@ -311,7 +310,6 @@ def test_sampler_deterministic_per_seed():
     c = sample_paths(6, wm, 50, seed=124)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert sample_path(6, wm, seed=9) == sample_path(6, wm, seed=9)
 
 
 def test_sampler_paths_are_valid():
