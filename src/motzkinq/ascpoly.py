@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .numerics import (
     DEFAULT_QUADRATURE,
     DEFAULT_TRUNCATION,
     QuadraturePolicy,
     TruncationPolicy,
-    panel_rule,
+    _nested_trapezoid,
 )
 from .qspecial import q_number, qpoch_infinite, qpoch_log_abs
 
@@ -232,25 +231,6 @@ def asc_density(x: float, p: AscParams, policy: TruncationPolicy = DEFAULT_TRUNC
     return num / (2.0 * math.pi * math.sqrt(1.0 - x * x) * den)
 
 
-def _qpoch_inf_grid(avec: np.ndarray, q: float, policy: TruncationPolicy) -> np.ndarray:
-    """(a; q)_inf for an array of complex arguments with common base q."""
-    if q == 0.0:
-        return 1.0 - avec
-    amax = float(np.max(np.abs(avec)))
-    if amax == 0.0:
-        return np.ones_like(avec)
-    bound = policy.rel_tol * (1.0 - q) / amax
-    k = 1 if bound >= 1.0 else int(math.ceil(math.log(bound) / math.log(q)))
-    if k > policy.max_terms:
-        raise ConvergenceError("grid q-product exceeds max_terms")
-    out = np.ones_like(avec)
-    qj = 1.0
-    for _ in range(max(k, 1)):
-        out *= 1.0 - avec * qj
-        qj *= q
-    return out
-
-
 def density_times_sine(theta: np.ndarray, p: AscParams,
                        policy: TruncationPolicy = DEFAULT_TRUNCATION) -> np.ndarray:
     """g(cos theta) sin(theta) on a grid, in the form with the square-root
@@ -258,49 +238,45 @@ def density_times_sine(theta: np.ndarray, p: AscParams,
 
     (2/pi) sin^2(theta) (q, ab; q)_inf |(q e^{2 i theta}; q)_inf|^2
         / |(a e^{i theta}, b e^{i theta}; q)_inf|^2.
+
+    Raises ``OverflowError`` naming q where the q-products leave double range
+    (q close to 1).
     """
     q = p.q
     e1 = np.exp(1j * theta)
-    e2 = e1 * e1
-    num = qpoch_infinite(q, q, policy) * qpoch_infinite(p.prod_ab, q, policy) \
-        * np.abs(_qpoch_inf_grid(q * e2, q, policy)) ** 2
-    den = np.abs(_qpoch_inf_grid(complex(p.a) * e1, q, policy)
-                 * _qpoch_inf_grid(complex(p.b) * e1, q, policy)) ** 2
-    return (2.0 / math.pi) * np.sin(theta) ** 2 * num / den
+    with np.errstate(all="ignore"):
+        num = qpoch_infinite(q, q, policy) * qpoch_infinite(p.prod_ab, q, policy) \
+            * np.abs(qpoch_infinite(q * (e1 * e1), q, policy)) ** 2
+        den = np.abs(qpoch_infinite(complex(p.a) * e1, q, policy)
+                     * qpoch_infinite(complex(p.b) * e1, q, policy)) ** 2
+        out = (2.0 / math.pi) * np.sin(theta) ** 2 * num / den
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise OverflowError(f"orthogonality density at q={q} left double range "
+                            f"at theta={float(np.ravel(theta)[bad[0]]):.6g}")
+    return out
 
 
 def nu_integrate(f, m: QModelParams,
                  quad: QuadraturePolicy = DEFAULT_QUADRATURE,
-                 trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                 theta_lo: float = 0.0, theta_hi: float = math.pi) -> float:
+                 trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
     """Integral of a vectorized function against the Motzkin orthogonality
     measure, via the substitution x = 2 (cos theta + sigma)/(1 - q).
 
-    The substituted weight g(cos theta) sin(theta) is smooth, so plain
-    panel-doubling Gauss-Legendre in theta converges fast.  Restricting
-    [theta_lo, theta_hi] integrates over the corresponding x-window.
+    The substituted integrand g(cos theta) sin(theta) f(x(theta)) is even,
+    2 pi-periodic and analytic in theta, so the nested trapezoidal rule on
+    [0, pi] converges geometrically; floor 64 eps times the L1 mass.
     """
-    from .errors import ConvergenceError as _CE
-
     p = m.asc_params()
     scale = 2.0 / (1.0 - m.q)
-    eps = float(np.finfo(float).eps)
-    prev = None
-    panels = max(1, quad.min_nodes // 32)
-    while panels * 32 <= quad.max_nodes:
-        theta, w = panel_rule(theta_lo, theta_hi, panels)
-        weight = w * density_times_sine(theta, p, trunc)
-        x = scale * (np.cos(theta) + m.sigma)
-        fv = np.asarray(f(x), dtype=float)
-        val = float(np.dot(weight, fv))
-        l1 = float(np.dot(np.abs(weight), np.abs(fv)))
-        if prev is not None:
-            sc = max(abs(val), abs(prev))
-            if abs(val - prev) <= quad.rel_tol * sc + 64.0 * eps * l1 + 1e-300:
-                return val
-        prev = val
-        panels *= 2
-    raise _CE("orthogonality-measure quadrature did not converge")
+
+    def integrand(theta):
+        fv = np.asarray(f(scale * (np.cos(theta) + m.sigma)), dtype=float)
+        return density_times_sine(theta, p, trunc) * fv
+
+    total, _ = _nested_trapezoid(integrand, math.pi, quad, 64.0,
+                                 "orthogonality-measure quadrature")
+    return float(total)
 
 
 # ------------------------------------------------------- Motzkin specialization

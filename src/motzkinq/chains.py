@@ -42,7 +42,7 @@ from .ascpoly import (
     s_ratios,
 )
 from .errors import CapacityError
-from .motzkin import WeightModel, _col_step, _row_step
+from .motzkin import WeightModel, _transposed, _tridiagonal_step
 from .numerics import (
     DEFAULT_QUADRATURE,
     DEFAULT_TRUNCATION,
@@ -166,16 +166,6 @@ def initial_law(which: str, model: QModelParams, tail_tol: float = 1e-12) -> Dis
         if cut.size:
             return Distribution(offset=0, probs=probs[:cut[0] + 12])
         nmax *= 2
-
-
-def _tridiagonal_step(v: np.ndarray, up: np.ndarray, flat: np.ndarray,
-                      down: np.ndarray) -> np.ndarray:
-    """One step v -> vP on states 0..cap; the flux up[-1] v[-1] past the
-    cap is dropped."""
-    new = flat * v
-    new[1:] += up[:-1] * v[:-1]
-    new[:-1] += down[1:] * v[1:]
-    return new
 
 
 def _iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
@@ -337,10 +327,11 @@ def finite_path_head_law(wm: WeightModel, L: int, K: int,
     S = T + L + 2
     a, b, c = wm.weight_arrays(S)
     av, bv = wm.boundary_arrays(S)
+    up_T, down_T = _transposed(a, c)
     u = bv.astype(float)
     scale = 0.0
     for j in range(L - K):
-        u = _col_step(u, a, b, c, 1.0)
+        u = _tridiagonal_step(u, up_T, b, down_T)
         peak = float(np.max(u))
         u /= peak
         scale += math.log(peak)
@@ -348,7 +339,7 @@ def finite_path_head_law(wm: WeightModel, L: int, K: int,
     uk = u
     u0 = uk.copy()
     for j in range(K):
-        u0 = _col_step(u0, a, b, c, 1.0)
+        u0 = _tridiagonal_step(u0, up_T, b, down_T)
     C = float(np.dot(av, u0))
     law: dict[tuple[int, ...], float] = {}
 
@@ -428,7 +419,7 @@ def endpoint_pair_correlation(wm: WeightModel, L: int,
         v[m] = 1.0
         scale = 0.0
         for _ in range(L):
-            v = _row_step(v, a, b, c, 1.0)
+            v = _tridiagonal_step(v, a, b, c)
             peak = float(np.max(v))
             if peak > 1e250:
                 v /= peak

@@ -179,20 +179,22 @@ def path_weight(path: MotzkinPath, model: WeightModel) -> float:
 
 # --------------------------------------------------------- transfer operator
 
-def _row_step(v: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
-    """One application w <- w M_t for a row vector w."""
-    new = b * v
-    new[1:] += t * a[:-1] * v[:-1]
-    new[:-1] += (c[1:] / t) * v[1:]
+def _tridiagonal_step(v: np.ndarray, up: np.ndarray, flat: np.ndarray,
+                      down: np.ndarray) -> np.ndarray:
+    """One step v -> v M of the tridiagonal operator with M[n, n+1] = up[n],
+    M[n, n] = flat[n] and M[n, n-1] = down[n] on states 0..S-1; the flux
+    up[-1] v[-1] past the top is dropped.  The weighted operator M_t passes
+    t up and down / t; the column step v -> M v passes :func:`_transposed`."""
+    new = flat * v
+    new[1:] += up[:-1] * v[:-1]
+    new[:-1] += down[1:] * v[1:]
     return new
 
 
-def _col_step(v: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
-    """One application v <- M_t v for a column vector v."""
-    new = b * v
-    new[:-1] += t * a[:-1] * v[1:]
-    new[1:] += (c[1:] / t) * v[:-1]
-    return new
+def _transposed(up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down) of the transposed operator: up_T[n] = down[n+1] and
+    down_T[n] = up[n-1]."""
+    return np.append(down[1:], 0.0), np.append(0.0, up[:-1])
 
 
 def partition_weight(L: int, m: int, n: int, model: WeightModel,
@@ -213,7 +215,7 @@ def partition_weight(L: int, m: int, n: int, model: WeightModel,
     v = np.zeros(S)
     v[m] = 1.0
     for _ in range(L):
-        v = _row_step(v, a, b, c, 1.0)
+        v = _tridiagonal_step(v, a, b, c)
     return float(v[n])
 
 
@@ -256,7 +258,7 @@ def _bilinear_log(model: WeightModel, z0: float, z1: float, tlist: list[float],
     v = av * powers
     log_scale = 0.0
     for t in tlist:
-        v = _row_step(v, a, b, c, t)
+        v = _tridiagonal_step(v, t * a, b, c / t)
         peak = float(np.max(np.abs(v)))
         if peak == 0.0:
             return 0.0, -math.inf
@@ -349,10 +351,12 @@ def _psi_functions(model: WeightModel, z0: float, z1: float,
     av, bv = model.boundary_arrays(S)
     v = av * np.power(float(z0), np.arange(S))
     for tj in t:
-        v = _row_step(v, a, b, c, tj)
+        v = _tridiagonal_step(v, tj * a, b, c / tj)
     w = bv * np.power(float(z1), np.arange(S))
+    up_T, down_T = _transposed(a, c)
     for sj in s:
-        w = _col_step(w, a, b, c, 1.0 / sj)
+        tj = 1.0 / sj
+        w = _tridiagonal_step(w, up_T / tj, b, tj * down_T)
     return v, w
 
 
@@ -423,11 +427,12 @@ def _backward_vectors(model: WeightModel, L: int, S: int) -> np.ndarray:
     consecutive rows are renormalized at sampling time)."""
     a, b, c = model.weight_arrays(S)
     _, bv = model.boundary_arrays(S)
+    up_T, down_T = _transposed(a, c)
     u = np.empty((L + 1, S))
     cur = bv.astype(float)
     u[L] = cur / np.max(cur)
     for k in range(L - 1, -1, -1):
-        cur = _col_step(u[k + 1], a, b, c, 1.0)
+        cur = _tridiagonal_step(u[k + 1], up_T, b, down_T)
         peak = float(np.max(cur))
         if peak <= 0.0:
             raise ValueError("backward partition vector collapsed to zero")

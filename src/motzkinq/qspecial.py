@@ -56,6 +56,48 @@ def q_number(n: int, q: float) -> float:
     return (1.0 - q**n) / (1.0 - q)
 
 
+def _term_count(a, q: float, policy: TruncationPolicy) -> int:
+    """Factors that (a; q)_inf needs (for an array ``a``, its largest |a|):
+    the smallest k with |a| q^k / (1-q), the tail of its log, below
+    ``policy.rel_tol``.  Raises :class:`ConvergenceError` past
+    ``policy.max_terms``."""
+    amod = float(np.abs(a).max()) if np.ndim(a) else abs(a)
+    k = 1
+    if amod != 0.0 and q != 0.0:
+        bound = policy.rel_tol * (1.0 - q) / amod
+        if bound < 1.0:
+            k = max(int(math.ceil(math.log(bound) / math.log(q))), 1)
+    if k > policy.max_terms:
+        raise ConvergenceError(f"(a;q)_inf with |a|={amod:.3g}, q={q} needs {k} factors, "
+                               f"max_terms={policy.max_terms}")
+    return k
+
+
+_BLOCK = 2**14  # factor values per block, sized to stay in cache
+
+
+def _factors(a, q: float, n: int):
+    """The factors 1 - a q^k, k = 0..n-1, for a scalar or an array ``a``, in
+    blocks with k on axis 0; each block reuses the previous one's memory."""
+    rows = max(1, _BLOCK // max(getattr(a, "size", 1), 1))
+    block = None
+    for k0 in range(0, n, rows):
+        qk = np.power(q, np.arange(k0, min(n, k0 + rows)))
+        block = np.multiply.outer(qk, a, out=None if block is None else block[:qk.size])
+        yield np.subtract(1.0, block, out=block)
+
+
+def _product(a, q: float, n: int):
+    """prod_{k<n} (1 - a q^k): an array for an array ``a``, else a float for
+    real ``a`` and a complex number otherwise."""
+    out = 1.0
+    for block in _factors(a, q, n):
+        out = out * block.prod(axis=0)
+    if np.ndim(a):
+        return out
+    return complex(out) if isinstance(a, complex) else float(np.real(out))
+
+
 def qpoch_finite(a: complex, q: float, n: int):
     """Finite q-Pochhammer symbol (a; q)_n = prod_{k<n} (1 - a q^k).
 
@@ -65,48 +107,20 @@ def qpoch_finite(a: complex, q: float, n: int):
     _check_q(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    result = 1.0 if not isinstance(a, complex) else 1.0 + 0.0j
-    qk = 1.0
-    for _ in range(n):
-        result = result * (1.0 - a * qk)
-        qk *= q
-    return result
+    return _product(a, q, n)
 
 
-def _tail_index(amod: float, q: float, policy: TruncationPolicy) -> int:
-    """Smallest k with amod * q^k / (1-q) below rel_tol (tail of the log of
-    the infinite product)."""
-    if amod == 0.0 or q == 0.0:
-        return 1
-    bound = policy.rel_tol * (1.0 - q) / amod
-    if bound >= 1.0:
-        return 1
-    k = int(math.ceil(math.log(bound) / math.log(q)))
-    return max(k, 1)
-
-
-def qpoch_infinite(a: complex, q: float, policy: TruncationPolicy = DEFAULT_TRUNCATION):
+def qpoch_infinite(a, q: float, policy: TruncationPolicy = DEFAULT_TRUNCATION):
     """Infinite q-Pochhammer symbol (a; q)_infty, truncated when the
     multiplicative tail bound |a| q^k / (1-q) drops below ``policy.rel_tol``.
 
+    ``a`` may be an array (one truncation for all entries, result of the same
+    shape); a scalar gives a float for real ``a``, else a complex number.
     Raises :class:`ConvergenceError` if ``policy.max_terms`` factors are not
     enough.  Deterministic for fixed inputs.
     """
     _check_q(q)
-    if a == 0:
-        return 1.0
-    k = _tail_index(abs(a), q, policy)
-    if k > policy.max_terms:
-        raise ConvergenceError(
-            f"(a;q)_inf with |a|={abs(a):.3g}, q={q} needs {k} factors, "
-            f"max_terms={policy.max_terms}"
-        )
-    ks = np.arange(k)
-    factors = 1.0 - a * np.power(q, ks)
-    result = complex(np.prod(factors))
-    if not isinstance(a, complex):
-        return float(result.real)
-    return result
+    return _product(a, q, _term_count(a, q, policy))
 
 
 def qpoch_log_abs(a: complex, q: float, n: int | None = None,
@@ -117,20 +131,32 @@ def qpoch_log_abs(a: complex, q: float, n: int | None = None,
     overflow or underflow double precision.
     """
     _check_q(q)
-    if a == 0:
-        return 0.0
     if n is None:
-        n = _tail_index(abs(a), q, policy)
-        if n > policy.max_terms:
-            raise ConvergenceError("infinite product exceeds max_terms")
-    if n == 0:
-        return 0.0
-    ks = np.arange(n)
-    factors = 1.0 - a * np.power(q + 0.0j, ks)
-    mags = np.abs(factors)
-    if np.any(mags == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(mags)))
+        n = _term_count(a, q, policy)
+    total = 0.0
+    with np.errstate(divide="ignore"):
+        for block in _factors(a, q, n):
+            total += float(np.sum(np.log(np.abs(block))))
+    return total
+
+
+def _log_ratio(a: complex, b: complex, log_b: complex, q: float, n: int,
+               pole: str) -> complex:
+    """sum_{k<n} log(1 - a q^k) - log(1 - b q^k) for a ``b`` computed as
+    exp(``log_b``): the factors of (a; q)_n and (b; q)_n are paired, so the
+    ratio survives where each product leaves double range (q close to 1).
+    Every factor 1 - b q^k shares the rounding b = exp(log_b - d); the
+    first-order correction d sum b q^k / (1 - b q^k) keeps it from adding up
+    as q -> 1.  ``ValueError(pole)`` on a vanishing factor."""
+    d = log_b - cmath.log(b) if b else 0.0
+    d = complex(d.real, math.remainder(d.imag, 2.0 * math.pi))
+    total = 0.0 + 0.0j
+    for top, bot in zip(_factors(a, q, n), _factors(b, q, n)):
+        if not bot.all():
+            raise ValueError(pole)
+        bot = bot.astype(complex)
+        total += complex(np.sum(np.log(top) - np.log(bot) + d * (1.0 - bot) / bot))
+    return total
 
 
 def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
@@ -155,17 +181,9 @@ def q_gamma_log(z: complex, q: float, policy: TruncationPolicy = DEFAULT_TRUNCAT
     z = complex(z)
     if q == 0.0:
         return 0.0 + 0.0j  # Gamma_0(z) = 1 for Re z > 0
-    lnq = math.log(q)
-    amod = q ** min(z.real, 1.0)
-    n = max(_tail_index(amod, q, policy), _tail_index(q, q, policy))
-    if n > policy.max_terms:
-        raise ConvergenceError("q-Gamma product exceeds max_terms")
-    ks = np.arange(n)
-    top = 1.0 - np.exp((ks + 1.0) * lnq)               # 1 - q^(k+1)
-    bot = 1.0 - np.exp((z + ks) * lnq)                 # 1 - q^(z+k)
-    if np.any(np.abs(bot) == 0.0):
-        raise ValueError(f"q-Gamma pole at z={z}")
-    total = complex(np.sum(np.log(top.astype(complex)) - np.log(bot)))
+    w = z * math.log(q)
+    n = _term_count(q ** min(z.real, 1.0), q, policy)
+    total = _log_ratio(q, cmath.exp(w), w, q, n, f"q-Gamma pole at z={z}")
     return (1.0 - z) * math.log(1.0 - q) + total
 
 
@@ -200,19 +218,10 @@ def ramanujan_ratio(z: complex, lam: complex, q: float,
             raise ValueError("q = 0 with Re(lam) <= 0 makes q^lam singular")
         out = 1.0 - complex(z)  # (z;0)_inf / (0;0)_inf
     else:
-        lnq = math.log(q)
-        qlam = cmath.exp(complex(lam) * lnq)
-        mod = abs(z) * max(1.0, abs(qlam))
-        n = _tail_index(mod, q, policy)
-        if n > policy.max_terms:
-            raise ConvergenceError("Ramanujan ratio exceeds max_terms")
-        ks = np.arange(n)
-        qk = np.exp(ks * lnq)
-        top = 1.0 - z * qk.astype(complex)
-        bot = 1.0 - z * qlam * qk.astype(complex)
-        if np.any(np.abs(top) == 0.0) or np.any(np.abs(bot) == 0.0):
-            raise ValueError("vanishing factor in Ramanujan ratio")
-        out = cmath.exp(complex(np.sum(np.log(top) - np.log(bot))))
+        log_qlam = complex(lam) * math.log(q)
+        n = _term_count(abs(z) * max(1.0, math.exp(log_qlam.real)), q, policy)
+        out = cmath.exp(_log_ratio(z, z * cmath.exp(log_qlam), cmath.log(z) + log_qlam, q, n,
+                                   "vanishing factor in Ramanujan ratio"))
     if not (isinstance(z, complex) or isinstance(lam, complex)):
         return float(out.real)
     return out

@@ -1,13 +1,19 @@
 """Brute-force oracles shared by the test modules.
 
-Everything here enumerates paths directly (vectorized over all step
-sequences) and never touches the transfer-operator code it is used to
-check.
+The path oracles enumerate paths directly (vectorized over all step
+sequences) and never touch the transfer-operator code they are used to
+check.  The composite Gauss-Legendre rule is an integrator independent of
+the package's nested trapezoidal rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from motzkinq.errors import ConvergenceError
+from motzkinq.numerics import DEFAULT_QUADRATURE, QuadraturePolicy
+
+_EPS = float(np.finfo(float).eps)
 
 _seq_cache: dict[int, np.ndarray] = {}
 
@@ -95,3 +101,51 @@ def brute_partition_sum(model, z0: float, z1: float, L: int, mmax: int) -> float
         total += float(np.sum(alpha[m] * z0**m * w * beta[alts[:, -1]]
                               * np.power(float(z1), alts[:, -1])))
     return total
+
+
+# composite rule: a fixed Gauss-Legendre base rule applied per panel, with
+# panel doubling.  Keeps node generation O(total nodes) instead of the
+# O(n^2) eigenproblem a single huge rule would require.
+_BASE_RULE = 32
+_base_nodes, _base_weights = np.polynomial.legendre.leggauss(_BASE_RULE)
+
+
+def panel_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [a, b]."""
+    h = (b - a) / panels
+    centers = a + h * (np.arange(panels) + 0.5)
+    nodes = (centers[:, None] + (0.5 * h) * _base_nodes[None, :]).ravel()
+    weights = np.tile((0.5 * h) * _base_weights, panels)
+    return nodes, weights
+
+
+def gauss_legendre(f, a: float, b: float, policy: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
+    """Integrate a vectorized callable ``f`` over ``[a, b]``.
+
+    ``f`` must accept an ndarray of abscissas and return an ndarray of the
+    same shape.  Panels double until two successive estimates agree to
+    ``policy.rel_tol`` relative, with an absolute floor at the rounding
+    level of the integrand's L1 mass (cancellation-heavy integrals cannot be
+    resolved below that).  Raises :class:`ConvergenceError` when
+    ``max_nodes`` is exhausted first.
+    """
+    if b <= a:
+        if b == a:
+            return 0.0
+        raise ValueError(f"empty integration range [{a}, {b}]")
+    prev = None
+    panels = max(1, policy.min_nodes // _BASE_RULE)
+    while panels * _BASE_RULE <= policy.max_nodes:
+        nodes, weights = panel_rule(a, b, panels)
+        fv = np.asarray(f(nodes), dtype=float)
+        val = float(np.dot(weights, fv))
+        l1 = float(np.dot(weights, np.abs(fv)))
+        if prev is not None:
+            scale = max(abs(val), abs(prev))
+            if abs(val - prev) <= policy.rel_tol * scale + 64.0 * _EPS * l1 + 1e-300:
+                return val
+        prev = val
+        panels *= 2
+    raise ConvergenceError(
+        f"quadrature on [{a}, {b}] did not converge within {policy.max_nodes} nodes"
+    )

@@ -47,7 +47,6 @@ from motzkinq.motzkin import (
     matrix_ansatz_expectation,
     path_weight,
 )
-from motzkinq.numerics import gauss_legendre, panel_rule
 from motzkinq.qspecial import (
     bessel_k_imag,
     q_gamma,
@@ -57,7 +56,7 @@ from motzkinq.qspecial import (
     theta4,
 )
 
-from oracles import brute_expectation
+from oracles import brute_expectation, gauss_legendre, panel_rule
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 

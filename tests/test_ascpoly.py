@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_density_domain():
 def test_density_normalizes_and_is_orthogonal_for_Q():
     # direct quadrature of the density itself (theta substitution removes
     # the inverse square-root edge factors)
-    from motzkinq.numerics import gauss_legendre
+    from oracles import gauss_legendre
 
     p = conj_params(0.5, 0.7)
 
@@ -137,6 +138,17 @@ def test_density_normalizes_and_is_orthogonal_for_Q():
         return np.array(out)
 
     assert gauss_legendre(q1q2_weighted, 1e-9, math.pi - 1e-9) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_density_overflow_names_q_at_once():
+    # at q = 0.998 the q-products of the density leave double range; the
+    # error names q at the first non-finite value instead of surfacing as a
+    # quadrature that never converges
+    m = QModelParams(q=0.998, sigma=0.8)
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match=r"density at q=0\.998"):
+        nu_integrate(lambda x: np.ones_like(x), m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_density_forms_agree():

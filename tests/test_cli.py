@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motzkinq.ascpoly import QModelParams
 from motzkinq.cli import main
+from motzkinq.verify import run_checks
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +126,25 @@ def test_verify_fault_injection_fails(capsys):
     payload = json.loads(out)
     failed = [row for row in payload["rows"] if row[3] is False]
     assert any(row[0] == "matrix-ansatz-vs-enumeration" for row in failed)
+
+
+@pytest.mark.parametrize("q, sigma", [("0.998", "1"), ("0.999", "0.3")])
+def test_verify_passes_as_q_approaches_one(capsys, q, sigma):
+    # s_n leaves double range near n = 200 here; the normalizer check sums
+    # rho^n s_n in log space, over more levels than s_n can reach
+    status, out = run_cli(capsys, "verify", "--q", q, "--sigma", sigma, "--format", "json")
+    assert status == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 12
+    assert all(row[3] is True for row in rows)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.9, 0.999), sigma=st.floats(0.0, 1.0, exclude_min=True),
+       rho0=st.floats(0.0, 0.9))
+def test_verify_passes_for_q_near_one(q, sigma, rho0):
+    rows = run_checks(QModelParams(q=q, sigma=sigma, rho0=rho0))
+    assert [r.name for r in rows if not r.passed] == []
 
 
 # --------------------------------------------------------------- locallimit

@@ -24,8 +24,10 @@ from motzkinq.kernels import (
     zeta0_density,
     zeta_transition,
 )
-from motzkinq.numerics import QuadraturePolicy, gauss_legendre, panel_rule
+from motzkinq.numerics import QuadraturePolicy
 from motzkinq.qspecial import bessel_k_imag
+
+from oracles import gauss_legendre, panel_rule
 
 
 # ------------------------------------------------------------ killed kernel

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from motzkinq.ascpoly import QModelParams, motzkin_poly_table, nu_integrate, q_number
+from motzkinq.ascpoly import (
+    QModelParams,
+    density_times_sine,
+    motzkin_poly_table,
+    nu_integrate,
+    q_number,
+)
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (
     MotzkinPath,
@@ -22,9 +28,11 @@ from motzkinq.motzkin import (
     path_line,
     path_weight,
     sample_paths,
+    _transposed,
+    _tridiagonal_step,
 )
 
-from oracles import brute_expectation, brute_partition_sum
+from oracles import brute_expectation, brute_partition_sum, gauss_legendre
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -280,6 +288,20 @@ def test_transfer_eigen_relation_on_polynomial_vector():
         assert abs(out[-1] - x * p[-1]) > 1e-6  # boundary row is the exception
 
 
+def test_tridiagonal_step_matches_dense_matrix():
+    # M_t[n, n+1] = t a_n, M_t[n, n] = b_n, M_t[n, n-1] = c_n / t on 0..S-1
+    rng = np.random.default_rng(8)
+    S, t = 9, 1.7
+    a, b, c = rng.uniform(0.5, 2.0, (3, S))
+    M = np.diag(b) + np.diag(t * a[:-1], 1) + np.diag(c[1:] / t, -1)
+    v = rng.uniform(0.1, 1.0, S)
+    row = _tridiagonal_step(v, t * a, b, c / t)
+    assert np.allclose(row, v @ M, rtol=1e-14, atol=0.0)
+    up_T, down_T = _transposed(a, c)
+    col = _tridiagonal_step(v, up_T / t, b, t * down_T)
+    assert np.allclose(col, M @ v, rtol=1e-14, atol=0.0)
+
+
 def test_moment_ratio_limits_pick_out_right_endpoint():
     # int F x^L nu / int x^L nu -> F(B) for F(x) = x and an indicator
     m = QModelParams(q=0.5, sigma=0.7)
@@ -290,10 +312,11 @@ def test_moment_ratio_limits_pick_out_right_endpoint():
         den = nu_integrate(lambda x: (x / B) ** L, m)
         num = nu_integrate(lambda x: x * (x / B) ** L, m)
         errs_x.append(abs(num / den - B))
-        # indicator of x > 0.95 B; the B/2 cutoff is below fp resolution
-        # already at L = 50
+        # indicator of x > 0.95 B, i.e. theta < theta_c; the B/2 cutoff is
+        # below fp resolution already at L = 50
         theta_c = math.acos(0.95 * (1 + m.sigma) - m.sigma)
-        num_ind = nu_integrate(lambda x: (x / B) ** L, m, theta_hi=theta_c)
+        num_ind = gauss_legendre(lambda th: density_times_sine(th, m.asc_params())
+                                 * ((np.cos(th) + m.sigma) / (1 + m.sigma)) ** L, 0.0, theta_c)
         errs_ind.append(abs(num_ind / den - 1.0))
     assert errs_x[0] > errs_x[1] > errs_x[2]
     assert errs_ind[0] > errs_ind[1] > errs_ind[2]

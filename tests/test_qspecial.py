@@ -81,6 +81,17 @@ def test_qpoch_telescoping(a, q, n):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_qpoch_infinite_on_an_array_matches_scalars():
+    # one truncation (from the largest |a|) for the whole array, blocks of
+    # factors across several rows of k
+    a = 0.9 * np.exp(1j * np.linspace(0.0, math.pi, 33)).reshape(3, 11)
+    for q in (0.0, 0.5, 0.99):
+        got = qpoch_infinite(a, q)
+        assert got.shape == a.shape
+        want = np.array([qpoch_infinite(complex(x), q) for x in a.ravel()]).reshape(a.shape)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_qpoch_log_abs_matches_direct():
     a, q = 0.3 + 0.2j, 0.7
     assert qpoch_log_abs(a, q, 9) == pytest.approx(math.log(abs(qpoch_finite(a, q, 9))), rel=1e-13)
@@ -102,6 +113,16 @@ def test_q_gamma_functional_equation():
             lhs = q_gamma(complex(z) + 1, q)
             rhs = (1 - q ** complex(z)) / (1 - q) * q_gamma(complex(z), q)
             assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
+
+
+def test_q_gamma_near_one_against_mpmath():
+    # every factor 1 - q^z q^k shares the rounding of q^z; at q = 0.999 that
+    # alone would give 3.7e-13 at z = 0.5 without its first-order correction
+    mp = pytest.importorskip("mpmath")
+    for z in (0.5, 0.1, 2.5):
+        with mp.workdps(30):
+            want = mp.qgamma(z, 0.999, maxterms=10**6)
+        assert float(abs(q_gamma(z, 0.999) / want - 1)) < 1e-13
 
 
 def test_q_gamma_limit_to_gamma_half():
