@@ -279,7 +279,8 @@ def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams,
 def simulate_chain(model: QModelParams, steps: int, seed: int,
                    start: int | None = None) -> np.ndarray:
     """Trajectory of the boundary chain, drawn from the initial law unless a
-    fixed start altitude is given.  Deterministic per seed."""
+    fixed start altitude is given.  Deterministic per seed.  The loop runs on
+    Python floats (the transition rows and the uniforms as lists)."""
     rng = np.random.default_rng(seed)
     if start is None:
         law = initial_law("X", model)
@@ -288,25 +289,29 @@ def simulate_chain(model: QModelParams, steps: int, seed: int,
     else:
         state = int(start)
     cap = state + 4 * int(math.sqrt(steps + 1)) + 64
-    up, flat, down = transition_arrays(model, cap)
-    out = np.empty(steps + 1, dtype=np.int64)
-    out[0] = state
-    draws = rng.random(steps)
-    for i in range(steps):
+    up, flat = _step_lists(model, cap)
+    out = [state]
+    for r in rng.random(steps).tolist():
         if state + 1 >= cap:
             cap = 2 * cap + 16
-            up, flat, down = transition_arrays(model, cap)
-        r = draws[i]
+            up, flat = _step_lists(model, cap)
         if r < up[state]:
             state += 1
         elif r < up[state] + flat[state]:
             pass
-        else:
-            state -= 1 if state > 0 else 0
+        elif state > 0:
             # residual rounding mass joins the down branch; at state 0 the
             # row has no down component so the flat branch absorbs it
-        out[i + 1] = state
-    return out
+            state -= 1
+        out.append(state)
+    return np.array(out, dtype=np.int64)
+
+
+def _step_lists(model: QModelParams, cap: int) -> tuple[list[float], list[float]]:
+    """The up and flat rows of :func:`transition_arrays` as Python floats,
+    which a state-by-state loop indexes without boxing numpy scalars."""
+    up, flat, _ = transition_arrays(model, cap)
+    return up.tolist(), flat.tolist()
 
 
 # ----------------------------------------------- exact finite-length laws

@@ -3,7 +3,10 @@
 Subcommands: enumerate, sample, chain, verify, locallimit, specialfn.
 Every run is deterministic given its configuration and seed; the effective
 configuration is echoed into the output header.  Outputs are CSV ('.'
-decimal, 17 significant digits) or JSON.
+decimal, 17 significant digits) or JSON.  Every subcommand's table goes
+through ``_emit``; a CSV table is written with one %-format, built per
+column from the cell types, so integer tables (``chain``, the ``sample``
+index) cost no Python call per cell.
 
 Exit status: 0 success, 1 verification check failed, 2 numeric guard
 tripped (cap/convergence/overflow), 3 invalid configuration.
@@ -14,8 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import sys
+from collections.abc import Sequence
 
 from .ascpoly import QModelParams
 from .chains import simulate_chain
@@ -156,7 +161,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(cfg: dict, columns: list[str], rows: list[list], stream) -> None:
+def _emit(cfg: dict, columns: list[str], rows: list[Sequence], stream) -> None:
     if cfg["format"] == "json":
         payload = {
             "config": {k: cfg[k] for k in sorted(cfg) if k not in ("out", "config")},
@@ -174,8 +179,22 @@ def _emit(cfg: dict, columns: list[str], rows: list[list], stream) -> None:
             value = ",".join(str(v) for v in value)
         stream.write(f"# {key}={value}\n")
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    # one %-format for the whole table: each column gets "%.17g" when all its
+    # cells are floats, else "%s"; a column mixing floats with other cells
+    # is turned into strings cell by cell first
+    width = len(columns)
+    cells = list(itertools.chain.from_iterable(rows))
+    formats = []
+    for j in range(width):
+        column = cells[j::width]
+        floats = [issubclass(kind, float) for kind in set(map(type, column))]
+        if all(floats):
+            formats.append("%.17g")
+        else:
+            if any(floats):
+                cells[j::width] = map(_fmt, column)
+            formats.append("%s")
+    stream.write((",".join(formats) + "\n") * len(rows) % tuple(cells))
 
 
 # ---------------------------------------------------------------- commands
@@ -197,13 +216,14 @@ def _cmd_sample(cfg: dict) -> tuple[list[str], list[list], int]:
     model = WeightModel.from_qmodel(_qmodel(cfg))
     draws = sample_paths(cfg["L"], model, cfg["count"], cfg["seed"],
                          tail_tol=min(cfg["tol"], 1e-9))
-    rows = [[i, ";".join(str(int(a)) for a in row)] for i, row in enumerate(draws)]
+    levels = [str(h) for h in range(int(draws.max()) + 1)]
+    rows = [[i, ";".join([levels[h] for h in row.tolist()])] for i, row in enumerate(draws)]
     return ["index", "altitudes"], rows, 0
 
 
-def _cmd_chain(cfg: dict) -> tuple[list[str], list[list], int]:
+def _cmd_chain(cfg: dict) -> tuple[list[str], list[tuple[int, int]], int]:
     traj = simulate_chain(_qmodel(cfg), cfg["L"], cfg["seed"])
-    return ["k", "state"], [[k, int(v)] for k, v in enumerate(traj)], 0
+    return ["k", "state"], list(enumerate(traj.tolist())), 0
 
 
 def _cmd_verify(cfg: dict) -> tuple[list[str], list[list], int]:

@@ -446,7 +446,10 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
 
     Sequential sampler: the initial altitude is drawn proportionally to
     alpha_m u_0[m], then every step proportionally to edge weight times the
-    next backward vector.  Deterministic for a fixed seed.
+    next backward vector.  Step k tabulates, once per level h, the cumulative
+    weights up, up + flat and up + flat + down of the three moves; each path
+    then gathers its three entries and takes the move its uniform lands in.
+    Deterministic for a fixed seed.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -467,15 +470,15 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     states = np.searchsorted(cdf, rng.random(count), side="right").astype(np.int64)
     paths = np.empty((count, L + 1), dtype=np.int64)
     paths[:, 0] = states
+    down = np.zeros(S - 1)  # no down move at level 0
     for k in range(L):
         nxt = u[k + 1]
-        pu = a[states] * nxt[states + 1]
-        pf = b[states] * nxt[states]
-        pd = np.where(states > 0, c[states] * nxt[np.maximum(states - 1, 0)], 0.0)
-        total = pu + pf + pd
-        r = rng.random(count) * total
-        step = np.where(r < pu, 1, np.where(r < pu + pf, 0, -1))
-        states = states + step
+        up = a[:-1] * nxt[1:]
+        upflat = up + b[:-1] * nxt[:-1]
+        np.multiply(c[1:-1], nxt[:-2], out=down[1:])
+        total = upflat + down
+        r = rng.random(count) * total[states]
+        states = states + 1 - (r >= up[states]) - (r >= upflat[states])
         paths[:, k + 1] = states
     return paths
 

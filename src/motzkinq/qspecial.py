@@ -117,10 +117,18 @@ def qpoch_infinite(a, q: float, policy: TruncationPolicy = DEFAULT_TRUNCATION):
     ``a`` may be an array (one truncation for all entries, result of the same
     shape); a scalar gives a float for real ``a``, else a complex number.
     Raises :class:`ConvergenceError` if ``policy.max_terms`` factors are not
-    enough.  Deterministic for fixed inputs.
+    enough, and ``OverflowError`` naming ``a`` and ``q`` if an entry of the
+    product leaves double range (``qpoch_log_abs`` still gives its log
+    modulus).  Deterministic for fixed inputs.
     """
     _check_q(q)
-    return _product(a, q, _term_count(a, q, policy))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _product(a, q, _term_count(a, q, policy))
+    if not np.isfinite(out).all():
+        a_bad = np.ravel(a)[np.argmin(np.isfinite(out))] if np.ndim(a) else a
+        raise OverflowError(f"(a; q)_inf at a={a_bad}, q={q} left double range; "
+                            f"qpoch_log_abs gives log |(a; q)_inf|")
+    return out
 
 
 def qpoch_log_abs(a: complex, q: float, n: int | None = None,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascpoly import QModelParams, log_s_values, pi_values, q_number, s_values
+from .ascpoly import (RECURRENCE_CAP, QModelParams, log_s_values, pi_values, q_number,
+                      s_values)
 from .chains import initial_log_normalizer, transition_arrays
 from .motzkin import (
     WeightModel,
@@ -149,6 +150,9 @@ def run_checks(model: QModelParams, inject_fault: bool = False) -> list[CheckRes
     rho = min(max(model.rho0, 0.3), 0.9)
     nmax = 900
     while True:
+        if nmax > RECURRENCE_CAP:
+            raise OverflowError(f"initial-law normalizer check at rho={rho}, q={model.q} needs "
+                                f"{nmax} levels, more than RECURRENCE_CAP={RECURRENCE_CAP}")
         logs = np.arange(nmax + 1) * math.log(rho) + log_s_values(nmax, model)
         terms = np.exp(logs - logs.max())
         if terms[-1] < 1e-17 * terms.sum():

@@ -3,14 +3,21 @@
 The path oracles enumerate paths directly (vectorized over all step
 sequences) and never touch the transfer-operator code they are used to
 check.  The composite Gauss-Legendre rule is an integrator independent of
-the package's nested trapezoidal rule.
+the package's nested trapezoidal rule.  The sampler and chain oracles are
+the straightforward per-state forms of ``sample_paths`` and
+``simulate_chain``: the package's table-driven loops must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from motzkinq.errors import ConvergenceError
+from motzkinq.chains import initial_law, transition_arrays
+from motzkinq.errors import CapacityError, ConvergenceError
+from motzkinq.motzkin import _backward_vectors, _boundary_cutoff
 from motzkinq.numerics import DEFAULT_QUADRATURE, QuadraturePolicy
 
 _EPS = float(np.finfo(float).eps)
@@ -149,3 +156,69 @@ def gauss_legendre(f, a: float, b: float, policy: QuadraturePolicy = DEFAULT_QUA
     raise ConvergenceError(
         f"quadrature on [{a}, {b}] did not converge within {policy.max_nodes} nodes"
     )
+
+
+def sample_paths_per_state(L: int, model, count: int, seed: int,
+                           height_cap: int | None = None, tail_tol: float = 1e-12) -> np.ndarray:
+    """``motzkin.sample_paths`` with every path gathering its own edge
+    weights and backward-vector entries at each step."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    T = _boundary_cutoff(model, tail_tol)
+    S = (T + L + 2) if height_cap is None else height_cap + 2
+    u = _backward_vectors(model, L, S)
+    a, b, c = model.weight_arrays(S)
+    av, _ = model.boundary_arrays(S)
+    p0 = av * u[0]
+    top = S - L - 1
+    lost = float(np.sum(p0[top:])) / float(np.sum(p0))
+    if lost > tail_tol * 10:
+        raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > tail_tol")
+    p0 = p0[:top]
+    p0 = p0 / np.sum(p0)
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(p0)
+    states = np.searchsorted(cdf, rng.random(count), side="right").astype(np.int64)
+    paths = np.empty((count, L + 1), dtype=np.int64)
+    paths[:, 0] = states
+    for k in range(L):
+        nxt = u[k + 1]
+        pu = a[states] * nxt[states + 1]
+        pf = b[states] * nxt[states]
+        pd = np.where(states > 0, c[states] * nxt[np.maximum(states - 1, 0)], 0.0)
+        total = pu + pf + pd
+        r = rng.random(count) * total
+        step = np.where(r < pu, 1, np.where(r < pu + pf, 0, -1))
+        states = states + step
+        paths[:, k + 1] = states
+    return paths
+
+
+def simulate_chain_numpy_loop(model, steps: int, seed: int,
+                              start: int | None = None) -> np.ndarray:
+    """``chains.simulate_chain`` indexing numpy arrays state by state."""
+    rng = np.random.default_rng(seed)
+    if start is None:
+        law = initial_law("X", model)
+        cdf = np.cumsum(law.probs)
+        state = int(law.offset + np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    else:
+        state = int(start)
+    cap = state + 4 * int(math.sqrt(steps + 1)) + 64
+    up, flat, down = transition_arrays(model, cap)
+    out = np.empty(steps + 1, dtype=np.int64)
+    out[0] = state
+    draws = rng.random(steps)
+    for i in range(steps):
+        if state + 1 >= cap:
+            cap = 2 * cap + 16
+            up, flat, down = transition_arrays(model, cap)
+        r = draws[i]
+        if r < up[state]:
+            state += 1
+        elif r < up[state] + flat[state]:
+            pass
+        else:
+            state -= 1 if state > 0 else 0
+        out[i + 1] = state
+    return out

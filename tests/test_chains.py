@@ -1,6 +1,7 @@
 """Tests for the boundary birth-death chains."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from motzkinq.chains import (
     transition_row,
     tv_distance,
 )
+from motzkinq import chains
 from motzkinq.errors import CapacityError
 from motzkinq.motzkin import WeightModel
+
+from oracles import simulate_chain_numpy_loop
 
 
 # ------------------------------------------------------------- transitions
@@ -288,6 +292,44 @@ def test_simulated_mean_drifts_upward():
     trajs = np.array([simulate_chain(m, k, seed=1000 + i)[-1] for i in range(400)])
     se = float(np.std(trajs)) / math.sqrt(len(trajs))
     assert abs(float(np.mean(trajs)) - exact.mean()) <= 4 * se
+
+
+CHAIN_ORACLE_MODELS = [
+    QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25),
+    QModelParams(q=0.5, sigma=0.01, rho0=0.3, rho1=0.25),
+    QModelParams(q=0.4, sigma=0.7, rho0=0.0, rho1=0.25),
+    QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25),
+]
+
+
+@pytest.mark.parametrize("start", [None, 0, 7])
+@pytest.mark.parametrize("m", CHAIN_ORACLE_MODELS)
+def test_simulation_matches_numpy_loop_oracle_bitwise(m, start):
+    for steps, seed in ((1, 0), (2, 3), (50, 1), (5000, 2)):
+        got = simulate_chain(m, steps, seed, start=start)
+        want = simulate_chain_numpy_loop(m, steps, seed, start=start)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_simulation_cap_regrowth_matches_oracle(monkeypatch):
+    # an unforced run regrows its cap only after climbing 4 sqrt(steps) + 64
+    # levels, which no test-sized run does; with sqrt forced to 0 the cap
+    # starts 64 above the start and must regrow.  Rows of transition_arrays
+    # do not depend on the cap, so the oracle (unforced) gives the same path.
+    m = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+    caps = []
+
+    def recording(model, cap):
+        caps.append(cap)
+        return transition_arrays(model, cap)
+
+    monkeypatch.setattr(chains, "math", SimpleNamespace(sqrt=lambda x: 0.0))
+    monkeypatch.setattr(chains, "transition_arrays", recording)
+    got = simulate_chain(m, 20_000, seed=4, start=0)
+    monkeypatch.undo()
+    assert len(caps) >= 2 and caps[1] == 2 * caps[0] + 16
+    assert got.max() + 1 >= caps[0]
+    assert np.array_equal(got, simulate_chain_numpy_loop(m, 20_000, seed=4, start=0))
 
 
 # ----------------------------------------------------- boundary-limit check

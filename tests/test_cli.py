@@ -1,5 +1,7 @@
 """Tests for the command-line driver."""
 
+import hashlib
+import io
 import json
 import math
 
@@ -111,6 +113,56 @@ def test_chain_steps_in_range(capsys):
     assert min(states) >= 0
 
 
+# ------------------------------------------------------- output byte pins
+
+# SHA-256 of the whole stdout at the default model, taken from the
+# per-cell formatter the table formatter replaced; the sampler and chain
+# loops are pinned bitwise by their oracles, these pin the text
+OUTPUT_DIGESTS = [
+    (("sample", "--L", "200", "--count", "1000", "--seed", "11"),
+     "aa5d89c97d624a52f8c51e77c700670c99fb85777825b6fa602b1c1667117e7c",
+     "7949f7aa1edce31bab6db2bf67f4e872643f8cf4218ee01bdd3e2184b9961f70"),
+    (("sample", "--L", "1000", "--count", "2000", "--seed", "12345"),
+     "077b843fa71dfadaf0d7141b38c5f488fb450a0355291b48665fa4dc57c6a9eb",
+     "9fcb00203989e9294893d20d76acb107eec659b0619c9ba4c0f66b1cdcd46449"),
+    (("sample", "--L", "1000", "--count", "1000", "--seed", "7"),
+     "eb93bcd8cab435a011dd6d6ec4150d52d1018585abb79b56e35ef76a75c15ef2",
+     "28e79a9d775991ef542d83b3415418b7ac8c2ea6f3738b2fdf7c61f1364a9a4c"),
+    (("chain", "--L", "100000", "--seed", "5"),
+     "95bec5f6b63bea433f227021123d3a41aa4b12e01b1099b25c4494a1c62f98f1",
+     "b530c535181124a148401a053c1fc5163ba4ae996317331bdc7ead4fc1c0d020"),
+    (("chain", "--L", "1000"),
+     "3948096b6e3fccf15fb440b58bed79d197af44606741322aa5facdade58536c3",
+     "d344cf89e777695d54b2a937b451cc3d07173983d8569554f558c279d9a8658a"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_digest, json_digest", OUTPUT_DIGESTS,
+                         ids=[" ".join(a) for a, *_ in OUTPUT_DIGESTS])
+def test_sample_and_chain_output_bytes_pinned(capsys, argv, csv_digest, json_digest):
+    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+        status, out = run_cli(capsys, *argv, "--format", fmt)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_emit_mixed_column_keeps_per_cell_formats():
+    from motzkinq import cli
+
+    cfg = {"format": "csv", "command": "x", "out": None, "config": None}
+    rows = [["a", 1, 0.1, 2.5], ["b", 0.1, True, 3.0], ["c", True, 7, float("inf")]]
+    buf = io.StringIO()
+    cli._emit(cfg, ["name", "u", "v", "w"], rows, buf)
+    assert buf.getvalue().splitlines()[3:] == [
+        "a,1,0.10000000000000001,2.5",
+        "b,0.10000000000000001,True,3",
+        "c,True,7,inf",
+    ]
+    buf = io.StringIO()
+    cli._emit(cfg, ["name"], [], buf)
+    assert buf.getvalue() == "# command=x\n# format=csv\nname\n"
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_default_passes(capsys):
@@ -118,6 +170,13 @@ def test_verify_default_passes(capsys):
     assert status == 0
     payload = json.loads(out)
     assert all(row[3] is True for row in payload["rows"])
+
+
+def test_verify_normalizer_level_count_past_cap_names_the_check(capsys):
+    status = main(["verify", "--q", "0.9999", "--sigma", "1", "--rho0", "0.9"])
+    out, err = capsys.readouterr()
+    assert status == 2 and out == ""
+    assert "initial-law normalizer check at rho=0.9, q=0.9999 needs 115200 levels" in err
 
 
 def test_verify_fault_injection_fails(capsys):

@@ -32,7 +32,8 @@ from motzkinq.motzkin import (
     _tridiagonal_step,
 )
 
-from oracles import brute_expectation, brute_partition_sum, gauss_legendre
+from oracles import (brute_expectation, brute_partition_sum, gauss_legendre,
+                     sample_paths_per_state)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -384,3 +385,26 @@ def test_sampler_cap_guard():
     wm = WeightModel.from_qmodel(m)
     with pytest.raises(CapacityError):
         sample_paths(4, wm, 10, seed=1, height_cap=6)
+
+
+# (model, height_cap): q = 0.99 needs an explicit cap, since its default
+# boundary cutoff discards the initial altitudes of paths from L = 50 on
+ORACLE_MODELS = [
+    (QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25), None),
+    (QModelParams(q=0.5, sigma=0.01, rho0=0.3, rho1=0.25), None),
+    (QModelParams(q=0.4, sigma=0.7, rho0=0.0, rho1=0.25), None),
+    (QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), 800),
+]
+
+
+@pytest.mark.parametrize("L", [1, 2, 50, 300])
+@pytest.mark.parametrize("model, height_cap", ORACLE_MODELS)
+def test_sampler_matches_per_state_oracle_bitwise(model, height_cap, L):
+    # the level tables draw the same uniforms and do the same floating-point
+    # operations as the per-path gathers, so the paths agree exactly
+    wm = WeightModel.from_qmodel(model)
+    for seed in (0, 1, 17):
+        got = sample_paths(L, wm, 300, seed, height_cap=height_cap)
+        want = sample_paths_per_state(L, wm, 300, seed, height_cap=height_cap)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)

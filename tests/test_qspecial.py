@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,19 @@ def test_qpoch_infinite_on_an_array_matches_scalars():
         assert got.shape == a.shape
         want = np.array([qpoch_infinite(complex(x), q) for x in a.ravel()]).reshape(a.shape)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_qpoch_infinite_out_of_range_raises_naming_a_and_q():
+    # at q = 0.9999 the factors 1 - 0.9j q^k multiply past double range: the
+    # product was nan + nan j with only a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"a=0\.9j, q=0\.9999.*qpoch_log_abs"):
+            qpoch_infinite(0.9j, 0.9999)
+        a = np.array([0.1, 0.9j, 0.5])
+        with pytest.raises(OverflowError, match=r"a=0\.9j, q=0\.9999.*qpoch_log_abs"):
+            qpoch_infinite(a, 0.9999)
+    assert math.isfinite(qpoch_log_abs(0.9j, 0.9999))
 
 
 def test_qpoch_log_abs_matches_direct():
