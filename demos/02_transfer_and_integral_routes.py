@@ -12,30 +12,30 @@ by the right endpoint B of the orthogonality interval.
 
 import math
 
+import numpy as np
+
 from motzkinq import QModelParams, WeightModel
 from motzkinq.motzkin import (
-    enumerate_paths,
+    altitude_table,
     integral_expectation,
     log_normalizing_constant,
     matrix_ansatz_expectation,
-    path_weight,
+    table_weights,
 )
 
 model = QModelParams(q=0.4, sigma=0.6, rho0=0.3, rho1=0.3)
 wm = WeightModel.from_qmodel(model)
 L, z0, z1, t, s = 6, 0.9, 0.85, [0.8], [1.2]
 
-# (a) enumeration: sum over every path with boundary levels below a cutoff
-num = den = 0.0
-for m in range(40):
-    for end in range(m + L + 1):
-        for p in enumerate_paths(L, m, end):
-            w = wm.alpha(m) * path_weight(p, wm) * wm.beta(end)
-            den += w
-            alts = p.altitudes
-            num += (w * z0**m * z1**end
-                    * t[0] ** (alts[1] - alts[0]) * s[0] ** (-(alts[L] - alts[L - 1])))
-brute = num / den
+# (a) enumeration: sum over every path from a start level below a cutoff,
+# one row of altitudes per path
+alts = np.concatenate([altitude_table(L, m, None) for m in range(40)])
+starts, ends = alts[:, 0], alts[:, -1]
+alpha, beta = wm.boundary_arrays(40 + L)
+w = alpha[starts] * table_weights(alts, wm) * beta[ends]
+num = (w * z0**starts * z1**ends
+       * t[0] ** (alts[:, 1] - alts[:, 0]) * s[0] ** -(alts[:, L] - alts[:, L - 1]))
+brute = num.sum() / w.sum()
 
 transfer = matrix_ansatz_expectation(z0, z1, t, s, L, wm)
 integral = integral_expectation(z0, z1, t, s, L, wm)

@@ -28,11 +28,10 @@ from .errors import CapacityError, ConvergenceError
 from .kernels import error_table
 from .motzkin import (
     WeightModel,
-    enumerate_paths,
+    altitude_table,
     normalizing_constant,
-    path_line,
-    path_weight,
     sample_paths,
+    table_weights,
 )
 from .qspecial import (
     bessel_k_imag,
@@ -199,16 +198,17 @@ def _emit(cfg: dict, columns: list[str], rows: list[Sequence], stream) -> None:
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_enumerate(cfg: dict) -> tuple[list[str], list[list], int]:
+def _cmd_enumerate(cfg: dict) -> tuple[list[str], list[tuple[str, float, float]], int]:
     model = WeightModel.from_qmodel(_qmodel(cfg))
     L, m, n = cfg["L"], cfg["m"], cfg["n"]
-    paths = enumerate_paths(L, m, n)
+    alts = altitude_table(L, m, n)
     C = normalizing_constant(L, model, tail_tol=min(cfg["tol"], 1e-10))
-    rows = []
-    for p in paths:
-        w = path_weight(p, model)
-        prob = model.alpha(m) * model.beta(n) * w / C
-        rows.append([f"\"{path_line(p)}\"" if cfg["format"] == "csv" else path_line(p), w, prob])
+    weights = table_weights(alts, model)
+    probs = model.alpha(m) * model.beta(n) * weights / C
+    levels = [str(h) for h in range(m + L + 1)]
+    template = "\"%s\"" if cfg["format"] == "csv" else "%s"
+    paths = [template % ",".join([levels[h] for h in row]) for row in alts.tolist()]
+    rows = list(zip(paths, weights.tolist(), probs.tolist()))
     return ["path", "weight", "probability"], rows, 0
 
 

@@ -33,8 +33,10 @@ __all__ = [
     "MotzkinPath",
     "WeightModel",
     "ENUMERATION_CAP",
+    "altitude_table",
     "enumerate_paths",
     "path_weight",
+    "table_weights",
     "horizontal_count",
     "partition_weight",
     "normalizing_constant",
@@ -48,6 +50,9 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 14
+# entries (L+1) x S of the backward table that sample_paths may grow its
+# default cap to (64 MB of float64)
+SAMPLE_TABLE_CAP = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -133,34 +138,39 @@ class WeightModel:
 
 # -------------------------------------------------------------- enumeration
 
-def enumerate_paths(L: int, m: int, n: int) -> list[MotzkinPath]:
-    """All Motzkin paths of length L from altitude m to altitude n.
+_STEPS = np.array([1, 0, -1], dtype=np.int64)
 
-    Exhaustive with pruning; guarded at L <= 14.
+
+def altitude_table(L: int, m: int, n: int | None) -> np.ndarray:
+    """Altitudes of all Motzkin paths of length L from altitude m to
+    altitude n (any end when n is None), as an int64 array (count, L+1).
+
+    Built level by level: every prefix is extended by the steps +1, 0, -1
+    in that order and kept while h >= 0 and |h - n| <= the steps left, so
+    the rows come in lexicographic order of their step sequences with +1
+    first.  Guarded at L <= ENUMERATION_CAP.
     """
-    if L < 0 or m < 0 or n < 0:
+    if L < 0 or m < 0 or (n is not None and n < 0):
         raise ValueError("L, m, n must be nonnegative")
     if L > ENUMERATION_CAP:
         raise CapacityError(f"enumeration guard: L={L} exceeds {ENUMERATION_CAP}")
-    out: list[MotzkinPath] = []
-    prefix = [m]
+    if n is not None and abs(m - n) > L:
+        return np.empty((0, L + 1), dtype=np.int64)
+    table = np.full((1, 1), m, dtype=np.int64)
+    for remaining in range(L - 1, -1, -1):
+        nxt = table[:, -1:] + _STEPS
+        keep = nxt >= 0
+        if n is not None:
+            keep &= np.abs(nxt - n) <= remaining
+        rows, cols = np.nonzero(keep)
+        table = np.column_stack((table[rows], nxt[rows, cols]))
+    return table
 
-    def walk(h: int, remaining: int) -> None:
-        if abs(h - n) > remaining:
-            return
-        if remaining == 0:
-            out.append(MotzkinPath(tuple(prefix)))
-            return
-        for step in (1, 0, -1):
-            nh = h + step
-            if nh < 0:
-                continue
-            prefix.append(nh)
-            walk(nh, remaining - 1)
-            prefix.pop()
 
-    walk(m, L)
-    return out
+def enumerate_paths(L: int, m: int, n: int) -> list[MotzkinPath]:
+    """All Motzkin paths of length L from altitude m to altitude n, in the
+    row order of :func:`altitude_table`.  Guarded at L <= 14."""
+    return [MotzkinPath(tuple(row)) for row in altitude_table(L, m, n).tolist()]
 
 
 def path_weight(path: MotzkinPath, model: WeightModel) -> float:
@@ -174,6 +184,19 @@ def path_weight(path: MotzkinPath, model: WeightModel) -> float:
             w *= model.down(a)
         else:
             w *= model.flat(a)
+    return w
+
+
+def table_weights(table: np.ndarray, model: WeightModel) -> np.ndarray:
+    """:func:`path_weight` of every row of an altitude table, bit for bit:
+    the tabulated weight of each step multiplied in from the left, starting
+    at 1.0."""
+    w = np.ones(table.shape[0])
+    if table.size == 0:
+        return w
+    a, b, c = model.weight_arrays(int(table.max()) + 1)
+    for left, right in zip(table.T, table.T[1:]):
+        w *= np.where(right > left, a[left], np.where(right < left, c[left], b[left]))
     return w
 
 
@@ -248,18 +271,27 @@ def _boundary_cutoff(model: WeightModel, tail_tol: float) -> int:
     return T
 
 
-def _bilinear_log(model: WeightModel, z0: float, z1: float, tlist: list[float],
-                  S: int) -> tuple[float, float]:
+def _weight_tables(model: WeightModel, size: int) -> tuple[np.ndarray, ...]:
+    """(up, flat, down, alpha, beta) tabulated on altitudes 0..size-1."""
+    return (*model.weight_arrays(size), *model.boundary_arrays(size))
+
+
+def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
+                  tlist: list[float], S: int) -> tuple[float, float]:
     """(mantissa, log_scale) of V_alpha(z0)^T M_{t_1} ... M_{t_L} W_beta(z1)
-    on the truncated operator of size S."""
-    a, b, c = model.weight_arrays(S)
-    av, bv = model.boundary_arrays(S)
+    on the truncated operator of size S, from :func:`_weight_tables` of
+    size >= S.  The arrays t a and c / t are rebuilt only where t changes,
+    and every vector is nonnegative, so its peak is its max."""
+    a, b, c, av, bv = (arr[:S] for arr in tables)
     powers = np.power(float(z0), np.arange(S))
     v = av * powers
     log_scale = 0.0
+    prev = None
     for t in tlist:
-        v = _tridiagonal_step(v, t * a, b, c / t)
-        peak = float(np.max(np.abs(v)))
+        if t != prev:
+            ta, ct, prev = t * a, c / t, t
+        v = _tridiagonal_step(v, ta, b, ct)
+        peak = float(v.max())
         if peak == 0.0:
             return 0.0, -math.inf
         if peak > 1e200 or peak < 1e-200:
@@ -269,23 +301,33 @@ def _bilinear_log(model: WeightModel, z0: float, z1: float, tlist: list[float],
     return float(np.dot(v, w)), log_scale
 
 
+def _grown(S: int) -> int:
+    return S + max(16, S // 4)
+
+
 def _bilinear_adaptive(model: WeightModel, z0: float, z1: float, tlist: list[float],
                        L: int, height_cap: int | None, tail_tol: float) -> tuple[float, float]:
     """Bilinear form with the boundary truncation grown until the value is
-    stable to tail_tol (or a user cap is hit)."""
+    stable to tail_tol (or a user cap is hit).  The weight tables are built
+    once at the largest size the first comparison needs and rebuilt larger
+    only if the truncation keeps growing."""
     T = _boundary_cutoff(model, tail_tol)
     if height_cap is not None:
         S = height_cap + 2
-        val, lg = _bilinear_log(model, z0, z1, tlist, S)
-        ref, lg2 = _bilinear_log(model, z0, z1, tlist, S + 16)
+        tables = _weight_tables(model, S + 16)
+        val, lg = _bilinear_log(tables, z0, z1, tlist, S)
+        ref, lg2 = _bilinear_log(tables, z0, z1, tlist, S + 16)
         if abs(ref * math.exp(lg2 - lg) - val) > 4.0 * tail_tol * abs(ref * math.exp(lg2 - lg)):
             raise CapacityError(f"height_cap={height_cap} too small for tail_tol={tail_tol}")
         return val, lg
     S = T + L + 2
-    val, lg = _bilinear_log(model, z0, z1, tlist, S)
+    tables = _weight_tables(model, _grown(S))
+    val, lg = _bilinear_log(tables, z0, z1, tlist, S)
     for _ in range(10):
-        S2 = S + max(16, S // 4)
-        val2, lg2 = _bilinear_log(model, z0, z1, tlist, S2)
+        S2 = _grown(S)
+        if S2 > len(tables[0]):
+            tables = _weight_tables(model, S2)
+        val2, lg2 = _bilinear_log(tables, z0, z1, tlist, S2)
         rel = abs(val2 * math.exp(lg2 - lg) - val)
         if rel <= tail_tol * max(abs(val2 * math.exp(lg2 - lg)), 1e-300):
             return val2, lg2
@@ -450,19 +492,37 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     weights up, up + flat and up + flat + down of the three moves; each path
     then gathers its three entries and takes the move its uniform lands in.
     Deterministic for a fixed seed.
+
+    Initial altitudes are at most height_cap - L, and height_cap must be
+    at least L + 1.  Without a height_cap they are at most the boundary
+    cutoff T, which doubles while the altitudes past it carry more than
+    10 tail_tol of the initial mass (u_0 grows with the altitude, most as
+    q -> 1); CapacityError once the backward table (L+1) x (T+L+2) would
+    pass SAMPLE_TABLE_CAP entries.
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if height_cap is not None and height_cap < L + 1:
+        raise CapacityError(f"height_cap={height_cap} < L+1={L + 1}; "
+                            "no initial altitude fits below the cap")
     T = _boundary_cutoff(model, tail_tol)
-    S = (T + L + 2) if height_cap is None else height_cap + 2
-    u = _backward_vectors(model, L, S)
+    while True:
+        S = (T + L + 2) if height_cap is None else height_cap + 2
+        u = _backward_vectors(model, L, S)
+        av, _ = model.boundary_arrays(S)
+        p0 = av * u[0]
+        top = S - L - 1
+        lost = float(np.sum(p0[top:])) / float(np.sum(p0))
+        if lost <= tail_tol * 10:
+            break
+        if height_cap is not None:
+            raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > tail_tol")
+        if (L + 1) * (2 * T + L + 2) > SAMPLE_TABLE_CAP:
+            raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > tail_tol at "
+                                f"T={T}, L={L}; doubling T would pass SAMPLE_TABLE_CAP="
+                                f"{SAMPLE_TABLE_CAP} backward-table entries")
+        T *= 2
     a, b, c = model.weight_arrays(S)
-    av, _ = model.boundary_arrays(S)
-    p0 = av * u[0]
-    top = S - L - 1
-    lost = float(np.sum(p0[top:])) / float(np.sum(p0))
-    if lost > tail_tol * 10:
-        raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > tail_tol")
     p0 = p0[:top]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)

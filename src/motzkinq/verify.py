@@ -21,6 +21,7 @@ from .ascpoly import (RECURRENCE_CAP, QModelParams, log_s_values, pi_values, q_n
 from .chains import initial_log_normalizer, transition_arrays
 from .motzkin import (
     WeightModel,
+    altitude_table,
     enumerate_paths,
     integral_expectation,
     integral_normalizing_constant,
@@ -28,6 +29,7 @@ from .motzkin import (
     normalizing_constant,
     nu_integrate,
     path_weight,
+    table_weights,
 )
 from .ascpoly import motzkin_poly_table
 from .qspecial import q_gamma, qpoch_infinite, theta1, theta4
@@ -167,19 +169,16 @@ def run_checks(model: QModelParams, inject_fault: bool = False) -> list[CheckRes
 
 def _enumeration_expectation(wm: WeightModel, z0: float, z1: float,
                              t: list[float], s: list[float], L: int, mmax: int) -> float:
-    """Generating functional by direct path enumeration (no transfer code)."""
-    K = len(t)
-    num = 0.0
-    den = 0.0
-    for m in range(mmax + 1):
-        for end in range(0, m + L + 1):
-            for p in enumerate_paths(L, m, end):
-                w = wm.alpha(m) * path_weight(p, wm) * wm.beta(end)
-                den += w
-                gen = w * z0**m * z1**end
-                alts = p.altitudes
-                for j in range(1, K + 1):
-                    gen *= t[j - 1] ** (alts[j] - alts[j - 1])
-                    gen *= s[j - 1] ** (-(alts[L - j + 1] - alts[L - j]))
-                num += gen
-    return num / den
+    """Generating functional by brute-force enumeration (no transfer code):
+    one free-end altitude table per start m <= mmax, priced on arrays.  Each
+    path's factors multiply in the order alpha_m, weight, beta_end, z0^m,
+    z1^end, then t_j and s_j for j = 1..K."""
+    alts = np.concatenate([altitude_table(L, m, None) for m in range(mmax + 1)])
+    starts, ends = alts[:, 0], alts[:, -1]
+    av, bv = wm.boundary_arrays(mmax + L + 1)
+    w = av[starts] * table_weights(alts, wm) * bv[ends]
+    gen = w * np.power(z0, starts.astype(float)) * np.power(z1, ends.astype(float))
+    for j in range(1, len(t) + 1):
+        gen *= np.power(t[j - 1], (alts[:, j] - alts[:, j - 1]).astype(float))
+        gen *= np.power(s[j - 1], -(alts[:, L - j + 1] - alts[:, L - j]).astype(float))
+    return float(gen.sum() / w.sum())

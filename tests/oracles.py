@@ -6,7 +6,8 @@ check.  The composite Gauss-Legendre rule is an integrator independent of
 the package's nested trapezoidal rule.  The sampler and chain oracles are
 the straightforward per-state forms of ``sample_paths`` and
 ``simulate_chain``: the package's table-driven loops must reproduce them bit
-for bit.
+for bit.  The recursive walk and the nested-loop expectation are the
+path-by-path forms of ``altitude_table`` and verify's enumeration check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from motzkinq.chains import initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
-from motzkinq.motzkin import _backward_vectors, _boundary_cutoff
+from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, _backward_vectors,
+                              _boundary_cutoff, path_weight)
 from motzkinq.numerics import DEFAULT_QUADRATURE, QuadraturePolicy
 
 _EPS = float(np.finfo(float).eps)
@@ -222,3 +224,53 @@ def simulate_chain_numpy_loop(model, steps: int, seed: int,
             state -= 1 if state > 0 else 0
         out[i + 1] = state
     return out
+
+
+def enumerate_paths_recursive(L: int, m: int, n: int) -> list[MotzkinPath]:
+    """All Motzkin paths of length L from altitude m to altitude n.
+
+    Exhaustive with pruning; guarded at L <= 14.
+    """
+    if L < 0 or m < 0 or n < 0:
+        raise ValueError("L, m, n must be nonnegative")
+    if L > ENUMERATION_CAP:
+        raise CapacityError(f"enumeration guard: L={L} exceeds {ENUMERATION_CAP}")
+    out: list[MotzkinPath] = []
+    prefix = [m]
+
+    def walk(h: int, remaining: int) -> None:
+        if abs(h - n) > remaining:
+            return
+        if remaining == 0:
+            out.append(MotzkinPath(tuple(prefix)))
+            return
+        for step in (1, 0, -1):
+            nh = h + step
+            if nh < 0:
+                continue
+            prefix.append(nh)
+            walk(nh, remaining - 1)
+            prefix.pop()
+
+    walk(m, L)
+    return out
+
+
+def enumeration_expectation_nested(wm, z0: float, z1: float,
+                                   t: list[float], s: list[float], L: int, mmax: int) -> float:
+    """Generating functional by direct path enumeration (no transfer code)."""
+    K = len(t)
+    num = 0.0
+    den = 0.0
+    for m in range(mmax + 1):
+        for end in range(0, m + L + 1):
+            for p in enumerate_paths_recursive(L, m, end):
+                w = wm.alpha(m) * path_weight(p, wm) * wm.beta(end)
+                den += w
+                gen = w * z0**m * z1**end
+                alts = p.altitudes
+                for j in range(1, K + 1):
+                    gen *= t[j - 1] ** (alts[j] - alts[j - 1])
+                    gen *= s[j - 1] ** (-(alts[L - j + 1] - alts[L - j]))
+                num += gen
+    return num / den

@@ -64,6 +64,39 @@ def test_enumerate_guard_exit_code(capsys):
     assert status == 2
 
 
+def test_enumerate_ends_out_of_reach_give_no_rows(capsys):
+    status, out = run_cli(capsys, "enumerate", "--L", "1", "--m", "0", "--n", "2")
+    assert status == 0
+    assert data_rows(out) == []
+
+
+ENUMERATE_MODEL = ("--q", "0.5", "--sigma", "0.8", "--rho0", "0.3", "--rho1", "0.25")
+# (argv, csv digest, json digest): the text of the path-by-path CLI loop
+ENUMERATE_DIGESTS = [
+    (("enumerate", "--L", "10", "--m", "0", "--n", "0"),
+     "27f0e3ffa9e007243b999cc25c6dda57a51d5ffa6790ce1f67739870613ebc3e",
+     "993c8ddfea9f48014902ce9222d7ba3a4a42f6c4b5ba29f143aa6e16e2066fb5"),
+    (("enumerate", "--L", "10", "--m", "1", "--n", "2"),
+     "3aa1fc7f74fac8238ab1e141639430dacc5260f50c02f5a43966c2ee0784c12f",
+     "287cfad59e0957331141d9849ae1e9b17521f26150fa7269954c905dfd8215f8"),
+    (("enumerate", "--L", "10", "--m", "2", "--n", "1"),
+     "9994d89944df8c5c86d44cdbc8765bcd85fa187a72a05925ca8c3307271f01ce",
+     "5942ada55530e8abfef324e9555abfa85a67c62c8ea573b3ed45dafe6a309b1d"),
+    (("enumerate", "--L", "4"),
+     "5fb0bd943ee58931d9be4a65e40ba5fd84fc76211abefef94b4ab076c8a36219",
+     "59f76101fcca0f847f6464e82fdc2109dfdffdd123348fb2b95c8b80738de1fc"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_digest, json_digest", ENUMERATE_DIGESTS,
+                         ids=[" ".join(a) for a, *_ in ENUMERATE_DIGESTS])
+def test_enumerate_output_bytes_pinned(capsys, argv, csv_digest, json_digest):
+    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+        status, out = run_cli(capsys, *argv, *ENUMERATE_MODEL, "--format", fmt)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 # ------------------------------------------------------------------- sample
 
 def test_sample_deterministic_bytes(capsys):
@@ -177,6 +210,19 @@ def test_verify_normalizer_level_count_past_cap_names_the_check(capsys):
     out, err = capsys.readouterr()
     assert status == 2 and out == ""
     assert "initial-law normalizer check at rho=0.9, q=0.9999 needs 115200 levels" in err
+
+
+@pytest.mark.parametrize("q, sigma, rho0, rho1", [(0.4, 0.7, 0.3, 0.25), (0.4, 0.75, 0.3, 0.25),
+                                                   (0.9, 0.2, 0.5, 0.1)])
+def test_verify_enumeration_matches_nested_loop_oracle(q, sigma, rho0, rho1):
+    from motzkinq.motzkin import WeightModel
+    from motzkinq.verify import _enumeration_expectation
+    from oracles import enumeration_expectation_nested
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=sigma, rho0=rho0, rho1=rho1))
+    args = (wm, 0.9, 0.8, [0.8, 1.2], [1.1, 0.9], 6)
+    got = _enumeration_expectation(*args, mmax=40)
+    want = enumeration_expectation_nested(*args, mmax=40)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_verify_fault_injection_fails(capsys):

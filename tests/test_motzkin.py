@@ -16,6 +16,7 @@ from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (
     MotzkinPath,
     WeightModel,
+    altitude_table,
     enumerate_paths,
     horizontal_count,
     integral_expectation,
@@ -28,12 +29,13 @@ from motzkinq.motzkin import (
     path_line,
     path_weight,
     sample_paths,
+    table_weights,
     _transposed,
     _tridiagonal_step,
 )
 
-from oracles import (brute_expectation, brute_partition_sum, gauss_legendre,
-                     sample_paths_per_state)
+from oracles import (brute_expectation, brute_partition_sum, enumerate_paths_recursive,
+                     gauss_legendre, sample_paths_per_state)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -57,6 +59,53 @@ def test_enumerate_descent_with_one_flat():
 def test_enumeration_guard():
     with pytest.raises(CapacityError):
         enumerate_paths(15, 0, 0)
+    with pytest.raises(CapacityError, match="L=15 exceeds 14"):
+        altitude_table(15, 0, None)
+
+
+ENUMERATION_CASES = ([(L, m, n) for L in range(9) for m in range(5) for n in range(5)]
+                     + [(10, 1, 2), (14, 0, 0)])
+
+
+def test_altitude_table_matches_recursive_walk_row_order():
+    for L, m, n in ENUMERATION_CASES:
+        want = [p.altitudes for p in enumerate_paths_recursive(L, m, n)]
+        table = altitude_table(L, m, n)
+        assert table.dtype == np.int64 and table.shape == (len(want), L + 1)
+        assert list(map(tuple, table.tolist())) == want, (L, m, n)
+        assert [p.altitudes for p in enumerate_paths(L, m, n)] == want, (L, m, n)
+    assert len(want) == 113634
+
+
+@pytest.mark.parametrize("L, m, n", [(0, 0, 1), (0, 3, 2), (2, 0, 3), (3, 5, 1)])
+def test_enumeration_ends_out_of_reach_give_no_path(L, m, n):
+    assert altitude_table(L, m, n).shape == (0, L + 1)
+    assert enumerate_paths(L, m, n) == []
+    assert table_weights(altitude_table(L, m, n), WeightModel.unit()).shape == (0,)
+
+
+@pytest.mark.parametrize("L, m", [(0, 2), (1, 0), (5, 0), (6, 3)])
+def test_free_end_table_is_every_fixed_end_in_lexicographic_order(L, m):
+    # with +1 ordered first, lexicographic order of the step sequences is
+    # descending order of the altitude rows
+    want = sorted((p.altitudes for n in range(m + L + 1)
+                   for p in enumerate_paths_recursive(L, m, n)), reverse=True)
+    assert list(map(tuple, altitude_table(L, m, None).tolist())) == want
+
+
+@pytest.mark.parametrize("model", [
+    WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)),
+    WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.01)),
+    WeightModel(up=lambda n: 2.0 ** (n + 1), flat=lambda n: 3.0 ** (n + 1),
+                down=lambda n: 5.0 ** (n + 1) if n else 0.0, alpha=lambda n: 1.0,
+                beta=lambda n: 1.0),
+])
+def test_table_weights_equal_path_weight_bitwise(model):
+    for L, m, n in [(0, 2, 2), (1, 0, 0), (6, 2, 1), (10, 1, 2), (9, 0, None)]:
+        table = altitude_table(L, m, n)
+        got = table_weights(table, model)
+        want = np.array([path_weight(MotzkinPath(tuple(row)), model) for row in table.tolist()])
+        assert np.array_equal(got, want), (L, m, n)
 
 
 def test_path_validation():
@@ -201,6 +250,30 @@ def test_matrix_ansatz_full_against_enumeration():
     got = matrix_ansatz_expectation(0.9, 0.85, t, s, 6, wm)
     want = brute_expectation(wm, 0.9, 0.85, t, s, 6, mmax=42)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+# values at the benchmark's transfer arguments, every orientation of
+# ((z0, z1), t, s), and the log-normalizer: pinned bit for bit (repr)
+TRANSFER_PINS = [
+    ((0.9, 0.8), (0.8, 1.2), (1.1, 0.9), "0.5946043827801035"),
+    ((0.9, 0.8), (0.8, 1.2), (0.9, 1.1), "0.5845142254086472"),
+    ((0.9, 0.8), (1.2, 0.8), (1.1, 0.9), "0.6115622637929818"),
+    ((0.9, 0.8), (1.2, 0.8), (0.9, 1.1), "0.6011843383476488"),
+    ((0.8, 0.9), (0.8, 1.2), (1.1, 0.9), "0.5715763169007887"),
+    ((0.8, 0.9), (0.8, 1.2), (0.9, 1.1), "0.5625690998266424"),
+    ((0.8, 0.9), (1.2, 0.8), (1.1, 0.9), "0.5895243086738793"),
+    ((0.8, 0.9), (1.2, 0.8), (0.9, 1.1), "0.5802342564162043"),
+]
+LOG_NORMALIZER_PINS = [(0, "0.11618275428990982"), (1, "1.0453834237240205"),
+                       (6, "8.282470220467772"), (2000, "3933.49333977103")]
+
+
+def test_transfer_values_pinned_bitwise():
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    for (z0, z1), t, s, want in TRANSFER_PINS:
+        assert repr(matrix_ansatz_expectation(z0, z1, list(t), list(s), 2000, wm)) == want
+    for L, want in LOG_NORMALIZER_PINS:
+        assert repr(log_normalizing_constant(L, wm)) == want
 
 
 def test_matrix_ansatz_argument_validation():
@@ -387,8 +460,28 @@ def test_sampler_cap_guard():
         sample_paths(4, wm, 10, seed=1, height_cap=6)
 
 
-# (model, height_cap): q = 0.99 needs an explicit cap, since its default
-# boundary cutoff discards the initial altitudes of paths from L = 50 on
+def test_sampler_height_cap_below_path_length_raises():
+    wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
+    for L, cap in [(300, 200), (300, 300), (4, 0)]:
+        with pytest.raises(CapacityError, match=f"height_cap={cap} < L\\+1={L + 1}"):
+            sample_paths(L, wm, 10, seed=1, height_cap=cap)
+
+
+@pytest.mark.parametrize("L", [50, 300])
+def test_sampler_default_cap_grows_as_q_approaches_one(L):
+    # u_0 grows with the altitude at q = 0.99, so the boundary cutoff alone
+    # discards initial altitudes; the default cap now grows until it does not
+    wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
+    N = 4000
+    got = sample_paths(L, wm, N, seed=3)
+    ref = sample_paths(L, wm, N, seed=4, height_cap=800)
+    for col in (0, L):
+        a, b = got[:, col].astype(float), ref[:, col].astype(float)
+        se = math.sqrt(a.var() / N + b.var() / N)
+        assert abs(a.mean() - b.mean()) <= 4 * se, col
+
+
+# (model, height_cap): the q = 0.99 model runs at an explicit cap of 800
 ORACLE_MODELS = [
     (QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25), None),
     (QModelParams(q=0.5, sigma=0.01, rho0=0.3, rho1=0.25), None),
