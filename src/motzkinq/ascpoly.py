@@ -271,8 +271,14 @@ def nu_integrate(f, m: QModelParams,
     scale = 2.0 / (1.0 - m.q)
 
     def integrand(theta):
-        fv = np.asarray(f(scale * (np.cos(theta) + m.sigma)), dtype=float)
-        return density_times_sine(theta, p, trunc) * fv
+        x = scale * (np.cos(theta) + m.sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = density_times_sine(theta, p, trunc) * np.asarray(f(x), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise OverflowError(f"orthogonality-measure integrand left double range "
+                                f"at x={float(np.ravel(x)[bad[0]]):.6g}")
+        return out
 
     total, _ = _nested_trapezoid(integrand, math.pi, quad, 64.0,
                                  "orthogonality-measure quadrature")
@@ -336,22 +342,14 @@ def pi_values(nmax: int, m: QModelParams) -> np.ndarray:
 
 
 def motzkin_poly_eval(n: int, x: float, m: QModelParams) -> float:
-    """p_n(x) of the Motzkin model by forward recurrence with coefficients
-    up [n+2]_q, flat 2 sigma [n+1]_q, down [n]_q."""
-    _check_order(n)
-    prev, cur = 0.0, 1.0
-    for k in range(n):
-        up = q_number(k + 2, m.q)
-        flat = 2.0 * m.sigma * q_number(k + 1, m.q)
-        down = q_number(k, m.q)
-        prev, cur = cur, ((x - flat) * cur - down * prev) / up
-    if not math.isfinite(cur):
-        raise OverflowError(f"p_{n}({x}) overflowed double precision")
-    return cur
+    """p_n(x) of the Motzkin model: one entry of :func:`motzkin_poly_table`."""
+    return float(motzkin_poly_table(n, np.array([x]), m)[n, 0])
 
 
 def motzkin_poly_table(nmax: int, xs: np.ndarray, m: QModelParams) -> np.ndarray:
-    """Matrix of p_n(x) values, shape (nmax+1, len(xs))."""
+    """Matrix of p_n(x) values, shape (nmax+1, len(xs)), by the forward
+    recurrence (up [n+2]_q, flat 2 sigma [n+1]_q, down [n]_q); OverflowError
+    names the first order n and the first x where p_n leaves double range."""
     _check_order(nmax)
     xs = np.asarray(xs, dtype=float)
     table = np.empty((nmax + 1, xs.size))
@@ -360,12 +358,17 @@ def motzkin_poly_table(nmax: int, xs: np.ndarray, m: QModelParams) -> np.ndarray
         return table
     prev = np.zeros_like(xs)
     cur = np.ones_like(xs)
-    for k in range(nmax):
-        up = q_number(k + 2, m.q)
-        flat = 2.0 * m.sigma * q_number(k + 1, m.q)
-        down = q_number(k, m.q)
-        prev, cur = cur, ((xs - flat) * cur - down * prev) / up
-        table[k + 1] = cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(nmax):
+            up = q_number(k + 2, m.q)
+            flat = 2.0 * m.sigma * q_number(k + 1, m.q)
+            down = q_number(k, m.q)
+            prev, cur = cur, ((xs - flat) * cur - down * prev) / up
+            table[k + 1] = cur
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        n, j = bad[0]
+        raise OverflowError(f"p_{n}({xs.reshape(-1)[j]}) overflowed double precision")
     return table
 
 

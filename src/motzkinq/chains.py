@@ -21,7 +21,9 @@ from the orthogonality-measure integral
 
 kept as a cross-validation route.  The local-limit drivers use a Chebyshev
 expansion of P^k (:func:`_chebyshev_power`), which needs about
-sqrt(2 k ln(4/eps)) tridiagonal products instead of k.
+sqrt(2 k ln(4/eps)) tridiagonal products instead of k.  The exact length-L
+laws that the chains approximate take their heads from ``altitude_table``
+and their middle from one backward pass of a few end vectors.
 """
 
 from __future__ import annotations
@@ -42,11 +44,14 @@ from .ascpoly import (
     s_ratios,
 )
 from .errors import CapacityError
-from .motzkin import WeightModel, _transposed, _tridiagonal_step
+from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _pull_back,
+                      _table_product, _transposed, _tridiagonal_step, _weight_tables,
+                      altitude_table)
 from .numerics import (
     DEFAULT_QUADRATURE,
     DEFAULT_TRUNCATION,
     QuadraturePolicy,
+    _EPS,
 )
 from .qspecial import qpoch_log_abs
 
@@ -177,9 +182,6 @@ def _iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarr
         lost += up[-1] * v[-1]
         v = _tridiagonal_step(v, up, flat, down)
     return v, lost
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _chebyshev_power_coefficients(k: int) -> np.ndarray:
@@ -316,84 +318,54 @@ def _step_lists(model: QModelParams, cap: int) -> tuple[list[float], list[float]
 
 # ----------------------------------------------- exact finite-length laws
 
+def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int, tail_tol: float):
+    """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends for
+    the end columns beta_n n^i, i < moments, on altitudes 0..T+L+1, and lost
+    the share of the initial mass alpha_m u_0[m], u_0 = M^L ends, past T.
+    T starts at the boundary cutoff and doubles while lost > tail_tol."""
+    T = _boundary_cutoff(wm, tail_tol)
+    while True:
+        S = T + L + 2
+        a, b, c, av, bv = _weight_tables(wm, S)
+        up_T, down_T = _transposed(a, c)
+        cols = (up_T[:, None], b[:, None], down_T[:, None])
+        uK = _pull_back(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), L - K, *cols)
+        lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T + 1)
+        if lost <= tail_tol:
+            return T, (a, b, c, av), uK, lost
+        T *= 2
+
+
+def _positive_rows(table: np.ndarray, p: np.ndarray) -> dict[tuple[int, ...], float]:
+    keep = p > 0.0
+    return dict(zip(map(tuple, table[keep].tolist()), p[keep].tolist()))
+
+
 def finite_path_head_law(wm: WeightModel, L: int, K: int,
                          tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
-    """Exact joint law of (g_0, ..., g_K) under the length-L path measure,
-    computed by conditioning transfer vectors (no sampling).
-
-    Tuples with initial altitude above the boundary-decay cutoff are
-    dropped; the missing mass is below tail_tol.
-    """
-    from .motzkin import _boundary_cutoff
-
+    """Exact joint law of (g_0, ..., g_K) under the length-L path measure:
+    alpha_m w(head) u_K[g_K] / (alpha . u_0) over the :func:`altitude_table`
+    heads from m <= T, whose total is 1 - lost.  T doubles from the boundary
+    cutoff while the share lost of the mass alpha_m u_0[m] past T exceeds
+    tail_tol, so the law misses at most tail_tol.  Guarded at K <= ENUMERATION_CAP."""
     if K >= L:
         raise ValueError("need K < L")
-    T = _boundary_cutoff(wm, tail_tol)
-    S = T + L + 2
-    a, b, c = wm.weight_arrays(S)
-    av, bv = wm.boundary_arrays(S)
-    up_T, down_T = _transposed(a, c)
-    u = bv.astype(float)
-    scale = 0.0
-    for j in range(L - K):
-        u = _tridiagonal_step(u, up_T, b, down_T)
-        peak = float(np.max(u))
-        u /= peak
-        scale += math.log(peak)
-    # u ~ M_1^{L-K} W_beta up to exp(scale); same factor cancels in C below
-    uk = u
-    u0 = uk.copy()
-    for j in range(K):
-        u0 = _tridiagonal_step(u0, up_T, b, down_T)
-    C = float(np.dot(av, u0))
-    law: dict[tuple[int, ...], float] = {}
-
-    def walk(prefix: list[int], weight: float) -> None:
-        h = prefix[-1]
-        if len(prefix) == K + 1:
-            p = weight * uk[h] / C
-            if p > 0.0:
-                law[tuple(prefix)] = p
-            return
-        for step in (1, 0, -1):
-            nh = h + step
-            if nh < 0 or nh >= S - 1:
-                continue
-            w = a[h] if step == 1 else (b[h] if step == 0 else c[h])
-            if w == 0.0:
-                continue
-            prefix.append(nh)
-            walk(prefix, weight * w)
-            prefix.pop()
-
-    for m in range(T + 1):
-        if av[m] > 0.0:
-            walk([m], float(av[m]))
-    return law
+    T, (a, b, c, av), uK, lost = _pulled_back_ends(wm, L, K, 1, tail_tol)
+    table = np.concatenate([altitude_table(K, m, None) for m in range(T + 1)])
+    p = av[table[:, 0]] * _table_product(table, a, b, c) * uK[table[:, -1], 0]
+    return _positive_rows(table, p * ((1.0 - lost) / p.sum()))
 
 
 def chain_head_law(model: QModelParams, which: str, K: int,
                    tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
-    """Joint law of the first K+1 chain states (X_0..X_K or Y_0..Y_K)."""
+    """Joint law of the first K+1 chain states (X_0..X_K or Y_0..Y_K): the
+    :func:`altitude_table` heads from each start of the initial law, priced
+    by the (up, flat, down) rows.  Guarded at K <= ENUMERATION_CAP."""
     init = initial_law(which, model, tail_tol)
-    up, flat, down = transition_arrays(model, len(init.probs) + K)
-    law: dict[tuple[int, ...], float] = {}
-
-    def walk(prefix: list[int], p: float) -> None:
-        if p <= 0.0:
-            return
-        if len(prefix) == K + 1:
-            law[tuple(prefix)] = p
-            return
-        h = prefix[-1]
-        for nh, pr in ((h - 1, down[h]), (h, flat[h]), (h + 1, up[h])):
-            prefix.append(nh)
-            walk(prefix, p * pr)
-            prefix.pop()
-
-    for n, p in init.rows():
-        walk([n], p)
-    return law
+    up, flat, down = transition_arrays(model, init.offset + len(init.probs) + K)
+    table = np.concatenate([altitude_table(K, n, None) for n, _ in init.rows()])
+    p = init.probs[table[:, 0] - init.offset] * _table_product(table, up, flat, down)
+    return _positive_rows(table, p)
 
 
 def tv_distance(law1: dict[tuple[int, ...], float],
@@ -409,34 +381,17 @@ def tv_distance(law1: dict[tuple[int, ...], float],
 
 def endpoint_pair_correlation(wm: WeightModel, L: int,
                               tail_tol: float = 1e-10) -> float:
-    """Correlation of (g_0, g_L) under the exact length-L path measure."""
-    from .motzkin import _boundary_cutoff
+    """Correlation of (g_0, g_L) under the exact length-L path measure.
 
-    T = _boundary_cutoff(wm, tail_tol)
-    S = T + L + 2
-    a, b, c = wm.weight_arrays(S)
-    av, bv = wm.boundary_arrays(S)
-    joint = np.zeros((T + 1, S))
-    for m in range(T + 1):
-        if av[m] == 0.0:
-            continue
-        v = np.zeros(S)
-        v[m] = 1.0
-        scale = 0.0
-        for _ in range(L):
-            v = _tridiagonal_step(v, a, b, c)
-            peak = float(np.max(v))
-            if peak > 1e250:
-                v /= peak
-                scale += math.log(peak)
-        joint[m] = av[m] * v * bv * math.exp(scale)
-    joint /= joint.sum()
-    ms = np.arange(T + 1)
-    ns = np.arange(S)
-    pm = joint.sum(axis=1)
-    pn = joint.sum(axis=0)
-    em, en = float(np.dot(ms, pm)), float(np.dot(ns, pn))
-    vm = float(np.dot(ms**2, pm)) - em**2
-    vn = float(np.dot(ns**2, pn)) - en**2
-    cov = float(ms @ joint @ ns) - em * en
-    return cov / math.sqrt(vm * vn)
+    (beta, beta n, beta n^2) pulled back L steps and paired with
+    (alpha, alpha m, alpha m^2) over m <= T give F[i, j] = C E[g_0^i g_L^j]
+    up to one factor.  T doubles from the boundary cutoff while more than
+    tail_tol of the initial mass lies past it, so the law behind the
+    moments misses at most tail_tol of its total.
+    """
+    T, (*_, av), u0, _ = _pulled_back_ends(wm, L, 0, 3, tail_tol)
+    heads = av[:T + 1, None] * np.arange(T + 1)[:, None] ** np.arange(3)
+    F = heads.T @ u0[:T + 1]
+    F /= F[0, 0]  # F[i, j] = E[g_0^i g_L^j]
+    vm, vn = F[2, 0] - F[1, 0] ** 2, F[0, 2] - F[0, 1] ** 2
+    return float((F[1, 1] - F[1, 0] * F[0, 1]) / math.sqrt(vm * vn))

@@ -188,15 +188,17 @@ def path_weight(path: MotzkinPath, model: WeightModel) -> float:
 
 
 def table_weights(table: np.ndarray, model: WeightModel) -> np.ndarray:
-    """:func:`path_weight` of every row of an altitude table, bit for bit:
-    the tabulated weight of each step multiplied in from the left, starting
-    at 1.0."""
+    """:func:`path_weight` of every row of an altitude table, bit for bit."""
+    return _table_product(table, *model.weight_arrays(int(table.max(initial=0)) + 1))
+
+
+def _table_product(table: np.ndarray, up: np.ndarray, flat: np.ndarray,
+                   down: np.ndarray) -> np.ndarray:
+    """Per row of an altitude table, the weights up[h], flat[h] or down[h] of
+    its steps from altitude h, multiplied in from the left starting at 1.0."""
     w = np.ones(table.shape[0])
-    if table.size == 0:
-        return w
-    a, b, c = model.weight_arrays(int(table.max()) + 1)
     for left, right in zip(table.T, table.T[1:]):
-        w *= np.where(right > left, a[left], np.where(right < left, c[left], b[left]))
+        w *= np.where(right > left, up[left], np.where(right < left, down[left], flat[left]))
     return w
 
 
@@ -218,6 +220,15 @@ def _transposed(up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """(up, down) of the transposed operator: up_T[n] = down[n+1] and
     down_T[n] = up[n-1]."""
     return np.append(down[1:], 0.0), np.append(0.0, up[:-1])
+
+
+def _pull_back(v: np.ndarray, steps: int, up_T: np.ndarray, flat: np.ndarray,
+               down_T: np.ndarray) -> np.ndarray:
+    """``steps`` column steps v -> M v, dividing v by its peak after each."""
+    for _ in range(steps):
+        v = _tridiagonal_step(v, up_T, flat, down_T)
+        v /= v.max()
+    return v
 
 
 def partition_weight(L: int, m: int, n: int, model: WeightModel,
@@ -259,16 +270,12 @@ def _boundary_cutoff(model: WeightModel, tail_tol: float) -> int:
             T = int(T * 1.5) + 1
         return T
     best = 0.0
-    T = None
     for nlev in range(10_000):
         term = model.alpha(nlev) + model.beta(nlev)
         best = max(best, term)
         if term < tail_tol * max(best, 1.0):
-            T = nlev + 8
-            break
-    if T is None:
-        raise ConvergenceError("boundary weights do not appear summable")
-    return T
+            return nlev + 8
+    raise ConvergenceError("boundary weights do not appear summable")
 
 
 def _weight_tables(model: WeightModel, size: int) -> tuple[np.ndarray, ...]:
@@ -458,27 +465,33 @@ def integral_normalizing_constant(L: int, model: WeightModel,
         table = motzkin_poly_table(S - 1, x, qm)
         return (x / B) ** L * (v1 @ table) * (w1tilde @ table)
 
-    scaled = nu_integrate(integrand, qm, quad, trunc)
-    return scaled * B**L
+    log_value = math.log(nu_integrate(integrand, qm, quad, trunc)) + L * math.log(B)
+    if log_value > 700.0:
+        raise OverflowError(f"integral normalizing constant exp({log_value:.1f}) at L={L}, "
+                            f"B={B:g} overflows; use log_normalizing_constant")
+    return math.exp(log_value)
 
 
 # ------------------------------------------------------------------ sampling
 
+def _initial_mass_past(av: np.ndarray, u0: np.ndarray, top: int) -> float:
+    """Share of the initial-altitude mass alpha_m u_0[m] at altitudes m >= top."""
+    p0 = av * u0
+    total = float(np.sum(p0))
+    if not total > 0.0:
+        raise ValueError("initial-altitude mass alpha_m u_0[m] is not positive")
+    return float(np.sum(p0[top:])) / total
+
+
 def _backward_vectors(model: WeightModel, L: int, S: int) -> np.ndarray:
     """Rows u_k = M_1^{L-k} W_beta(1), max-normalized per row (ratios of
     consecutive rows are renormalized at sampling time)."""
-    a, b, c = model.weight_arrays(S)
-    _, bv = model.boundary_arrays(S)
+    a, b, c, _, bv = _weight_tables(model, S)
     up_T, down_T = _transposed(a, c)
     u = np.empty((L + 1, S))
-    cur = bv.astype(float)
-    u[L] = cur / np.max(cur)
+    u[L] = bv / np.max(bv)
     for k in range(L - 1, -1, -1):
-        cur = _tridiagonal_step(u[k + 1], up_T, b, down_T)
-        peak = float(np.max(cur))
-        if peak <= 0.0:
-            raise ValueError("backward partition vector collapsed to zero")
-        u[k] = cur / peak
+        u[k] = _pull_back(u[k + 1], 1, up_T, b, down_T)
     return u
 
 
@@ -510,9 +523,8 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
         S = (T + L + 2) if height_cap is None else height_cap + 2
         u = _backward_vectors(model, L, S)
         av, _ = model.boundary_arrays(S)
-        p0 = av * u[0]
         top = S - L - 1
-        lost = float(np.sum(p0[top:])) / float(np.sum(p0))
+        lost = _initial_mass_past(av, u[0], top)
         if lost <= tail_tol * 10:
             break
         if height_cap is not None:
@@ -523,7 +535,7 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
                                 f"{SAMPLE_TABLE_CAP} backward-table entries")
         T *= 2
     a, b, c = model.weight_arrays(S)
-    p0 = p0[:top]
+    p0 = (av * u[0])[:top]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(p0)

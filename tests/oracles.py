@@ -8,6 +8,10 @@ the straightforward per-state forms of ``sample_paths`` and
 ``simulate_chain``: the package's table-driven loops must reproduce them bit
 for bit.  The recursive walk and the nested-loop expectation are the
 path-by-path forms of ``altitude_table`` and verify's enumeration check.
+The scalar recurrence is the per-point form of ``motzkin_poly_table``.
+The two prefix walks and the per-start correlation are the earlier forms of
+the exact finite-L laws in ``chains``: a recursive walk over head prefixes
+and one L-step transfer pass per initial altitude.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import math
 
 import numpy as np
 
+from motzkinq.ascpoly import q_number
 from motzkinq.chains import initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, _backward_vectors,
-                              _boundary_cutoff, path_weight)
+                              _boundary_cutoff, _transposed, _tridiagonal_step,
+                              path_weight)
 from motzkinq.numerics import DEFAULT_QUADRATURE, QuadraturePolicy
 
 _EPS = float(np.finfo(float).eps)
@@ -274,3 +280,123 @@ def enumeration_expectation_nested(wm, z0: float, z1: float,
                     gen *= s[j - 1] ** (-(alts[L - j + 1] - alts[L - j]))
                 num += gen
     return num / den
+
+
+def finite_path_head_law_walk(wm, L: int, K: int,
+                              tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
+    """``chains.finite_path_head_law`` as a recursive walk over the head
+    prefixes of every initial altitude up to the boundary cutoff."""
+    if K >= L:
+        raise ValueError("need K < L")
+    T = _boundary_cutoff(wm, tail_tol)
+    S = T + L + 2
+    a, b, c = wm.weight_arrays(S)
+    av, bv = wm.boundary_arrays(S)
+    up_T, down_T = _transposed(a, c)
+    u = bv.astype(float)
+    scale = 0.0
+    for j in range(L - K):
+        u = _tridiagonal_step(u, up_T, b, down_T)
+        peak = float(np.max(u))
+        u /= peak
+        scale += math.log(peak)
+    # u ~ M_1^{L-K} W_beta up to exp(scale); same factor cancels in C below
+    uk = u
+    u0 = uk.copy()
+    for j in range(K):
+        u0 = _tridiagonal_step(u0, up_T, b, down_T)
+    C = float(np.dot(av, u0))
+    law: dict[tuple[int, ...], float] = {}
+
+    def walk(prefix: list[int], weight: float) -> None:
+        h = prefix[-1]
+        if len(prefix) == K + 1:
+            p = weight * uk[h] / C
+            if p > 0.0:
+                law[tuple(prefix)] = p
+            return
+        for step in (1, 0, -1):
+            nh = h + step
+            if nh < 0 or nh >= S - 1:
+                continue
+            w = a[h] if step == 1 else (b[h] if step == 0 else c[h])
+            if w == 0.0:
+                continue
+            prefix.append(nh)
+            walk(prefix, weight * w)
+            prefix.pop()
+
+    for m in range(T + 1):
+        if av[m] > 0.0:
+            walk([m], float(av[m]))
+    return law
+
+
+def chain_head_law_walk(model, which: str, K: int,
+                        tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
+    """``chains.chain_head_law`` as a recursive walk over chain prefixes."""
+    init = initial_law(which, model, tail_tol)
+    up, flat, down = transition_arrays(model, len(init.probs) + K)
+    law: dict[tuple[int, ...], float] = {}
+
+    def walk(prefix: list[int], p: float) -> None:
+        if p <= 0.0:
+            return
+        if len(prefix) == K + 1:
+            law[tuple(prefix)] = p
+            return
+        h = prefix[-1]
+        for nh, pr in ((h - 1, down[h]), (h, flat[h]), (h + 1, up[h])):
+            prefix.append(nh)
+            walk(prefix, p * pr)
+            prefix.pop()
+
+    for n, p in init.rows():
+        walk([n], p)
+    return law
+
+
+def endpoint_pair_correlation_per_start(wm, L: int, tail_tol: float = 1e-10) -> float:
+    """``chains.endpoint_pair_correlation`` with one L-step transfer pass per
+    initial altitude, each rescaled by its own peak, filling the joint law
+    of (g_0, g_L)."""
+    T = _boundary_cutoff(wm, tail_tol)
+    S = T + L + 2
+    a, b, c = wm.weight_arrays(S)
+    av, bv = wm.boundary_arrays(S)
+    joint = np.zeros((T + 1, S))
+    for m in range(T + 1):
+        if av[m] == 0.0:
+            continue
+        v = np.zeros(S)
+        v[m] = 1.0
+        scale = 0.0
+        for _ in range(L):
+            v = _tridiagonal_step(v, a, b, c)
+            peak = float(np.max(v))
+            if peak > 1e250:
+                v /= peak
+                scale += math.log(peak)
+        joint[m] = av[m] * v * bv * math.exp(scale)
+    joint /= joint.sum()
+    ms = np.arange(T + 1)
+    ns = np.arange(S)
+    pm = joint.sum(axis=1)
+    pn = joint.sum(axis=0)
+    em, en = float(np.dot(ms, pm)), float(np.dot(ns, pn))
+    vm = float(np.dot(ms**2, pm)) - em**2
+    vn = float(np.dot(ns**2, pn)) - en**2
+    cov = float(ms @ joint @ ns) - em * en
+    return cov / math.sqrt(vm * vn)
+
+
+def motzkin_poly_eval_scalar(n: int, x: float, m) -> float:
+    """p_n(x) of the Motzkin model by the forward recurrence on Python floats,
+    with coefficients up [n+2]_q, flat 2 sigma [n+1]_q, down [n]_q."""
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        up = q_number(k + 2, m.q)
+        flat = 2.0 * m.sigma * q_number(k + 1, m.q)
+        down = q_number(k, m.q)
+        prev, cur = cur, ((x - flat) * cur - down * prev) / up
+    return cur

@@ -299,12 +299,43 @@ def test_conjugation_between_p_and_Q(q, sigma):
 
 
 def test_motzkin_poly_table_matches_scalar():
+    from oracles import motzkin_poly_eval_scalar
     m = QModelParams(q=0.4, sigma=0.6)
     xs = np.linspace(-2.0, 5.0, 11)
     table = motzkin_poly_table(6, xs, m)
     for n in range(7):
         for j, x in enumerate(xs):
-            assert table[n, j] == pytest.approx(motzkin_poly_eval(n, float(x), m), rel=1e-12)
+            assert table[n, j] == pytest.approx(motzkin_poly_eval_scalar(n, float(x), m), rel=1e-12)
+            assert motzkin_poly_eval(n, float(x), m) == table[n, j]
+
+
+def test_motzkin_poly_table_bitwise_equal_to_scalar_recurrence():
+    from oracles import motzkin_poly_eval_scalar
+    m = QModelParams(q=0.99, sigma=1.0)
+    xs = np.linspace(m.support().A, m.support().B, 7)
+    table = motzkin_poly_table(300, xs, m)
+    for n in (0, 1, 17, 150, 300):
+        assert [motzkin_poly_eval_scalar(n, float(x), m) for x in xs] == table[n].tolist()
+
+
+def test_motzkin_poly_table_overflow_names_first_order_and_x():
+    # beyond the support (B = 400 here) p_n(x) grows geometrically and
+    # leaves double range, the sooner the larger x; inside it the table
+    # stays finite
+    from oracles import motzkin_poly_eval_scalar
+    m = QModelParams(q=0.99, sigma=1.0)
+
+    def first_overflow(x):
+        return next(n for n in range(1000) if not math.isfinite(motzkin_poly_eval_scalar(n, x, m)))
+
+    n800, n1600 = first_overflow(800.0), first_overflow(1600.0)
+    assert n1600 < n800
+    xs = np.array([0.0, 800.0, 1600.0])
+    with pytest.raises(OverflowError, match=rf"^p_{n1600}\(1600\.0\) overflowed"):
+        motzkin_poly_table(n800 + 5, xs, m)
+    with pytest.raises(OverflowError, match=rf"^p_{n800}\(800\.0\) overflowed"):
+        motzkin_poly_eval(n800, 800.0, m)
+    assert np.all(np.isfinite(motzkin_poly_table(n1600 - 1, xs, m)))
 
 
 # -------------------------------------------------------------- max bounds

@@ -1,6 +1,8 @@
 """Tests for the boundary birth-death chains."""
 
 import math
+import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,9 +29,10 @@ from motzkinq.chains import (
 )
 from motzkinq import chains
 from motzkinq.errors import CapacityError
-from motzkinq.motzkin import WeightModel
+from motzkinq.motzkin import WeightModel, matrix_ansatz_expectation
 
-from oracles import simulate_chain_numpy_loop
+from oracles import (chain_head_law_walk, endpoint_pair_correlation_per_start,
+                     finite_path_head_law_walk, simulate_chain_numpy_loop)
 
 
 # ------------------------------------------------------------- transitions
@@ -361,6 +364,88 @@ def test_endpoint_pair_correlation_small():
     m = QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2)
     wm = WeightModel.from_qmodel(m)
     assert abs(endpoint_pair_correlation(wm, 200)) < 0.02
+
+
+HEAD_LAW_MODELS = [
+    QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2),
+    QModelParams(q=0.2, sigma=0.6, rho0=0.15, rho1=0.25),
+] + [m for m in CHAIN_ORACLE_MODELS if m.q <= 0.5]
+
+
+def _assert_same_law(got, want, rel):
+    assert set(got) == set(want)
+    for key, p in want.items():
+        assert abs(got[key] - p) <= rel * p, key
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("m", HEAD_LAW_MODELS)
+def test_finite_path_head_law_matches_walk_oracle(m, K):
+    wm = WeightModel.from_qmodel(m)
+    for L in (100, 200):
+        _assert_same_law(finite_path_head_law(wm, L, K), finite_path_head_law_walk(wm, L, K),
+                         1e-13)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("m", HEAD_LAW_MODELS[:2] + CHAIN_ORACLE_MODELS)
+def test_chain_head_law_matches_walk_oracle(m, K):
+    for which in ("X", "Y"):
+        _assert_same_law(chain_head_law(m, which, K), chain_head_law_walk(m, which, K), 1e-13)
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99])
+def test_finite_path_head_law_keeps_its_mass_as_q_approaches_one(q):
+    # the initial mass alpha_m u_0[m] grows with m, most as q -> 1, so the
+    # boundary cutoff alone (T = 26 here) dropped 1.9e-5 of the law at
+    # q = 0.9 and 99.55% at q = 0.99
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
+    law = finite_path_head_law(wm, 200, 3)
+    assert sum(law.values()) >= 1.0 - 1e-9
+    # E[z0^g_0 prod_j t_j^(g_j - g_(j-1))] against the transfer route, which
+    # grows its own truncation
+    t = [1.1, 0.9, 1.2]
+    got = sum(p * 0.9 ** g[0] * math.prod(tj ** (g[j + 1] - g[j]) for j, tj in enumerate(t))
+              for g, p in law.items())
+    want = matrix_ansatz_expectation(0.9, 1.0, t, [1.0] * 3, 200, wm)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_head_laws_guard_the_head_length():
+    m = QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2)
+    with pytest.raises(CapacityError):
+        finite_path_head_law(WeightModel.from_qmodel(m), 100, 15)
+    with pytest.raises(CapacityError):
+        chain_head_law(m, "X", 15)
+
+
+@pytest.mark.parametrize("L", [200, 300])
+@pytest.mark.parametrize("q", [0.2, 0.5])
+def test_endpoint_pair_correlation_matches_per_start_oracle(q, L):
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
+    assert endpoint_pair_correlation(wm, L) == pytest.approx(
+        endpoint_pair_correlation_per_start(wm, L), rel=1e-8)
+
+
+@pytest.mark.parametrize("L,want", [(400, 1.132e-4), (1000, 1.704e-5)])
+def test_endpoint_pair_correlation_finite_for_long_paths(L, want):
+    # one rescale per start and exp(scale) gave nan at L = 400 and a bare
+    # OverflowError from L = 600
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = endpoint_pair_correlation(wm, L)
+    assert math.isfinite(corr)
+    assert corr == pytest.approx(want, rel=1e-3)
+
+
+def test_kstep_integral_overflow_is_named_at_once():
+    # the rows p_300 and p_310 stay finite (about 1e173), their product in the
+    # integrand does not; this used to end in a "did not converge" after 1.7 s
+    t0 = time.monotonic()
+    with pytest.raises(OverflowError, match="orthogonality-measure integrand"):
+        kstep_transition_integral(300, 310, 100, QModelParams(q=0.99, sigma=1.0))
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_distribution_csv_serialization():

@@ -311,6 +311,14 @@ def test_integral_normalizing_constant_matches_transfer():
         normalizing_constant(8, wm), rel=1e-7)
 
 
+def test_integral_normalizing_constant_overflow_names_layer():
+    # C_200 = exp(895) at q = 0.99; B**L used to raise a bare OverflowError
+    wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
+    with pytest.raises(OverflowError, match=r"integral normalizing constant .* at L=200, "
+                                            r"B=360 overflows; use log_normalizing_constant"):
+        integral_normalizing_constant(200, wm)
+
+
 def test_integral_expectation_requires_qmodel():
     with pytest.raises(ValueError):
         integral_expectation(1.0, 1.0, [], [], 4, WeightModel.unit())
