@@ -48,6 +48,7 @@ __all__ = [
     "nu_integrate",
     "s_ratios",
     "log_s_values",
+    "initial_log_normalizer",
     "s_values",
     "pi_values",
     "motzkin_poly_eval",
@@ -321,6 +322,42 @@ def log_s_values(nmax: int, m: QModelParams) -> np.ndarray:
     """log s_0..log s_nmax as cumulative log-ratios; finite at levels where
     s_n itself leaves double range."""
     return np.concatenate(([0.0], np.cumsum(np.log(s_ratios(nmax, m)[:nmax]))))
+
+
+def initial_log_normalizer(model: QModelParams, rho: float) -> float:
+    """log C of the initial-law normalizer C = sum_n rho^n s_n
+    = (a rho, b rho; q)_inf / (rho; q)_inf^2, taken in log space because C
+    leaves double range as q and rho approach 1."""
+    q = model.q
+    return qpoch_log_abs(model.asc_a * rho, q) + qpoch_log_abs(model.asc_b * rho, q) \
+        - 2.0 * qpoch_log_abs(rho, q)
+
+
+def _initial_probs(model: QModelParams, rho: float, nmax: int) -> np.ndarray:
+    """rho^n s_n / C for n = 0..nmax (rho > 0), combined in log space so the
+    levels where s_n or C overflow stay finite."""
+    ns = np.arange(nmax + 1)
+    return np.exp(ns * math.log(rho) + log_s_values(nmax, model)
+                  - initial_log_normalizer(model, rho))
+
+
+def _initial_law_probs(model: QModelParams, rho: float, tail_tol: float) -> np.ndarray:
+    """rho^n s_n / C cut at the first n > 10 whose term is below
+    tail_tol (1 - rho) / 2 of the mass so far; [1.0] at rho = 0.  This cut
+    is the boundary truncation of every finite-length route."""
+    if rho == 0.0:
+        return np.array([1.0])
+    nmax = 64
+    while True:
+        probs = _initial_probs(model, rho, nmax)
+        small = probs < tail_tol * np.cumsum(probs) * (1.0 - rho) / 2.0
+        cut = np.flatnonzero(small[11:])
+        if cut.size:
+            return probs[:cut[0] + 12]
+        if nmax == RECURRENCE_CAP:
+            raise OverflowError(f"initial law at rho={rho}, q={model.q} needs more than "
+                                f"RECURRENCE_CAP={RECURRENCE_CAP} levels for tail_tol={tail_tol}")
+        nmax = min(2 * nmax, RECURRENCE_CAP)
 
 
 def s_values(nmax: int, m: QModelParams) -> np.ndarray:

@@ -36,7 +36,8 @@ import numpy as np
 from .ascpoly import (
     QModelParams,
     _decay,
-    log_s_values,
+    _initial_law_probs,
+    initial_log_normalizer,
     motzkin_poly_table,
     nu_integrate,
     pi_values,
@@ -53,7 +54,6 @@ from .numerics import (
     QuadraturePolicy,
     _EPS,
 )
-from .qspecial import qpoch_log_abs
 
 __all__ = [
     "Distribution",
@@ -136,23 +136,6 @@ def transition_arrays(model: QModelParams, cap: int) -> tuple[np.ndarray, np.nda
     return up, flat, down
 
 
-def initial_log_normalizer(model: QModelParams, rho: float) -> float:
-    """log C of the initial-law normalizer C = sum_n rho^n s_n
-    = (a rho, b rho; q)_inf / (rho; q)_inf^2, taken in log space because C
-    leaves double range as q and rho approach 1."""
-    q = model.q
-    return qpoch_log_abs(model.asc_a * rho, q) + qpoch_log_abs(model.asc_b * rho, q) \
-        - 2.0 * qpoch_log_abs(rho, q)
-
-
-def _initial_probs(model: QModelParams, rho: float, nmax: int) -> np.ndarray:
-    """rho^n s_n / C for n = 0..nmax (rho > 0), combined in log space so the
-    levels where s_n or C overflow stay finite."""
-    ns = np.arange(nmax + 1)
-    return np.exp(ns * math.log(rho) + log_s_values(nmax, model)
-                  - initial_log_normalizer(model, rho))
-
-
 def initial_law(which: str, model: QModelParams, tail_tol: float = 1e-12) -> Distribution:
     """Initial distribution of the head chain (which='X', weight rho0) or
     the tail chain (which='Y', weight rho1): P(n) = rho^n s_n / C, cut at the
@@ -161,16 +144,7 @@ def initial_law(which: str, model: QModelParams, tail_tol: float = 1e-12) -> Dis
     if which not in ("X", "Y"):
         raise ValueError("which must be 'X' or 'Y'")
     rho = model.rho0 if which == "X" else model.rho1
-    if rho == 0.0:
-        return Distribution.point_mass(0)
-    nmax = 64
-    while True:
-        probs = _initial_probs(model, rho, nmax)
-        small = probs < tail_tol * np.cumsum(probs) * (1.0 - rho) / 2.0
-        cut = np.flatnonzero(small[11:])
-        if cut.size:
-            return Distribution(offset=0, probs=probs[:cut[0] + 12])
-        nmax *= 2
+    return Distribution(offset=0, probs=_initial_law_probs(model, rho, tail_tol))
 
 
 def _iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
@@ -320,20 +294,20 @@ def _step_lists(model: QModelParams, cap: int) -> tuple[list[float], list[float]
 
 def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int, tail_tol: float):
     """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends for
-    the end columns beta_n n^i, i < moments, on altitudes 0..T+L+1, and lost
-    the share of the initial mass alpha_m u_0[m], u_0 = M^L ends, past T.
-    T starts at the boundary cutoff and doubles while lost > tail_tol."""
+    the end columns beta_n n^i, i < moments, on altitudes 0..T+L+1, T the
+    boundary cutoff, and lost the share of the initial mass alpha_m u_0[m],
+    u_0 = M^L ends, past T.  CapacityError if lost > tail_tol."""
     T = _boundary_cutoff(wm, tail_tol)
-    while True:
-        S = T + L + 2
-        a, b, c, av, bv = _weight_tables(wm, S)
-        up_T, down_T = _transposed(a, c)
-        cols = (up_T[:, None], b[:, None], down_T[:, None])
-        uK = _pull_back(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), L - K, *cols)
-        lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T + 1)
-        if lost <= tail_tol:
-            return T, (a, b, c, av), uK, lost
-        T *= 2
+    S = T + L + 2
+    a, b, c, av, bv = _weight_tables(wm, S)
+    up_T, down_T = _transposed(a, c)
+    cols = (up_T[:, None], b[:, None], down_T[:, None])
+    uK = _pull_back(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), L - K, *cols)
+    lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T + 1)
+    if lost > tail_tol:
+        raise CapacityError(f"initial altitudes past T={T} carry mass {lost:.2e} "
+                            f"> tail_tol={tail_tol} at L={L}")
+    return T, (a, b, c, av), uK, lost
 
 
 def _positive_rows(table: np.ndarray, p: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -345,9 +319,10 @@ def finite_path_head_law(wm: WeightModel, L: int, K: int,
                          tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
     """Exact joint law of (g_0, ..., g_K) under the length-L path measure:
     alpha_m w(head) u_K[g_K] / (alpha . u_0) over the :func:`altitude_table`
-    heads from m <= T, whose total is 1 - lost.  T doubles from the boundary
-    cutoff while the share lost of the mass alpha_m u_0[m] past T exceeds
-    tail_tol, so the law misses at most tail_tol.  Guarded at K <= ENUMERATION_CAP."""
+    heads from m <= T, T the boundary cutoff, whose total is 1 - lost.
+    CapacityError if the share lost of the mass alpha_m u_0[m] past T
+    exceeds tail_tol, so the law misses at most tail_tol.  Guarded at
+    K <= ENUMERATION_CAP."""
     if K >= L:
         raise ValueError("need K < L")
     T, (a, b, c, av), uK, lost = _pulled_back_ends(wm, L, K, 1, tail_tol)
@@ -385,8 +360,8 @@ def endpoint_pair_correlation(wm: WeightModel, L: int,
 
     (beta, beta n, beta n^2) pulled back L steps and paired with
     (alpha, alpha m, alpha m^2) over m <= T give F[i, j] = C E[g_0^i g_L^j]
-    up to one factor.  T doubles from the boundary cutoff while more than
-    tail_tol of the initial mass lies past it, so the law behind the
+    up to one factor, T the boundary cutoff.  CapacityError if more than
+    tail_tol of the initial mass lies past T, so the law behind the
     moments misses at most tail_tol of its total.
     """
     T, (*_, av), u0, _ = _pulled_back_ends(wm, L, 0, 3, tail_tol)

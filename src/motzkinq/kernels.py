@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascpoly import QModelParams
+from .ascpoly import QModelParams, _initial_probs
 from .chains import (
     _EPS,
     _chebyshev_power,
-    _initial_probs,
     _iterate_tridiagonal,
     transition_arrays,
 )

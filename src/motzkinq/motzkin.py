@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ascpoly import QModelParams, motzkin_poly_table, nu_integrate, q_number
+from .ascpoly import (QModelParams, _initial_law_probs, motzkin_poly_table, nu_integrate,
+                      q_number)
 from .errors import CapacityError, ConvergenceError
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -50,8 +51,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 14
-# entries (L+1) x S of the backward table that sample_paths may grow its
-# default cap to (64 MB of float64)
+# entries (L+1) x S of the backward table that sample_paths allocates at
+# its default cap (64 MB of float64)
 SAMPLE_TABLE_CAP = 1 << 23
 
 
@@ -254,21 +255,19 @@ def partition_weight(L: int, m: int, n: int, model: WeightModel,
 
 
 def _boundary_cutoff(model: WeightModel, tail_tol: float) -> int:
-    """Index beyond which boundary weights are negligible.
+    """Largest initial altitude T that the finite-length routes keep.
 
-    Exact geometric bound for the q-model; a heuristic decay scan otherwise
-    (the scan checks summability numerically, it does not prove it).
+    For the q-model, the larger length of the two chain initial laws
+    rho^n s_n / C cut at tail_tol.  The length-L law of g_0 is the law with
+    rho0 tilted by a weight that falls with the altitude, so its mass past T
+    stays below that law's tail at every L; g_L and rho1 likewise.  This is
+    measured, not proven, and the exact laws and the sampler check it.
+    Otherwise a heuristic decay scan (the scan checks summability
+    numerically, it does not prove it).
     """
     if model.qmodel is not None:
         qm = model.qmodel
-        rho = max(qm.rho0, qm.rho1)
-        if rho == 0.0:
-            return 4
-        # alpha_n <= rho^n (n+1); solve rho^T (T+1) < tail_tol * (1-rho)
-        T = 4
-        while rho**T * (T + 1) >= tail_tol * (1.0 - rho) and T < 100_000:
-            T = int(T * 1.5) + 1
-        return T
+        return max(len(_initial_law_probs(qm, rho, tail_tol)) for rho in (qm.rho0, qm.rho1))
     best = 0.0
     for nlev in range(10_000):
         term = model.alpha(nlev) + model.beta(nlev)
@@ -308,17 +307,12 @@ def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
     return float(np.dot(v, w)), log_scale
 
 
-def _grown(S: int) -> int:
-    return S + max(16, S // 4)
-
-
-def _bilinear_adaptive(model: WeightModel, z0: float, z1: float, tlist: list[float],
-                       L: int, height_cap: int | None, tail_tol: float) -> tuple[float, float]:
-    """Bilinear form with the boundary truncation grown until the value is
-    stable to tail_tol (or a user cap is hit).  The weight tables are built
-    once at the largest size the first comparison needs and rebuilt larger
-    only if the truncation keeps growing."""
-    T = _boundary_cutoff(model, tail_tol)
+def _bilinear_truncated(model: WeightModel, z0: float, z1: float, tlist: list[float],
+                        L: int, height_cap: int | None, tail_tol: float) -> tuple[float, float]:
+    """Bilinear form on S = T + L + 2 altitudes, which every path from an
+    initial altitude m <= T stays below, T the boundary cutoff.  A user
+    height_cap sets S = height_cap + 2 and must move the value by at most
+    4 tail_tol against S + 16."""
     if height_cap is not None:
         S = height_cap + 2
         tables = _weight_tables(model, S + 16)
@@ -327,25 +321,14 @@ def _bilinear_adaptive(model: WeightModel, z0: float, z1: float, tlist: list[flo
         if abs(ref * math.exp(lg2 - lg) - val) > 4.0 * tail_tol * abs(ref * math.exp(lg2 - lg)):
             raise CapacityError(f"height_cap={height_cap} too small for tail_tol={tail_tol}")
         return val, lg
-    S = T + L + 2
-    tables = _weight_tables(model, _grown(S))
-    val, lg = _bilinear_log(tables, z0, z1, tlist, S)
-    for _ in range(10):
-        S2 = _grown(S)
-        if S2 > len(tables[0]):
-            tables = _weight_tables(model, S2)
-        val2, lg2 = _bilinear_log(tables, z0, z1, tlist, S2)
-        rel = abs(val2 * math.exp(lg2 - lg) - val)
-        if rel <= tail_tol * max(abs(val2 * math.exp(lg2 - lg)), 1e-300):
-            return val2, lg2
-        S, val, lg = S2, val2, lg2
-    raise ConvergenceError("boundary truncation did not stabilize; weights may not be summable")
+    S = _boundary_cutoff(model, tail_tol) + L + 2
+    return _bilinear_log(_weight_tables(model, S), z0, z1, tlist, S)
 
 
 def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12,
                              height_cap: int | None = None) -> float:
     """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n."""
-    val, lg = _bilinear_adaptive(model, 1.0, 1.0, [1.0] * L, L, height_cap, tail_tol)
+    val, lg = _bilinear_truncated(model, 1.0, 1.0, [1.0] * L, L, height_cap, tail_tol)
     if val <= 0.0:
         raise ValueError("normalizing constant must be positive")
     return math.log(val) + lg
@@ -379,8 +362,8 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
     if any(tj <= 0 for tj in t) or any(sj <= 0 for sj in s):
         raise ValueError("t_j and s_j must be positive")
     tlist = t + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
-    num, lg_num = _bilinear_adaptive(model, z0, z1, tlist, L, height_cap, tail_tol)
-    den, lg_den = _bilinear_adaptive(model, 1.0, 1.0, [1.0] * L, L, height_cap, tail_tol)
+    num, lg_num = _bilinear_truncated(model, z0, z1, tlist, L, height_cap, tail_tol)
+    den, lg_den = _bilinear_truncated(model, 1.0, 1.0, [1.0] * L, L, height_cap, tail_tol)
     return num / den * math.exp(lg_num - lg_den)
 
 
@@ -508,32 +491,26 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
 
     Initial altitudes are at most height_cap - L, and height_cap must be
     at least L + 1.  Without a height_cap they are at most the boundary
-    cutoff T, which doubles while the altitudes past it carry more than
-    10 tail_tol of the initial mass (u_0 grows with the altitude, most as
-    q -> 1); CapacityError once the backward table (L+1) x (T+L+2) would
-    pass SAMPLE_TABLE_CAP entries.
+    cutoff T, and the backward table (L+1) x (T+L+2) must fit in
+    SAMPLE_TABLE_CAP entries.  CapacityError when the initial altitudes
+    past the cap carry more than 10 tail_tol of the mass alpha_m u_0[m].
     """
     if count < 1:
         raise ValueError("count must be positive")
     if height_cap is not None and height_cap < L + 1:
         raise CapacityError(f"height_cap={height_cap} < L+1={L + 1}; "
                             "no initial altitude fits below the cap")
-    T = _boundary_cutoff(model, tail_tol)
-    while True:
-        S = (T + L + 2) if height_cap is None else height_cap + 2
-        u = _backward_vectors(model, L, S)
-        av, _ = model.boundary_arrays(S)
-        top = S - L - 1
-        lost = _initial_mass_past(av, u[0], top)
-        if lost <= tail_tol * 10:
-            break
-        if height_cap is not None:
-            raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > tail_tol")
-        if (L + 1) * (2 * T + L + 2) > SAMPLE_TABLE_CAP:
-            raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > tail_tol at "
-                                f"T={T}, L={L}; doubling T would pass SAMPLE_TABLE_CAP="
-                                f"{SAMPLE_TABLE_CAP} backward-table entries")
-        T *= 2
+    S = (_boundary_cutoff(model, tail_tol) + L + 2) if height_cap is None else height_cap + 2
+    if height_cap is None and (L + 1) * S > SAMPLE_TABLE_CAP:
+        raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
+                            f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
+    u = _backward_vectors(model, L, S)
+    av, _ = model.boundary_arrays(S)
+    top = S - L - 1
+    lost = _initial_mass_past(av, u[0], top)
+    if lost > tail_tol * 10:
+        raise CapacityError(f"initial altitudes past T={top - 1} carry mass {lost:.2e} "
+                            f"> 10 tail_tol at L={L}")
     a, b, c = model.weight_arrays(S)
     p0 = (av * u[0])[:top]
     p0 = p0 / np.sum(p0)

@@ -11,7 +11,8 @@ path-by-path forms of ``altitude_table`` and verify's enumeration check.
 The scalar recurrence is the per-point form of ``motzkin_poly_table``.
 The two prefix walks and the per-start correlation are the earlier forms of
 the exact finite-L laws in ``chains``: a recursive walk over head prefixes
-and one L-step transfer pass per initial altitude.
+and one L-step transfer pass per initial altitude.  The initial-mass share
+is a backward pass of its own, 400 levels above the truncation it checks.
 """
 
 from __future__ import annotations
@@ -400,3 +401,21 @@ def motzkin_poly_eval_scalar(n: int, x: float, m) -> float:
         down = q_number(k, m.q)
         prev, cur = cur, ((x - flat) * cur - down * prev) / up
     return cur
+
+
+def initial_mass_share_past(wm, L: int, T: int, extra: int = 400) -> float:
+    """Share of the initial-altitude mass alpha_m u_0[m], u_0 = M^L beta, at
+    altitudes m > T, from a backward pass over T + L + extra levels whose
+    weights are read from the model one level at a time and whose vector is
+    divided by its sum after every step."""
+    ns = range(T + L + extra)
+    up, flat, down, alpha, beta = (np.array([f(n) for n in ns], dtype=float)
+                                   for f in (wm.up, wm.flat, wm.down, wm.alpha, wm.beta))
+    u = beta
+    for _ in range(L):
+        nxt = flat * u
+        nxt[:-1] += up[:-1] * u[1:]
+        nxt[1:] += down[1:] * u[:-1]
+        u = nxt / nxt.sum()
+    p0 = alpha * u
+    return float(p0[T + 1:].sum() / p0.sum())

@@ -394,16 +394,39 @@ def test_chain_head_law_matches_walk_oracle(m, K):
         _assert_same_law(chain_head_law(m, which, K), chain_head_law_walk(m, which, K), 1e-13)
 
 
+def test_initial_law_uses_the_whole_recurrence_cap_then_names_itself():
+    # the level count doubles from 64 and stops at the cap, not past it
+    assert len(initial_law("X", QModelParams(q=0.5, sigma=0.8, rho0=0.99955)).probs) == 70619
+    # rho^n s_n / C at rho = 0.9999 is not cut within 10^5 levels; the
+    # transfer route takes its truncation from the same cut
+    m = QModelParams(q=0.9, sigma=0.8, rho0=0.9999, rho1=0.25)
+    msg = r"initial law at rho=0.9999, q=0.9 needs more than RECURRENCE_CAP=100000 levels"
+    with pytest.raises(OverflowError, match=msg):
+        initial_law("X", m)
+    with pytest.raises(OverflowError, match=msg):
+        matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 10, WeightModel.from_qmodel(m))
+
+
+def test_finite_laws_raise_when_the_cut_loses_mass(monkeypatch):
+    # a cut at T = 9 leaves 3.5e-4 of the initial mass past it at L = 200
+    monkeypatch.setattr(chains, "_boundary_cutoff", lambda wm, tail_tol: 9)
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    msg = r"initial altitudes past T=9 carry mass 3.52e-04 > tail_tol=1e-10 at L=200"
+    with pytest.raises(CapacityError, match=msg):
+        finite_path_head_law(wm, 200, 2)
+    with pytest.raises(CapacityError, match=msg):
+        endpoint_pair_correlation(wm, 200)
+
+
 @pytest.mark.parametrize("q", [0.9, 0.99])
 def test_finite_path_head_law_keeps_its_mass_as_q_approaches_one(q):
     # the initial mass alpha_m u_0[m] grows with m, most as q -> 1, so the
-    # boundary cutoff alone (T = 26 here) dropped 1.9e-5 of the law at
-    # q = 0.9 and 99.55% at q = 0.99
+    # old geometric boundary cutoff (T = 26 here) dropped 1.9e-5 of the law
+    # at q = 0.9 and 99.55% at q = 0.99
     wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
     law = finite_path_head_law(wm, 200, 3)
     assert sum(law.values()) >= 1.0 - 1e-9
-    # E[z0^g_0 prod_j t_j^(g_j - g_(j-1))] against the transfer route, which
-    # grows its own truncation
+    # E[z0^g_0 prod_j t_j^(g_j - g_(j-1))] against the transfer route
     t = [1.1, 0.9, 1.2]
     got = sum(p * 0.9 ** g[0] * math.prod(tj ** (g[j + 1] - g[j]) for j, tj in enumerate(t))
               for g, p in law.items())

@@ -1,9 +1,12 @@
 """Tests for weighted Motzkin paths, transfer operators, and sampling."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motzkinq.ascpoly import (
     QModelParams,
@@ -12,6 +15,7 @@ from motzkinq.ascpoly import (
     nu_integrate,
     q_number,
 )
+from motzkinq import motzkin
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (
     MotzkinPath,
@@ -30,12 +34,13 @@ from motzkinq.motzkin import (
     path_weight,
     sample_paths,
     table_weights,
+    _boundary_cutoff,
     _transposed,
     _tridiagonal_step,
 )
 
 from oracles import (brute_expectation, brute_partition_sum, enumerate_paths_recursive,
-                     gauss_legendre, sample_paths_per_state)
+                     gauss_legendre, initial_mass_share_past, sample_paths_per_state)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -276,6 +281,20 @@ def test_transfer_values_pinned_bitwise():
         assert repr(log_normalizing_constant(L, wm)) == want
 
 
+@settings(max_examples=28, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.99), sigma=st.floats(0.01, 1.0), rho0=st.floats(0.0, 0.9),
+       rho1=st.floats(0.0, 0.9), L=st.integers(1, 400),
+       tail_tol=st.sampled_from([1e-10, 1e-12]))
+# the old geometric cutoff lost 0.9955 and 5.8e-10 of the mass at these two
+@example(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25, L=200, tail_tol=1e-10)
+@example(q=0.99, sigma=0.01, rho0=0.9, rho1=0.9, L=400, tail_tol=1e-12)
+def test_boundary_cutoff_keeps_all_but_tail_tol_of_the_initial_mass(q, sigma, rho0, rho1,
+                                                                     L, tail_tol):
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=sigma, rho0=rho0, rho1=rho1))
+    T = _boundary_cutoff(wm, tail_tol)
+    assert initial_mass_share_past(wm, L, T) <= tail_tol
+
+
 def test_matrix_ansatz_argument_validation():
     wm = WeightModel.from_qmodel(QModelParams(q=0.3, sigma=0.5, rho0=0.2, rho1=0.2))
     with pytest.raises(ValueError):
@@ -302,6 +321,20 @@ def test_integral_matches_matrix_ansatz():
     via_integral = integral_expectation(0.9, 0.95, t, s, 8, wm)
     via_transfer = matrix_ansatz_expectation(0.9, 0.95, t, s, 8, wm)
     assert via_integral == pytest.approx(via_transfer, rel=1e-7)
+
+
+@pytest.mark.parametrize("model, L", [
+    # the old geometric cutoff kept 26 initial altitudes here: off by 4.8e-8 and 2.86
+    (QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), 50),
+    (QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), 200),
+    # the integral route truncates beta as well, so a cut from rho0 alone fails here
+    (QModelParams(q=0.9, sigma=0.8, rho0=0.1, rho1=0.8), 100),
+])
+def test_integral_matches_matrix_ansatz_at_long_paths(model, L):
+    wm = WeightModel.from_qmodel(model)
+    via_integral = integral_expectation(0.9, 0.8, [0.8], [1.1], L, wm)
+    via_transfer = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], L, wm)
+    assert via_integral == pytest.approx(via_transfer, rel=1e-9)
 
 
 def test_integral_normalizing_constant_matches_transfer():
@@ -468,6 +501,23 @@ def test_sampler_cap_guard():
         sample_paths(4, wm, 10, seed=1, height_cap=6)
 
 
+def test_sampler_table_cap_checked_before_the_backward_pass():
+    # T = 691 at q = 0.99, rho0 = 0.8: the table 2601 x 3293 passes 2^23 entries
+    wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.8, rho1=0.25))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"L=2600, S=3293 passes SAMPLE_TABLE_CAP"):
+        sample_paths(2600, wm, 10, seed=1)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_sampler_default_cap_raises_when_the_cut_loses_mass(monkeypatch):
+    monkeypatch.setattr(motzkin, "_boundary_cutoff", lambda wm, tail_tol: 9)
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    with pytest.raises(CapacityError, match=r"initial altitudes past T=9 carry mass "
+                                            r"3.52e-04 > 10 tail_tol at L=200"):
+        sample_paths(200, wm, 10, seed=1)
+
+
 def test_sampler_height_cap_below_path_length_raises():
     wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
     for L, cap in [(300, 200), (300, 300), (4, 0)]:
@@ -477,8 +527,8 @@ def test_sampler_height_cap_below_path_length_raises():
 
 @pytest.mark.parametrize("L", [50, 300])
 def test_sampler_default_cap_grows_as_q_approaches_one(L):
-    # u_0 grows with the altitude at q = 0.99, so the boundary cutoff alone
-    # discards initial altitudes; the default cap now grows until it does not
+    # u_0 grows with the altitude at q = 0.99, so the old geometric boundary
+    # cutoff discarded initial altitudes; the initial-law cut keeps them
     wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
     N = 4000
     got = sample_paths(L, wm, N, seed=3)
