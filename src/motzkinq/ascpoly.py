@@ -48,7 +48,6 @@ __all__ = [
     "nu_integrate",
     "s_ratios",
     "log_s_values",
-    "initial_log_normalizer",
     "s_values",
     "pi_values",
     "motzkin_poly_eval",

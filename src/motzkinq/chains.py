@@ -297,16 +297,13 @@ def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int, tail_tol: f
     the end columns beta_n n^i, i < moments, on altitudes 0..T+L+1, T the
     boundary cutoff, and lost the share of the initial mass alpha_m u_0[m],
     u_0 = M^L ends, past T.  CapacityError if lost > tail_tol."""
-    T = _boundary_cutoff(wm, tail_tol)
+    T = _boundary_cutoff(wm, tail_tol, L)
     S = T + L + 2
     a, b, c, av, bv = _weight_tables(wm, S)
     up_T, down_T = _transposed(a, c)
     cols = (up_T[:, None], b[:, None], down_T[:, None])
     uK = _pull_back(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), L - K, *cols)
-    lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T + 1)
-    if lost > tail_tol:
-        raise CapacityError(f"initial altitudes past T={T} carry mass {lost:.2e} "
-                            f"> tail_tol={tail_tol} at L={L}")
+    lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T, L, tail_tol)
     return T, (a, b, c, av), uK, lost
 
 

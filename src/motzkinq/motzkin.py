@@ -254,7 +254,7 @@ def partition_weight(L: int, m: int, n: int, model: WeightModel,
     return float(v[n])
 
 
-def _boundary_cutoff(model: WeightModel, tail_tol: float) -> int:
+def _boundary_cutoff(model: WeightModel, tail_tol: float, L: int) -> int:
     """Largest initial altitude T that the finite-length routes keep.
 
     For the q-model, the larger length of the two chain initial laws
@@ -262,12 +262,19 @@ def _boundary_cutoff(model: WeightModel, tail_tol: float) -> int:
     rho0 tilted by a weight that falls with the altitude, so its mass past T
     stays below that law's tail at every L; g_L and rho1 likewise.  This is
     measured, not proven, and the exact laws and the sampler check it.
+    Where the law with the larger rho is not cut within RECURRENCE_CAP
+    levels, T is the other law's length plus L, as |g_0 - g_L| <= L.
     Otherwise a heuristic decay scan (the scan checks summability
-    numerically, it does not prove it).
+    numerically, it does not prove it); the routes measure what it drops.
     """
     if model.qmodel is not None:
         qm = model.qmodel
-        return max(len(_initial_law_probs(qm, rho, tail_tol)) for rho in (qm.rho0, qm.rho1))
+        lo, hi = sorted((qm.rho0, qm.rho1))
+        t_lo = len(_initial_law_probs(qm, lo, tail_tol))
+        try:
+            return max(t_lo, len(_initial_law_probs(qm, hi, tail_tol)))
+        except OverflowError:
+            return t_lo + L
     best = 0.0
     for nlev in range(10_000):
         term = model.alpha(nlev) + model.beta(nlev)
@@ -310,9 +317,10 @@ def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
 def _bilinear_truncated(model: WeightModel, z0: float, z1: float, tlist: list[float],
                         L: int, height_cap: int | None, tail_tol: float) -> tuple[float, float]:
     """Bilinear form on S = T + L + 2 altitudes, which every path from an
-    initial altitude m <= T stays below, T the boundary cutoff.  A user
-    height_cap sets S = height_cap + 2 and must move the value by at most
-    4 tail_tol against S + 16."""
+    initial altitude m <= T stays below, T the boundary cutoff.  Outside the
+    q-model, CapacityError if the initial mass alpha_m u_0[m] past T is more
+    than tail_tol of the whole.  A user height_cap sets S = height_cap + 2
+    and must move the value by at most 4 tail_tol against S + 16."""
     if height_cap is not None:
         S = height_cap + 2
         tables = _weight_tables(model, S + 16)
@@ -321,8 +329,14 @@ def _bilinear_truncated(model: WeightModel, z0: float, z1: float, tlist: list[fl
         if abs(ref * math.exp(lg2 - lg) - val) > 4.0 * tail_tol * abs(ref * math.exp(lg2 - lg)):
             raise CapacityError(f"height_cap={height_cap} too small for tail_tol={tail_tol}")
         return val, lg
-    S = _boundary_cutoff(model, tail_tol) + L + 2
-    return _bilinear_log(_weight_tables(model, S), z0, z1, tlist, S)
+    T = _boundary_cutoff(model, tail_tol, L)
+    S = T + L + 2
+    tables = _weight_tables(model, S)
+    if model.qmodel is None:
+        a, b, c, av, bv = tables
+        up_T, down_T = _transposed(a, c)
+        _initial_mass_past(av, _pull_back(bv, L, up_T, b, down_T), T, L, tail_tol)
+    return _bilinear_log(tables, z0, z1, tlist, S)
 
 
 def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12,
@@ -410,8 +424,7 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
     if 2 * K > L:
         raise ValueError(f"need 2K <= L, got K={K}, L={L}")
     B = qm.support().B
-    T = _boundary_cutoff(model, tail_tol)
-    S = T + 2 * K + 8
+    S = _boundary_cutoff(model, tail_tol, L) + 2 * K + 8
     v, w = _psi_functions(model, z0, z1, t, s, S)
     v1, w1 = _psi_functions(model, 1.0, 1.0, [], [], S)
     qnum = np.array([q_number(i + 1, qm.q) for i in range(S)])
@@ -438,8 +451,7 @@ def integral_normalizing_constant(L: int, model: WeightModel,
     """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx)."""
     qm = _require_qmodel(model)
     B = qm.support().B
-    T = _boundary_cutoff(model, tail_tol)
-    S = T + 8
+    S = _boundary_cutoff(model, tail_tol, L) + 8
     v1, w1 = _psi_functions(model, 1.0, 1.0, [], [], S)
     qnum = np.array([q_number(i + 1, qm.q) for i in range(S)])
     w1tilde = w1 * qnum
@@ -457,13 +469,18 @@ def integral_normalizing_constant(L: int, model: WeightModel,
 
 # ------------------------------------------------------------------ sampling
 
-def _initial_mass_past(av: np.ndarray, u0: np.ndarray, top: int) -> float:
-    """Share of the initial-altitude mass alpha_m u_0[m] at altitudes m >= top."""
+def _initial_mass_past(av: np.ndarray, u0: np.ndarray, T: int, L: int, bound: float) -> float:
+    """Share of the initial-altitude mass alpha_m u_0[m] at altitudes m > T;
+    CapacityError naming T, L and the share when it is above bound."""
     p0 = av * u0
     total = float(np.sum(p0))
     if not total > 0.0:
         raise ValueError("initial-altitude mass alpha_m u_0[m] is not positive")
-    return float(np.sum(p0[top:])) / total
+    lost = float(np.sum(p0[T + 1:])) / total
+    if lost > bound:
+        raise CapacityError(f"initial altitudes past T={T} carry mass {lost:.2e} "
+                            f"> {bound:g} at L={L}")
+    return lost
 
 
 def _backward_vectors(model: WeightModel, L: int, S: int) -> np.ndarray:
@@ -500,17 +517,14 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     if height_cap is not None and height_cap < L + 1:
         raise CapacityError(f"height_cap={height_cap} < L+1={L + 1}; "
                             "no initial altitude fits below the cap")
-    S = (_boundary_cutoff(model, tail_tol) + L + 2) if height_cap is None else height_cap + 2
+    S = (_boundary_cutoff(model, tail_tol, L) + L + 2) if height_cap is None else height_cap + 2
     if height_cap is None and (L + 1) * S > SAMPLE_TABLE_CAP:
         raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
                             f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
     u = _backward_vectors(model, L, S)
     av, _ = model.boundary_arrays(S)
     top = S - L - 1
-    lost = _initial_mass_past(av, u[0], top)
-    if lost > tail_tol * 10:
-        raise CapacityError(f"initial altitudes past T={top - 1} carry mass {lost:.2e} "
-                            f"> 10 tail_tol at L={L}")
+    _initial_mass_past(av, u[0], top - 1, L, 10 * tail_tol)
     a, b, c = model.weight_arrays(S)
     p0 = (av * u[0])[:top]
     p0 = p0 / np.sum(p0)

@@ -11,8 +11,9 @@ path-by-path forms of ``altitude_table`` and verify's enumeration check.
 The scalar recurrence is the per-point form of ``motzkin_poly_table``.
 The two prefix walks and the per-start correlation are the earlier forms of
 the exact finite-L laws in ``chains``: a recursive walk over head prefixes
-and one L-step transfer pass per initial altitude.  The initial-mass share
-is a backward pass of its own, 400 levels above the truncation it checks.
+and one L-step transfer pass per initial altitude.  The shares of g_0 and
+g_L past a truncation are a backward and a forward pass of their own,
+400 levels above it.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def sample_paths_per_state(L: int, model, count: int, seed: int,
     weights and backward-vector entries at each step."""
     if count < 1:
         raise ValueError("count must be positive")
-    T = _boundary_cutoff(model, tail_tol)
+    T = _boundary_cutoff(model, tail_tol, L)
     S = (T + L + 2) if height_cap is None else height_cap + 2
     u = _backward_vectors(model, L, S)
     a, b, c = model.weight_arrays(S)
@@ -289,7 +290,7 @@ def finite_path_head_law_walk(wm, L: int, K: int,
     prefixes of every initial altitude up to the boundary cutoff."""
     if K >= L:
         raise ValueError("need K < L")
-    T = _boundary_cutoff(wm, tail_tol)
+    T = _boundary_cutoff(wm, tail_tol, L)
     S = T + L + 2
     a, b, c = wm.weight_arrays(S)
     av, bv = wm.boundary_arrays(S)
@@ -361,7 +362,7 @@ def endpoint_pair_correlation_per_start(wm, L: int, tail_tol: float = 1e-10) -> 
     """``chains.endpoint_pair_correlation`` with one L-step transfer pass per
     initial altitude, each rescaled by its own peak, filling the joint law
     of (g_0, g_L)."""
-    T = _boundary_cutoff(wm, tail_tol)
+    T = _boundary_cutoff(wm, tail_tol, L)
     S = T + L + 2
     a, b, c = wm.weight_arrays(S)
     av, bv = wm.boundary_arrays(S)
@@ -403,19 +404,23 @@ def motzkin_poly_eval_scalar(n: int, x: float, m) -> float:
     return cur
 
 
-def initial_mass_share_past(wm, L: int, T: int, extra: int = 400) -> float:
-    """Share of the initial-altitude mass alpha_m u_0[m], u_0 = M^L beta, at
-    altitudes m > T, from a backward pass over T + L + extra levels whose
-    weights are read from the model one level at a time and whose vector is
-    divided by its sum after every step."""
+def end_mass_shares_past(wm, L: int, T: int, extra: int = 400) -> tuple[float, float]:
+    """Shares of the length-L path measure with g_0 > T and with g_L > T:
+    alpha_m (M^L beta)_m and (alpha M^L)_n beta_n on T + L + extra levels,
+    by a backward and a forward pass whose weights are read from the model
+    one level at a time and whose vector is divided by its sum after every
+    step."""
     ns = range(T + L + extra)
     up, flat, down, alpha, beta = (np.array([f(n) for n in ns], dtype=float)
                                    for f in (wm.up, wm.flat, wm.down, wm.alpha, wm.beta))
-    u = beta
+    u, v = beta, alpha
     for _ in range(L):
-        nxt = flat * u
-        nxt[:-1] += up[:-1] * u[1:]
-        nxt[1:] += down[1:] * u[:-1]
-        u = nxt / nxt.sum()
-    p0 = alpha * u
-    return float(p0[T + 1:].sum() / p0.sum())
+        back = flat * u
+        back[:-1] += up[:-1] * u[1:]
+        back[1:] += down[1:] * u[:-1]
+        fwd = flat * v
+        fwd[1:] += up[:-1] * v[:-1]
+        fwd[:-1] += down[1:] * v[1:]
+        u, v = back / back.sum(), fwd / fwd.sum()
+    p0, pL = alpha * u, v * beta
+    return float(p0[T + 1:].sum() / p0.sum()), float(pL[T + 1:].sum() / pL.sum())

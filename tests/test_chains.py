@@ -397,21 +397,18 @@ def test_chain_head_law_matches_walk_oracle(m, K):
 def test_initial_law_uses_the_whole_recurrence_cap_then_names_itself():
     # the level count doubles from 64 and stops at the cap, not past it
     assert len(initial_law("X", QModelParams(q=0.5, sigma=0.8, rho0=0.99955)).probs) == 70619
-    # rho^n s_n / C at rho = 0.9999 is not cut within 10^5 levels; the
-    # transfer route takes its truncation from the same cut
+    # rho^n s_n / C at rho = 0.9999 is not cut within 10^5 levels
     m = QModelParams(q=0.9, sigma=0.8, rho0=0.9999, rho1=0.25)
     msg = r"initial law at rho=0.9999, q=0.9 needs more than RECURRENCE_CAP=100000 levels"
     with pytest.raises(OverflowError, match=msg):
         initial_law("X", m)
-    with pytest.raises(OverflowError, match=msg):
-        matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 10, WeightModel.from_qmodel(m))
 
 
 def test_finite_laws_raise_when_the_cut_loses_mass(monkeypatch):
     # a cut at T = 9 leaves 3.5e-4 of the initial mass past it at L = 200
-    monkeypatch.setattr(chains, "_boundary_cutoff", lambda wm, tail_tol: 9)
+    monkeypatch.setattr(chains, "_boundary_cutoff", lambda wm, tail_tol, L: 9)
     wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
-    msg = r"initial altitudes past T=9 carry mass 3.52e-04 > tail_tol=1e-10 at L=200"
+    msg = r"initial altitudes past T=9 carry mass 3.52e-04 > 1e-10 at L=200"
     with pytest.raises(CapacityError, match=msg):
         finite_path_head_law(wm, 200, 2)
     with pytest.raises(CapacityError, match=msg):

@@ -1,7 +1,7 @@
 """Tests for weighted Motzkin paths, transfer operators, and sampling."""
 
+import dataclasses
 import math
-import time
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ from motzkinq.motzkin import (
 )
 
 from oracles import (brute_expectation, brute_partition_sum, enumerate_paths_recursive,
-                     gauss_legendre, initial_mass_share_past, sample_paths_per_state)
+                     gauss_legendre, end_mass_shares_past, sample_paths_per_state)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -281,18 +281,51 @@ def test_transfer_values_pinned_bitwise():
         assert repr(log_normalizing_constant(L, wm)) == want
 
 
-@settings(max_examples=28, deadline=None, derandomize=True, database=None)
-@given(q=st.floats(0.0, 0.99), sigma=st.floats(0.01, 1.0), rho0=st.floats(0.0, 0.9),
-       rho1=st.floats(0.0, 0.9), L=st.integers(1, 400),
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.99), sigma=st.floats(0.01, 1.0), rho0=st.floats(0.0, 0.99),
+       rho1=st.floats(0.0, 0.99), L=st.integers(1, 400),
        tail_tol=st.sampled_from([1e-10, 1e-12]))
 # the old geometric cutoff lost 0.9955 and 5.8e-10 of the mass at these two
 @example(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25, L=200, tail_tol=1e-10)
 @example(q=0.99, sigma=0.01, rho0=0.9, rho1=0.9, L=400, tail_tol=1e-12)
-def test_boundary_cutoff_keeps_all_but_tail_tol_of_the_initial_mass(q, sigma, rho0, rho1,
-                                                                     L, tail_tol):
+@example(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25, L=2000, tail_tol=1e-12)
+@example(q=0.99, sigma=0.01, rho0=0.99, rho1=0.99, L=2000, tail_tol=1e-12)
+# the rho0 law is not cut within 10^5 levels; T comes from the rho1 end plus L
+@example(q=0.9, sigma=0.8, rho0=0.9999, rho1=0.25, L=10, tail_tol=1e-12)
+def test_boundary_cutoff_keeps_all_but_tail_tol_of_both_end_laws(q, sigma, rho0, rho1,
+                                                                  L, tail_tol):
     wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=sigma, rho0=rho0, rho1=rho1))
-    T = _boundary_cutoff(wm, tail_tol)
-    assert initial_mass_share_past(wm, L, T) <= tail_tol
+    T = _boundary_cutoff(wm, tail_tol, L)
+    share_g0, share_gL = end_mass_shares_past(wm, L, T)
+    assert share_g0 <= tail_tol and share_gL <= tail_tol
+
+
+def test_transfer_takes_the_cut_from_the_short_end_when_rho0_is_near_one():
+    # the rho0 = 0.9999 law needs more than RECURRENCE_CAP levels, but
+    # g_0 <= g_L + L keeps the initial altitudes within L of the rho1 cut
+    wm = WeightModel.from_qmodel(QModelParams(q=0.9, sigma=0.8, rho0=0.9999, rho1=0.25))
+    assert _boundary_cutoff(wm, 1e-12, 10) == 54
+    got = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 10, wm)
+    want = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 10, wm, height_cap=200)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(0.27025397, rel=1e-7)
+
+
+def test_transfer_outside_the_q_model_checks_what_its_cut_drops():
+    # the q = 0.99 weights without their qmodel tag: the decay scan of
+    # alpha + beta keeps T = 33, which holds at L = 10, but u_0 grows with
+    # the altitude and by L = 50 the initial mass reaches past it
+    wq = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
+    plain = dataclasses.replace(wq, qmodel=None)
+    assert log_normalizing_constant(10, plain) == pytest.approx(
+        log_normalizing_constant(10, wq), rel=1e-14)
+    msg = r"initial altitudes past T=33 carry mass 4.56e-07 > 1e-12 at L=50"
+    with pytest.raises(CapacityError, match=msg):
+        log_normalizing_constant(50, plain)
+    with pytest.raises(CapacityError, match=msg):
+        matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 50, plain)
+    assert log_normalizing_constant(50, plain, height_cap=400) == pytest.approx(
+        log_normalizing_constant(50, wq), rel=1e-12)
 
 
 def test_matrix_ansatz_argument_validation():
@@ -501,20 +534,21 @@ def test_sampler_cap_guard():
         sample_paths(4, wm, 10, seed=1, height_cap=6)
 
 
-def test_sampler_table_cap_checked_before_the_backward_pass():
+def test_sampler_table_cap_checked_before_the_backward_pass(monkeypatch):
     # T = 691 at q = 0.99, rho0 = 0.8: the table 2601 x 3293 passes 2^23 entries
+    def no_pass(*args):
+        raise AssertionError("backward table allocated")
+    monkeypatch.setattr(motzkin, "_backward_vectors", no_pass)
     wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.8, rho1=0.25))
-    start = time.perf_counter()
     with pytest.raises(CapacityError, match=r"L=2600, S=3293 passes SAMPLE_TABLE_CAP"):
         sample_paths(2600, wm, 10, seed=1)
-    assert time.perf_counter() - start < 0.5
 
 
 def test_sampler_default_cap_raises_when_the_cut_loses_mass(monkeypatch):
-    monkeypatch.setattr(motzkin, "_boundary_cutoff", lambda wm, tail_tol: 9)
+    monkeypatch.setattr(motzkin, "_boundary_cutoff", lambda wm, tail_tol, L: 9)
     wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
     with pytest.raises(CapacityError, match=r"initial altitudes past T=9 carry mass "
-                                            r"3.52e-04 > 10 tail_tol at L=200"):
+                                            r"3.52e-04 > 1e-11 at L=200"):
         sample_paths(200, wm, 10, seed=1)
 
 
