@@ -50,7 +50,6 @@ __all__ = [
     "log_s_values",
     "s_values",
     "pi_values",
-    "motzkin_poly_eval",
     "motzkin_poly_table",
     "asc_endpoint_limit_fixed_q",
     "asc_endpoint_limit_q_to_1",
@@ -375,11 +374,6 @@ def s_values(nmax: int, m: QModelParams) -> np.ndarray:
 def pi_values(nmax: int, m: QModelParams) -> np.ndarray:
     """pi_n = s_n / [n+1]_q for n = 0..nmax (right-endpoint polynomial values)."""
     return s_values(nmax, m) * (1.0 - m.q) / _decay(nmax, m.q)
-
-
-def motzkin_poly_eval(n: int, x: float, m: QModelParams) -> float:
-    """p_n(x) of the Motzkin model: one entry of :func:`motzkin_poly_table`."""
-    return float(motzkin_poly_table(n, np.array([x]), m)[n, 0])
 
 
 def motzkin_poly_table(nmax: int, xs: np.ndarray, m: QModelParams) -> np.ndarray:

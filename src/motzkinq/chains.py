@@ -209,25 +209,23 @@ def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
     return out, d
 
 
-def kstep_distribution(start: Distribution, k: int, model: QModelParams, height_cap: int,
-                       strict: bool = True) -> Distribution:
+def kstep_distribution(start: Distribution, k: int, model: QModelParams,
+                       height_cap: int) -> Distribution:
     """Distribution after k steps from ``start`` on states 0..height_cap.
 
-    With ``strict`` the cap must cover the reachable support (no truncation
-    loss); otherwise the leaked mass must stay below 1e-9.
+    The cap must cover the reachable support max support + k, so no mass
+    reaches the top state within k steps and none is lost.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     max_support = start.offset + len(start.probs) - 1
-    if strict and height_cap < max_support + k:
+    if height_cap < max_support + k:
         raise CapacityError(
             f"height_cap={height_cap} < max support + k = {max_support + k}")
     up, flat, down = transition_arrays(model, height_cap)
     vec = np.zeros(height_cap + 1)
     vec[start.offset: start.offset + len(start.probs)] = start.probs
-    out, lost = _iterate_tridiagonal(vec, k, up, flat, down)
-    if lost > 1e-9 * max(start.total(), 1e-300):
-        raise CapacityError(f"cap leaked probability mass {lost:.3e}")
+    out, _ = _iterate_tridiagonal(vec, k, up, flat, down)
     return Distribution(offset=0, probs=out)
 
 
@@ -318,8 +316,8 @@ def finite_path_head_law(wm: WeightModel, L: int, K: int,
     alpha_m w(head) u_K[g_K] / (alpha . u_0) over the :func:`altitude_table`
     heads from m <= T, T the boundary cutoff, whose total is 1 - lost.
     CapacityError if the share lost of the mass alpha_m u_0[m] past T
-    exceeds tail_tol, so the law misses at most tail_tol.  Guarded at
-    K <= ENUMERATION_CAP."""
+    exceeds tail_tol, so the law misses at most tail_tol.  Needs the
+    q-model weights.  Guarded at K <= ENUMERATION_CAP."""
     if K >= L:
         raise ValueError("need K < L")
     T, (a, b, c, av), uK, lost = _pulled_back_ends(wm, L, K, 1, tail_tol)
@@ -359,7 +357,8 @@ def endpoint_pair_correlation(wm: WeightModel, L: int,
     (alpha, alpha m, alpha m^2) over m <= T give F[i, j] = C E[g_0^i g_L^j]
     up to one factor, T the boundary cutoff.  CapacityError if more than
     tail_tol of the initial mass lies past T, so the law behind the
-    moments misses at most tail_tol of its total.
+    moments misses at most tail_tol of its total.  Needs the q-model
+    weights.
     """
     T, (*_, av), u0, _ = _pulled_back_ends(wm, L, 0, 3, tail_tol)
     heads = av[:T + 1, None] * np.arange(T + 1)[:, None] ** np.arange(3)

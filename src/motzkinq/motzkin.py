@@ -22,7 +22,7 @@ import numpy as np
 
 from .ascpoly import (QModelParams, _initial_law_probs, motzkin_poly_table, nu_integrate,
                       q_number)
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError
 from .numerics import (
     DEFAULT_QUADRATURE,
     DEFAULT_TRUNCATION,
@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 14
-# entries (L+1) x S of the backward table that sample_paths allocates at
-# its default cap (64 MB of float64)
+# entries (L+1) x S of the largest backward table that sample_paths
+# allocates (64 MB of float64)
 SAMPLE_TABLE_CAP = 1 << 23
 
 
@@ -232,20 +232,15 @@ def _pull_back(v: np.ndarray, steps: int, up_T: np.ndarray, flat: np.ndarray,
     return v
 
 
-def partition_weight(L: int, m: int, n: int, model: WeightModel,
-                     height_cap: int | None = None) -> float:
+def partition_weight(L: int, m: int, n: int, model: WeightModel) -> float:
     """Total weight of all paths of length L from m to n.
 
-    Exact (no truncation) whenever the operator size covers max(m, n) + L,
-    because a path cannot climb more than one level per step.
+    Exact (no truncation): the operator runs on max(m, n) + L + 2 levels,
+    and a path cannot climb more than one level per step.
     """
     if L < 0 or m < 0 or n < 0:
         raise ValueError("L, m, n must be nonnegative")
-    need = max(m, n) + L + 2
-    S = need if height_cap is None else height_cap + 2
-    if height_cap is not None and height_cap < max(m, n) + L:
-        raise CapacityError(
-            f"height_cap={height_cap} < max(m,n)+L={max(m, n) + L}; result would truncate")
+    S = max(m, n) + L + 2
     a, b, c = model.weight_arrays(S)
     v = np.zeros(S)
     v[m] = 1.0
@@ -254,34 +249,31 @@ def partition_weight(L: int, m: int, n: int, model: WeightModel,
     return float(v[n])
 
 
-def _boundary_cutoff(model: WeightModel, tail_tol: float, L: int) -> int:
-    """Largest initial altitude T that the finite-length routes keep.
+def _require_qmodel(model: WeightModel) -> QModelParams:
+    if model.qmodel is None:
+        raise ValueError("this route needs the q-model weights (WeightModel.from_qmodel)")
+    return model.qmodel
 
-    For the q-model, the larger length of the two chain initial laws
-    rho^n s_n / C cut at tail_tol.  The length-L law of g_0 is the law with
-    rho0 tilted by a weight that falls with the altitude, so its mass past T
-    stays below that law's tail at every L; g_L and rho1 likewise.  This is
-    measured, not proven, and the exact laws and the sampler check it.
-    Where the law with the larger rho is not cut within RECURRENCE_CAP
-    levels, T is the other law's length plus L, as |g_0 - g_L| <= L.
-    Otherwise a heuristic decay scan (the scan checks summability
-    numerically, it does not prove it); the routes measure what it drops.
+
+def _boundary_cutoff(model: WeightModel, tail_tol: float, L: int) -> int:
+    """Largest initial altitude T that the finite-length routes keep: the
+    larger length of the two chain initial laws rho^n s_n / C of the
+    q-model cut at tail_tol.
+
+    The length-L law of g_0 is the law with rho0 tilted by a weight that
+    falls with the altitude, so its mass past T stays below that law's tail
+    at every L; g_L and rho1 likewise.  This is measured, not proven, and
+    the exact laws and the sampler check it.  Where the law with the larger
+    rho is not cut within RECURRENCE_CAP levels, T is the other law's length
+    plus L, as |g_0 - g_L| <= L.  ValueError without the q-model.
     """
-    if model.qmodel is not None:
-        qm = model.qmodel
-        lo, hi = sorted((qm.rho0, qm.rho1))
-        t_lo = len(_initial_law_probs(qm, lo, tail_tol))
-        try:
-            return max(t_lo, len(_initial_law_probs(qm, hi, tail_tol)))
-        except OverflowError:
-            return t_lo + L
-    best = 0.0
-    for nlev in range(10_000):
-        term = model.alpha(nlev) + model.beta(nlev)
-        best = max(best, term)
-        if term < tail_tol * max(best, 1.0):
-            return nlev + 8
-    raise ConvergenceError("boundary weights do not appear summable")
+    qm = _require_qmodel(model)
+    lo, hi = sorted((qm.rho0, qm.rho1))
+    t_lo = len(_initial_law_probs(qm, lo, tail_tol))
+    try:
+        return max(t_lo, len(_initial_law_probs(qm, hi, tail_tol)))
+    except OverflowError:
+        return t_lo + L
 
 
 def _weight_tables(model: WeightModel, size: int) -> tuple[np.ndarray, ...]:
@@ -290,12 +282,13 @@ def _weight_tables(model: WeightModel, size: int) -> tuple[np.ndarray, ...]:
 
 
 def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
-                  tlist: list[float], S: int) -> tuple[float, float]:
+                  tlist: list[float]) -> tuple[float, float]:
     """(mantissa, log_scale) of V_alpha(z0)^T M_{t_1} ... M_{t_L} W_beta(z1)
-    on the truncated operator of size S, from :func:`_weight_tables` of
-    size >= S.  The arrays t a and c / t are rebuilt only where t changes,
-    and every vector is nonnegative, so its peak is its max."""
-    a, b, c, av, bv = (arr[:S] for arr in tables)
+    on the truncated operator of :func:`_weight_tables`.  The arrays t a and
+    c / t are rebuilt only where t changes, and every vector is nonnegative,
+    so its peak is its max."""
+    a, b, c, av, bv = tables
+    S = len(a)
     powers = np.power(float(z0), np.arange(S))
     v = av * powers
     log_scale = 0.0
@@ -314,43 +307,18 @@ def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
     return float(np.dot(v, w)), log_scale
 
 
-def _bilinear_truncated(model: WeightModel, z0: float, z1: float, tlist: list[float],
-                        L: int, height_cap: int | None, tail_tol: float) -> tuple[float, float]:
-    """Bilinear form on S = T + L + 2 altitudes, which every path from an
-    initial altitude m <= T stays below, T the boundary cutoff.  Outside the
-    q-model, CapacityError if the initial mass alpha_m u_0[m] past T is more
-    than tail_tol of the whole.  A user height_cap sets S = height_cap + 2
-    and must move the value by at most 4 tail_tol against S + 16."""
-    if height_cap is not None:
-        S = height_cap + 2
-        tables = _weight_tables(model, S + 16)
-        val, lg = _bilinear_log(tables, z0, z1, tlist, S)
-        ref, lg2 = _bilinear_log(tables, z0, z1, tlist, S + 16)
-        if abs(ref * math.exp(lg2 - lg) - val) > 4.0 * tail_tol * abs(ref * math.exp(lg2 - lg)):
-            raise CapacityError(f"height_cap={height_cap} too small for tail_tol={tail_tol}")
-        return val, lg
-    T = _boundary_cutoff(model, tail_tol, L)
-    S = T + L + 2
-    tables = _weight_tables(model, S)
-    if model.qmodel is None:
-        a, b, c, av, bv = tables
-        up_T, down_T = _transposed(a, c)
-        _initial_mass_past(av, _pull_back(bv, L, up_T, b, down_T), T, L, tail_tol)
-    return _bilinear_log(tables, z0, z1, tlist, S)
-
-
-def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12,
-                             height_cap: int | None = None) -> float:
-    """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n."""
-    val, lg = _bilinear_truncated(model, 1.0, 1.0, [1.0] * L, L, height_cap, tail_tol)
+def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12) -> float:
+    """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n over
+    the initial altitudes m <= T, T the boundary cutoff at tail_tol."""
+    tables = _weight_tables(model, _boundary_cutoff(model, tail_tol, L) + L + 2)
+    val, lg = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
     if val <= 0.0:
         raise ValueError("normalizing constant must be positive")
     return math.log(val) + lg
 
 
-def normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12,
-                         height_cap: int | None = None) -> float:
-    lg = log_normalizing_constant(L, model, tail_tol, height_cap)
+def normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12) -> float:
+    lg = log_normalizing_constant(L, model, tail_tol)
     if lg > 700.0:
         raise OverflowError(f"normalizing constant exp({lg:.1f}) overflows; "
                             "use log_normalizing_constant")
@@ -358,12 +326,13 @@ def normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12,
 
 
 def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[float],
-                              L: int, model: WeightModel,
-                              height_cap: int | None = None,
-                              tail_tol: float = 1e-12) -> float:
+                              L: int, model: WeightModel, tail_tol: float = 1e-12) -> float:
     """Joint generating functional
     E[z0^{g_0} prod_j t_j^{g_j - g_{j-1}} prod_j s_j^{-(g_{L-j+1} - g_{L-j})} z1^{g_L}]
-    via the transfer-operator product sandwiched between boundary vectors.
+    via the transfer-operator product sandwiched between boundary vectors,
+    on S = T + L + 2 altitudes, which every path from an initial altitude
+    m <= T stays below, T the boundary cutoff.  Numerator and denominator
+    share the weight tables.
     """
     t, s = list(t), list(s)
     K = len(t)
@@ -376,18 +345,13 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
     if any(tj <= 0 for tj in t) or any(sj <= 0 for sj in s):
         raise ValueError("t_j and s_j must be positive")
     tlist = t + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
-    num, lg_num = _bilinear_truncated(model, z0, z1, tlist, L, height_cap, tail_tol)
-    den, lg_den = _bilinear_truncated(model, 1.0, 1.0, [1.0] * L, L, height_cap, tail_tol)
+    tables = _weight_tables(model, _boundary_cutoff(model, tail_tol, L) + L + 2)
+    num, lg_num = _bilinear_log(tables, z0, z1, tlist)
+    den, lg_den = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
     return num / den * math.exp(lg_num - lg_den)
 
 
 # ------------------------------------------------- integral representation
-
-def _require_qmodel(model: WeightModel) -> QModelParams:
-    if model.qmodel is None:
-        raise ValueError("this operation needs the q-model orthogonality measure")
-    return model.qmodel
-
 
 def _psi_functions(model: WeightModel, z0: float, z1: float,
                    t: list[float], s: list[float], S: int):
@@ -406,6 +370,38 @@ def _psi_functions(model: WeightModel, z0: float, z1: float,
     return v, w
 
 
+def _moment_integral(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
+                     L: int, quad: QuadraturePolicy, trunc: TruncationPolicy,
+                     what: str) -> float:
+    """int (x/B)^power (v . P(x)) (w [n+1]_q . P(x)) nu(dx), P(x) the
+    polynomials p_0..p_{S-1} at x, S = len(v).  The value is positive;
+    OverflowError naming ``what``, L and q when it comes out as 0, which
+    happens when the density underflows where (x/B)^power has its mass."""
+    B = qm.support().B
+    wtilde = w * np.array([q_number(i + 1, qm.q) for i in range(len(v))])
+
+    def integrand(x):
+        table = motzkin_poly_table(len(v) - 1, x, qm)
+        return (x / B) ** power * (v @ table) * (wtilde @ table)
+
+    val = nu_integrate(integrand, qm, quad, trunc)
+    if val == 0.0:
+        raise OverflowError(f"moment integral of {what} underflows to 0 at L={L}, q={qm.q:g}: "
+                            "the orthogonality density underflows where (x/B)^L has its "
+                            "mass; use the transfer route (matrix_ansatz_expectation, "
+                            "log_normalizing_constant)")
+    return val
+
+
+def _integral_denominator(model: WeightModel, L: int, S: int, quad: QuadraturePolicy,
+                          trunc: TruncationPolicy) -> float:
+    """C_L / B^L as the moment integral int (x/B)^L (V^T P)(W^T Q) nu(dx)
+    with both boundary vectors truncated at S."""
+    v1, w1 = _psi_functions(model, 1.0, 1.0, [], [], S)
+    return _moment_integral(model.qmodel, v1, w1, L, L, quad, trunc,
+                            "C_L / B^L")
+
+
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
                          L: int, model: WeightModel,
                          quad: QuadraturePolicy = DEFAULT_QUADRATURE,
@@ -413,8 +409,10 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
                          tail_tol: float = 1e-12) -> float:
     """Same expectation as :func:`matrix_ansatz_expectation`, evaluated as
     (1/C_L) int x^{L-2K} Psi_0(x) Psi_1(x) nu(dx) against the q-model
-    orthogonality measure.  Powers are taken of x/B so the integrand stays
-    bounded for large L.
+    orthogonality measure, both vectors truncated at S = T + 2K + 8, T the
+    boundary cutoff.  Powers are taken of x/B so the integrand stays
+    bounded for large L.  OverflowError when either integral underflows
+    to 0 (q close to 1 at large L).
     """
     qm = _require_qmodel(model)
     t, s = list(t), list(s)
@@ -423,44 +421,24 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
         raise ValueError("t and s must have equal length")
     if 2 * K > L:
         raise ValueError(f"need 2K <= L, got K={K}, L={L}")
-    B = qm.support().B
     S = _boundary_cutoff(model, tail_tol, L) + 2 * K + 8
+    den = _integral_denominator(model, L, S, quad, trunc)
     v, w = _psi_functions(model, z0, z1, t, s, S)
-    v1, w1 = _psi_functions(model, 1.0, 1.0, [], [], S)
-    qnum = np.array([q_number(i + 1, qm.q) for i in range(S)])
-    wtilde = w * qnum    # column against renormalized polynomials
-    w1tilde = w1 * qnum
-
-    def numerator(x):
-        table = motzkin_poly_table(S - 1, x, qm)
-        return (x / B) ** (L - 2 * K) * (v @ table) * (wtilde @ table)
-
-    def denominator(x):
-        table = motzkin_poly_table(S - 1, x, qm)
-        return (x / B) ** L * (v1 @ table) * (w1tilde @ table)
-
-    num = nu_integrate(numerator, qm, quad, trunc)
-    den = nu_integrate(denominator, qm, quad, trunc)
-    return num / den / B ** (2 * K)
+    num = _moment_integral(qm, v, w, L - 2 * K, L, quad, trunc,
+                           "the expectation's numerator")
+    return num / den / qm.support().B ** (2 * K)
 
 
 def integral_normalizing_constant(L: int, model: WeightModel,
                                   quad: QuadraturePolicy = DEFAULT_QUADRATURE,
                                   trunc: TruncationPolicy = DEFAULT_TRUNCATION,
                                   tail_tol: float = 1e-12) -> float:
-    """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx)."""
+    """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx), both
+    vectors truncated at S = T + 8, T the boundary cutoff."""
     qm = _require_qmodel(model)
     B = qm.support().B
     S = _boundary_cutoff(model, tail_tol, L) + 8
-    v1, w1 = _psi_functions(model, 1.0, 1.0, [], [], S)
-    qnum = np.array([q_number(i + 1, qm.q) for i in range(S)])
-    w1tilde = w1 * qnum
-
-    def integrand(x):
-        table = motzkin_poly_table(S - 1, x, qm)
-        return (x / B) ** L * (v1 @ table) * (w1tilde @ table)
-
-    log_value = math.log(nu_integrate(integrand, qm, quad, trunc)) + L * math.log(B)
+    log_value = math.log(_integral_denominator(model, L, S, quad, trunc)) + L * math.log(B)
     if log_value > 700.0:
         raise OverflowError(f"integral normalizing constant exp({log_value:.1f}) at L={L}, "
                             f"B={B:g} overflows; use log_normalizing_constant")
@@ -496,7 +474,7 @@ def _backward_vectors(model: WeightModel, L: int, S: int) -> np.ndarray:
 
 
 def sample_paths(L: int, model: WeightModel, count: int, seed: int,
-                 height_cap: int | None = None, tail_tol: float = 1e-12) -> np.ndarray:
+                 tail_tol: float = 1e-12) -> np.ndarray:
     """Exact samples from the path measure, as an int array (count, L+1).
 
     Sequential sampler: the initial altitude is drawn proportionally to
@@ -506,27 +484,23 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     then gathers its three entries and takes the move its uniform lands in.
     Deterministic for a fixed seed.
 
-    Initial altitudes are at most height_cap - L, and height_cap must be
-    at least L + 1.  Without a height_cap they are at most the boundary
-    cutoff T, and the backward table (L+1) x (T+L+2) must fit in
-    SAMPLE_TABLE_CAP entries.  CapacityError when the initial altitudes
-    past the cap carry more than 10 tail_tol of the mass alpha_m u_0[m].
+    Initial altitudes are at most the boundary cutoff T, and the backward
+    table (L+1) x (T+L+2) must fit in SAMPLE_TABLE_CAP entries.
+    CapacityError when the table does not fit, or when the initial
+    altitudes past T carry more than 10 tail_tol of the mass alpha_m u_0[m].
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if height_cap is not None and height_cap < L + 1:
-        raise CapacityError(f"height_cap={height_cap} < L+1={L + 1}; "
-                            "no initial altitude fits below the cap")
-    S = (_boundary_cutoff(model, tail_tol, L) + L + 2) if height_cap is None else height_cap + 2
-    if height_cap is None and (L + 1) * S > SAMPLE_TABLE_CAP:
+    T = _boundary_cutoff(model, tail_tol, L)
+    S = T + L + 2
+    if (L + 1) * S > SAMPLE_TABLE_CAP:
         raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
                             f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
     u = _backward_vectors(model, L, S)
     av, _ = model.boundary_arrays(S)
-    top = S - L - 1
-    _initial_mass_past(av, u[0], top - 1, L, 10 * tail_tol)
+    _initial_mass_past(av, u[0], T, L, 10 * tail_tol)
     a, b, c = model.weight_arrays(S)
-    p0 = (av * u[0])[:top]
+    p0 = (av * u[0])[:T + 1]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(p0)

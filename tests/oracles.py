@@ -169,13 +169,13 @@ def gauss_legendre(f, a: float, b: float, policy: QuadraturePolicy = DEFAULT_QUA
 
 
 def sample_paths_per_state(L: int, model, count: int, seed: int,
-                           height_cap: int | None = None, tail_tol: float = 1e-12) -> np.ndarray:
+                           tail_tol: float = 1e-12) -> np.ndarray:
     """``motzkin.sample_paths`` with every path gathering its own edge
     weights and backward-vector entries at each step."""
     if count < 1:
         raise ValueError("count must be positive")
     T = _boundary_cutoff(model, tail_tol, L)
-    S = (T + L + 2) if height_cap is None else height_cap + 2
+    S = T + L + 2
     u = _backward_vectors(model, L, S)
     a, b, c = model.weight_arrays(S)
     av, _ = model.boundary_arrays(S)
@@ -404,13 +404,13 @@ def motzkin_poly_eval_scalar(n: int, x: float, m) -> float:
     return cur
 
 
-def end_mass_shares_past(wm, L: int, T: int, extra: int = 400) -> tuple[float, float]:
-    """Shares of the length-L path measure with g_0 > T and with g_L > T:
-    alpha_m (M^L beta)_m and (alpha M^L)_n beta_n on T + L + extra levels,
-    by a backward and a forward pass whose weights are read from the model
-    one level at a time and whose vector is divided by its sum after every
-    step."""
-    ns = range(T + L + extra)
+def end_laws(wm, L: int, S: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laws of g_0 and of g_L under the length-L path measure on altitudes
+    0..S-1: alpha_m (M^L beta)_m and (alpha M^L)_n beta_n, each divided by
+    its sum, by a backward and a forward pass whose weights are read from
+    the model one level at a time and whose vector is divided by its sum
+    after every step."""
+    ns = range(S)
     up, flat, down, alpha, beta = (np.array([f(n) for n in ns], dtype=float)
                                    for f in (wm.up, wm.flat, wm.down, wm.alpha, wm.beta))
     u, v = beta, alpha
@@ -423,4 +423,35 @@ def end_mass_shares_past(wm, L: int, T: int, extra: int = 400) -> tuple[float, f
         fwd[:-1] += down[1:] * v[1:]
         u, v = back / back.sum(), fwd / fwd.sum()
     p0, pL = alpha * u, v * beta
-    return float(p0[T + 1:].sum() / p0.sum()), float(pL[T + 1:].sum() / pL.sum())
+    return p0 / p0.sum(), pL / pL.sum()
+
+
+def end_mass_shares_past(wm, L: int, T: int, extra: int = 400) -> tuple[float, float]:
+    """Shares of the length-L path measure with g_0 > T and with g_L > T,
+    from :func:`end_laws` on T + L + extra levels."""
+    p0, pL = end_laws(wm, L, T + L + extra)
+    return float(p0[T + 1:].sum()), float(pL[T + 1:].sum())
+
+
+def transfer_expectation_plain(wm, z0: float, z1: float, t, s, L: int, S: int) -> float:
+    """``motzkin.matrix_ansatz_expectation`` on a fixed number S of levels,
+    by two forward passes without rescaling whose weights are read from the
+    model one level at a time (short paths only: nothing guards overflow)."""
+    ns = range(S)
+    up, flat, down, alpha, beta = (np.array([f(n) for n in ns], dtype=float)
+                                   for f in (wm.up, wm.flat, wm.down, wm.alpha, wm.beta))
+    K = len(t)
+    tlist = list(t) + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
+    h = np.arange(S)
+
+    def forward(v, ts):
+        for tj in ts:
+            new = flat * v
+            new[1:] += tj * up[:-1] * v[:-1]
+            new[:-1] += down[1:] / tj * v[1:]
+            v = new
+        return v
+
+    num = forward(alpha * z0 ** h, tlist) @ (beta * z1 ** h)
+    den = forward(alpha, [1.0] * L) @ beta
+    return float(num / den)

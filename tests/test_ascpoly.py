@@ -17,7 +17,6 @@ from motzkinq.ascpoly import (
     asc_endpoint_limit_q_to_1,
     asc_eval,
     asc_eval_scaled,
-    motzkin_poly_eval,
     motzkin_poly_table,
     nu_integrate,
     pi_values,
@@ -195,7 +194,7 @@ def test_s_value_matches_polynomial_recurrence():
     B = m.support().B
     s = s_values(8, m)
     for n in (1, 3, 8):
-        via_poly = motzkin_poly_eval(n, B, m) * q_number(n + 1, m.q)
+        via_poly = motzkin_poly_table(n, [B], m)[n, 0] * q_number(n + 1, m.q)
         assert s[n] == pytest.approx(via_poly, rel=1e-11)
 
 
@@ -273,16 +272,16 @@ def test_s_ratios_agree_with_convolution():
 
 def test_motzkin_poly_first_orders():
     m = QModelParams(q=0.6, sigma=0.8)
-    assert motzkin_poly_eval(0, 2.2, m) == 1.0
+    assert motzkin_poly_table(0, [2.2], m)[0, 0] == 1.0
     for x in (-1.0, 0.5, 4.0):
-        assert motzkin_poly_eval(1, x, m) == pytest.approx(
+        assert motzkin_poly_table(1, [x], m)[1, 0] == pytest.approx(
             (x - 2 * m.sigma) / q_number(2, m.q), rel=1e-14)
 
 
 def test_motzkin_poly_at_right_endpoint_is_pi():
     m = QModelParams(q=0.5, sigma=1.0)
     B = m.support().B
-    assert motzkin_poly_eval(5, B, m) == pytest.approx(pi_values(5, m)[5], rel=1e-10)
+    assert motzkin_poly_table(5, [B], m)[5, 0] == pytest.approx(pi_values(5, m)[5], rel=1e-10)
 
 
 @pytest.mark.parametrize("q,sigma", [(0.3, 0.9), (0.7, 0.4)])
@@ -293,7 +292,7 @@ def test_conjugation_between_p_and_Q(q, sigma):
     for n in (1, 4, 9):
         for x in np.linspace(-0.95, 0.95, 7):
             y = 2 * (x + sigma) / (1 - q)
-            lhs = motzkin_poly_eval(n, float(y), m)
+            lhs = motzkin_poly_table(n, [float(y)], m)[n, 0]
             rhs = asc_eval(n, float(x), p) / (q_number(n + 1, q) * qpoch_finite(q, q, n))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -306,7 +305,7 @@ def test_motzkin_poly_table_matches_scalar():
     for n in range(7):
         for j, x in enumerate(xs):
             assert table[n, j] == pytest.approx(motzkin_poly_eval_scalar(n, float(x), m), rel=1e-12)
-            assert motzkin_poly_eval(n, float(x), m) == table[n, j]
+            assert motzkin_poly_table(n, [float(x)], m)[n, 0] == table[n, j]
 
 
 def test_motzkin_poly_table_bitwise_equal_to_scalar_recurrence():
@@ -334,7 +333,7 @@ def test_motzkin_poly_table_overflow_names_first_order_and_x():
     with pytest.raises(OverflowError, match=rf"^p_{n1600}\(1600\.0\) overflowed"):
         motzkin_poly_table(n800 + 5, xs, m)
     with pytest.raises(OverflowError, match=rf"^p_{n800}\(800\.0\) overflowed"):
-        motzkin_poly_eval(n800, 800.0, m)
+        motzkin_poly_table(n800, [800.0], m)
     assert np.all(np.isfinite(motzkin_poly_table(n1600 - 1, xs, m)))
 
 

@@ -16,7 +16,8 @@ from motzkinq.ascpoly import (
     q_number,
 )
 from motzkinq import motzkin
-from motzkinq.errors import CapacityError, ConvergenceError
+from motzkinq.chains import endpoint_pair_correlation, finite_path_head_law
+from motzkinq.errors import CapacityError
 from motzkinq.motzkin import (
     MotzkinPath,
     WeightModel,
@@ -39,8 +40,9 @@ from motzkinq.motzkin import (
     _tridiagonal_step,
 )
 
-from oracles import (brute_expectation, brute_partition_sum, enumerate_paths_recursive,
-                     gauss_legendre, end_mass_shares_past, sample_paths_per_state)
+from oracles import (brute_expectation, brute_partition_sum, end_laws, end_mass_shares_past,
+                     enumerate_paths_recursive, gauss_legendre, sample_paths_per_state,
+                     transfer_expectation_plain)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -195,11 +197,6 @@ def test_partition_weight_matches_enumeration(q, sigma, m, n, L):
     assert partition_weight(L, m, n, wm) == pytest.approx(brute, rel=1e-10)
 
 
-def test_partition_weight_cap_guard():
-    with pytest.raises(CapacityError):
-        partition_weight(6, 2, 0, WeightModel.unit(), height_cap=5)
-
-
 # ------------------------------------------------------ normalizing constant
 
 def test_normalizing_constant_length_zero():
@@ -224,11 +221,6 @@ def test_normalizing_constant_growth_rate():
             for L in (40, 80, 160)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.015
-
-
-def test_unit_model_boundary_divergence_signalled():
-    with pytest.raises(ConvergenceError):
-        normalizing_constant(3, WeightModel.unit())
 
 
 # ----------------------------------------------------------- matrix ansatz
@@ -306,26 +298,32 @@ def test_transfer_takes_the_cut_from_the_short_end_when_rho0_is_near_one():
     wm = WeightModel.from_qmodel(QModelParams(q=0.9, sigma=0.8, rho0=0.9999, rho1=0.25))
     assert _boundary_cutoff(wm, 1e-12, 10) == 54
     got = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 10, wm)
-    want = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 10, wm, height_cap=200)
+    want = transfer_expectation_plain(wm, 0.9, 0.8, [0.8], [1.1], 10, 202)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.27025397, rel=1e-7)
 
 
-def test_transfer_outside_the_q_model_checks_what_its_cut_drops():
-    # the q = 0.99 weights without their qmodel tag: the decay scan of
-    # alpha + beta keeps T = 33, which holds at L = 10, but u_0 grows with
-    # the altitude and by L = 50 the initial mass reaches past it
-    wq = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
-    plain = dataclasses.replace(wq, qmodel=None)
-    assert log_normalizing_constant(10, plain) == pytest.approx(
-        log_normalizing_constant(10, wq), rel=1e-14)
-    msg = r"initial altitudes past T=33 carry mass 4.56e-07 > 1e-12 at L=50"
-    with pytest.raises(CapacityError, match=msg):
-        log_normalizing_constant(50, plain)
-    with pytest.raises(CapacityError, match=msg):
-        matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 50, plain)
-    assert log_normalizing_constant(50, plain, height_cap=400) == pytest.approx(
-        log_normalizing_constant(50, wq), rel=1e-12)
+# the q = 0.99 weights without their qmodel tag
+_UNTAGGED = dataclasses.replace(
+    WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25)), qmodel=None)
+TRUNCATED_ROUTES = {
+    "log_normalizing_constant": lambda wm: log_normalizing_constant(10, wm),
+    "normalizing_constant": lambda wm: normalizing_constant(10, wm),
+    "matrix_ansatz_expectation":
+        lambda wm: matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 10, wm),
+    "sample_paths": lambda wm: sample_paths(10, wm, 5, seed=1),
+    "finite_path_head_law": lambda wm: finite_path_head_law(wm, 10, 2),
+    "endpoint_pair_correlation": lambda wm: endpoint_pair_correlation(wm, 10),
+    "integral_expectation": lambda wm: integral_expectation(0.9, 0.8, [0.8], [1.1], 10, wm),
+    "integral_normalizing_constant": lambda wm: integral_normalizing_constant(10, wm),
+}
+
+
+@pytest.mark.parametrize("route", TRUNCATED_ROUTES.values(), ids=TRUNCATED_ROUTES.keys())
+@pytest.mark.parametrize("wm", [WeightModel.unit(), _UNTAGGED], ids=["unit", "untagged_q099"])
+def test_truncated_routes_require_the_qmodel(route, wm):
+    with pytest.raises(ValueError, match=r"needs the q-model weights"):
+        route(wm)
 
 
 def test_matrix_ansatz_argument_validation():
@@ -383,6 +381,27 @@ def test_integral_normalizing_constant_overflow_names_layer():
     with pytest.raises(OverflowError, match=r"integral normalizing constant .* at L=200, "
                                             r"B=360 overflows; use log_normalizing_constant"):
         integral_normalizing_constant(200, wm)
+
+
+# at q = 0.995 the density underflows to 0 where (x/B)^L has its mass: the
+# integrals came out as 0 (ZeroDivisionError, "math domain error", or 0.0
+# returned for the expectation at L = 700)
+_Q995 = WeightModel.from_qmodel(QModelParams(q=0.995, sigma=0.8, rho0=0.3, rho1=0.25))
+_INTEGRAL_ROUTES = {
+    "expectation": lambda L: integral_expectation(0.9, 0.8, [0.8], [1.1], L, _Q995),
+    "normalizing_constant": lambda L: integral_normalizing_constant(L, _Q995),
+}
+
+
+@pytest.mark.parametrize("route, L, in_denominator", [
+    ("expectation", 700, False), ("expectation", 1000, True), ("expectation", 2000, True),
+    ("normalizing_constant", 1000, True), ("normalizing_constant", 2000, True),
+])
+def test_integral_underflow_names_the_integral(route, L, in_denominator):
+    integral = r"C_L / B\^L" if in_denominator else "the expectation's numerator"
+    with pytest.raises(OverflowError, match=rf"moment integral of {integral} underflows to 0 "
+                                            rf"at L={L}, q=0\.995: .* use the transfer route"):
+        _INTEGRAL_ROUTES[route](L)
 
 
 def test_integral_expectation_requires_qmodel():
@@ -527,13 +546,6 @@ def test_sampler_initial_marginal_matches_generating_function():
     assert abs(emp - exact) <= 4 * se
 
 
-def test_sampler_cap_guard():
-    m = QModelParams(q=0.3, sigma=0.5, rho0=0.6, rho1=0.5)
-    wm = WeightModel.from_qmodel(m)
-    with pytest.raises(CapacityError):
-        sample_paths(4, wm, 10, seed=1, height_cap=6)
-
-
 def test_sampler_table_cap_checked_before_the_backward_pass(monkeypatch):
     # T = 691 at q = 0.99, rho0 = 0.8: the table 2601 x 3293 passes 2^23 entries
     def no_pass(*args):
@@ -552,13 +564,6 @@ def test_sampler_default_cap_raises_when_the_cut_loses_mass(monkeypatch):
         sample_paths(200, wm, 10, seed=1)
 
 
-def test_sampler_height_cap_below_path_length_raises():
-    wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
-    for L, cap in [(300, 200), (300, 300), (4, 0)]:
-        with pytest.raises(CapacityError, match=f"height_cap={cap} < L\\+1={L + 1}"):
-            sample_paths(L, wm, 10, seed=1, height_cap=cap)
-
-
 @pytest.mark.parametrize("L", [50, 300])
 def test_sampler_default_cap_grows_as_q_approaches_one(L):
     # u_0 grows with the altitude at q = 0.99, so the old geometric boundary
@@ -566,30 +571,31 @@ def test_sampler_default_cap_grows_as_q_approaches_one(L):
     wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
     N = 4000
     got = sample_paths(L, wm, N, seed=3)
-    ref = sample_paths(L, wm, N, seed=4, height_cap=800)
-    for col in (0, L):
-        a, b = got[:, col].astype(float), ref[:, col].astype(float)
-        se = math.sqrt(a.var() / N + b.var() / N)
-        assert abs(a.mean() - b.mean()) <= 4 * se, col
+    exact = end_laws(wm, L, 1600)
+    for col, law in zip((0, L), exact):
+        a = got[:, col].astype(float)
+        mean = float(np.arange(len(law)) @ law)
+        assert abs(a.mean() - mean) <= 4 * a.std() / math.sqrt(N), col
 
 
-# (model, height_cap): the q = 0.99 model runs at an explicit cap of 800
+# the ids keep the test names of the time when the q = 0.99 model ran at an
+# explicit cap of 800; it runs at the boundary cutoff like the others
 ORACLE_MODELS = [
-    (QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25), None),
-    (QModelParams(q=0.5, sigma=0.01, rho0=0.3, rho1=0.25), None),
-    (QModelParams(q=0.4, sigma=0.7, rho0=0.0, rho1=0.25), None),
-    (QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), 800),
+    pytest.param(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25), id="model0-None"),
+    pytest.param(QModelParams(q=0.5, sigma=0.01, rho0=0.3, rho1=0.25), id="model1-None"),
+    pytest.param(QModelParams(q=0.4, sigma=0.7, rho0=0.0, rho1=0.25), id="model2-None"),
+    pytest.param(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), id="model3-800"),
 ]
 
 
 @pytest.mark.parametrize("L", [1, 2, 50, 300])
-@pytest.mark.parametrize("model, height_cap", ORACLE_MODELS)
-def test_sampler_matches_per_state_oracle_bitwise(model, height_cap, L):
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_sampler_matches_per_state_oracle_bitwise(model, L):
     # the level tables draw the same uniforms and do the same floating-point
     # operations as the per-path gathers, so the paths agree exactly
     wm = WeightModel.from_qmodel(model)
     for seed in (0, 1, 17):
-        got = sample_paths(L, wm, 300, seed, height_cap=height_cap)
-        want = sample_paths_per_state(L, wm, 300, seed, height_cap=height_cap)
+        got = sample_paths(L, wm, 300, seed)
+        want = sample_paths_per_state(L, wm, 300, seed)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
