@@ -30,7 +30,7 @@ for n in (0, 1, 2, 5, 10):
     print(f"  from {n:2d}: {decorated}")
 print()
 
-chain = chain_head_law(model, "X", 3, 1e-10)
+chain = chain_head_law(model, "X", 3)
 wm = WeightModel.from_qmodel(model)
 print("TV distance between the length-L head law (g_0..g_3) and the chain law:")
 for L in (25, 50, 100, 200):
@@ -39,8 +39,7 @@ for L in (25, 50, 100, 200):
 print()
 
 k, start, target = 7, 1, 3
-via_iteration = kstep_distribution(Distribution.point_mass(start), k, model,
-                                   height_cap=start + k + 1).prob(target)
+via_iteration = kstep_distribution(Distribution.point_mass(start), k, model).prob(target)
 via_integral = kstep_transition_integral(start, target, k, model)
 print(f"P(X_{k} = {target} | X_0 = {start}):")
 print(f"  tridiagonal iteration : {via_iteration:.12f}")

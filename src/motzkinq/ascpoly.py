@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    DEFAULT_TRUNCATION,
-    QuadraturePolicy,
-    TruncationPolicy,
-    _nested_trapezoid,
-)
+from .numerics import DEFAULT_QUADRATURE, _nested_trapezoid
 from .qspecial import q_number, qpoch_infinite, qpoch_log_abs
 
 __all__ = [
@@ -142,36 +136,16 @@ def _check_order(n: int) -> None:
         raise OverflowError(f"recurrence order {n} exceeds cap {RECURRENCE_CAP}")
 
 
-def asc_eval(n: int, x: float, p: AscParams) -> float:
-    """Q_n(x; a, b | q) by forward recurrence."""
+def _asc_recurrence(n: int, x: float, p: AscParams) -> tuple[float, float]:
+    """(value, log scale) with Q_n(x) = value exp(log scale), by forward
+    recurrence; both recurrence terms are divided by |Q_k| whenever it
+    passes 1e150, so the scale stays 0 while Q_k stays below that."""
     _check_order(n)
-    s1, s2, q = p.sum_ab, p.prod_ab, p.q
-    prev, cur = 0.0, 1.0
-    qn = 1.0  # q^k
-    qn1 = 1.0 / q if q > 0 else 0.0  # q^(k-1); unused factor at k=0 since (1-q^0)=0
-    for _ in range(n):
-        prev, cur = cur, (2.0 * x - s1 * qn) * cur - (1.0 - qn) * (1.0 - s2 * qn1) * prev
-        qn1 = qn
-        qn *= q
-    if not math.isfinite(cur):
-        raise OverflowError(f"Q_{n}({x}) overflowed double precision")
-    return cur
-
-
-def asc_eval_scaled(n: int, x: float, p: AscParams) -> tuple[float, float]:
-    """(sign, log|Q_n(x)|) by a rescaled forward recurrence.
-
-    Stays usable where Q_n itself leaves the double-precision range (the
-    q -> 1 endpoint scaling needs orders in the thousands with huge values).
-    """
-    _check_order(n)
-    if n == 0:
-        return 1.0, 0.0
     s1, s2, q = p.sum_ab, p.prod_ab, p.q
     prev, cur = 0.0, 1.0
     log_scale = 0.0
-    qn = 1.0
-    qn1 = 1.0 / q if q > 0 else 0.0
+    qn = 1.0  # q^k
+    qn1 = 1.0 / q if q > 0 else 0.0  # q^(k-1); unused factor at k=0 since (1-q^0)=0
     for _ in range(n):
         prev, cur = cur, (2.0 * x - s1 * qn) * cur - (1.0 - qn) * (1.0 - s2 * qn1) * prev
         qn1 = qn
@@ -181,6 +155,29 @@ def asc_eval_scaled(n: int, x: float, p: AscParams) -> tuple[float, float]:
             prev /= acur
             cur /= acur
             log_scale += math.log(acur)
+    return cur, log_scale
+
+
+def asc_eval(n: int, x: float, p: AscParams) -> float:
+    """Q_n(x; a, b | q) by forward recurrence; OverflowError where it
+    leaves double range."""
+    cur, log_scale = _asc_recurrence(n, x, p)
+    try:
+        cur *= math.exp(log_scale)
+    except OverflowError:
+        cur = math.inf
+    if not math.isfinite(cur):
+        raise OverflowError(f"Q_{n}({x}) overflowed double precision")
+    return cur
+
+
+def asc_eval_scaled(n: int, x: float, p: AscParams) -> tuple[float, float]:
+    """(sign, log|Q_n(x)|) by the rescaled forward recurrence.
+
+    Stays usable where Q_n itself leaves the double-precision range (the
+    q -> 1 endpoint scaling needs orders in the thousands with huge values).
+    """
+    cur, log_scale = _asc_recurrence(n, x, p)
     if cur == 0.0:
         return 0.0, -math.inf
     return math.copysign(1.0, cur), math.log(abs(cur)) + log_scale
@@ -210,7 +207,7 @@ def asc_at_one(n: int, p: AscParams) -> float:
     return val.real
 
 
-def asc_density(x: float, p: AscParams, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+def asc_density(x: float, p: AscParams) -> float:
     """Orthogonality density g(x) of the Al-Salam-Chihara family on (-1, 1).
 
     Requires |a| < 1 and |b| < 1.
@@ -223,15 +220,12 @@ def asc_density(x: float, p: AscParams, policy: TruncationPolicy = DEFAULT_TRUNC
     theta = math.acos(x)
     e2 = cmath.exp(2j * theta)
     e1 = cmath.exp(1j * theta)
-    num = qpoch_infinite(q, q, policy) * qpoch_infinite(p.prod_ab, q, policy) \
-        * abs(qpoch_infinite(e2, q, policy)) ** 2
-    den = abs(qpoch_infinite(complex(p.a) * e1, q, policy)
-              * qpoch_infinite(complex(p.b) * e1, q, policy)) ** 2
+    num = qpoch_infinite(q, q) * qpoch_infinite(p.prod_ab, q) * abs(qpoch_infinite(e2, q)) ** 2
+    den = abs(qpoch_infinite(complex(p.a) * e1, q) * qpoch_infinite(complex(p.b) * e1, q)) ** 2
     return num / (2.0 * math.pi * math.sqrt(1.0 - x * x) * den)
 
 
-def density_times_sine(theta: np.ndarray, p: AscParams,
-                       policy: TruncationPolicy = DEFAULT_TRUNCATION) -> np.ndarray:
+def density_times_sine(theta: np.ndarray, p: AscParams) -> np.ndarray:
     """g(cos theta) sin(theta) on a grid, in the form with the square-root
     edge factors absorbed (smooth at both endpoints):
 
@@ -244,10 +238,10 @@ def density_times_sine(theta: np.ndarray, p: AscParams,
     q = p.q
     e1 = np.exp(1j * theta)
     with np.errstate(all="ignore"):
-        num = qpoch_infinite(q, q, policy) * qpoch_infinite(p.prod_ab, q, policy) \
-            * np.abs(qpoch_infinite(q * (e1 * e1), q, policy)) ** 2
-        den = np.abs(qpoch_infinite(complex(p.a) * e1, q, policy)
-                     * qpoch_infinite(complex(p.b) * e1, q, policy)) ** 2
+        num = qpoch_infinite(q, q) * qpoch_infinite(p.prod_ab, q) \
+            * np.abs(qpoch_infinite(q * (e1 * e1), q)) ** 2
+        den = np.abs(qpoch_infinite(complex(p.a) * e1, q)
+                     * qpoch_infinite(complex(p.b) * e1, q)) ** 2
         out = (2.0 / math.pi) * np.sin(theta) ** 2 * num / den
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
@@ -256,9 +250,7 @@ def density_times_sine(theta: np.ndarray, p: AscParams,
     return out
 
 
-def nu_integrate(f, m: QModelParams,
-                 quad: QuadraturePolicy = DEFAULT_QUADRATURE,
-                 trunc: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+def nu_integrate(f, m: QModelParams) -> float:
     """Integral of a vectorized function against the Motzkin orthogonality
     measure, via the substitution x = 2 (cos theta + sigma)/(1 - q).
 
@@ -272,14 +264,14 @@ def nu_integrate(f, m: QModelParams,
     def integrand(theta):
         x = scale * (np.cos(theta) + m.sigma)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = density_times_sine(theta, p, trunc) * np.asarray(f(x), dtype=float)
+            out = density_times_sine(theta, p) * np.asarray(f(x), dtype=float)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise OverflowError(f"orthogonality-measure integrand left double range "
                                 f"at x={float(np.ravel(x)[bad[0]]):.6g}")
         return out
 
-    total, _ = _nested_trapezoid(integrand, math.pi, quad, 64.0,
+    total, _ = _nested_trapezoid(integrand, math.pi, DEFAULT_QUADRATURE, 64.0,
                                  "orthogonality-measure quadrature")
     return float(total)
 
@@ -412,8 +404,7 @@ def asc_endpoint_limit_fixed_q(M: int, u: float, p: AscParams) -> float:
     return asc_eval(M, 1.0 - u * u / (2.0 * M * M), p) / M
 
 
-def asc_endpoint_limit_q_to_1(M: int, u: float, x: float, sigma: float,
-                              policy: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+def asc_endpoint_limit_q_to_1(M: int, u: float, x: float, sigma: float) -> float:
     """Endpoint scaling with q = exp(-2/M) and conjugate unimodular
     parameters; converges to K_{i|u|}(exp(-x)) as M grows.
 
@@ -440,7 +431,7 @@ def asc_endpoint_limit_q_to_1(M: int, u: float, x: float, sigma: float,
     sign, logq_m = asc_eval_scaled(midx, math.cos(u / M), params)
     if sign == 0.0:
         return 0.0
-    lqq_inf = qpoch_log_abs(q, q, None, policy)
-    lab_inf = qpoch_log_abs(a, q, None, policy) + qpoch_log_abs(b, q, None, policy)
-    lqq_m = qpoch_log_abs(q, q, midx, policy)
+    lqq_inf = qpoch_log_abs(q, q)
+    lab_inf = qpoch_log_abs(a, q) + qpoch_log_abs(b, q)
+    lqq_m = qpoch_log_abs(q, q, midx)
     return sign * math.exp(2.0 * lqq_inf - math.log(M) - lab_inf + logq_m - lqq_m)

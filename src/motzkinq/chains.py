@@ -14,8 +14,9 @@ r_n = s_{n+1} / s_n, which :func:`motzkinq.ascpoly.s_ratios` gives in O(cap)
 real arithmetic, and the initial laws combine log s_n with log C, so both
 stay finite where s_n and C leave double range (q -> 1 at large N).  Every
 function takes the model parameters directly; nothing is cached.
-k-step probabilities come either from tridiagonal iteration (default) or
-from the orthogonality-measure integral
+k-step probabilities come either from tridiagonal iteration (default, on
+states 0..max support + k, the exact reach) or from the
+orthogonality-measure integral
 
     P(X_k = n | X_0 = m) = (pi_n / pi_m) B^{-k} int x^k p_m(x) ptilde_n(x) nu(dx),
 
@@ -23,7 +24,8 @@ kept as a cross-validation route.  The local-limit drivers use a Chebyshev
 expansion of P^k (:func:`_chebyshev_power`), which needs about
 sqrt(2 k ln(4/eps)) tridiagonal products instead of k.  The exact length-L
 laws that the chains approximate take their heads from ``altitude_table``
-and their middle from one backward pass of a few end vectors.
+and their middle from one backward pass of a few end vectors, and drop at
+most EXACT_TAIL_TOL of the initial mass past the boundary cutoff.
 """
 
 from __future__ import annotations
@@ -44,16 +46,10 @@ from .ascpoly import (
     q_number,
     s_ratios,
 )
-from .errors import CapacityError
 from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _pull_back,
                       _table_product, _transposed, _tridiagonal_step, _weight_tables,
                       altitude_table)
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    DEFAULT_TRUNCATION,
-    QuadraturePolicy,
-    _EPS,
-)
+from .numerics import _EPS
 
 __all__ = [
     "Distribution",
@@ -69,6 +65,10 @@ __all__ = [
     "tv_distance",
     "endpoint_pair_correlation",
 ]
+
+# share of the initial mass that the exact head law and the endpoint
+# correlation may drop past the boundary cutoff
+EXACT_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -209,28 +209,21 @@ def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
     return out, d
 
 
-def kstep_distribution(start: Distribution, k: int, model: QModelParams,
-                       height_cap: int) -> Distribution:
-    """Distribution after k steps from ``start`` on states 0..height_cap.
-
-    The cap must cover the reachable support max support + k, so no mass
-    reaches the top state within k steps and none is lost.
-    """
+def kstep_distribution(start: Distribution, k: int, model: QModelParams) -> Distribution:
+    """Distribution after k steps from ``start`` on states 0..max support + k,
+    the exact reach: mass gets to the top state only at step k, so none is
+    lost past it."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    max_support = start.offset + len(start.probs) - 1
-    if height_cap < max_support + k:
-        raise CapacityError(
-            f"height_cap={height_cap} < max support + k = {max_support + k}")
-    up, flat, down = transition_arrays(model, height_cap)
-    vec = np.zeros(height_cap + 1)
+    cap = start.offset + len(start.probs) - 1 + k
+    up, flat, down = transition_arrays(model, cap)
+    vec = np.zeros(cap + 1)
     vec[start.offset: start.offset + len(start.probs)] = start.probs
     out, _ = _iterate_tridiagonal(vec, k, up, flat, down)
     return Distribution(offset=0, probs=out)
 
 
-def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams,
-                              quad: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
+def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams) -> float:
     """P(X_k = n | X_0 = m) through the orthogonality-measure moment
     integral; cross-validates the tridiagonal route.
 
@@ -245,7 +238,7 @@ def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams,
         tbl = motzkin_poly_table(nmax, x, model)
         return (x / B) ** k * tbl[m] * tbl[n]
 
-    val = nu_integrate(integrand, model, quad, DEFAULT_TRUNCATION)
+    val = nu_integrate(integrand, model)
     pis = pi_values(nmax, model)
     return pis[n] / pis[m] * q_number(n + 1, model.q) * val
 
@@ -290,18 +283,19 @@ def _step_lists(model: QModelParams, cap: int) -> tuple[list[float], list[float]
 
 # ----------------------------------------------- exact finite-length laws
 
-def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int, tail_tol: float):
+def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int):
     """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends for
     the end columns beta_n n^i, i < moments, on altitudes 0..T+L+1, T the
-    boundary cutoff, and lost the share of the initial mass alpha_m u_0[m],
-    u_0 = M^L ends, past T.  CapacityError if lost > tail_tol."""
-    T = _boundary_cutoff(wm, tail_tol, L)
+    boundary cutoff at EXACT_TAIL_TOL, and lost the share of the initial
+    mass alpha_m u_0[m], u_0 = M^L ends, past T.  CapacityError if lost >
+    EXACT_TAIL_TOL."""
+    T = _boundary_cutoff(wm, EXACT_TAIL_TOL, L)
     S = T + L + 2
     a, b, c, av, bv = _weight_tables(wm, S)
     up_T, down_T = _transposed(a, c)
     cols = (up_T[:, None], b[:, None], down_T[:, None])
     uK = _pull_back(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), L - K, *cols)
-    lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T, L, tail_tol)
+    lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T, L, EXACT_TAIL_TOL)
     return T, (a, b, c, av), uK, lost
 
 
@@ -310,28 +304,27 @@ def _positive_rows(table: np.ndarray, p: np.ndarray) -> dict[tuple[int, ...], fl
     return dict(zip(map(tuple, table[keep].tolist()), p[keep].tolist()))
 
 
-def finite_path_head_law(wm: WeightModel, L: int, K: int,
-                         tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
+def finite_path_head_law(wm: WeightModel, L: int, K: int) -> dict[tuple[int, ...], float]:
     """Exact joint law of (g_0, ..., g_K) under the length-L path measure:
     alpha_m w(head) u_K[g_K] / (alpha . u_0) over the :func:`altitude_table`
     heads from m <= T, T the boundary cutoff, whose total is 1 - lost.
     CapacityError if the share lost of the mass alpha_m u_0[m] past T
-    exceeds tail_tol, so the law misses at most tail_tol.  Needs the
+    exceeds EXACT_TAIL_TOL, so the law misses at most that.  Needs the
     q-model weights.  Guarded at K <= ENUMERATION_CAP."""
     if K >= L:
         raise ValueError("need K < L")
-    T, (a, b, c, av), uK, lost = _pulled_back_ends(wm, L, K, 1, tail_tol)
+    T, (a, b, c, av), uK, lost = _pulled_back_ends(wm, L, K, 1)
     table = np.concatenate([altitude_table(K, m, None) for m in range(T + 1)])
     p = av[table[:, 0]] * _table_product(table, a, b, c) * uK[table[:, -1], 0]
     return _positive_rows(table, p * ((1.0 - lost) / p.sum()))
 
 
-def chain_head_law(model: QModelParams, which: str, K: int,
-                   tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
+def chain_head_law(model: QModelParams, which: str, K: int) -> dict[tuple[int, ...], float]:
     """Joint law of the first K+1 chain states (X_0..X_K or Y_0..Y_K): the
-    :func:`altitude_table` heads from each start of the initial law, priced
-    by the (up, flat, down) rows.  Guarded at K <= ENUMERATION_CAP."""
-    init = initial_law(which, model, tail_tol)
+    :func:`altitude_table` heads from each start of the initial law, cut at
+    EXACT_TAIL_TOL, priced by the (up, flat, down) rows.  Guarded at
+    K <= ENUMERATION_CAP."""
+    init = initial_law(which, model, EXACT_TAIL_TOL)
     up, flat, down = transition_arrays(model, init.offset + len(init.probs) + K)
     table = np.concatenate([altitude_table(K, n, None) for n, _ in init.rows()])
     p = init.probs[table[:, 0] - init.offset] * _table_product(table, up, flat, down)
@@ -349,18 +342,17 @@ def tv_distance(law1: dict[tuple[int, ...], float],
     return 0.5 * (diff + tail1 + tail2)
 
 
-def endpoint_pair_correlation(wm: WeightModel, L: int,
-                              tail_tol: float = 1e-10) -> float:
+def endpoint_pair_correlation(wm: WeightModel, L: int) -> float:
     """Correlation of (g_0, g_L) under the exact length-L path measure.
 
     (beta, beta n, beta n^2) pulled back L steps and paired with
     (alpha, alpha m, alpha m^2) over m <= T give F[i, j] = C E[g_0^i g_L^j]
     up to one factor, T the boundary cutoff.  CapacityError if more than
-    tail_tol of the initial mass lies past T, so the law behind the
-    moments misses at most tail_tol of its total.  Needs the q-model
+    EXACT_TAIL_TOL of the initial mass lies past T, so the law behind the
+    moments misses at most that share of its total.  Needs the q-model
     weights.
     """
-    T, (*_, av), u0, _ = _pulled_back_ends(wm, L, 0, 3, tail_tol)
+    T, (*_, av), u0, _ = _pulled_back_ends(wm, L, 0, 3)
     heads = av[:T + 1, None] * np.arange(T + 1)[:, None] ** np.arange(3)
     F = heads.T @ u0[:T + 1]
     F /= F[0, 0]  # F[i, j] = E[g_0^i g_L^j]

@@ -128,8 +128,6 @@ def _coerce(key: str, value):
                 return value.lower() in ("1", "true", "yes")
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    if key == "N" and isinstance(value, list):
-        return value
     return value
 
 
@@ -238,7 +236,7 @@ def _cmd_locallimit(cfg: dict) -> tuple[list[str], list[list], int]:
         raise ConfigError("locallimit needs a nonempty N list")
     model = _qmodel(cfg) if cfg["regime"] == "fixed-q" else None
     table = error_table(cfg["regime"], cfg["N"], cfg["t"], cfg["x"], cfg["y"],
-                        cfg["c"], model=model, sigma=cfg["sigma"])
+                        model=model, sigma=cfg["sigma"])
     rows = [[r["N"], r["t"], r["x"], r["y"], r["lhs"], r["rhs"], r["rel_err"]]
             for r in table]
     return ["N", "t", "x", "y", "lhs", "rhs", "rel_err"], rows, 0

@@ -20,6 +20,9 @@ sampling noise.  P^k e_m is the Chebyshev expansion sum_j c_j T_j(P) e_m of
 degree d ~ sqrt(2 k ln(4/eps)), accurate to about (d+1) eps in the
 pi-symmetrized value P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value below
 10^6 times that (a far tail) is recomputed by exact tridiagonal stepping.
+Both run on one state cap, eight diffusive widths above the farther of the
+two levels; a cap that leaks more than 1e-9 of the mass raises
+CapacityError.
 The chain rows come from the ratios s_{n+1} / s_n and the initial masses
 from log s_n - log C, so neither overflows at large N as q -> 1.
 """
@@ -40,7 +43,7 @@ from .chains import (
     transition_arrays,
 )
 from .errors import CapacityError
-from .numerics import DEFAULT_QUADRATURE, QuadraturePolicy, _nested_trapezoid
+from .numerics import DEFAULT_QUADRATURE, _nested_trapezoid
 from .qspecial import bessel_k_imag, bessel_k_imag_grid
 
 __all__ = [
@@ -116,7 +119,7 @@ def xi0_density(x: float, c: float) -> float:
     return c * c * x * math.exp(-c * x)
 
 
-def yakubovich_kernel(q: KernelQuery, quad: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
+def yakubovich_kernel(q: KernelQuery) -> float:
     """Heat kernel p_t(x, y) built from Bessel K of imaginary order,
     at time q.t (no sigma dilation here; see :func:`zeta_transition`).
 
@@ -133,27 +136,27 @@ def yakubovich_kernel(q: KernelQuery, quad: QuadraturePolicy = DEFAULT_QUADRATUR
     ex, ey = math.exp(-x), math.exp(-y)
 
     def integrand(us):
-        kx = bessel_k_imag_grid(us, ex, quad)
-        ky = kx if ex == ey else bessel_k_imag_grid(us, ey, quad)
+        kx = bessel_k_imag_grid(us, ex)
+        ky = kx if ex == ey else bessel_k_imag_grid(us, ey)
         return (2.0 / math.pi**2) * np.exp(-t * us**2 / 2.0) * kx * ky * us * np.sinh(math.pi * us)
 
     # rounding noise of the Bessel grids is amplified by sinh(pi u), so the
     # attainable absolute accuracy scales with the L1 mass
-    val, l1 = _nested_trapezoid(integrand, max(math.sqrt(80.0 / t), 10.0), quad, 4096.0,
-                                f"Yakubovich u-integral at t={t}, x={x}, y={y}")
+    val, l1 = _nested_trapezoid(integrand, max(math.sqrt(80.0 / t), 10.0), DEFAULT_QUADRATURE,
+                                4096.0, f"Yakubovich u-integral at t={t}, x={x}, y={y}")
     if val < -4096.0 * _EPS * l1 - 1e-300:
         raise ArithmeticError(f"kernel value {val} below noise floor yet negative")
     return max(float(val), 0.0)
 
 
-def zeta_transition(q: KernelQuery, quad: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
+def zeta_transition(q: KernelQuery) -> float:
     """Transition density [K_0(e^-y)/K_0(e^-x)] p_{t/(1+sigma)}(x, y)."""
     k0_from = bessel_k_imag(0.0, math.exp(-q.x))
     if k0_from == 0.0:
         raise ValueError(f"K_0(e^-x) underflows at x={q.x}; start point out of range")
     ratio = bessel_k_imag(0.0, math.exp(-q.y)) / k0_from
     dilated = KernelQuery(t=q.t / (1.0 + q.sigma), x=q.x, y=q.y, sigma=q.sigma, c=q.c)
-    return ratio * yakubovich_kernel(dilated, quad)
+    return ratio * yakubovich_kernel(dilated)
 
 
 def zeta0_density(x: float, c: float) -> float:
@@ -177,10 +180,11 @@ def index_map(z: float, N: int, sigma: float) -> int:
 
 # ------------------------------------------------------- lattice iteration
 
-def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int,
-                           extra_hint: int) -> float:
-    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k with an
-    automatically grown state cap (mass deficit below 1e-9).
+def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float:
+    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k on states
+    0..max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64, eight diffusive
+    widths above the farther end; CapacityError naming the cap, k and the
+    leak when more than 1e-9 of the mass leaves past the cap.
 
     The expansion is accurate to about (d+1) eps in the pi-symmetrized value
     out[n] sqrt(pi_m / pi_n); a value within 10^6 times that of zero (far
@@ -188,24 +192,23 @@ def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int,
     """
     if n > m + k:
         return 0.0  # unreachable: at most one level per step
-    extra = extra_hint
-    for _ in range(6):
-        cap = max(m, n) + extra
-        up, flat, down = transition_arrays(model, cap)
-        vec = np.zeros(cap + 1)
-        vec[m] = 1.0
-        out, d = _chebyshev_power(vec, k, up, flat, down)
-        if 1.0 - float(out.sum()) <= 1e-9:
-            lo, hi = min(m, n), max(m, n)
-            log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
-            if n < m:
-                log_ratio = -log_ratio  # log(pi_n / pi_m)
-            floor = 1e6 * (d + 1) * _EPS
-            if out[n] > 0.0 and math.log(out[n]) - 0.5 * log_ratio >= math.log(floor):
-                return float(out[n])
-            return float(_iterate_tridiagonal(vec, k, up, flat, down)[0][n])
-        extra *= 2
-    raise CapacityError("state cap kept leaking mass > 1e-9 while growing")
+    cap = max(m, n) + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
+    up, flat, down = transition_arrays(model, cap)
+    vec = np.zeros(cap + 1)
+    vec[m] = 1.0
+    out, d = _chebyshev_power(vec, k, up, flat, down)
+    leak = 1.0 - float(out.sum())
+    if leak > 1e-9:
+        raise CapacityError(f"state cap {cap} leaks mass {leak:.3g} > 1e-9 in k={k} steps "
+                            f"from level {m}")
+    lo, hi = min(m, n), max(m, n)
+    log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
+    if n < m:
+        log_ratio = -log_ratio  # log(pi_n / pi_m)
+    floor = 1e6 * (d + 1) * _EPS
+    if out[n] > 0.0 and math.log(out[n]) - 0.5 * log_ratio >= math.log(floor):
+        return float(out[n])
+    return float(_iterate_tridiagonal(vec, k, up, flat, down)[0][n])
 
 
 def local_limit_error_fixed_q(N: int, t: float, x: float, y: float,
@@ -216,8 +219,7 @@ def local_limit_error_fixed_q(N: int, t: float, x: float, y: float,
         raise ValueError("need x, y, t > 0")
     rn = math.sqrt(N)
     m, n, k = math.floor(x * rn), math.floor(y * rn), math.floor(N * t)
-    extra = int(8.0 * math.sqrt(N * t / (1.0 + model.sigma))) + 64
-    lhs = rn * _chain_point_evolution(model, m, n, k, extra)
+    lhs = rn * _chain_point_evolution(model, m, n, k)
     rhs = bessel3d_transition(KernelQuery(t=t, x=x, y=y, sigma=model.sigma))
     return LimitComparison(lhs=lhs, rhs=rhs)
 
@@ -235,8 +237,8 @@ def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> Li
     return LimitComparison(lhs=lhs, rhs=xi0_density(x, c))
 
 
-def local_limit_error_q_to_1(N: int, t: float, x: float, y: float, sigma: float,
-                             quad: QuadraturePolicy = DEFAULT_QUADRATURE) -> LimitComparison:
+def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
+                             sigma: float) -> LimitComparison:
     """sqrt(N) P(X_{floor(Nt)} = J_y | X_0 = J_x) with q = exp(-2/sqrt(N))
     against [K_0(e^-y)/K_0(e^-x)] p_{t/(1+sigma)}(x, y)."""
     if t <= 0.0:
@@ -246,9 +248,8 @@ def local_limit_error_q_to_1(N: int, t: float, x: float, y: float, sigma: float,
     m, n, k = index_map(x, N, sigma), index_map(y, N, sigma), math.floor(N * t)
     if m < 0 or n < 0:
         raise CapacityError(f"index map gave negative level (x={x}, y={y}, N={N})")
-    extra = int(8.0 * math.sqrt(N * t / (1.0 + sigma))) + 64
-    lhs = rn * _chain_point_evolution(model, m, n, k, extra)
-    rhs = zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma), quad)
+    lhs = rn * _chain_point_evolution(model, m, n, k)
+    rhs = zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma))
     return LimitComparison(lhs=lhs, rhs=rhs)
 
 
@@ -266,8 +267,7 @@ def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitCompa
 
 
 def error_table(regime: str, Ns: list[int], t: float, x: float, y: float,
-                c: float, model: QModelParams | None = None,
-                sigma: float = 1.0) -> list[dict]:
+                model: QModelParams | None = None, sigma: float = 1.0) -> list[dict]:
     """Rows (N, t, x, y, lhs, rhs, rel_err) for convergence tables.
 
     regime 'fixed-q' needs a q-model; 'q-to-1' sets q = exp(-2/sqrt(N))

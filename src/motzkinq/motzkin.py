@@ -23,12 +23,6 @@ import numpy as np
 from .ascpoly import (QModelParams, _initial_law_probs, motzkin_poly_table, nu_integrate,
                       q_number)
 from .errors import CapacityError
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    DEFAULT_TRUNCATION,
-    QuadraturePolicy,
-    TruncationPolicy,
-)
 
 __all__ = [
     "MotzkinPath",
@@ -51,6 +45,9 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 14
+# share of the boundary mass that the transfer and integral routes may drop
+# past the boundary cutoff
+TAIL_TOL = 1e-12
 # entries (L+1) x S of the largest backward table that sample_paths
 # allocates (64 MB of float64)
 SAMPLE_TABLE_CAP = 1 << 23
@@ -307,7 +304,7 @@ def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
     return float(np.dot(v, w)), log_scale
 
 
-def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12) -> float:
+def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = TAIL_TOL) -> float:
     """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n over
     the initial altitudes m <= T, T the boundary cutoff at tail_tol."""
     tables = _weight_tables(model, _boundary_cutoff(model, tail_tol, L) + L + 2)
@@ -317,7 +314,7 @@ def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12
     return math.log(val) + lg
 
 
-def normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12) -> float:
+def normalizing_constant(L: int, model: WeightModel, tail_tol: float = TAIL_TOL) -> float:
     lg = log_normalizing_constant(L, model, tail_tol)
     if lg > 700.0:
         raise OverflowError(f"normalizing constant exp({lg:.1f}) overflows; "
@@ -326,13 +323,13 @@ def normalizing_constant(L: int, model: WeightModel, tail_tol: float = 1e-12) ->
 
 
 def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[float],
-                              L: int, model: WeightModel, tail_tol: float = 1e-12) -> float:
+                              L: int, model: WeightModel) -> float:
     """Joint generating functional
     E[z0^{g_0} prod_j t_j^{g_j - g_{j-1}} prod_j s_j^{-(g_{L-j+1} - g_{L-j})} z1^{g_L}]
     via the transfer-operator product sandwiched between boundary vectors,
     on S = T + L + 2 altitudes, which every path from an initial altitude
-    m <= T stays below, T the boundary cutoff.  Numerator and denominator
-    share the weight tables.
+    m <= T stays below, T the boundary cutoff at TAIL_TOL.  Numerator and
+    denominator share the weight tables.
     """
     t, s = list(t), list(s)
     K = len(t)
@@ -345,7 +342,7 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
     if any(tj <= 0 for tj in t) or any(sj <= 0 for sj in s):
         raise ValueError("t_j and s_j must be positive")
     tlist = t + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
-    tables = _weight_tables(model, _boundary_cutoff(model, tail_tol, L) + L + 2)
+    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + L + 2)
     num, lg_num = _bilinear_log(tables, z0, z1, tlist)
     den, lg_den = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
     return num / den * math.exp(lg_num - lg_den)
@@ -371,8 +368,7 @@ def _psi_functions(model: WeightModel, z0: float, z1: float,
 
 
 def _moment_integral(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
-                     L: int, quad: QuadraturePolicy, trunc: TruncationPolicy,
-                     what: str) -> float:
+                     L: int, what: str) -> float:
     """int (x/B)^power (v . P(x)) (w [n+1]_q . P(x)) nu(dx), P(x) the
     polynomials p_0..p_{S-1} at x, S = len(v).  The value is positive;
     OverflowError naming ``what``, L and q when it comes out as 0, which
@@ -384,7 +380,7 @@ def _moment_integral(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
         table = motzkin_poly_table(len(v) - 1, x, qm)
         return (x / B) ** power * (v @ table) * (wtilde @ table)
 
-    val = nu_integrate(integrand, qm, quad, trunc)
+    val = nu_integrate(integrand, qm)
     if val == 0.0:
         raise OverflowError(f"moment integral of {what} underflows to 0 at L={L}, q={qm.q:g}: "
                             "the orthogonality density underflows where (x/B)^L has its "
@@ -393,26 +389,21 @@ def _moment_integral(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
     return val
 
 
-def _integral_denominator(model: WeightModel, L: int, S: int, quad: QuadraturePolicy,
-                          trunc: TruncationPolicy) -> float:
+def _integral_denominator(model: WeightModel, L: int, S: int) -> float:
     """C_L / B^L as the moment integral int (x/B)^L (V^T P)(W^T Q) nu(dx)
     with both boundary vectors truncated at S."""
     v1, w1 = _psi_functions(model, 1.0, 1.0, [], [], S)
-    return _moment_integral(model.qmodel, v1, w1, L, L, quad, trunc,
-                            "C_L / B^L")
+    return _moment_integral(model.qmodel, v1, w1, L, L, "C_L / B^L")
 
 
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
-                         L: int, model: WeightModel,
-                         quad: QuadraturePolicy = DEFAULT_QUADRATURE,
-                         trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                         tail_tol: float = 1e-12) -> float:
+                         L: int, model: WeightModel) -> float:
     """Same expectation as :func:`matrix_ansatz_expectation`, evaluated as
     (1/C_L) int x^{L-2K} Psi_0(x) Psi_1(x) nu(dx) against the q-model
     orthogonality measure, both vectors truncated at S = T + 2K + 8, T the
-    boundary cutoff.  Powers are taken of x/B so the integrand stays
-    bounded for large L.  OverflowError when either integral underflows
-    to 0 (q close to 1 at large L).
+    boundary cutoff at TAIL_TOL.  Powers are taken of x/B so the integrand
+    stays bounded for large L.  OverflowError when either integral
+    underflows to 0 (q close to 1 at large L).
     """
     qm = _require_qmodel(model)
     t, s = list(t), list(s)
@@ -421,24 +412,20 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
         raise ValueError("t and s must have equal length")
     if 2 * K > L:
         raise ValueError(f"need 2K <= L, got K={K}, L={L}")
-    S = _boundary_cutoff(model, tail_tol, L) + 2 * K + 8
-    den = _integral_denominator(model, L, S, quad, trunc)
+    S = _boundary_cutoff(model, TAIL_TOL, L) + 2 * K + 8
+    den = _integral_denominator(model, L, S)
     v, w = _psi_functions(model, z0, z1, t, s, S)
-    num = _moment_integral(qm, v, w, L - 2 * K, L, quad, trunc,
-                           "the expectation's numerator")
+    num = _moment_integral(qm, v, w, L - 2 * K, L, "the expectation's numerator")
     return num / den / qm.support().B ** (2 * K)
 
 
-def integral_normalizing_constant(L: int, model: WeightModel,
-                                  quad: QuadraturePolicy = DEFAULT_QUADRATURE,
-                                  trunc: TruncationPolicy = DEFAULT_TRUNCATION,
-                                  tail_tol: float = 1e-12) -> float:
+def integral_normalizing_constant(L: int, model: WeightModel) -> float:
     """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx), both
-    vectors truncated at S = T + 8, T the boundary cutoff."""
+    vectors truncated at S = T + 8, T the boundary cutoff at TAIL_TOL."""
     qm = _require_qmodel(model)
     B = qm.support().B
-    S = _boundary_cutoff(model, tail_tol, L) + 8
-    log_value = math.log(_integral_denominator(model, L, S, quad, trunc)) + L * math.log(B)
+    S = _boundary_cutoff(model, TAIL_TOL, L) + 8
+    log_value = math.log(_integral_denominator(model, L, S)) + L * math.log(B)
     if log_value > 700.0:
         raise OverflowError(f"integral normalizing constant exp({log_value:.1f}) at L={L}, "
                             f"B={B:g} overflows; use log_normalizing_constant")
@@ -461,12 +448,13 @@ def _initial_mass_past(av: np.ndarray, u0: np.ndarray, T: int, L: int, bound: fl
     return lost
 
 
-def _backward_vectors(model: WeightModel, L: int, S: int) -> np.ndarray:
-    """Rows u_k = M_1^{L-k} W_beta(1), max-normalized per row (ratios of
-    consecutive rows are renormalized at sampling time)."""
-    a, b, c, _, bv = _weight_tables(model, S)
+def _backward_vectors(tables: tuple[np.ndarray, ...], L: int) -> np.ndarray:
+    """Rows u_k = M_1^{L-k} W_beta(1) on the altitudes of
+    :func:`_weight_tables`, max-normalized per row (ratios of consecutive
+    rows are renormalized at sampling time)."""
+    a, b, c, _, bv = tables
     up_T, down_T = _transposed(a, c)
-    u = np.empty((L + 1, S))
+    u = np.empty((L + 1, len(a)))
     u[L] = bv / np.max(bv)
     for k in range(L - 1, -1, -1):
         u[k] = _pull_back(u[k + 1], 1, up_T, b, down_T)
@@ -474,7 +462,7 @@ def _backward_vectors(model: WeightModel, L: int, S: int) -> np.ndarray:
 
 
 def sample_paths(L: int, model: WeightModel, count: int, seed: int,
-                 tail_tol: float = 1e-12) -> np.ndarray:
+                 tail_tol: float = TAIL_TOL) -> np.ndarray:
     """Exact samples from the path measure, as an int array (count, L+1).
 
     Sequential sampler: the initial altitude is drawn proportionally to
@@ -496,10 +484,10 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     if (L + 1) * S > SAMPLE_TABLE_CAP:
         raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
                             f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
-    u = _backward_vectors(model, L, S)
-    av, _ = model.boundary_arrays(S)
+    tables = _weight_tables(model, S)
+    a, b, c, av, _ = tables
+    u = _backward_vectors(tables, L)
     _initial_mass_past(av, u[0], T, L, 10 * tail_tol)
-    a, b, c = model.weight_arrays(S)
     p0 = (av * u[0])[:T + 1]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)

@@ -5,7 +5,9 @@ All infinite sums/products in the package truncate against a
 Yakubovich u-integral and the orthogonality-measure integral) is one nested
 trapezoidal rule over an even analytic integrand, which refines against a
 :class:`QuadraturePolicy` by halving its step until two levels agree to
-``rel_tol``.
+``rel_tol``.  Only ``qspecial.qpoch_infinite``, ``qspecial.bessel_k_imag_grid``
+and :func:`_nested_trapezoid` take a policy; every other route runs on
+``DEFAULT_TRUNCATION`` and ``DEFAULT_QUADRATURE``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ function, a Ramanujan product ratio with a classical q->1 limit, the Jacobi
 theta functions theta_1 and theta_4, the squared modulus of Gamma on the
 imaginary axis, and the modified Bessel function K of purely imaginary
 order (nested trapezoidal rule).  Everything is a pure function; complex
-powers and logarithms use the principal branch throughout.
+powers and logarithms use the principal branch throughout.  Only
+:func:`qpoch_infinite` and :func:`bessel_k_imag_grid` take a policy; the
+rest truncate against ``DEFAULT_TRUNCATION`` and ``DEFAULT_QUADRATURE``.
 """
 
 from __future__ import annotations
@@ -131,8 +133,7 @@ def qpoch_infinite(a, q: float, policy: TruncationPolicy = DEFAULT_TRUNCATION):
     return out
 
 
-def qpoch_log_abs(a: complex, q: float, n: int | None = None,
-                  policy: TruncationPolicy = DEFAULT_TRUNCATION) -> float:
+def qpoch_log_abs(a: complex, q: float, n: int | None = None) -> float:
     """log |(a; q)_n| with n = None meaning the infinite product.
 
     Safe replacement for ``log(abs(qpoch_*))`` when the product itself would
@@ -140,7 +141,7 @@ def qpoch_log_abs(a: complex, q: float, n: int | None = None,
     """
     _check_q(q)
     if n is None:
-        n = _term_count(a, q, policy)
+        n = _term_count(a, q, DEFAULT_TRUNCATION)
     total = 0.0
     with np.errstate(divide="ignore"):
         for block in _factors(a, q, n):
@@ -175,7 +176,7 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     return k <= 0 and abs(zr - k) <= tol
 
 
-def q_gamma_log(z: complex, q: float, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def q_gamma_log(z: complex, q: float) -> complex:
     """Principal-branch log of the q-Gamma function.
 
     Gamma_q(z) = (1-q)^(1-z) (q;q)_inf / (q^z;q)_inf.  The two infinite
@@ -190,25 +191,24 @@ def q_gamma_log(z: complex, q: float, policy: TruncationPolicy = DEFAULT_TRUNCAT
     if q == 0.0:
         return 0.0 + 0.0j  # Gamma_0(z) = 1 for Re z > 0
     w = z * math.log(q)
-    n = _term_count(q ** min(z.real, 1.0), q, policy)
+    n = _term_count(q ** min(z.real, 1.0), q, DEFAULT_TRUNCATION)
     total = _log_ratio(q, cmath.exp(w), w, q, n, f"q-Gamma pole at z={z}")
     return (1.0 - z) * math.log(1.0 - q) + total
 
 
-def q_gamma(z: complex, q: float, policy: TruncationPolicy = DEFAULT_TRUNCATION):
+def q_gamma(z: complex, q: float):
     """q-Gamma function (1-q)^(1-z) (q;q)_inf / (q^z;q)_inf.
 
     Returns a float for real ``z``.  Raises ``ValueError`` on the poles
     z = 0, -1, -2, ... (detected within 1e-12).
     """
-    val = cmath.exp(q_gamma_log(z, q, policy))
+    val = cmath.exp(q_gamma_log(z, q))
     if not isinstance(z, complex):
         return float(val.real)
     return val
 
 
-def ramanujan_ratio(z: complex, lam: complex, q: float,
-                    policy: TruncationPolicy = DEFAULT_TRUNCATION):
+def ramanujan_ratio(z: complex, lam: complex, q: float):
     """(z; q)_inf / (z q^lam; q)_inf, which tends to (1-z)^lam as q -> 1.
 
     ``z`` must avoid the cut [1, infinity) on the real axis.  Factors of the
@@ -227,7 +227,7 @@ def ramanujan_ratio(z: complex, lam: complex, q: float,
         out = 1.0 - complex(z)  # (z;0)_inf / (0;0)_inf
     else:
         log_qlam = complex(lam) * math.log(q)
-        n = _term_count(abs(z) * max(1.0, math.exp(log_qlam.real)), q, policy)
+        n = _term_count(abs(z) * max(1.0, math.exp(log_qlam.real)), q, DEFAULT_TRUNCATION)
         out = cmath.exp(_log_ratio(z, z * cmath.exp(log_qlam), cmath.log(z) + log_qlam, q, n,
                                    "vanishing factor in Ramanujan ratio"))
     if not (isinstance(z, complex) or isinstance(lam, complex)):
@@ -235,9 +235,9 @@ def ramanujan_ratio(z: complex, lam: complex, q: float,
     return out
 
 
-def _theta_sum(terms, policy: TruncationPolicy) -> complex:
+def _theta_sum(terms) -> complex:
     """Sum a theta series until two consecutive terms are negligible and
-    decreasing."""
+    decreasing, against :data:`DEFAULT_TRUNCATION`."""
     total = 0.0 + 0.0j
     scale = 0.0
     small_streak = 0
@@ -246,19 +246,19 @@ def _theta_sum(terms, policy: TruncationPolicy) -> complex:
         total += term
         mag = abs(term)
         scale = max(scale, mag, abs(total))
-        if n >= 2 and mag <= policy.rel_tol * scale and mag <= prev_mag:
+        if n >= 2 and mag <= DEFAULT_TRUNCATION.rel_tol * scale and mag <= prev_mag:
             small_streak += 1
             if small_streak >= 2:
                 return total
         else:
             small_streak = 0
         prev_mag = mag
-        if n + 1 >= policy.max_terms:
+        if n + 1 >= DEFAULT_TRUNCATION.max_terms:
             raise ConvergenceError("theta series exceeded max_terms")
     return total
 
 
-def theta1(v: complex, tau: complex, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def theta1(v: complex, tau: complex) -> complex:
     """Jacobi theta_1(v | tau) with nome exp(pi i tau); requires Im(tau) > 0.
 
     theta_1(v|tau) = 2 w^(1/4) sum_{n>=0} (-1)^n w^(n(n+1)) sin((2n+1) pi v),
@@ -276,10 +276,10 @@ def theta1(v: complex, tau: complex, policy: TruncationPolicy = DEFAULT_TRUNCATI
             yield (-1) ** n * cmath.exp(ipit * (n * (n + 1))) * cmath.sin((2 * n + 1) * math.pi * v)
             n += 1
 
-    return 2.0 * cmath.exp(ipit / 4.0) * _theta_sum(terms(), policy)
+    return 2.0 * cmath.exp(ipit / 4.0) * _theta_sum(terms())
 
 
-def theta4(v: complex, tau: complex, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def theta4(v: complex, tau: complex) -> complex:
     """Jacobi theta_4(v | tau) = 1 + 2 sum_{n>=1} (-1)^n w^(n^2) cos(2 n pi v),
     w = exp(pi i tau); requires Im(tau) > 0."""
     tau = complex(tau)
@@ -294,7 +294,7 @@ def theta4(v: complex, tau: complex, policy: TruncationPolicy = DEFAULT_TRUNCATI
             yield 2.0 * (-1) ** n * cmath.exp(ipit * (n * n)) * cmath.cos(2 * n * math.pi * v)
             n += 1
 
-    return 1.0 + _theta_sum(terms(), policy)
+    return 1.0 + _theta_sum(terms())
 
 
 def gamma_abs_imag_sq(u: float) -> float:
@@ -309,10 +309,10 @@ def gamma_abs_imag_sq(u: float) -> float:
     return math.pi / (au * math.sinh(x))
 
 
-def bessel_k_imag(u: float, x: float, policy: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
+def bessel_k_imag(u: float, x: float) -> float:
     """Modified Bessel function K_{iu}(x) of purely imaginary order, x > 0
     (a one-order :func:`bessel_k_imag_grid`); real-valued and even in u."""
-    return float(bessel_k_imag_grid(np.array([float(u)]), x, policy)[0])
+    return float(bessel_k_imag_grid(np.array([float(u)]), x)[0])
 
 
 def bessel_k_imag_grid(us: np.ndarray, x: float,

@@ -27,7 +27,7 @@ from motzkinq.chains import initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, _backward_vectors,
                               _boundary_cutoff, _transposed, _tridiagonal_step,
-                              path_weight)
+                              _weight_tables, path_weight)
 from motzkinq.numerics import DEFAULT_QUADRATURE, QuadraturePolicy
 
 _EPS = float(np.finfo(float).eps)
@@ -176,7 +176,7 @@ def sample_paths_per_state(L: int, model, count: int, seed: int,
         raise ValueError("count must be positive")
     T = _boundary_cutoff(model, tail_tol, L)
     S = T + L + 2
-    u = _backward_vectors(model, L, S)
+    u = _backward_vectors(_weight_tables(model, S), L)
     a, b, c = model.weight_arrays(S)
     av, _ = model.boundary_arrays(S)
     p0 = av * u[0]

@@ -160,7 +160,7 @@ def test_criterion_05_boundary_limit_tv():
     t0 = time.monotonic()
     m = QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2)
     wm = WeightModel.from_qmodel(m)
-    chain = chain_head_law(m, "X", 3, 1e-10)
+    chain = chain_head_law(m, "X", 3)
     tv = tv_distance(finite_path_head_law(wm, 200, 3), chain)
     corr = abs(endpoint_pair_correlation(wm, 200))
     elapsed = time.monotonic() - t0

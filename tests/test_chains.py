@@ -153,9 +153,9 @@ def test_initial_law_normalized_where_s_values_overflow():
 def test_kstep_identity_and_single_step():
     m = QModelParams(q=0.35, sigma=0.8)
     start = Distribution.point_mass(3)
-    out0 = kstep_distribution(start, 0, m, height_cap=10)
+    out0 = kstep_distribution(start, 0, m)
     assert out0.prob(3) == 1.0
-    out1 = kstep_distribution(start, 1, m, height_cap=10)
+    out1 = kstep_distribution(start, 1, m)
     row = transition_row(3, m)
     for n in (2, 3, 4):
         assert out1.prob(n) == pytest.approx(row.prob(n), rel=1e-14)
@@ -164,7 +164,7 @@ def test_kstep_identity_and_single_step():
 def test_kstep_matches_trajectory_enumeration():
     m = QModelParams(q=0.45, sigma=0.6)
     k, start = 6, 2
-    got = kstep_distribution(Distribution.point_mass(start), k, m, height_cap=start + k + 1)
+    got = kstep_distribution(Distribution.point_mass(start), k, m)
     # oracle: sum over all 3^k step sequences of products of row entries
     probs: dict[int, float] = {}
 
@@ -183,18 +183,27 @@ def test_kstep_matches_trajectory_enumeration():
     assert got.total() == pytest.approx(1.0, abs=1e-9)
 
 
-def test_kstep_cap_validation():
-    m = QModelParams(q=0.3, sigma=0.5)
-    with pytest.raises(CapacityError):
-        kstep_distribution(Distribution.point_mass(4), 10, m, height_cap=8)
+def test_kstep_runs_on_the_exact_reach():
+    # states 0..max support + k, bit-equal to stepping on a larger cap
+    m = QModelParams(q=0.3, sigma=0.5, rho0=0.4)
+    for start, k in [(Distribution.point_mass(4), 10), (initial_law("X", m), 25)]:
+        top = start.offset + len(start.probs) - 1
+        got = kstep_distribution(start, k, m)
+        assert len(got.probs) == top + k + 1
+        cap = top + k + 40
+        vec = np.zeros(cap + 1)
+        vec[start.offset: top + 1] = start.probs
+        want, lost = _iterate_tridiagonal(vec, k, *transition_arrays(m, cap))
+        assert lost == 0.0
+        assert np.array_equal(got.probs, want[:top + k + 1])
+        assert not want[top + k + 1:].any()
 
 
 @pytest.mark.parametrize("k,mm,nn", [(0, 1, 1), (0, 1, 2), (5, 1, 2), (12, 0, 3), (20, 2, 2)])
 def test_kstep_integral_route_agrees_with_iteration(k, mm, nn):
     m = QModelParams(q=0.3, sigma=0.7)
     via_int = kstep_transition_integral(mm, nn, k, m)
-    via_iter = kstep_distribution(Distribution.point_mass(mm), k, m,
-                                  height_cap=mm + k + 1).prob(nn)
+    via_iter = kstep_distribution(Distribution.point_mass(mm), k, m).prob(nn)
     if k == 0:
         assert via_int == pytest.approx(1.0 if mm == nn else 0.0, abs=1e-8)
     assert via_int == pytest.approx(via_iter, rel=1e-7, abs=1e-10)
@@ -289,8 +298,7 @@ def test_simulated_mean_drifts_upward():
     m = QModelParams(q=0.3, sigma=0.6, rho0=0.4)
     law = initial_law("X", m)
     k = 400
-    exact = kstep_distribution(law, k, m,
-                               height_cap=len(law.probs) + k + 2)
+    exact = kstep_distribution(law, k, m)
     assert exact.mean() > law.mean()
     trajs = np.array([simulate_chain(m, k, seed=1000 + i)[-1] for i in range(400)])
     se = float(np.std(trajs)) / math.sqrt(len(trajs))
@@ -340,7 +348,7 @@ def test_simulation_cap_regrowth_matches_oracle(monkeypatch):
 def test_finite_length_law_approaches_chain_law():
     m = QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2)
     wm = WeightModel.from_qmodel(m)
-    chain = chain_head_law(m, "X", 3, 1e-10)
+    chain = chain_head_law(m, "X", 3)
     assert sum(chain.values()) == pytest.approx(1.0, abs=1e-8)
     tv100 = tv_distance(finite_path_head_law(wm, 100, 3), chain)
     tv200 = tv_distance(finite_path_head_law(wm, 200, 3), chain)
@@ -353,7 +361,7 @@ def test_reversed_head_law_approaches_Y_chain():
     # the law of (g_L, g_{L-1}, ..) is the head law of the reversed model
     m = QModelParams(q=0.2, sigma=0.6, rho0=0.25, rho1=0.15)
     reversed_m = QModelParams(q=m.q, sigma=m.sigma, rho0=m.rho1, rho1=m.rho0)
-    chain_y = chain_head_law(m, "Y", 2, 1e-10)
+    chain_y = chain_head_law(m, "Y", 2)
     # the symmetric weight is reversal-invariant, so reading the path
     # backwards is a head law with rho0 and rho1 exchanged
     path_rev = finite_path_head_law(WeightModel.from_qmodel(reversed_m), 200, 2)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from motzkinq.ascpoly import QModelParams
+from motzkinq import kernels
 from motzkinq.chains import _chebyshev_power, _iterate_tridiagonal, transition_arrays
-from motzkinq.errors import ConvergenceError
+from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.kernels import (
     KernelQuery,
     _chain_point_evolution,
@@ -24,7 +25,6 @@ from motzkinq.kernels import (
     zeta0_density,
     zeta_transition,
 )
-from motzkinq.numerics import QuadraturePolicy
 from motzkinq.qspecial import bessel_k_imag
 
 from oracles import gauss_legendre, panel_rule
@@ -226,7 +226,7 @@ def test_local_limit_fixed_q_unreachable_level_is_zero():
 
 
 def _lattice_query(regime: str, N: int, t: float, x: float, y: float):
-    """(model, m, n, k, extra) as the two local-limit drivers set them up."""
+    """(model, m, n, k, cap) as the two local-limit drivers set them up."""
     rn = math.sqrt(N)
     if regime == "fixed-q":
         model = QModelParams(q=0.5, sigma=0.8)
@@ -234,8 +234,8 @@ def _lattice_query(regime: str, N: int, t: float, x: float, y: float):
     else:
         model = QModelParams(q=math.exp(-2.0 / rn), sigma=1.0)
         m, n = index_map(x, N, 1.0), index_map(y, N, 1.0)
-    extra = int(8.0 * math.sqrt(N * t / (1.0 + model.sigma))) + 64
-    return model, m, n, math.floor(N * t), extra
+    k = math.floor(N * t)
+    return model, m, n, k, max(m, n) + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
 
 
 def _exact_stepping(model, m, k, cap):
@@ -253,13 +253,12 @@ _PARITY_POINTS = {"fixed-q": [(1.0, 2.0), (2.0, 1.0), (1.5, 0.5)],
 @pytest.mark.parametrize("N", [400, 2500, 10_000])
 def test_chebyshev_route_matches_exact_stepping(regime, N):
     for x, y in _PARITY_POINTS[regime]:
-        model, m, n, k, extra = _lattice_query(regime, N, 1.0, x, y)
-        cap = max(m, n) + extra
+        model, m, n, k, cap = _lattice_query(regime, N, 1.0, x, y)
         vec, rows, (want, lost) = _exact_stepping(model, m, k, cap)
         got, _ = _chebyshev_power(vec, k, *rows)
         assert got[n] == pytest.approx(want[n], rel=1e-9, abs=0.0)
         assert abs((1.0 - got.sum()) - lost) <= 1e-9
-        lattice = _chain_point_evolution(model, m, n, k, extra)
+        lattice = _chain_point_evolution(model, m, n, k)
         assert lattice == pytest.approx(want[n], rel=1e-9, abs=0.0)
 
 
@@ -269,11 +268,27 @@ def test_far_tail_point_falls_back_to_exact_stepping(regime, N, t, x, y):
     # the expansion has no relative accuracy this far out (at (1, 3) its
     # degree does not even reach level n); the guard hands the point to
     # exact stepping
-    model, m, n, k, extra = _lattice_query(regime, N, t, x, y)
-    _, _, (want, _) = _exact_stepping(model, m, k, max(m, n) + extra)
+    model, m, n, k, cap = _lattice_query(regime, N, t, x, y)
+    _, _, (want, _) = _exact_stepping(model, m, k, cap)
     assert 0.0 < want[n] < 1e-15
-    lattice = _chain_point_evolution(model, m, n, k, extra)
+    lattice = _chain_point_evolution(model, m, n, k)
     assert lattice == pytest.approx(want[n], rel=1e-9, abs=0.0)
+
+
+def test_leaking_state_cap_raises_capacity_error(monkeypatch):
+    # the cap is computed once and not regrown: a Chebyshev pass that loses
+    # mass past it is reported with the cap, k and the leak
+    model, m, n, k, cap = _lattice_query("fixed-q", 2500, 1.0, 1.0, 1.5)
+    real = kernels._chebyshev_power
+
+    def leaky(vec, k, *rows):
+        out, d = real(vec, k, *rows)
+        return out * (1.0 - 2e-9), d
+
+    monkeypatch.setattr(kernels, "_chebyshev_power", leaky)
+    with pytest.raises(CapacityError, match=rf"state cap {cap} leaks mass 2e-09 > 1e-9 "
+                                            rf"in k={k} steps"):
+        _chain_point_evolution(model, m, n, k)
 
 
 def test_initial_limit_fixed_q():
@@ -365,11 +380,11 @@ def test_fdd_surrogate_bessel_k_regime():
 
 def test_error_table_shapes_and_constant_rhs():
     m = QModelParams(q=0.5, sigma=1.0)
-    rows = error_table("fixed-q", [400, 900], 1.0, 1.0, 1.0, 1.0, model=m)
+    rows = error_table("fixed-q", [400, 900], 1.0, 1.0, 1.0, model=m)
     assert [r["N"] for r in rows] == [400, 900]
     assert rows[0]["rhs"] == rows[1]["rhs"]
     with pytest.raises(ValueError):
-        error_table("nope", [100], 1.0, 1.0, 1.0, 1.0, model=m)
+        error_table("nope", [100], 1.0, 1.0, 1.0, model=m)
 
 
 def test_kernel_query_validation():

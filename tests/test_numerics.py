@@ -1,12 +1,18 @@
-"""Tests for the nested trapezoidal rule behind the Bessel-K integrals."""
+"""Tests for the nested trapezoidal rule behind the Bessel-K integrals and
+for where the numeric policies may be set."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import motzkinq
 from motzkinq.errors import ConvergenceError
-from motzkinq.numerics import DEFAULT_QUADRATURE, QuadraturePolicy, _nested_trapezoid
+from motzkinq.numerics import (DEFAULT_QUADRATURE, QuadraturePolicy, TruncationPolicy,
+                               _nested_trapezoid)
 
 
 def test_nested_trapezoid_gaussian_cosine_transform():
@@ -51,3 +57,19 @@ def test_nested_trapezoid_raises_when_nodes_run_out():
     with pytest.raises(ConvergenceError, match=r"oscillator did not converge within 16 intervals"):
         _nested_trapezoid(lambda t: np.cos(40.0 * t) * np.exp(-t * t / 2), 12.0, tight, 64.0,
                           "oscillator")
+
+
+def test_only_qpoch_infinite_and_bessel_k_grid_take_a_policy():
+    # the public routes run on the default policies; a policy parameter that
+    # a route would only forward is a setting no caller makes
+    takers = set()
+    for info in pkgutil.iter_modules(motzkinq.__path__):
+        module = importlib.import_module(f"motzkinq.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            for param in inspect.signature(fn).parameters.values():
+                if isinstance(param.default, (QuadraturePolicy, TruncationPolicy)) \
+                        or "Policy" in str(param.annotation):
+                    takers.add(f"{info.name}.{name}")
+    assert takers == {"qspecial.qpoch_infinite", "qspecial.bessel_k_imag_grid"}
