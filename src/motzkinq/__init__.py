@@ -19,7 +19,6 @@ from .chains import Distribution
 from .errors import CapacityError, ConvergenceError
 from .kernels import KernelQuery, LimitComparison
 from .motzkin import MotzkinPath, WeightModel
-from .numerics import QuadraturePolicy, TruncationPolicy
 
 __version__ = "0.1.0"
 
@@ -32,9 +31,7 @@ __all__ = [
     "LimitComparison",
     "MotzkinPath",
     "QModelParams",
-    "QuadraturePolicy",
     "SupportInterval",
-    "TruncationPolicy",
     "WeightModel",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE, _nested_trapezoid
+from .numerics import _nested_trapezoid
 from .qspecial import q_number, qpoch_infinite, qpoch_log_abs
 
 __all__ = [
@@ -271,8 +271,7 @@ def nu_integrate(f, m: QModelParams) -> float:
                                 f"at x={float(np.ravel(x)[bad[0]]):.6g}")
         return out
 
-    total, _ = _nested_trapezoid(integrand, math.pi, DEFAULT_QUADRATURE, 64.0,
-                                 "orthogonality-measure quadrature")
+    total, _ = _nested_trapezoid(integrand, math.pi, 64.0, "orthogonality-measure quadrature")
     return float(total)
 
 

@@ -47,15 +47,16 @@ from .verify import run_checks
 __all__ = ["main"]
 
 DEFAULTS: dict = {
-    "q": 0.5, "sigma": 0.8, "rho0": 0.3, "rho1": 0.25, "c": 1.0,
-    "L": 6, "N": [400, 2500], "t": 1.0, "x": 1.0, "y": 1.0, "K": 1,
+    "q": 0.5, "sigma": 0.8, "rho0": 0.3, "rho1": 0.25,
+    "L": 6, "N": [400, 2500], "t": 1.0, "x": 1.0, "y": 1.0,
     "m": 0, "n": 0, "count": 10, "seed": 0, "tol": 1e-10,
     "regime": "fixed-q", "format": "csv", "out": None, "config": None,
     "inject_fault": False,
 }
 
-_INT_KEYS = {"L", "K", "m", "n", "count", "seed"}
-_FLOAT_KEYS = {"q", "sigma", "rho0", "rho1", "c", "t", "x", "y", "tol"}
+_FLOAT_KEYS = ("q", "sigma", "rho0", "rho1", "t", "x", "y", "tol")
+_INT_KEYS = ("L", "m", "n", "count", "seed")
+_CHOICES = {"regime": ("fixed-q", "q-to-1"), "format": ("csv", "json")}
 
 
 class ConfigError(Exception):
@@ -81,14 +82,14 @@ def _build_parser() -> _Parser:
         ("specialfn", "evaluate the special-function layer"),
     ]:
         sp = sub.add_parser(name, help=desc)
-        for key in ("q", "sigma", "rho0", "rho1", "c", "t", "x", "y", "tol"):
+        for key in _FLOAT_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None)
-        for key in ("L", "K", "m", "n", "count", "seed"):
+        for key in _INT_KEYS:
             sp.add_argument(f"--{key}", type=int, default=None)
         sp.add_argument("--N", type=str, default=None,
                         help="comma-separated list, e.g. 400,2500,10000")
-        sp.add_argument("--regime", choices=["fixed-q", "q-to-1"], default=None)
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
+        for key, choices in _CHOICES.items():
+            sp.add_argument(f"--{key}", choices=choices, default=None)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--config", type=str, default=None,
                         help="key=value file; flags override file entries")
@@ -111,6 +112,9 @@ def _parse_config_file(path: str) -> dict:
             key, value = (tok.strip() for tok in line.split("=", 1))
             if key not in DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ConfigError(f"{path}:{lineno}: {key} must be one of "
+                                  f"{', '.join(_CHOICES[key])}, got {value!r}")
             out[key] = value
     return out
 

@@ -43,7 +43,7 @@ from .chains import (
     transition_arrays,
 )
 from .errors import CapacityError
-from .numerics import DEFAULT_QUADRATURE, _nested_trapezoid
+from .numerics import _nested_trapezoid
 from .qspecial import bessel_k_imag, bessel_k_imag_grid
 
 __all__ = [
@@ -66,22 +66,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Evaluation point (t, x, y) with the flat-weight parameter sigma and
-    the initial-law rate c."""
+    """Evaluation point (t, x, y) with the flat-weight parameter sigma."""
 
     t: float
     x: float
     y: float
     sigma: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self) -> None:
         if self.t <= 0.0:
             raise ValueError(f"t must be positive, got {self.t}")
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError(f"sigma must lie in (0, 1], got {self.sigma}")
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +138,8 @@ def yakubovich_kernel(q: KernelQuery) -> float:
 
     # rounding noise of the Bessel grids is amplified by sinh(pi u), so the
     # attainable absolute accuracy scales with the L1 mass
-    val, l1 = _nested_trapezoid(integrand, max(math.sqrt(80.0 / t), 10.0), DEFAULT_QUADRATURE,
-                                4096.0, f"Yakubovich u-integral at t={t}, x={x}, y={y}")
+    val, l1 = _nested_trapezoid(integrand, max(math.sqrt(80.0 / t), 10.0), 4096.0,
+                                f"Yakubovich u-integral at t={t}, x={x}, y={y}")
     if val < -4096.0 * _EPS * l1 - 1e-300:
         raise ArithmeticError(f"kernel value {val} below noise floor yet negative")
     return max(float(val), 0.0)
@@ -155,7 +151,7 @@ def zeta_transition(q: KernelQuery) -> float:
     if k0_from == 0.0:
         raise ValueError(f"K_0(e^-x) underflows at x={q.x}; start point out of range")
     ratio = bessel_k_imag(0.0, math.exp(-q.y)) / k0_from
-    dilated = KernelQuery(t=q.t / (1.0 + q.sigma), x=q.x, y=q.y, sigma=q.sigma, c=q.c)
+    dilated = KernelQuery(t=q.t / (1.0 + q.sigma), x=q.x, y=q.y, sigma=q.sigma)
     return ratio * yakubovich_kernel(dilated)
 
 

@@ -350,12 +350,13 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
 
 # ------------------------------------------------- integral representation
 
-def _psi_functions(model: WeightModel, z0: float, z1: float,
-                   t: list[float], s: list[float], S: int):
+def _psi_functions(tables: tuple[np.ndarray, ...], z0: float, z1: float,
+                   t: list[float], s: list[float]):
     """Row vector V_alpha(z0)^T M_{t_1}..M_{t_K} and column vector
-    M_{1/s_K}..M_{1/s_1} W_beta(z1), truncated at S."""
-    a, b, c = model.weight_arrays(S)
-    av, bv = model.boundary_arrays(S)
+    M_{1/s_K}..M_{1/s_1} W_beta(z1) on the truncated operator of
+    :func:`_weight_tables`."""
+    a, b, c, av, bv = tables
+    S = len(a)
     v = av * np.power(float(z0), np.arange(S))
     for tj in t:
         v = _tridiagonal_step(v, tj * a, b, c / tj)
@@ -389,11 +390,11 @@ def _moment_integral(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
     return val
 
 
-def _integral_denominator(model: WeightModel, L: int, S: int) -> float:
+def _integral_denominator(qm: QModelParams, L: int, tables: tuple[np.ndarray, ...]) -> float:
     """C_L / B^L as the moment integral int (x/B)^L (V^T P)(W^T Q) nu(dx)
-    with both boundary vectors truncated at S."""
-    v1, w1 = _psi_functions(model, 1.0, 1.0, [], [], S)
-    return _moment_integral(model.qmodel, v1, w1, L, L, "C_L / B^L")
+    with both boundary vectors on the tables' altitudes."""
+    v1, w1 = _psi_functions(tables, 1.0, 1.0, [], [])
+    return _moment_integral(qm, v1, w1, L, L, "C_L / B^L")
 
 
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
@@ -412,9 +413,9 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
         raise ValueError("t and s must have equal length")
     if 2 * K > L:
         raise ValueError(f"need 2K <= L, got K={K}, L={L}")
-    S = _boundary_cutoff(model, TAIL_TOL, L) + 2 * K + 8
-    den = _integral_denominator(model, L, S)
-    v, w = _psi_functions(model, z0, z1, t, s, S)
+    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 2 * K + 8)
+    den = _integral_denominator(qm, L, tables)
+    v, w = _psi_functions(tables, z0, z1, t, s)
     num = _moment_integral(qm, v, w, L - 2 * K, L, "the expectation's numerator")
     return num / den / qm.support().B ** (2 * K)
 
@@ -424,8 +425,8 @@ def integral_normalizing_constant(L: int, model: WeightModel) -> float:
     vectors truncated at S = T + 8, T the boundary cutoff at TAIL_TOL."""
     qm = _require_qmodel(model)
     B = qm.support().B
-    S = _boundary_cutoff(model, TAIL_TOL, L) + 8
-    log_value = math.log(_integral_denominator(model, L, S)) + L * math.log(B)
+    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 8)
+    log_value = math.log(_integral_denominator(qm, L, tables)) + L * math.log(B)
     if log_value > 700.0:
         raise OverflowError(f"integral normalizing constant exp({log_value:.1f}) at L={L}, "
                             f"B={B:g} overflows; use log_normalizing_constant")

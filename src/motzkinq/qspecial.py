@@ -5,9 +5,8 @@ function, a Ramanujan product ratio with a classical q->1 limit, the Jacobi
 theta functions theta_1 and theta_4, the squared modulus of Gamma on the
 imaginary axis, and the modified Bessel function K of purely imaginary
 order (nested trapezoidal rule).  Everything is a pure function; complex
-powers and logarithms use the principal branch throughout.  Only
-:func:`qpoch_infinite` and :func:`bessel_k_imag_grid` take a policy; the
-rest truncate against ``DEFAULT_TRUNCATION`` and ``DEFAULT_QUADRATURE``.
+powers and logarithms use the principal branch throughout.  Products
+and series stop on ``numerics.REL_TOL`` and ``numerics.MAX_TERMS``.
 """
 
 from __future__ import annotations
@@ -17,14 +16,9 @@ import math
 
 import numpy as np
 
+from . import numerics
 from .errors import ConvergenceError
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    DEFAULT_TRUNCATION,
-    QuadraturePolicy,
-    TruncationPolicy,
-    _nested_trapezoid,
-)
+from .numerics import _nested_trapezoid
 
 __all__ = [
     "q_number",
@@ -58,20 +52,20 @@ def q_number(n: int, q: float) -> float:
     return (1.0 - q**n) / (1.0 - q)
 
 
-def _term_count(a, q: float, policy: TruncationPolicy) -> int:
+def _term_count(a, q: float) -> int:
     """Factors that (a; q)_inf needs (for an array ``a``, its largest |a|):
     the smallest k with |a| q^k / (1-q), the tail of its log, below
-    ``policy.rel_tol``.  Raises :class:`ConvergenceError` past
-    ``policy.max_terms``."""
+    ``numerics.REL_TOL``.  Raises :class:`ConvergenceError` past
+    ``numerics.MAX_TERMS``."""
     amod = float(np.abs(a).max()) if np.ndim(a) else abs(a)
     k = 1
     if amod != 0.0 and q != 0.0:
-        bound = policy.rel_tol * (1.0 - q) / amod
+        bound = numerics.REL_TOL * (1.0 - q) / amod
         if bound < 1.0:
             k = max(int(math.ceil(math.log(bound) / math.log(q))), 1)
-    if k > policy.max_terms:
+    if k > numerics.MAX_TERMS:
         raise ConvergenceError(f"(a;q)_inf with |a|={amod:.3g}, q={q} needs {k} factors, "
-                               f"max_terms={policy.max_terms}")
+                               f"MAX_TERMS={numerics.MAX_TERMS}")
     return k
 
 
@@ -112,20 +106,20 @@ def qpoch_finite(a: complex, q: float, n: int):
     return _product(a, q, n)
 
 
-def qpoch_infinite(a, q: float, policy: TruncationPolicy = DEFAULT_TRUNCATION):
+def qpoch_infinite(a, q: float):
     """Infinite q-Pochhammer symbol (a; q)_infty, truncated when the
-    multiplicative tail bound |a| q^k / (1-q) drops below ``policy.rel_tol``.
+    multiplicative tail bound |a| q^k / (1-q) drops below ``numerics.REL_TOL``.
 
     ``a`` may be an array (one truncation for all entries, result of the same
     shape); a scalar gives a float for real ``a``, else a complex number.
-    Raises :class:`ConvergenceError` if ``policy.max_terms`` factors are not
+    Raises :class:`ConvergenceError` if ``numerics.MAX_TERMS`` factors are not
     enough, and ``OverflowError`` naming ``a`` and ``q`` if an entry of the
     product leaves double range (``qpoch_log_abs`` still gives its log
     modulus).  Deterministic for fixed inputs.
     """
     _check_q(q)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _product(a, q, _term_count(a, q, policy))
+        out = _product(a, q, _term_count(a, q))
     if not np.isfinite(out).all():
         a_bad = np.ravel(a)[np.argmin(np.isfinite(out))] if np.ndim(a) else a
         raise OverflowError(f"(a; q)_inf at a={a_bad}, q={q} left double range; "
@@ -141,7 +135,7 @@ def qpoch_log_abs(a: complex, q: float, n: int | None = None) -> float:
     """
     _check_q(q)
     if n is None:
-        n = _term_count(a, q, DEFAULT_TRUNCATION)
+        n = _term_count(a, q)
     total = 0.0
     with np.errstate(divide="ignore"):
         for block in _factors(a, q, n):
@@ -191,7 +185,7 @@ def q_gamma_log(z: complex, q: float) -> complex:
     if q == 0.0:
         return 0.0 + 0.0j  # Gamma_0(z) = 1 for Re z > 0
     w = z * math.log(q)
-    n = _term_count(q ** min(z.real, 1.0), q, DEFAULT_TRUNCATION)
+    n = _term_count(q ** min(z.real, 1.0), q)
     total = _log_ratio(q, cmath.exp(w), w, q, n, f"q-Gamma pole at z={z}")
     return (1.0 - z) * math.log(1.0 - q) + total
 
@@ -227,7 +221,7 @@ def ramanujan_ratio(z: complex, lam: complex, q: float):
         out = 1.0 - complex(z)  # (z;0)_inf / (0;0)_inf
     else:
         log_qlam = complex(lam) * math.log(q)
-        n = _term_count(abs(z) * max(1.0, math.exp(log_qlam.real)), q, DEFAULT_TRUNCATION)
+        n = _term_count(abs(z) * max(1.0, math.exp(log_qlam.real)), q)
         out = cmath.exp(_log_ratio(z, z * cmath.exp(log_qlam), cmath.log(z) + log_qlam, q, n,
                                    "vanishing factor in Ramanujan ratio"))
     if not (isinstance(z, complex) or isinstance(lam, complex)):
@@ -237,7 +231,7 @@ def ramanujan_ratio(z: complex, lam: complex, q: float):
 
 def _theta_sum(terms) -> complex:
     """Sum a theta series until two consecutive terms are negligible and
-    decreasing, against :data:`DEFAULT_TRUNCATION`."""
+    decreasing, against ``numerics.REL_TOL`` and ``numerics.MAX_TERMS``."""
     total = 0.0 + 0.0j
     scale = 0.0
     small_streak = 0
@@ -246,15 +240,15 @@ def _theta_sum(terms) -> complex:
         total += term
         mag = abs(term)
         scale = max(scale, mag, abs(total))
-        if n >= 2 and mag <= DEFAULT_TRUNCATION.rel_tol * scale and mag <= prev_mag:
+        if n >= 2 and mag <= numerics.REL_TOL * scale and mag <= prev_mag:
             small_streak += 1
             if small_streak >= 2:
                 return total
         else:
             small_streak = 0
         prev_mag = mag
-        if n + 1 >= DEFAULT_TRUNCATION.max_terms:
-            raise ConvergenceError("theta series exceeded max_terms")
+        if n + 1 >= numerics.MAX_TERMS:
+            raise ConvergenceError(f"theta series exceeded MAX_TERMS={numerics.MAX_TERMS}")
     return total
 
 
@@ -315,8 +309,7 @@ def bessel_k_imag(u: float, x: float) -> float:
     return float(bessel_k_imag_grid(np.array([float(u)]), x)[0])
 
 
-def bessel_k_imag_grid(us: np.ndarray, x: float,
-                       policy: QuadraturePolicy = DEFAULT_QUADRATURE) -> np.ndarray:
+def bessel_k_imag_grid(us: np.ndarray, x: float) -> np.ndarray:
     """K_{iu}(x) for a whole array of orders ``us`` at once.
 
     Moving the contour of (1/2) int_R exp(-x cosh t + i|u|t) dt to Im t = theta
@@ -325,12 +318,14 @@ def bessel_k_imag_grid(us: np.ndarray, x: float,
     e^{|u| theta} below that at theta = 0; theta = pi/4, less for x > 3.4 so
     that the envelope stays within a factor e of exp(-x cosh t).  The nested
     trapezoidal rule shares envelope and phase between orders and stops on
-    the largest change, with a floor of 64 eps times the largest L1 mass.
+    the largest change against ``numerics.REL_TOL``, with a floor of 64 eps
+    times the largest L1 mass; :class:`ConvergenceError` names x past
+    ``numerics.MAX_NODES`` intervals, and for x < 1e-12.
     """
     if x <= 0.0:
         raise ValueError(f"argument must be positive, got x={x}")
     if x < 1e-12:
-        raise ConvergenceError(f"x={x} too small: integration horizon exceeds policy")
+        raise ConvergenceError(f"x={x} too small: below 1e-12 the K grid is not computed")
     us = np.abs(np.asarray(us, dtype=float))
     cos_th = max(math.sqrt(0.5), 1.0 - 1.0 / x)
     xc, xs = x * cos_th, x * math.sqrt(1.0 - cos_th * cos_th)
@@ -340,5 +335,5 @@ def bessel_k_imag_grid(us: np.ndarray, x: float,
 
     # the envelope at the horizon is e^-40 of its peak e^-xc
     horizon = math.acosh(1.0 + 40.0 / xc)
-    vals, _ = _nested_trapezoid(integrand, horizon, policy, 64.0, f"K grid at x={x}")
+    vals, _ = _nested_trapezoid(integrand, horizon, 64.0, f"K grid at x={x}")
     return vals * np.exp(-math.acos(cos_th) * us)

@@ -28,7 +28,6 @@ from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, _backward_vectors,
                               _boundary_cutoff, _transposed, _tridiagonal_step,
                               _weight_tables, path_weight)
-from motzkinq.numerics import DEFAULT_QUADRATURE, QuadraturePolicy
 
 _EPS = float(np.finfo(float).eps)
 
@@ -136,12 +135,13 @@ def panel_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]
     return nodes, weights
 
 
-def gauss_legendre(f, a: float, b: float, policy: QuadraturePolicy = DEFAULT_QUADRATURE) -> float:
+def gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-12, min_nodes: int = 32,
+                   max_nodes: int = 2**15) -> float:
     """Integrate a vectorized callable ``f`` over ``[a, b]``.
 
     ``f`` must accept an ndarray of abscissas and return an ndarray of the
     same shape.  Panels double until two successive estimates agree to
-    ``policy.rel_tol`` relative, with an absolute floor at the rounding
+    ``rel_tol`` relative, with an absolute floor at the rounding
     level of the integrand's L1 mass (cancellation-heavy integrals cannot be
     resolved below that).  Raises :class:`ConvergenceError` when
     ``max_nodes`` is exhausted first.
@@ -151,20 +151,20 @@ def gauss_legendre(f, a: float, b: float, policy: QuadraturePolicy = DEFAULT_QUA
             return 0.0
         raise ValueError(f"empty integration range [{a}, {b}]")
     prev = None
-    panels = max(1, policy.min_nodes // _BASE_RULE)
-    while panels * _BASE_RULE <= policy.max_nodes:
+    panels = max(1, min_nodes // _BASE_RULE)
+    while panels * _BASE_RULE <= max_nodes:
         nodes, weights = panel_rule(a, b, panels)
         fv = np.asarray(f(nodes), dtype=float)
         val = float(np.dot(weights, fv))
         l1 = float(np.dot(weights, np.abs(fv)))
         if prev is not None:
             scale = max(abs(val), abs(prev))
-            if abs(val - prev) <= policy.rel_tol * scale + 64.0 * _EPS * l1 + 1e-300:
+            if abs(val - prev) <= rel_tol * scale + 64.0 * _EPS * l1 + 1e-300:
                 return val
         prev = val
         panels *= 2
     raise ConvergenceError(
-        f"quadrature on [{a}, {b}] did not converge within {policy.max_nodes} nodes"
+        f"quadrature on [{a}, {b}] did not converge within {max_nodes} nodes"
     )
 
 

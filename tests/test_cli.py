@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,17 +75,17 @@ ENUMERATE_MODEL = ("--q", "0.5", "--sigma", "0.8", "--rho0", "0.3", "--rho1", "0
 # (argv, csv digest, json digest): the text of the path-by-path CLI loop
 ENUMERATE_DIGESTS = [
     (("enumerate", "--L", "10", "--m", "0", "--n", "0"),
-     "27f0e3ffa9e007243b999cc25c6dda57a51d5ffa6790ce1f67739870613ebc3e",
-     "993c8ddfea9f48014902ce9222d7ba3a4a42f6c4b5ba29f143aa6e16e2066fb5"),
+     "886e9baff2b48a92807fb0e063c65eff1137d481b91841efbef676c57767a084",
+     "71499fc7940867fd006588b5755ea8809027c53ab6d36f79864e1f90b730da44"),
     (("enumerate", "--L", "10", "--m", "1", "--n", "2"),
-     "3aa1fc7f74fac8238ab1e141639430dacc5260f50c02f5a43966c2ee0784c12f",
-     "287cfad59e0957331141d9849ae1e9b17521f26150fa7269954c905dfd8215f8"),
+     "7eaa6680f4b1c97399229edbd054231d45419a39f4fc8e1b8fe635f859c0796d",
+     "fea731f2a580c19ff64eab3055a5d866a3ec613bd86d1bd0d5ef409540027d72"),
     (("enumerate", "--L", "10", "--m", "2", "--n", "1"),
-     "9994d89944df8c5c86d44cdbc8765bcd85fa187a72a05925ca8c3307271f01ce",
-     "5942ada55530e8abfef324e9555abfa85a67c62c8ea573b3ed45dafe6a309b1d"),
+     "29e5308154fa30c2d931934e2bd57738b74b28ad42d513c929eb8a763678c1f3",
+     "589cb31a7dde61b6ccbf75586fe43ee7083dc801a748c9475abfcec1e3ab2f24"),
     (("enumerate", "--L", "4"),
-     "5fb0bd943ee58931d9be4a65e40ba5fd84fc76211abefef94b4ab076c8a36219",
-     "59f76101fcca0f847f6464e82fdc2109dfdffdd123348fb2b95c8b80738de1fc"),
+     "6a71e83c804fd2128d56169130b1600b27f08a6d93f7bd5626e85b30b2b7179a",
+     "41e679a78f0dcc247eadbcee36cd4c32f84bb9fb5884b5b50c15dc3418ff7a94"),
 ]
 
 
@@ -148,25 +149,25 @@ def test_chain_steps_in_range(capsys):
 
 # ------------------------------------------------------- output byte pins
 
-# SHA-256 of the whole stdout at the default model, taken from the
-# per-cell formatter the table formatter replaced; the sampler and chain
-# loops are pinned bitwise by their oracles, these pin the text
+# SHA-256 of the whole stdout at the default model; the table rows are
+# those of the per-cell formatter the table formatter replaced.  The sampler
+# and chain loops are pinned bitwise by their oracles, these pin the text
 OUTPUT_DIGESTS = [
     (("sample", "--L", "200", "--count", "1000", "--seed", "11"),
-     "aa5d89c97d624a52f8c51e77c700670c99fb85777825b6fa602b1c1667117e7c",
-     "7949f7aa1edce31bab6db2bf67f4e872643f8cf4218ee01bdd3e2184b9961f70"),
+     "d52637948464a11375323a37207771c08119fc170ad6b76e872bab7af1ccdbef",
+     "1b4e4d34543a4b01d22355d666213a70dd81383ffc0eeb7ea76f69947e41b2f0"),
     (("sample", "--L", "1000", "--count", "2000", "--seed", "12345"),
-     "077b843fa71dfadaf0d7141b38c5f488fb450a0355291b48665fa4dc57c6a9eb",
-     "9fcb00203989e9294893d20d76acb107eec659b0619c9ba4c0f66b1cdcd46449"),
+     "8fbad3ea9c227022e7524fccf5346c7cdc117cd4c141530b5282571905718e27",
+     "16de2a92899d9968d9fba6fd16789b9e12953206c966c732685aa1a2d71baf1b"),
     (("sample", "--L", "1000", "--count", "1000", "--seed", "7"),
-     "eb93bcd8cab435a011dd6d6ec4150d52d1018585abb79b56e35ef76a75c15ef2",
-     "28e79a9d775991ef542d83b3415418b7ac8c2ea6f3738b2fdf7c61f1364a9a4c"),
+     "300ab2aa381f67ad3e6d236e189bde08e8c5d08b7e6b7baa2daffe68fcea2215",
+     "4dc7a0614191581256ddab190eab6a044d4b6d3a135eedb2f0c2ae978ae7d524"),
     (("chain", "--L", "100000", "--seed", "5"),
-     "95bec5f6b63bea433f227021123d3a41aa4b12e01b1099b25c4494a1c62f98f1",
-     "b530c535181124a148401a053c1fc5163ba4ae996317331bdc7ead4fc1c0d020"),
+     "b7860128c0b25d76211f769e5b6b1f0267e08917b936ead8fb4ca6c5308835c4",
+     "f4303d0d244706cd425c46b6eba49f1a0262013eff75f818c33176a33eec25eb"),
     (("chain", "--L", "1000"),
-     "3948096b6e3fccf15fb440b58bed79d197af44606741322aa5facdade58536c3",
-     "d344cf89e777695d54b2a937b451cc3d07173983d8569554f558c279d9a8658a"),
+     "7ea499ea8843de9532e73233a125b202824a38bf0afd2f289d3a366d10e15617",
+     "56378468209c9d31c5534239edcfceec5a27c582c5bd5a4b073391d2614d179d"),
 ]
 
 
@@ -316,6 +317,28 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfgfile.write_text("nope=3\n")
     status, _ = run_cli(capsys, "enumerate", "--config", str(cfgfile))
     assert status == 3
+
+
+@pytest.mark.parametrize("entry", ["format=xml", "regime=q-to-2"])
+def test_config_file_value_outside_the_flag_choices(tmp_path, capsys, entry):
+    # a config-file value meets the same choices as its flag
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(entry + "\n")
+    status = main(["enumerate", "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert f"{entry.split('=')[0]} must be one of" in captured.err
+
+
+def test_every_setting_is_read_by_a_subcommand():
+    # a key of DEFAULTS that no code reads as cfg["key"] is a setting that
+    # changes nothing but the echoed header
+    from motzkinq import cli
+
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    unread = [key for key in cli.DEFAULTS if key != "config" and f'cfg["{key}"]' not in source]
+    assert unread == []
 
 
 def test_invalid_flag_value_exit_code(capsys):

@@ -392,5 +392,3 @@ def test_kernel_query_validation():
         KernelQuery(t=0.0, x=1.0, y=1.0)
     with pytest.raises(ValueError):
         KernelQuery(t=1.0, x=1.0, y=1.0, sigma=1.5)
-    with pytest.raises(ValueError):
-        KernelQuery(t=1.0, x=1.0, y=1.0, c=-1.0)

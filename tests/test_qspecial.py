@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from motzkinq.errors import ConvergenceError
-from motzkinq.numerics import QuadraturePolicy, TruncationPolicy
+from motzkinq import numerics
 from motzkinq.qspecial import (
     bessel_k_imag,
     bessel_k_imag_grid,
@@ -54,20 +54,23 @@ def test_qpoch_finite_known_values():
     assert qpoch_finite(1.0, 0.5, 3) == 0.0
 
 
-def test_qpoch_infinite_against_long_product_oracle():
+def test_qpoch_infinite_against_long_product_oracle(monkeypatch):
     # independent oracle: plain 200-term loop
     oracle = 1.0
     for k in range(200):
         oracle *= 1.0 - 0.5 * 0.5**k
-    val = qpoch_infinite(0.5, 0.5, TruncationPolicy(rel_tol=1e-14))
+    monkeypatch.setattr(numerics, "REL_TOL", 1e-14)
+    val = qpoch_infinite(0.5, 0.5)
     assert val == pytest.approx(oracle, rel=1e-13)
     assert val == pytest.approx(0.2887880951, rel=1e-9)
 
 
-def test_qpoch_infinite_trivial_and_errors():
+def test_qpoch_infinite_trivial_and_errors(monkeypatch):
     assert qpoch_infinite(0.0, 0.9) == 1.0
+    monkeypatch.setattr(numerics, "REL_TOL", 1e-14)
+    monkeypatch.setattr(numerics, "MAX_TERMS", 10)
     with pytest.raises(ConvergenceError):
-        qpoch_infinite(0.5, 1.0 - 1e-9, TruncationPolicy(rel_tol=1e-14, max_terms=10))
+        qpoch_infinite(0.5, 1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("a,q,n", [
@@ -440,7 +443,8 @@ def test_bessel_k_grid_against_mpmath_up_to_order_25():
         assert np.max(np.abs(got - want)) <= 64.0 * eps * want[0]
 
 
-def test_bessel_k_grid_names_itself_on_failure():
-    tight = QuadraturePolicy(min_nodes=4, max_nodes=8)
+def test_bessel_k_grid_names_itself_on_failure(monkeypatch):
+    monkeypatch.setattr(numerics, "MIN_NODES", 4)
+    monkeypatch.setattr(numerics, "MAX_NODES", 8)
     with pytest.raises(ConvergenceError, match=r"K grid at x=0\.5 did not converge within 8"):
-        bessel_k_imag_grid(np.array([0.0, 20.0]), 0.5, tight)
+        bessel_k_imag_grid(np.array([0.0, 20.0]), 0.5)
