@@ -45,7 +45,7 @@ print(f"transfer route    : {transfer:.15f}   (rel dev {abs(transfer-brute)/brut
 print(f"integral route    : {integral:.15f}   (rel dev {abs(integral-brute)/brute:.1e})")
 print()
 
-B = model.support().B
+B = model.B
 print(f"normalizing-constant growth vs log(B) = {math.log(B):.6f}:")
 for L in (20, 40, 80, 160):
     inc = log_normalizing_constant(L + 1, wm) - log_normalizing_constant(L, wm)

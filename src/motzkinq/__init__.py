@@ -14,7 +14,7 @@ Layout:
 * :mod:`motzkinq.cli` -- the command-line front end.
 """
 
-from .ascpoly import AscParams, QModelParams, SupportInterval
+from .ascpoly import AscParams, QModelParams
 from .chains import Distribution
 from .errors import CapacityError, ConvergenceError
 from .kernels import KernelQuery, LimitComparison
@@ -31,7 +31,6 @@ __all__ = [
     "LimitComparison",
     "MotzkinPath",
     "QModelParams",
-    "SupportInterval",
     "WeightModel",
     "__version__",
 ]

@@ -12,10 +12,10 @@ right endpoint drive the boundary chains.
 
 The recurrences below run over the real coefficient pair
 ``(a+b, ab)``, so all public outputs of the Motzkin model are real; the
-endpoint values come from the ratio recurrence of :func:`s_ratios`.  Complex
-arithmetic only enters the coefficient arrays of the convolution form of
-``Q_n(1)`` (:func:`asc_at_one`, an independent reference) and carries an
-imaginary-residue guard.
+endpoint values come from the ratio recurrence of :func:`s_ratios`.  The
+moment integrals int (x/B)^k p_m ptilde_n nu(dx) of the integral route, the
+k-step chain probabilities and the path-sum check all go through one
+function, :func:`_moment_integral`.
 """
 
 from __future__ import annotations
@@ -32,12 +32,8 @@ from .qspecial import q_number, qpoch_infinite, qpoch_log_abs
 __all__ = [
     "AscParams",
     "QModelParams",
-    "SupportInterval",
     "asc_eval",
     "asc_eval_scaled",
-    "asc_at_one",
-    "asc_coeff_ratio_array",
-    "asc_density",
     "density_times_sine",
     "nu_integrate",
     "s_ratios",
@@ -50,7 +46,6 @@ __all__ = [
 ]
 
 RECURRENCE_CAP = 100_000
-_IMAG_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,23 +105,15 @@ class QModelParams:
     def asc_params(self) -> AscParams:
         return AscParams(self.asc_a, self.asc_b, self.q)
 
-    def support(self) -> "SupportInterval":
-        return SupportInterval(
-            A=-2.0 * (1.0 - self.sigma) / (1.0 - self.q),
-            B=2.0 * (1.0 + self.sigma) / (1.0 - self.q),
-        )
+    @property
+    def A(self) -> float:
+        """Left end of the orthogonality interval [A, B]."""
+        return -2.0 * (1.0 - self.sigma) / (1.0 - self.q)
 
-
-@dataclass(frozen=True)
-class SupportInterval:
-    """Orthogonality interval [A, B] of the Motzkin-model polynomials."""
-
-    A: float
-    B: float
-
-    def __post_init__(self) -> None:
-        if not self.B > self.A:
-            raise ValueError(f"need B > A, got [{self.A}, {self.B}]")
+    @property
+    def B(self) -> float:
+        """Right end of the orthogonality interval [A, B]."""
+        return 2.0 * (1.0 + self.sigma) / (1.0 - self.q)
 
 
 def _check_order(n: int) -> None:
@@ -183,51 +170,10 @@ def asc_eval_scaled(n: int, x: float, p: AscParams) -> tuple[float, float]:
     return math.copysign(1.0, cur), math.log(abs(cur)) + log_scale
 
 
-def asc_coeff_ratio_array(c: complex, q: float, nmax: int) -> np.ndarray:
-    """Array of (c; q)_k / (q; q)_k for k = 0..nmax."""
-    ks = np.arange(nmax, dtype=float)
-    qk = np.power(q, ks)  # q^0 .. q^(nmax-1)
-    num = np.cumprod(1.0 - c * qk.astype(complex))
-    den = np.cumprod(1.0 - q * qk)
-    out = np.empty(nmax + 1, dtype=complex)
-    out[0] = 1.0
-    out[1:] = num / den
-    return out
-
-
-def asc_at_one(n: int, p: AscParams) -> float:
-    """Q_n(1; a, b | q) / (q; q)_n as the convolution sum
-    sum_k (a;q)_k (b;q)_{n-k} / ((q;q)_k (q;q)_{n-k})."""
-    _check_order(n)
-    A = asc_coeff_ratio_array(complex(p.a), p.q, n)
-    B = asc_coeff_ratio_array(complex(p.b), p.q, n)
-    val = complex(np.dot(A, B[::-1]))
-    if abs(val.imag) > _IMAG_GUARD * max(1.0, abs(val.real)):
-        raise ValueError(f"imaginary residue {val.imag} in Q_{n}(1) convolution")
-    return val.real
-
-
-def asc_density(x: float, p: AscParams) -> float:
-    """Orthogonality density g(x) of the Al-Salam-Chihara family on (-1, 1).
-
-    Requires |a| < 1 and |b| < 1.
-    """
-    if abs(complex(p.a)) >= 1.0 or abs(complex(p.b)) >= 1.0:
-        raise ValueError("density requires |a| < 1 and |b| < 1")
-    if not -1.0 < x < 1.0:
-        raise ValueError(f"density is supported on (-1, 1), got x={x}")
-    q = p.q
-    theta = math.acos(x)
-    e2 = cmath.exp(2j * theta)
-    e1 = cmath.exp(1j * theta)
-    num = qpoch_infinite(q, q) * qpoch_infinite(p.prod_ab, q) * abs(qpoch_infinite(e2, q)) ** 2
-    den = abs(qpoch_infinite(complex(p.a) * e1, q) * qpoch_infinite(complex(p.b) * e1, q)) ** 2
-    return num / (2.0 * math.pi * math.sqrt(1.0 - x * x) * den)
-
-
 def density_times_sine(theta: np.ndarray, p: AscParams) -> np.ndarray:
-    """g(cos theta) sin(theta) on a grid, in the form with the square-root
-    edge factors absorbed (smooth at both endpoints):
+    """g(cos theta) sin(theta) on a grid, g the orthogonality density of the
+    family on (-1, 1) (|a|, |b| < 1), in the form with the square-root edge
+    factors absorbed (smooth at both endpoints):
 
     (2/pi) sin^2(theta) (q, ab; q)_inf |(q e^{2 i theta}; q)_inf|^2
         / |(a e^{i theta}, b e^{i theta}; q)_inf|^2.
@@ -351,9 +297,9 @@ def _initial_law_probs(model: QModelParams, rho: float, tail_tol: float) -> np.n
 
 def s_values(nmax: int, m: QModelParams) -> np.ndarray:
     """Boundary values s_0..s_nmax, s_n = Q_n(1; a, b | q) / (q; q)_n, as exp
-    of the cumulative log-ratios of :func:`s_ratios` (:func:`asc_at_one` is
-    the independent convolution form).  Raises ``OverflowError`` naming the
-    first level whose value leaves double range."""
+    of the cumulative log-ratios of :func:`s_ratios`.  Raises
+    ``OverflowError`` naming the first level whose value leaves double
+    range."""
     with np.errstate(over="ignore"):
         s = np.exp(log_s_values(nmax, m))
     bad = np.flatnonzero(np.isinf(s))
@@ -391,6 +337,19 @@ def motzkin_poly_table(nmax: int, xs: np.ndarray, m: QModelParams) -> np.ndarray
         n, j = bad[0]
         raise OverflowError(f"p_{n}({xs.reshape(-1)[j]}) overflowed double precision")
     return table
+
+
+def _moment_integral(v: np.ndarray, w: np.ndarray, power: int, m: QModelParams) -> float:
+    """int (x/B)^power (v . P(x)) (w . Ptilde(x)) nu(dx), P(x) the
+    polynomials p_0..p_{S-1} at x, Ptilde_n = [n+1]_q p_n and S = len(v)."""
+    B = m.B
+    wtilde = w * np.array([q_number(i + 1, m.q) for i in range(len(v))])
+
+    def integrand(x):
+        table = motzkin_poly_table(len(v) - 1, x, m)
+        return (x / B) ** power * (v @ table) * (wtilde @ table)
+
+    return nu_integrate(integrand, m)
 
 
 def asc_endpoint_limit_fixed_q(M: int, u: float, p: AscParams) -> float:

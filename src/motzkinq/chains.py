@@ -18,7 +18,7 @@ k-step probabilities come either from tridiagonal iteration (default, on
 states 0..max support + k, the exact reach) or from the
 orthogonality-measure integral
 
-    P(X_k = n | X_0 = m) = (pi_n / pi_m) B^{-k} int x^k p_m(x) ptilde_n(x) nu(dx),
+    P(X_k = n | X_0 = m) = (pi_n / pi_m) int (x/B)^k p_m(x) ptilde_n(x) nu(dx),
 
 kept as a cross-validation route.  The local-limit drivers use a Chebyshev
 expansion of P^k (:func:`_chebyshev_power`), which needs about
@@ -39,11 +39,8 @@ from .ascpoly import (
     QModelParams,
     _decay,
     _initial_law_probs,
-    initial_log_normalizer,
-    motzkin_poly_table,
-    nu_integrate,
+    _moment_integral,
     pi_values,
-    q_number,
     s_ratios,
 )
 from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _pull_back,
@@ -55,7 +52,6 @@ __all__ = [
     "Distribution",
     "transition_row",
     "transition_arrays",
-    "initial_log_normalizer",
     "initial_law",
     "kstep_distribution",
     "kstep_transition_integral",
@@ -104,12 +100,6 @@ class Distribution:
     def rows(self):
         for i, p in enumerate(self.probs):
             yield self.offset + i, float(p)
-
-    def to_csv(self) -> str:
-        """CSV serialization with columns n, probability."""
-        lines = ["n,probability"]
-        lines.extend(f"{n},{p:.17g}" for n, p in self.rows())
-        return "\n".join(lines) + "\n"
 
 
 def transition_row(n: int, model: QModelParams) -> Distribution:
@@ -224,23 +214,18 @@ def kstep_distribution(start: Distribution, k: int, model: QModelParams) -> Dist
 
 
 def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams) -> float:
-    """P(X_k = n | X_0 = m) through the orthogonality-measure moment
-    integral; cross-validates the tridiagonal route.
+    """P(X_k = n | X_0 = m) = (pi_n / pi_m) int (x/B)^k p_m ptilde_n nu(dx),
+    the moment integral :func:`motzkinq.ascpoly._moment_integral` of the unit
+    vectors e_m and e_n; cross-validates the tridiagonal route.
 
     The factor x^k concentrates near the right endpoint, so node doubling is
     capped (a :class:`ConvergenceError` is preferable to a silently
     inaccurate value).
     """
-    B = model.support().B
     nmax = max(m, n)
-
-    def integrand(x):
-        tbl = motzkin_poly_table(nmax, x, model)
-        return (x / B) ** k * tbl[m] * tbl[n]
-
-    val = nu_integrate(integrand, model)
+    unit = np.eye(nmax + 1)
     pis = pi_values(nmax, model)
-    return pis[n] / pis[m] * q_number(n + 1, model.q) * val
+    return pis[n] / pis[m] * _moment_integral(unit[m], unit[n], k, model)
 
 
 def simulate_chain(model: QModelParams, steps: int, seed: int,

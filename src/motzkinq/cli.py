@@ -57,6 +57,7 @@ DEFAULTS: dict = {
 _FLOAT_KEYS = ("q", "sigma", "rho0", "rho1", "t", "x", "y", "tol")
 _INT_KEYS = ("L", "m", "n", "count", "seed")
 _CHOICES = {"regime": ("fixed-q", "q-to-1"), "format": ("csv", "json")}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class ConfigError(Exception):
@@ -129,8 +130,8 @@ def _coerce(key: str, value):
             if key == "N":
                 return [int(tok) for tok in value.split(",") if tok.strip()]
             if key == "inject_fault":
-                return value.lower() in ("1", "true", "yes")
-        except ValueError as exc:
+                return _BOOLS[value.lower()]
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return value
 

@@ -251,15 +251,15 @@ def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
 
 def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitComparison:
     """sqrt(N) P(X_0 = J_x) with q = exp(-2/sqrt(N)), rho0 = exp(-c/sqrt(N))
-    against 4 / (2^c Gamma(c/2)^2) K_0(e^-x)."""
+    against the entrance law :func:`zeta0_density`,
+    4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^-x)."""
     rn = math.sqrt(N)
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma, rho0=math.exp(-c / rn))
     level = index_map(x, N, sigma)
     if level < 0:
         raise CapacityError(f"index map gave negative level (x={x}, N={N})")
     lhs = rn * float(_initial_probs(model, model.rho0, level)[level])
-    rhs = 4.0 / (2.0**c * math.gamma(c / 2.0) ** 2) * bessel_k_imag(0.0, math.exp(-x))
-    return LimitComparison(lhs=lhs, rhs=rhs)
+    return LimitComparison(lhs=lhs, rhs=zeta0_density(x, c))
 
 
 def error_table(regime: str, Ns: list[int], t: float, x: float, y: float,

@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ascpoly import (QModelParams, _initial_law_probs, motzkin_poly_table, nu_integrate,
-                      q_number)
+from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, q_number
 from .errors import CapacityError
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "enumerate_paths",
     "path_weight",
     "table_weights",
-    "horizontal_count",
-    "partition_weight",
     "normalizing_constant",
     "log_normalizing_constant",
     "matrix_ansatz_expectation",
@@ -41,7 +38,6 @@ __all__ = [
     "integral_normalizing_constant",
     "sample_paths",
     "path_line",
-    "parse_path_line",
 ]
 
 ENUMERATION_CAP = 14
@@ -76,12 +72,6 @@ class MotzkinPath:
         return iter(self.altitudes)
 
 
-def horizontal_count(path: MotzkinPath) -> int:
-    """Number of flat steps H(path)."""
-    alts = path.altitudes
-    return sum(1 for a, b in zip(alts, alts[1:]) if a == b)
-
-
 @dataclass(frozen=True)
 class WeightModel:
     """Edge weights (up, flat, down) by left altitude plus boundary weights.
@@ -109,13 +99,6 @@ class WeightModel:
             beta=lambda n: m.rho1**n,
             qmodel=m,
         )
-
-    @staticmethod
-    def unit() -> "WeightModel":
-        """All edge and boundary weights 1 (counting measure; boundary sums
-        diverge, so only enumeration-style operations apply)."""
-        one = lambda n: 1.0
-        return WeightModel(up=one, flat=one, down=one, alpha=one, beta=one)
 
     def weight_arrays(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ns = range(size)
@@ -227,23 +210,6 @@ def _pull_back(v: np.ndarray, steps: int, up_T: np.ndarray, flat: np.ndarray,
         v = _tridiagonal_step(v, up_T, flat, down_T)
         v /= v.max()
     return v
-
-
-def partition_weight(L: int, m: int, n: int, model: WeightModel) -> float:
-    """Total weight of all paths of length L from m to n.
-
-    Exact (no truncation): the operator runs on max(m, n) + L + 2 levels,
-    and a path cannot climb more than one level per step.
-    """
-    if L < 0 or m < 0 or n < 0:
-        raise ValueError("L, m, n must be nonnegative")
-    S = max(m, n) + L + 2
-    a, b, c = model.weight_arrays(S)
-    v = np.zeros(S)
-    v[m] = 1.0
-    for _ in range(L):
-        v = _tridiagonal_step(v, a, b, c)
-    return float(v[n])
 
 
 def _require_qmodel(model: WeightModel) -> QModelParams:
@@ -368,20 +334,12 @@ def _psi_functions(tables: tuple[np.ndarray, ...], z0: float, z1: float,
     return v, w
 
 
-def _moment_integral(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
+def _positive_moment(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
                      L: int, what: str) -> float:
-    """int (x/B)^power (v . P(x)) (w [n+1]_q . P(x)) nu(dx), P(x) the
-    polynomials p_0..p_{S-1} at x, S = len(v).  The value is positive;
+    """:func:`motzkinq.ascpoly._moment_integral`, which is positive here;
     OverflowError naming ``what``, L and q when it comes out as 0, which
     happens when the density underflows where (x/B)^power has its mass."""
-    B = qm.support().B
-    wtilde = w * np.array([q_number(i + 1, qm.q) for i in range(len(v))])
-
-    def integrand(x):
-        table = motzkin_poly_table(len(v) - 1, x, qm)
-        return (x / B) ** power * (v @ table) * (wtilde @ table)
-
-    val = nu_integrate(integrand, qm)
+    val = _moment_integral(v, w, power, qm)
     if val == 0.0:
         raise OverflowError(f"moment integral of {what} underflows to 0 at L={L}, q={qm.q:g}: "
                             "the orthogonality density underflows where (x/B)^L has its "
@@ -394,7 +352,7 @@ def _integral_denominator(qm: QModelParams, L: int, tables: tuple[np.ndarray, ..
     """C_L / B^L as the moment integral int (x/B)^L (V^T P)(W^T Q) nu(dx)
     with both boundary vectors on the tables' altitudes."""
     v1, w1 = _psi_functions(tables, 1.0, 1.0, [], [])
-    return _moment_integral(qm, v1, w1, L, L, "C_L / B^L")
+    return _positive_moment(qm, v1, w1, L, L, "C_L / B^L")
 
 
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
@@ -416,15 +374,15 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
     tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 2 * K + 8)
     den = _integral_denominator(qm, L, tables)
     v, w = _psi_functions(tables, z0, z1, t, s)
-    num = _moment_integral(qm, v, w, L - 2 * K, L, "the expectation's numerator")
-    return num / den / qm.support().B ** (2 * K)
+    num = _positive_moment(qm, v, w, L - 2 * K, L, "the expectation's numerator")
+    return num / den / qm.B ** (2 * K)
 
 
 def integral_normalizing_constant(L: int, model: WeightModel) -> float:
     """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx), both
     vectors truncated at S = T + 8, T the boundary cutoff at TAIL_TOL."""
     qm = _require_qmodel(model)
-    B = qm.support().B
+    B = qm.B
     tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 8)
     log_value = math.log(_integral_denominator(qm, L, tables)) + L * math.log(B)
     if log_value > 700.0:
@@ -514,7 +472,3 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
 def path_line(path: MotzkinPath) -> str:
     """One path per line: comma-separated altitudes."""
     return ",".join(str(a) for a in path.altitudes)
-
-
-def parse_path_line(line: str) -> MotzkinPath:
-    return MotzkinPath(tuple(int(tok) for tok in line.strip().split(",")))

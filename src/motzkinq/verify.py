@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascpoly import (RECURRENCE_CAP, QModelParams, log_s_values, pi_values, q_number,
-                      s_values)
-from .chains import initial_log_normalizer, transition_arrays
+from .ascpoly import (RECURRENCE_CAP, QModelParams, _moment_integral, initial_log_normalizer,
+                      log_s_values, pi_values, s_values)
+from .chains import transition_arrays
 from .motzkin import (
     WeightModel,
     altitude_table,
@@ -27,11 +27,9 @@ from .motzkin import (
     integral_normalizing_constant,
     matrix_ansatz_expectation,
     normalizing_constant,
-    nu_integrate,
     path_weight,
     table_weights,
 )
-from .ascpoly import motzkin_poly_table
 from .qspecial import q_gamma, qpoch_infinite, theta1, theta4
 
 __all__ = ["CheckResult", "run_checks"]
@@ -96,22 +94,17 @@ def run_checks(model: QModelParams, inject_fault: bool = False) -> list[CheckRes
         _rel(integral_normalizing_constant(8, ref_wm), normalizing_constant(8, ref_wm)), 1e-7))
 
     # 5. moment identity of path sums (orthogonality route vs enumeration)
-    B_ref = ref.support().B
     worst = 0.0
     for (mm, nn, LL) in [(0, 0, 4), (1, 2, 5), (3, 1, 6)]:
         brute_w = sum(path_weight(p, ref_wm) for p in enumerate_paths(LL, mm, nn))
-
-        def f(x, mm=mm, nn=nn, LL=LL):
-            tbl = motzkin_poly_table(max(mm, nn), x, ref)
-            return tbl[mm] * tbl[nn] * (x / B_ref) ** LL
-
-        got = nu_integrate(f, ref) * B_ref**LL * q_number(nn + 1, ref.q)
+        unit = np.eye(max(mm, nn) + 1)
+        got = ref.B**LL * _moment_integral(unit[mm], unit[nn], LL, ref)
         worst = max(worst, _rel(got, brute_w))
     out.append(CheckResult("path-sum-moment-identity", worst, 1e-7))
 
     # 6. row stochasticity of the boundary chain
     wm = WeightModel.from_qmodel(model)
-    B = model.support().B
+    B = model.B
     up, flat, down = transition_arrays(model, 500)
     out.append(CheckResult("row-stochasticity",
                            float(np.max(np.abs(up + flat + down - 1.0))), 1e-10))

@@ -14,20 +14,29 @@ the exact finite-L laws in ``chains``: a recursive walk over head prefixes
 and one L-step transfer pass per initial altitude.  The shares of g_0 and
 g_L past a truncation are a backward and a forward pass of their own,
 400 levels above it.
+
+The last block holds references that the package itself never calls: the
+untruncated fixed-end path sum ``partition_weight`` with its all-ones
+``unit_model``, the flat-step count and path-line parser, the convolution
+form ``asc_at_one`` of Q_n(1) / (q; q)_n (checks ``s_values``) and the
+scalar orthogonality density ``asc_density`` (checks
+``density_times_sine``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from motzkinq.ascpoly import q_number
+from motzkinq.ascpoly import AscParams, _check_order, q_number
 from motzkinq.chains import initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
-from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, _backward_vectors,
+from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, WeightModel, _backward_vectors,
                               _boundary_cutoff, _transposed, _tridiagonal_step,
                               _weight_tables, path_weight)
+from motzkinq.qspecial import qpoch_infinite
 
 _EPS = float(np.finfo(float).eps)
 
@@ -455,3 +464,85 @@ def transfer_expectation_plain(wm, z0: float, z1: float, t, s, L: int, S: int) -
     num = forward(alpha * z0 ** h, tlist) @ (beta * z1 ** h)
     den = forward(alpha, [1.0] * L) @ beta
     return float(num / den)
+
+
+# ------------------------------------------- references the package never calls
+
+def unit_model() -> WeightModel:
+    """All edge and boundary weights 1 (counting measure; boundary sums
+    diverge, so only enumeration-style operations apply)."""
+    one = lambda n: 1.0
+    return WeightModel(up=one, flat=one, down=one, alpha=one, beta=one)
+
+
+def horizontal_count(path: MotzkinPath) -> int:
+    """Number of flat steps H(path)."""
+    alts = path.altitudes
+    return sum(1 for a, b in zip(alts, alts[1:]) if a == b)
+
+
+def parse_path_line(line: str) -> MotzkinPath:
+    """Inverse of ``motzkin.path_line``."""
+    return MotzkinPath(tuple(int(tok) for tok in line.strip().split(",")))
+
+
+def partition_weight(L: int, m: int, n: int, model: WeightModel) -> float:
+    """Total weight of all paths of length L from m to n.
+
+    Exact (no truncation): the operator runs on max(m, n) + L + 2 levels,
+    and a path cannot climb more than one level per step.
+    """
+    if L < 0 or m < 0 or n < 0:
+        raise ValueError("L, m, n must be nonnegative")
+    S = max(m, n) + L + 2
+    a, b, c = model.weight_arrays(S)
+    v = np.zeros(S)
+    v[m] = 1.0
+    for _ in range(L):
+        v = _tridiagonal_step(v, a, b, c)
+    return float(v[n])
+
+
+_IMAG_GUARD = 1e-9
+
+
+def asc_coeff_ratio_array(c: complex, q: float, nmax: int) -> np.ndarray:
+    """Array of (c; q)_k / (q; q)_k for k = 0..nmax."""
+    ks = np.arange(nmax, dtype=float)
+    qk = np.power(q, ks)  # q^0 .. q^(nmax-1)
+    num = np.cumprod(1.0 - c * qk.astype(complex))
+    den = np.cumprod(1.0 - q * qk)
+    out = np.empty(nmax + 1, dtype=complex)
+    out[0] = 1.0
+    out[1:] = num / den
+    return out
+
+
+def asc_at_one(n: int, p: AscParams) -> float:
+    """Q_n(1; a, b | q) / (q; q)_n as the convolution sum
+    sum_k (a;q)_k (b;q)_{n-k} / ((q;q)_k (q;q)_{n-k})."""
+    _check_order(n)
+    A = asc_coeff_ratio_array(complex(p.a), p.q, n)
+    B = asc_coeff_ratio_array(complex(p.b), p.q, n)
+    val = complex(np.dot(A, B[::-1]))
+    if abs(val.imag) > _IMAG_GUARD * max(1.0, abs(val.real)):
+        raise ValueError(f"imaginary residue {val.imag} in Q_{n}(1) convolution")
+    return val.real
+
+
+def asc_density(x: float, p: AscParams) -> float:
+    """Orthogonality density g(x) of the Al-Salam-Chihara family on (-1, 1).
+
+    Requires |a| < 1 and |b| < 1.
+    """
+    if abs(complex(p.a)) >= 1.0 or abs(complex(p.b)) >= 1.0:
+        raise ValueError("density requires |a| < 1 and |b| < 1")
+    if not -1.0 < x < 1.0:
+        raise ValueError(f"density is supported on (-1, 1), got x={x}")
+    q = p.q
+    theta = math.acos(x)
+    e2 = cmath.exp(2j * theta)
+    e1 = cmath.exp(1j * theta)
+    num = qpoch_infinite(q, q) * qpoch_infinite(p.prod_ab, q) * abs(qpoch_infinite(e2, q)) ** 2
+    den = abs(qpoch_infinite(complex(p.a) * e1, q) * qpoch_infinite(complex(p.b) * e1, q)) ** 2
+    return num / (2.0 * math.pi * math.sqrt(1.0 - x * x) * den)

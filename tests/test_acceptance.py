@@ -131,7 +131,7 @@ def test_criterion_04_path_sum_moment_identity():
     t0 = time.monotonic()
     m = QModelParams(q=0.5, sigma=0.7)
     wm = WeightModel.from_qmodel(m)
-    B = m.support().B
+    B = m.B
     worst = 0.0
     for L in range(9):
         for mm in range(5):

@@ -10,9 +10,6 @@ import pytest
 from motzkinq.ascpoly import (
     AscParams,
     QModelParams,
-    SupportInterval,
-    asc_at_one,
-    asc_density,
     asc_endpoint_limit_fixed_q,
     asc_endpoint_limit_q_to_1,
     asc_eval,
@@ -24,6 +21,8 @@ from motzkinq.ascpoly import (
     s_values,
 )
 from motzkinq.qspecial import bessel_k_imag, q_number, qpoch_finite, qpoch_infinite
+
+from oracles import asc_at_one, asc_density
 
 
 def conj_params(q: float, sigma: float) -> AscParams:
@@ -191,7 +190,7 @@ def test_s_values_at_q_zero():
 
 def test_s_value_matches_polynomial_recurrence():
     m = QModelParams(q=0.5, sigma=1.0)
-    B = m.support().B
+    B = m.B
     s = s_values(8, m)
     for n in (1, 3, 8):
         via_poly = motzkin_poly_table(n, [B], m)[n, 0] * q_number(n + 1, m.q)
@@ -223,7 +222,7 @@ def test_endpoint_recurrence_identity(q, sigma):
     # up_n pi_{n+1} + flat_n pi_n + down_n pi_{n-1} = B pi_n, the
     # row-stochasticity generator of the boundary chain
     m = QModelParams(q=q, sigma=sigma)
-    B = m.support().B
+    B = m.B
     pis = np.concatenate([[0.0], pi_values(201, m)])  # pis[k] = pi_{k-1}
     for n in range(201):
         lhs = (q_number(n + 2, q) * pis[n + 2]
@@ -280,7 +279,7 @@ def test_motzkin_poly_first_orders():
 
 def test_motzkin_poly_at_right_endpoint_is_pi():
     m = QModelParams(q=0.5, sigma=1.0)
-    B = m.support().B
+    B = m.B
     assert motzkin_poly_table(5, [B], m)[5, 0] == pytest.approx(pi_values(5, m)[5], rel=1e-10)
 
 
@@ -311,7 +310,7 @@ def test_motzkin_poly_table_matches_scalar():
 def test_motzkin_poly_table_bitwise_equal_to_scalar_recurrence():
     from oracles import motzkin_poly_eval_scalar
     m = QModelParams(q=0.99, sigma=1.0)
-    xs = np.linspace(m.support().A, m.support().B, 7)
+    xs = np.linspace(m.A, m.B, 7)
     table = motzkin_poly_table(300, xs, m)
     for n in (0, 1, 17, 150, 300):
         assert [motzkin_poly_eval_scalar(n, float(x), m) for x in xs] == table[n].tolist()
@@ -444,10 +443,9 @@ def test_endpoint_limit_q_to_1_negative_index_error():
 
 def test_support_interval_values():
     m = QModelParams(q=0.5, sigma=0.7)
-    sup = m.support()
-    assert sup.A == pytest.approx(-2 * 0.3 / 0.5)
-    assert sup.B == pytest.approx(2 * 1.7 / 0.5)
-    assert sup.B > abs(sup.A)
+    assert m.A == pytest.approx(-2 * 0.3 / 0.5)
+    assert m.B == pytest.approx(2 * 1.7 / 0.5)
+    assert m.B > abs(m.A)
 
 
 def test_parameter_validation():
@@ -461,8 +459,6 @@ def test_parameter_validation():
         AscParams(0.5 + 0.2j, 0.5 + 0.2j, 0.5)  # not conjugate, not real
     with pytest.raises(ValueError):
         AscParams(2.0, 0.6, 0.5)  # |ab| >= 1
-    with pytest.raises(ValueError):
-        SupportInterval(2.0, -1.0)
 
 
 def test_qmodel_asc_parameters_solve_symmetric_system():

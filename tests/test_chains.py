@@ -68,7 +68,7 @@ def test_transition_matches_general_endpoint_form():
     # the ratio rows coincide with up_n pi_{n+1} / (B pi_n) etc.
     m = QModelParams(q=0.55, sigma=0.7)
     wm = WeightModel.from_qmodel(m)
-    B = m.support().B
+    B = m.B
     pis = pi_values(60, m)
     up, flat, down = transition_arrays(m, 59)
     for n in (0, 1, 5, 17, 40):
@@ -83,7 +83,7 @@ def test_head_and_tail_chains_share_rows():
     # pi~_n = [n+1]_q pi_n has identical one-step probabilities
     m = QModelParams(q=0.4, sigma=0.9)
     wm = WeightModel.from_qmodel(m)
-    B = m.support().B
+    B = m.B
     s = s_values(50, m)  # pi~ = s
     up, flat, down = transition_arrays(m, 49)
     for n in (0, 1, 4, 20):
@@ -475,11 +475,3 @@ def test_kstep_integral_overflow_is_named_at_once():
         kstep_transition_integral(300, 310, 100, QModelParams(q=0.99, sigma=1.0))
     assert time.monotonic() - t0 < 1.0
 
-
-def test_distribution_csv_serialization():
-    d = Distribution(offset=2, probs=np.array([0.25, 0.75]))
-    text = d.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "n,probability"
-    assert lines[1] == "2,0.25"
-    assert lines[2] == "3,0.75"

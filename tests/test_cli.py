@@ -331,6 +331,21 @@ def test_config_file_value_outside_the_flag_choices(tmp_path, capsys, entry):
     assert f"{entry.split('=')[0]} must be one of" in captured.err
 
 
+def test_config_file_inject_fault_must_be_a_boolean(tmp_path, capsys):
+    # a misspelt value used to run verify without the fault and exit 0
+    from motzkinq import cli
+
+    got = [cli._coerce("inject_fault", v) for v in ("1", "TRUE", "Yes", "0", "False", "NO")]
+    assert got == [True, True, True, False, False, False]
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("inject_fault=ture\n")
+    status = main(["verify", "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert "bad value for inject_fault: 'ture'" in captured.err
+
+
 def test_every_setting_is_read_by_a_subcommand():
     # a key of DEFAULTS that no code reads as cfg["key"] is a setting that
     # changes nothing but the echoed header

@@ -335,6 +335,11 @@ def test_initial_limit_q_to_1():
     assert out.rel_err < 0.10
     at_c2 = initial_limit_q_to_1(10_000, 0.0, 2.0, 1.0)
     assert at_c2.rhs == pytest.approx(bessel_k_imag(0.0, 1.0), rel=1e-12)
+    # away from x = 0 the factor e^{-c x} of the entrance law matters
+    for c in (1.0, 2.0):
+        for x in (-1.0, 1.0, 2.0):
+            out = initial_limit_q_to_1(10_000, x, c, 1.0)
+            assert out.rel_err < 0.01, (x, c, out)
 
 
 @pytest.mark.parametrize("N", [90_000, 250_000])

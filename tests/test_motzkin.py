@@ -23,14 +23,11 @@ from motzkinq.motzkin import (
     WeightModel,
     altitude_table,
     enumerate_paths,
-    horizontal_count,
     integral_expectation,
     integral_normalizing_constant,
     log_normalizing_constant,
     matrix_ansatz_expectation,
     normalizing_constant,
-    parse_path_line,
-    partition_weight,
     path_line,
     path_weight,
     sample_paths,
@@ -41,8 +38,9 @@ from motzkinq.motzkin import (
 )
 
 from oracles import (brute_expectation, brute_partition_sum, end_laws, end_mass_shares_past,
-                     enumerate_paths_recursive, gauss_legendre, sample_paths_per_state,
-                     transfer_expectation_plain)
+                     enumerate_paths_recursive, gauss_legendre, horizontal_count,
+                     parse_path_line, partition_weight, sample_paths_per_state,
+                     transfer_expectation_plain, unit_model)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -88,7 +86,7 @@ def test_altitude_table_matches_recursive_walk_row_order():
 def test_enumeration_ends_out_of_reach_give_no_path(L, m, n):
     assert altitude_table(L, m, n).shape == (0, L + 1)
     assert enumerate_paths(L, m, n) == []
-    assert table_weights(altitude_table(L, m, n), WeightModel.unit()).shape == (0,)
+    assert table_weights(altitude_table(L, m, n), unit_model()).shape == (0,)
 
 
 @pytest.mark.parametrize("L, m", [(0, 2), (1, 0), (5, 0), (6, 3)])
@@ -173,13 +171,13 @@ def test_up_down_excursion_weight():
 # ---------------------------------------------------------- transfer weights
 
 def test_partition_weight_length_zero():
-    wm = WeightModel.unit()
+    wm = unit_model()
     assert partition_weight(0, 3, 3, wm) == 1.0
     assert partition_weight(0, 3, 4, wm) == 0.0
 
 
 def test_partition_weight_counts_unit_model():
-    wm = WeightModel.unit()
+    wm = unit_model()
     assert partition_weight(4, 0, 0, wm) == pytest.approx(9.0, abs=0)
     for L, target in enumerate(MOTZKIN_NUMBERS):
         assert partition_weight(L, 0, 0, wm) == pytest.approx(target, abs=0)
@@ -216,7 +214,7 @@ def test_normalizing_constant_matches_enumeration():
 def test_normalizing_constant_growth_rate():
     m = QModelParams(q=0.5, sigma=0.7, rho0=0.4, rho1=0.2)
     wm = WeightModel.from_qmodel(m)
-    logB = math.log(m.support().B)
+    logB = math.log(m.B)
     errs = [abs(log_normalizing_constant(L + 1, wm) - log_normalizing_constant(L, wm) - logB)
             for L in (40, 80, 160)]
     assert errs[0] > errs[1] > errs[2]
@@ -320,7 +318,7 @@ TRUNCATED_ROUTES = {
 
 
 @pytest.mark.parametrize("route", TRUNCATED_ROUTES.values(), ids=TRUNCATED_ROUTES.keys())
-@pytest.mark.parametrize("wm", [WeightModel.unit(), _UNTAGGED], ids=["unit", "untagged_q099"])
+@pytest.mark.parametrize("wm", [unit_model(), _UNTAGGED], ids=["unit", "untagged_q099"])
 def test_truncated_routes_require_the_qmodel(route, wm):
     with pytest.raises(ValueError, match=r"needs the q-model weights"):
         route(wm)
@@ -406,7 +404,7 @@ def test_integral_underflow_names_the_integral(route, L, in_denominator):
 
 def test_integral_expectation_requires_qmodel():
     with pytest.raises(ValueError):
-        integral_expectation(1.0, 1.0, [], [], 4, WeightModel.unit())
+        integral_expectation(1.0, 1.0, [], [], 4, unit_model())
 
 
 # ------------------------------------------------------ measure invariants
@@ -424,7 +422,7 @@ def test_viennot_moment_identity(L):
     # int p_m p_n x^L nu(dx) = (path-weight sum over M^{(L)}_{m,n}) / [n+1]_q
     m = QModelParams(q=0.5, sigma=0.7)
     wm = WeightModel.from_qmodel(m)
-    B = m.support().B
+    B = m.B
     for mm in (0, 1, 3, 4):
         for nn in (0, 2, 4):
             brute = sum(path_weight(p, wm) for p in enumerate_paths(L, mm, nn))
@@ -445,8 +443,7 @@ def test_transfer_eigen_relation_on_polynomial_vector():
     wm = WeightModel.from_qmodel(m)
     S = 24
     a, b, c = wm.weight_arrays(S)
-    sup = m.support()
-    for x in np.linspace(sup.A + 0.1, sup.B - 0.1, 7):
+    for x in np.linspace(m.A + 0.1, m.B - 0.1, 7):
         p = motzkin_poly_table(S - 1, np.array([x]), m)[:, 0]
         out = b * p
         out[:-1] += a[:-1] * p[1:]
@@ -472,7 +469,7 @@ def test_tridiagonal_step_matches_dense_matrix():
 def test_moment_ratio_limits_pick_out_right_endpoint():
     # int F x^L nu / int x^L nu -> F(B) for F(x) = x and an indicator
     m = QModelParams(q=0.5, sigma=0.7)
-    B = m.support().B
+    B = m.B
     errs_x = []
     errs_ind = []
     for L in (50, 100, 200):
