@@ -15,17 +15,21 @@ The recurrences below run over the real coefficient pair
 endpoint values come from the ratio recurrence of :func:`s_ratios`.  The
 moment integrals int (x/B)^k p_m ptilde_n nu(dx) of the integral route, the
 k-step chain probabilities and the path-sum check all go through one
-function, :func:`_moment_integral`.
+function, :func:`_moment_integral`, and :func:`nu_integrate` raises
+``OverflowError`` where the density underflows at nodes that carry more than
+``numerics.REL_TOL`` of the integrand.  The lattice index J_x of the q -> 1
+scaling, :func:`index_map`, serves the endpoint limit and the kernels'
+local-limit drivers.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .numerics import _nested_trapezoid
 from .qspecial import q_number, qpoch_infinite, qpoch_log_abs
 
@@ -43,9 +47,16 @@ __all__ = [
     "motzkin_poly_table",
     "asc_endpoint_limit_fixed_q",
     "asc_endpoint_limit_q_to_1",
+    "index_map",
 ]
 
 RECURRENCE_CAP = 100_000
+_TINY = float(np.finfo(float).tiny)
+
+
+class _DensityUnderflow(OverflowError):
+    """The orthogonality density underflowed at nodes that carry more than
+    numerics.REL_TOL of an integral's largest integrand value."""
 
 
 @dataclass(frozen=True)
@@ -196,6 +207,31 @@ def density_times_sine(theta: np.ndarray, p: AscParams) -> np.ndarray:
     return out
 
 
+def _log_density_times_sine(theta: np.ndarray, p: AscParams) -> np.ndarray:
+    """log of :func:`density_times_sine` from :func:`qpoch_log_abs`, finite
+    where the density itself underflows (0 < theta < pi)."""
+    q = p.q
+    e1 = np.exp(1j * theta)
+    return math.log(2.0 / math.pi) + 2.0 * np.log(np.sin(theta)) \
+        + qpoch_log_abs(q, q) + qpoch_log_abs(p.prod_ab, q) \
+        + 2.0 * (qpoch_log_abs(q * (e1 * e1), q) - qpoch_log_abs(complex(p.a) * e1, q)
+                 - qpoch_log_abs(complex(p.b) * e1, q))
+
+
+def _check_underflow(theta: np.ndarray, fx: np.ndarray, peak: float, p: AscParams) -> None:
+    """_DensityUnderflow when the integrand g(cos theta) sin(theta) f(x), at
+    nodes where the density underflowed and f(x) = fx != 0, exceeds
+    numerics.REL_TOL times the largest value ``peak`` > 0 at the other nodes
+    of its level; compared in log space, from the log density."""
+    log_lost = _log_density_times_sine(theta, p) + np.log(np.abs(fx))
+    worst = int(np.argmax(log_lost))
+    if peak > 0.0 and log_lost[worst] > math.log(numerics.REL_TOL) + math.log(peak):
+        raise _DensityUnderflow(f"orthogonality density at q={p.q} underflows at "
+                                f"theta={float(theta[worst]):.6g}, where the integrand "
+                                f"exp({float(log_lost[worst]):.1f}) exceeds REL_TOL times the "
+                                f"largest value {peak:.3g} at the other nodes")
+
+
 def nu_integrate(f, m: QModelParams) -> float:
     """Integral of a vectorized function against the Motzkin orthogonality
     measure, via the substitution x = 2 (cos theta + sigma)/(1 - q).
@@ -209,12 +245,17 @@ def nu_integrate(f, m: QModelParams) -> float:
 
     def integrand(theta):
         x = scale * (np.cos(theta) + m.sigma)
+        dens = density_times_sine(theta, p)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = density_times_sine(theta, p) * np.asarray(f(x), dtype=float)
+            fx = np.asarray(f(x), dtype=float)
+            out = dens * fx
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise OverflowError(f"orthogonality-measure integrand left double range "
                                 f"at x={float(np.ravel(x)[bad[0]]):.6g}")
+        lost = (dens < _TINY) & (np.sin(theta) > 0.0) & (fx != 0.0)
+        if lost.any():
+            _check_underflow(theta[lost], fx[lost], float(np.abs(out[~lost]).max(initial=0.0)), p)
         return out
 
     total, _ = _nested_trapezoid(integrand, math.pi, 64.0, "orthogonality-measure quadrature")
@@ -362,30 +403,33 @@ def asc_endpoint_limit_fixed_q(M: int, u: float, p: AscParams) -> float:
     return asc_eval(M, 1.0 - u * u / (2.0 * M * M), p) / M
 
 
+def index_map(z: float, N: int, sigma: float) -> int:
+    """Lattice index floor(z sqrt(N)) + floor(sqrt(N) log sqrt(2 N (1+sigma)))
+    centering heights at the logarithmically growing bulk location."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    if not (0.0 < sigma <= 1.0):
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    rn = math.sqrt(N)
+    return math.floor(z * rn) + math.floor(rn * math.log(math.sqrt(2.0 * N * (1.0 + sigma))))
+
+
 def asc_endpoint_limit_q_to_1(M: int, u: float, x: float, sigma: float) -> float:
-    """Endpoint scaling with q = exp(-2/M) and conjugate unimodular
-    parameters; converges to K_{i|u|}(exp(-x)) as M grows.
+    """Endpoint scaling with q = exp(-2/M) and the Motzkin parameters a, b of
+    (q, sigma); converges to K_{i|u|}(exp(-x)) as M grows.
 
     Evaluates
         (q;q)_inf^2 / (M (a, b; q)_inf) * Q_m(cos(u/M)) / (q;q)_m
-    with m = floor(M x) + floor(M log(M sqrt((1+a~)(1+b~)))), entirely in
-    log space: the individual factors overflow double precision for
-    M in the hundreds.
+    with m = index_map(x, M^2, sigma), entirely in log space: the individual
+    factors overflow double precision for M in the hundreds.
     """
     if M < 1:
         raise ValueError(f"M must be positive, got {M}")
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    q = math.exp(-2.0 / M)
-    alpha = math.acos(sigma)
-    ta = cmath.exp(1j * alpha)       # unimodular conjugate branch
-    tb = ta.conjugate()
-    a, b = -q * ta, -q * tb
-    prod1 = ((1 + ta) * (1 + tb)).real  # = 2 (1 + sigma)
-    midx = math.floor(M * x) + math.floor(M * math.log(M * math.sqrt(prod1)))
+    midx = index_map(x, M * M, sigma)
     if midx < 0:
         raise ValueError(f"index {midx} < 0: x={x} too negative for M={M}")
-    params = AscParams(a, b, q)
+    params = QModelParams(math.exp(-2.0 / M), sigma).asc_params()
+    a, b, q = params.a, params.b, params.q
     sign, logq_m = asc_eval_scaled(midx, math.cos(u / M), params)
     if sign == 0.0:
         return 0.0

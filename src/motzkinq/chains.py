@@ -24,8 +24,9 @@ kept as a cross-validation route.  The local-limit drivers use a Chebyshev
 expansion of P^k (:func:`_chebyshev_power`), which needs about
 sqrt(2 k ln(4/eps)) tridiagonal products instead of k.  The exact length-L
 laws that the chains approximate take their heads from ``altitude_table``
-and their middle from one backward pass of a few end vectors, and drop at
-most EXACT_TAIL_TOL of the initial mass past the boundary cutoff.
+and their middle from one backward pass of a few end vectors through
+``motzkin._power``, and drop at most EXACT_TAIL_TOL of the initial mass past
+the boundary cutoff.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .ascpoly import (
     pi_values,
     s_ratios,
 )
-from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _pull_back,
+from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _power,
                       _table_product, _transposed, _tridiagonal_step, _weight_tables,
                       altitude_table)
 from .numerics import _EPS
@@ -269,18 +270,20 @@ def _step_lists(model: QModelParams, cap: int) -> tuple[list[float], list[float]
 # ----------------------------------------------- exact finite-length laws
 
 def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int):
-    """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends for
-    the end columns beta_n n^i, i < moments, on altitudes 0..T+L+1, T the
-    boundary cutoff at EXACT_TAIL_TOL, and lost the share of the initial
-    mass alpha_m u_0[m], u_0 = M^L ends, past T.  CapacityError if lost >
-    EXACT_TAIL_TOL."""
+    """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends up to
+    a positive factor (:func:`motzkinq.motzkin._power`), for the end columns
+    beta_n n^i, i < moments, on altitudes 0..T+L+1, T the boundary cutoff at
+    EXACT_TAIL_TOL, and lost the share of the initial mass alpha_m u_0[m],
+    u_0 = M^L ends, past T.  CapacityError if lost > EXACT_TAIL_TOL."""
     T = _boundary_cutoff(wm, EXACT_TAIL_TOL, L)
     S = T + L + 2
     a, b, c, av, bv = _weight_tables(wm, S)
     up_T, down_T = _transposed(a, c)
     cols = (up_T[:, None], b[:, None], down_T[:, None])
-    uK = _pull_back(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), L - K, *cols)
-    lost = _initial_mass_past(av, _pull_back(uK, K, *cols)[:, 0], T, L, EXACT_TAIL_TOL)
+    uK, _ = _power(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), *cols,
+                   [1.0] * (L - K))
+    u0, _ = _power(uK, *cols, [1.0] * K)
+    lost = _initial_mass_past(av, u0[:, 0], T, L, EXACT_TAIL_TOL)
     return T, (a, b, c, av), uK, lost
 
 

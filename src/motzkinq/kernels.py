@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascpoly import QModelParams, _initial_probs
+from .ascpoly import QModelParams, _initial_probs, index_map
 from .chains import (
     _EPS,
     _chebyshev_power,
@@ -161,17 +161,6 @@ def zeta0_density(x: float, c: float) -> float:
         raise ValueError(f"c must be positive, got {c}")
     norm = 4.0 / (2.0**c * math.gamma(c / 2.0) ** 2)
     return norm * math.exp(-c * x) * bessel_k_imag(0.0, math.exp(-x))
-
-
-def index_map(z: float, N: int, sigma: float) -> int:
-    """Lattice index floor(z sqrt(N)) + floor(sqrt(N) log sqrt(2 N (1+sigma)))
-    centering heights at the logarithmically growing bulk location."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    rn = math.sqrt(N)
-    return math.floor(z * rn) + math.floor(rn * math.log(math.sqrt(2.0 * N * (1.0 + sigma))))
 
 
 # ------------------------------------------------------- lattice iteration

@@ -9,7 +9,12 @@ b_n, down c_n) plus boundary weights alpha_{g_0}, beta_{g_L}; the path
 probability is alpha beta w(path) / C_L.
 
 All transfer computations use the tridiagonal structure directly (O(S) per
-step); dense operator matrices are never formed.
+step); dense operator matrices are never formed.  Every multi-step pass of
+a length-L route (the transfer product, the integral route's two end
+vectors, the exact laws of :mod:`motzkinq.chains`) is one scaled power,
+:func:`_power`, which carries its scale as a log; the sampler keeps every
+row of its backward table, each divided by its max.  The transfer and the
+integral route take their arguments through one check.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, q_number
+from .ascpoly import (QModelParams, _DensityUnderflow, _initial_law_probs, _moment_integral,
+                      q_number)
 from .errors import CapacityError
 
 __all__ = [
@@ -203,13 +209,27 @@ def _transposed(up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.append(down[1:], 0.0), np.append(0.0, up[:-1])
 
 
-def _pull_back(v: np.ndarray, steps: int, up_T: np.ndarray, flat: np.ndarray,
-               down_T: np.ndarray) -> np.ndarray:
-    """``steps`` column steps v -> M v, dividing v by its peak after each."""
-    for _ in range(steps):
-        v = _tridiagonal_step(v, up_T, flat, down_T)
-        v /= v.max()
-    return v
+def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
+           ts) -> tuple[np.ndarray, float]:
+    """(v', log_scale) with v M_{t_1} ... M_{t_n} = v' exp(log_scale), M_t
+    the step of :func:`_tridiagonal_step` with up t and down / t, rebuilt
+    only where t changes; the column pass v -> M_t v passes
+    :func:`_transposed`.  v is nonnegative, so its peak is its max, and v'
+    is divided by it whenever it leaves [1e-200, 1e200]; (v', -inf) once
+    v dies out."""
+    log_scale = 0.0
+    prev = None
+    for t in ts:
+        if t != prev:
+            tu, dt, prev = t * up, down / t, t
+        v = _tridiagonal_step(v, tu, flat, dt)
+        peak = float(v.max())
+        if peak == 0.0:
+            return v, -math.inf
+        if peak > 1e200 or peak < 1e-200:
+            v = v / peak
+            log_scale += math.log(peak)
+    return v, log_scale
 
 
 def _require_qmodel(model: WeightModel) -> QModelParams:
@@ -247,27 +267,11 @@ def _weight_tables(model: WeightModel, size: int) -> tuple[np.ndarray, ...]:
 def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
                   tlist: list[float]) -> tuple[float, float]:
     """(mantissa, log_scale) of V_alpha(z0)^T M_{t_1} ... M_{t_L} W_beta(z1)
-    on the truncated operator of :func:`_weight_tables`.  The arrays t a and
-    c / t are rebuilt only where t changes, and every vector is nonnegative,
-    so its peak is its max."""
+    on the truncated operator of :func:`_weight_tables`, by :func:`_power`."""
     a, b, c, av, bv = tables
-    S = len(a)
-    powers = np.power(float(z0), np.arange(S))
-    v = av * powers
-    log_scale = 0.0
-    prev = None
-    for t in tlist:
-        if t != prev:
-            ta, ct, prev = t * a, c / t, t
-        v = _tridiagonal_step(v, ta, b, ct)
-        peak = float(v.max())
-        if peak == 0.0:
-            return 0.0, -math.inf
-        if peak > 1e200 or peak < 1e-200:
-            v = v / peak
-            log_scale += math.log(peak)
-    w = bv * np.power(float(z1), np.arange(S))
-    return float(np.dot(v, w)), log_scale
+    powers = np.arange(len(a))
+    v, log_scale = _power(av * np.power(float(z0), powers), a, b, c, tlist)
+    return float(np.dot(v, bv * np.power(float(z1), powers))), log_scale
 
 
 def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = TAIL_TOL) -> float:
@@ -288,15 +292,10 @@ def normalizing_constant(L: int, model: WeightModel, tail_tol: float = TAIL_TOL)
     return math.exp(lg)
 
 
-def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[float],
-                              L: int, model: WeightModel) -> float:
-    """Joint generating functional
-    E[z0^{g_0} prod_j t_j^{g_j - g_{j-1}} prod_j s_j^{-(g_{L-j+1} - g_{L-j})} z1^{g_L}]
-    via the transfer-operator product sandwiched between boundary vectors,
-    on S = T + L + 2 altitudes, which every path from an initial altitude
-    m <= T stays below, T the boundary cutoff at TAIL_TOL.  Numerator and
-    denominator share the weight tables.
-    """
+def _functional_args(z0: float, z1: float, t: list[float], s: list[float],
+                     L: int) -> tuple[list[float], list[float]]:
+    """(t, s) as lists; ValueError unless len(t) = len(s) = K with 2K <= L,
+    z0, z1 in (0, 1] and every t_j, s_j > 0."""
     t, s = list(t), list(s)
     K = len(t)
     if len(s) != K:
@@ -307,6 +306,20 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
         raise ValueError("z0, z1 must lie in (0, 1]")
     if any(tj <= 0 for tj in t) or any(sj <= 0 for sj in s):
         raise ValueError("t_j and s_j must be positive")
+    return t, s
+
+
+def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[float],
+                              L: int, model: WeightModel) -> float:
+    """Joint generating functional
+    E[z0^{g_0} prod_j t_j^{g_j - g_{j-1}} prod_j s_j^{-(g_{L-j+1} - g_{L-j})} z1^{g_L}]
+    via the transfer-operator product sandwiched between boundary vectors,
+    on S = T + L + 2 altitudes, which every path from an initial altitude
+    m <= T stays below, T the boundary cutoff at TAIL_TOL.  Numerator and
+    denominator share the weight tables.
+    """
+    t, s = _functional_args(z0, z1, t, s, L)
+    K = len(t)
     tlist = t + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
     tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + L + 2)
     num, lg_num = _bilinear_log(tables, z0, z1, tlist)
@@ -317,65 +330,63 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
 # ------------------------------------------------- integral representation
 
 def _psi_functions(tables: tuple[np.ndarray, ...], z0: float, z1: float,
-                   t: list[float], s: list[float]):
-    """Row vector V_alpha(z0)^T M_{t_1}..M_{t_K} and column vector
-    M_{1/s_K}..M_{1/s_1} W_beta(z1) on the truncated operator of
-    :func:`_weight_tables`."""
+                   t: list[float], s: list[float]) -> tuple[np.ndarray, np.ndarray, float]:
+    """(v, w, log_scale): the row vector V_alpha(z0)^T M_{t_1}..M_{t_K} and
+    the column vector M_{1/s_K}..M_{1/s_1} W_beta(z1) on the truncated
+    operator of :func:`_weight_tables`, both by :func:`_power` and divided
+    by their peaks, with the log of the product of the two scales."""
     a, b, c, av, bv = tables
-    S = len(a)
-    v = av * np.power(float(z0), np.arange(S))
-    for tj in t:
-        v = _tridiagonal_step(v, tj * a, b, c / tj)
-    w = bv * np.power(float(z1), np.arange(S))
+    powers = np.arange(len(a))
+    v, lv = _power(av * np.power(float(z0), powers), a, b, c, t)
     up_T, down_T = _transposed(a, c)
-    for sj in s:
-        tj = 1.0 / sj
-        w = _tridiagonal_step(w, up_T / tj, b, tj * down_T)
-    return v, w
+    w, lw = _power(bv * np.power(float(z1), powers), up_T, b, down_T, s)
+    pv, pw = float(v.max()), float(w.max())
+    return v / pv, w / pw, lv + lw + math.log(pv) + math.log(pw)
 
 
-def _positive_moment(qm: QModelParams, v: np.ndarray, w: np.ndarray, power: int,
-                     L: int, what: str) -> float:
-    """:func:`motzkinq.ascpoly._moment_integral`, which is positive here;
-    OverflowError naming ``what``, L and q when it comes out as 0, which
-    happens when the density underflows where (x/B)^power has its mass."""
-    val = _moment_integral(v, w, power, qm)
-    if val == 0.0:
-        raise OverflowError(f"moment integral of {what} underflows to 0 at L={L}, q={qm.q:g}: "
-                            "the orthogonality density underflows where (x/B)^L has its "
-                            "mass; use the transfer route (matrix_ansatz_expectation, "
+def _positive_moments(qm: QModelParams, L: int, *terms) -> list[float]:
+    """:func:`motzkinq.ascpoly._moment_integral` of each term
+    (v, w, power, what), positive here.  OverflowError naming L, q and the
+    first ``what`` that comes out as 0, else the first whose density
+    underflows where its integrand carries more than REL_TOL of its largest
+    value; both happen when the density underflows where (x/B)^power has
+    its mass."""
+    vals, lost = [], []
+    for v, w, power, what in terms:
+        try:
+            vals.append(_moment_integral(v, w, power, qm))
+        except _DensityUnderflow:
+            vals.append(math.nan)
+            lost.append(what)
+    failed = [what for val, (*_, what) in zip(vals, terms) if val == 0.0] + lost
+    if failed:
+        raise OverflowError(f"moment integral of {failed[0]} underflows to 0 at L={L}, "
+                            f"q={qm.q:g}: the orthogonality density underflows where (x/B)^L "
+                            "has its mass; use the transfer route (matrix_ansatz_expectation, "
                             "log_normalizing_constant)")
-    return val
-
-
-def _integral_denominator(qm: QModelParams, L: int, tables: tuple[np.ndarray, ...]) -> float:
-    """C_L / B^L as the moment integral int (x/B)^L (V^T P)(W^T Q) nu(dx)
-    with both boundary vectors on the tables' altitudes."""
-    v1, w1 = _psi_functions(tables, 1.0, 1.0, [], [])
-    return _positive_moment(qm, v1, w1, L, L, "C_L / B^L")
+    return vals
 
 
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
                          L: int, model: WeightModel) -> float:
-    """Same expectation as :func:`matrix_ansatz_expectation`, evaluated as
-    (1/C_L) int x^{L-2K} Psi_0(x) Psi_1(x) nu(dx) against the q-model
-    orthogonality measure, both vectors truncated at S = T + 2K + 8, T the
-    boundary cutoff at TAIL_TOL.  Powers are taken of x/B so the integrand
-    stays bounded for large L.  OverflowError when either integral
-    underflows to 0 (q close to 1 at large L).
+    """Same expectation as :func:`matrix_ansatz_expectation`, with the same
+    argument check, evaluated as (1/C_L) int x^{L-2K} Psi_0(x) Psi_1(x) nu(dx)
+    against the q-model orthogonality measure, both vectors truncated at
+    S = T + 2K + 8, T the boundary cutoff at TAIL_TOL.  Powers are taken of
+    x/B, and Psi_0, Psi_1 divided by their peaks with the scales combined in
+    log space, so the integrand stays bounded for every L and K <= L/2.
+    OverflowError when either integral loses the part of its mass where the
+    density underflows (q close to 1 at large L).
     """
     qm = _require_qmodel(model)
-    t, s = list(t), list(s)
+    t, s = _functional_args(z0, z1, t, s, L)
     K = len(t)
-    if len(s) != K:
-        raise ValueError("t and s must have equal length")
-    if 2 * K > L:
-        raise ValueError(f"need 2K <= L, got K={K}, L={L}")
     tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 2 * K + 8)
-    den = _integral_denominator(qm, L, tables)
-    v, w = _psi_functions(tables, z0, z1, t, s)
-    num = _positive_moment(qm, v, w, L - 2 * K, L, "the expectation's numerator")
-    return num / den / qm.B ** (2 * K)
+    v1, w1, lg_den = _psi_functions(tables, 1.0, 1.0, [], [])
+    v, w, lg_num = _psi_functions(tables, z0, z1, t, s)
+    den, num = _positive_moments(qm, L, (v1, w1, L, "C_L / B^L"),
+                                 (v, w, L - 2 * K, "the expectation's numerator"))
+    return num / den * math.exp(lg_num - lg_den - 2 * K * math.log(qm.B))
 
 
 def integral_normalizing_constant(L: int, model: WeightModel) -> float:
@@ -384,7 +395,9 @@ def integral_normalizing_constant(L: int, model: WeightModel) -> float:
     qm = _require_qmodel(model)
     B = qm.B
     tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 8)
-    log_value = math.log(_integral_denominator(qm, L, tables)) + L * math.log(B)
+    v1, w1, log_scale = _psi_functions(tables, 1.0, 1.0, [], [])
+    den, = _positive_moments(qm, L, (v1, w1, L, "C_L / B^L"))
+    log_value = math.log(den) + log_scale + L * math.log(B)
     if log_value > 700.0:
         raise OverflowError(f"integral normalizing constant exp({log_value:.1f}) at L={L}, "
                             f"B={B:g} overflows; use log_normalizing_constant")
@@ -416,7 +429,8 @@ def _backward_vectors(tables: tuple[np.ndarray, ...], L: int) -> np.ndarray:
     u = np.empty((L + 1, len(a)))
     u[L] = bv / np.max(bv)
     for k in range(L - 1, -1, -1):
-        u[k] = _pull_back(u[k + 1], 1, up_T, b, down_T)
+        v = _tridiagonal_step(u[k + 1], up_T, b, down_T)
+        u[k] = v / v.max()
     return u
 
 

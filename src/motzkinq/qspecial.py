@@ -127,8 +127,9 @@ def qpoch_infinite(a, q: float):
     return out
 
 
-def qpoch_log_abs(a: complex, q: float, n: int | None = None) -> float:
-    """log |(a; q)_n| with n = None meaning the infinite product.
+def qpoch_log_abs(a: complex, q: float, n: int | None = None):
+    """log |(a; q)_n| with n = None meaning the infinite product; an array
+    ``a`` gives an array, entry by entry, on one truncation.
 
     Safe replacement for ``log(abs(qpoch_*))`` when the product itself would
     overflow or underflow double precision.
@@ -139,8 +140,8 @@ def qpoch_log_abs(a: complex, q: float, n: int | None = None) -> float:
     total = 0.0
     with np.errstate(divide="ignore"):
         for block in _factors(a, q, n):
-            total += float(np.sum(np.log(np.abs(block))))
-    return total
+            total = total + np.log(np.abs(block)).sum(axis=0)
+    return total if np.ndim(a) else float(total)
 
 
 def _log_ratio(a: complex, b: complex, log_b: complex, q: float, n: int,

@@ -324,14 +324,24 @@ def test_truncated_routes_require_the_qmodel(route, wm):
         route(wm)
 
 
-def test_matrix_ansatz_argument_validation():
+@pytest.mark.parametrize("route", [matrix_ansatz_expectation, integral_expectation],
+                         ids=["matrix_ansatz_expectation", "integral_expectation"])
+def test_matrix_ansatz_argument_validation(route):
+    # the integral route used to return 1.22, 0.67 and -0.17 for z0 = 1.5,
+    # z0 = 0 and t = [-0.8], and divide by zero for s = [0]
     wm = WeightModel.from_qmodel(QModelParams(q=0.3, sigma=0.5, rho0=0.2, rho1=0.2))
     with pytest.raises(ValueError):
-        matrix_ansatz_expectation(1.0, 1.0, [1.0] * 4, [1.0] * 4, 6, wm)
+        route(1.0, 1.0, [1.0] * 4, [1.0] * 4, 6, wm)
     with pytest.raises(ValueError):
-        matrix_ansatz_expectation(1.5, 1.0, [], [], 4, wm)
+        route(1.5, 1.0, [], [], 4, wm)
     with pytest.raises(ValueError):
-        matrix_ansatz_expectation(1.0, 1.0, [0.0], [1.0], 4, wm)
+        route(0.0, 1.0, [], [], 4, wm)
+    with pytest.raises(ValueError):
+        route(1.0, 1.0, [0.0], [1.0], 4, wm)
+    with pytest.raises(ValueError):
+        route(1.0, 1.0, [-0.8], [1.0], 4, wm)
+    with pytest.raises(ValueError):
+        route(1.0, 1.0, [1.0], [0.0], 4, wm)
 
 
 # --------------------------------------------------- integral representation
@@ -358,12 +368,26 @@ def test_integral_matches_matrix_ansatz():
     (QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), 200),
     # the integral route truncates beta as well, so a cut from rho0 alone fails here
     (QModelParams(q=0.9, sigma=0.8, rho0=0.1, rho1=0.8), 100),
+    # rho0 [2]_q > 1, so alpha's peak is not 1 and its scale must be carried
+    (QModelParams(q=0.5, sigma=0.8, rho0=0.9, rho1=0.25), 200),
+    (QModelParams(q=0.9, sigma=0.8, rho0=0.9, rho1=0.25), 200),
 ])
 def test_integral_matches_matrix_ansatz_at_long_paths(model, L):
     wm = WeightModel.from_qmodel(model)
     via_integral = integral_expectation(0.9, 0.8, [0.8], [1.1], L, wm)
     via_transfer = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], L, wm)
     assert via_integral == pytest.approx(via_transfer, rel=1e-9)
+
+
+@pytest.mark.parametrize("q, L, K", [(0.5, 2000, 300), (0.5, 2000, 1000),
+                                     (0.9, 400, 100), (0.9, 400, 200)])
+def test_integral_matches_transfer_at_large_K(q, L, K):
+    # the unscaled end vectors used to leave double range here (OverflowError)
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
+    t, s = [0.95] * K, [1.05] * K
+    via_integral = integral_expectation(0.9, 0.8, t, s, L, wm)
+    via_transfer = matrix_ansatz_expectation(0.9, 0.8, t, s, L, wm)
+    assert via_integral == pytest.approx(via_transfer, rel=1e-10)
 
 
 def test_integral_normalizing_constant_matches_transfer():
@@ -383,7 +407,8 @@ def test_integral_normalizing_constant_overflow_names_layer():
 
 # at q = 0.995 the density underflows to 0 where (x/B)^L has its mass: the
 # integrals came out as 0 (ZeroDivisionError, "math domain error", or 0.0
-# returned for the expectation at L = 700)
+# returned for the expectation at L = 700), or lost part of it without an
+# error (-3.7% at L = 600, +19% at L = 620)
 _Q995 = WeightModel.from_qmodel(QModelParams(q=0.995, sigma=0.8, rho0=0.3, rho1=0.25))
 _INTEGRAL_ROUTES = {
     "expectation": lambda L: integral_expectation(0.9, 0.8, [0.8], [1.1], L, _Q995),
@@ -393,6 +418,7 @@ _INTEGRAL_ROUTES = {
 
 @pytest.mark.parametrize("route, L, in_denominator", [
     ("expectation", 700, False), ("expectation", 1000, True), ("expectation", 2000, True),
+    ("expectation", 600, True), ("expectation", 620, True),
     ("normalizing_constant", 1000, True), ("normalizing_constant", 2000, True),
 ])
 def test_integral_underflow_names_the_integral(route, L, in_denominator):
@@ -400,6 +426,12 @@ def test_integral_underflow_names_the_integral(route, L, in_denominator):
     with pytest.raises(OverflowError, match=rf"moment integral of {integral} underflows to 0 "
                                             rf"at L={L}, q=0\.995: .* use the transfer route"):
         _INTEGRAL_ROUTES[route](L)
+
+
+def test_integral_below_the_density_underflow_matches_transfer():
+    # the density underflows at q = 0.995, but not where (x/B)^400 has its mass
+    want = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 400, _Q995)
+    assert _INTEGRAL_ROUTES["expectation"](400) == pytest.approx(want, rel=1e-12)
 
 
 def test_integral_expectation_requires_qmodel():
