@@ -274,17 +274,22 @@ def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int):
     a positive factor (:func:`motzkinq.motzkin._power`), for the end columns
     beta_n n^i, i < moments, on altitudes 0..T+L+1, T the boundary cutoff at
     EXACT_TAIL_TOL, and lost the share of the initial mass alpha_m u_0[m],
-    u_0 = M^L ends, past T.  CapacityError if lost > EXACT_TAIL_TOL."""
+    u_0 = M^L ends, past T.  CapacityError if lost > EXACT_TAIL_TOL.
+
+    The columns are stepped as one vector of length moments S, one block of
+    S altitudes per column: the zero up_T[-1] and down_T[0] of the tiled
+    weights keep the blocks apart, and the peak that _power rescales by is
+    that of all columns, as in an (S, moments) array.  u_K comes back as
+    that (S, moments) array."""
     T = _boundary_cutoff(wm, EXACT_TAIL_TOL, L)
     S = T + L + 2
     a, b, c, av, bv = _weight_tables(wm, S)
-    up_T, down_T = _transposed(a, c)
-    cols = (up_T[:, None], b[:, None], down_T[:, None])
-    uK, _ = _power(bv[:, None] * np.arange(S)[:, None] ** np.arange(moments), *cols,
-                   [1.0] * (L - K))
-    u0, _ = _power(uK, *cols, [1.0] * K)
-    lost = _initial_mass_past(av, u0[:, 0], T, L, EXACT_TAIL_TOL)
-    return T, (a, b, c, av), uK, lost
+    up_T, down_T, flat = (np.tile(w, moments) for w in (*_transposed(a, c), b))
+    ends = (bv * np.arange(S) ** np.arange(moments)[:, None]).ravel()
+    uK, _ = _power(ends, up_T, flat, down_T, [1.0] * (L - K))
+    u0, _ = _power(uK, up_T, flat, down_T, [1.0] * K)
+    lost = _initial_mass_past(av, u0[:S], T, L, EXACT_TAIL_TOL)
+    return T, (a, b, c, av), np.ascontiguousarray(uK.reshape(moments, S).T), lost
 
 
 def _positive_rows(table: np.ndarray, p: np.ndarray) -> dict[tuple[int, ...], float]:

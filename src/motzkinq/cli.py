@@ -4,9 +4,10 @@ Subcommands: enumerate, sample, chain, verify, locallimit, specialfn.
 Every run is deterministic given its configuration and seed; the effective
 configuration is echoed into the output header.  Outputs are CSV ('.'
 decimal, 17 significant digits) or JSON.  Every subcommand's table goes
-through ``_emit``; a CSV table is written with one %-format, built per
-column from the cell types, so integer tables (``chain``, the ``sample``
-index) cost no Python call per cell.
+through ``_emit``, which writes a CSV table with one %-format built per
+column from the cell types.  The integer tables (``sample``'s paths,
+``chain``'s trajectory and ``enumerate``'s path column) are turned into text
+by ``_int_lines`` alone, which costs no Python call per cell.
 
 Exit status: 0 success, 1 verification check failed, 2 numeric guard
 tripped (cap/convergence/overflow), 3 invalid configuration.
@@ -15,12 +16,16 @@ tripped (cap/convergence/overflow), 3 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import io
 import itertools
 import json
+import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+
+import numpy as np
 
 from .ascpoly import QModelParams
 from .chains import simulate_chain
@@ -57,6 +62,8 @@ DEFAULTS: dict = {
 _FLOAT_KEYS = ("q", "sigma", "rho0", "rho1", "t", "x", "y", "tol")
 _INT_KEYS = ("L", "m", "n", "count", "seed")
 _CHOICES = {"regime": ("fixed-q", "q-to-1"), "format": ("csv", "json")}
+# cells per block of _int_lines
+_BLOCK_CELLS = 1 << 16
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -163,7 +170,47 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(cfg: dict, columns: list[str], rows: list[Sequence], stream) -> None:
+def _int_lines(table: np.ndarray, sep: str, numbered: bool = False) -> Iterator[str]:
+    """Text of a nonnegative int table, one line per row: its cells in
+    decimal joined by the one-character sep, after the row number and a
+    comma when numbered.  Yielded one block of about _BLOCK_CELLS cells at
+    a time, so no copy of the whole text is made here.
+
+    Each cell is gathered from a lookup table of its value's digits,
+    right-aligned behind NUL pads and followed by the separator, and one
+    ``bytes.translate`` per block drops the pads; each block is copied out
+    of the table (of any memory order) on its own.
+    """
+    rows, cols = table.shape
+    lead = 1 if numbered else 0
+    cells = lead + cols
+    top = max(int(table.max(initial=0)), rows - 1 if numbered else 0)
+    width = len(str(top))
+    values = np.arange(top + 1)
+    digits = np.zeros((top + 1, width + 1), dtype=np.uint8)
+    for j in range(width):
+        digits[:, width - 1 - j] = np.where((values >= 10 ** j) | (j == 0),
+                                            values // 10 ** j % 10 + ord("0"), 0)
+    digits[:, width] = ord(sep)
+    block = max(1, min(rows, _BLOCK_CELLS // cells))
+    index = np.empty((block, cells), dtype=np.intp)
+    text = np.empty((block, cells, width + 1), dtype=np.uint8)
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        idx, out = index[:stop - start], text[:stop - start]
+        if numbered:
+            idx[:, 0] = np.arange(start, stop)
+        idx[:, lead:] = table[start:stop]
+        # every index lies in 0..top, so "clip" only skips take's bounds check
+        np.take(digits, idx, axis=0, out=out, mode="clip")
+        if numbered:
+            out[:, 0, width] = ord(",")
+        out[:, -1, width] = ord("\n")
+        yield out.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _emit(cfg: dict, columns: list[str], rows: list[Sequence] | Iterator[str],
+          stream) -> None:
     if cfg["format"] == "json":
         payload = {
             "config": {k: cfg[k] for k in sorted(cfg) if k not in ("out", "config")},
@@ -181,6 +228,9 @@ def _emit(cfg: dict, columns: list[str], rows: list[Sequence], stream) -> None:
             value = ",".join(str(v) for v in value)
         stream.write(f"# {key}={value}\n")
     stream.write(",".join(columns) + "\n")
+    if not isinstance(rows, list):  # the text blocks of _int_lines
+        stream.writelines(rows)
+        return
     # one %-format for the whole table: each column gets "%.17g" when all its
     # cells are floats, else "%s"; a column mixing floats with other cells
     # is turned into strings cell by cell first
@@ -208,24 +258,28 @@ def _cmd_enumerate(cfg: dict) -> tuple[list[str], list[tuple[str, float, float]]
     C = normalizing_constant(L, model, tail_tol=min(cfg["tol"], 1e-10))
     weights = table_weights(alts, model)
     probs = model.alpha(m) * model.beta(n) * weights / C
-    levels = [str(h) for h in range(m + L + 1)]
-    template = "\"%s\"" if cfg["format"] == "csv" else "%s"
-    paths = [template % ",".join([levels[h] for h in row]) for row in alts.tolist()]
+    paths = "".join(_int_lines(alts, ",")).splitlines()
+    if cfg["format"] == "csv":
+        paths = [f'"{path}"' for path in paths]
     rows = list(zip(paths, weights.tolist(), probs.tolist()))
     return ["path", "weight", "probability"], rows, 0
 
 
-def _cmd_sample(cfg: dict) -> tuple[list[str], list[list], int]:
+def _cmd_sample(cfg: dict) -> tuple[list[str], list[list] | Iterator[str], int]:
     model = WeightModel.from_qmodel(_qmodel(cfg))
     draws = sample_paths(cfg["L"], model, cfg["count"], cfg["seed"],
                          tail_tol=min(cfg["tol"], 1e-9))
-    levels = [str(h) for h in range(int(draws.max()) + 1)]
-    rows = [[i, ";".join([levels[h] for h in row.tolist()])] for i, row in enumerate(draws)]
+    if cfg["format"] == "csv":
+        return ["index", "altitudes"], _int_lines(draws, ";", numbered=True), 0
+    paths = "".join(_int_lines(draws, ";")).splitlines()
+    rows = [[i, path] for i, path in enumerate(paths)]
     return ["index", "altitudes"], rows, 0
 
 
-def _cmd_chain(cfg: dict) -> tuple[list[str], list[tuple[int, int]], int]:
+def _cmd_chain(cfg: dict) -> tuple[list[str], list[tuple[int, int]] | Iterator[str], int]:
     traj = simulate_chain(_qmodel(cfg), cfg["L"], cfg["seed"])
+    if cfg["format"] == "csv":
+        return ["k", "state"], _int_lines(traj[:, None], ",", numbered=True), 0
     return ["k", "state"], list(enumerate(traj.tolist())), 0
 
 
@@ -275,7 +329,29 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Keep every freed block under 32 MiB in glibc's heap, untrimmed.
+
+    By default glibc raises its mmap threshold to the size of each mapped
+    block it frees, so whether a later table of a few MB lands in the heap
+    or in a fresh mapping depends on which commands ran before.  In a
+    process that runs many commands the peak resident size then moved by
+    10 MB with their order alone; with the thresholds fixed it is the heap's
+    high-water mark.  A no-op off glibc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's ceiling for it
+    mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _fix_malloc_thresholds()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -358,13 +358,17 @@ def _positive_moments(qm: QModelParams, L: int, *terms) -> list[float]:
         except _DensityUnderflow:
             vals.append(math.nan)
             lost.append(what)
-    failed = [what for val, (*_, what) in zip(vals, terms) if val == 0.0] + lost
-    if failed:
-        raise OverflowError(f"moment integral of {failed[0]} underflows to 0 at L={L}, "
-                            f"q={qm.q:g}: the orthogonality density underflows where (x/B)^L "
-                            "has its mass; use the transfer route (matrix_ansatz_expectation, "
-                            "log_normalizing_constant)")
-    return vals
+    zero = [what for val, (*_, what) in zip(vals, terms) if val == 0.0]
+    if zero:
+        cause = (f"{zero[0]} underflows to 0 at L={L}, q={qm.q:g}: the orthogonality density "
+                 "underflows where (x/B)^L has its mass")
+    elif lost:
+        cause = (f"{lost[0]} loses more than REL_TOL of its mass where the orthogonality "
+                 f"density underflows, at L={L}, q={qm.q:g}")
+    else:
+        return vals
+    raise OverflowError(f"moment integral of {cause}; use the transfer route "
+                        "(matrix_ansatz_expectation, log_normalizing_constant)")
 
 
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
@@ -436,7 +440,9 @@ def _backward_vectors(tables: tuple[np.ndarray, ...], L: int) -> np.ndarray:
 
 def sample_paths(L: int, model: WeightModel, count: int, seed: int,
                  tail_tol: float = TAIL_TOL) -> np.ndarray:
-    """Exact samples from the path measure, as an int array (count, L+1).
+    """Exact samples from the path measure, as an int array (count, L+1):
+    the transpose of the (L+1, count) buffer that the loop fills one step
+    (one row) at a time, so it is F-ordered.
 
     Sequential sampler: the initial altitude is drawn proportionally to
     alpha_m u_0[m], then every step proportionally to edge weight times the
@@ -465,20 +471,33 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(p0)
-    states = np.searchsorted(cdf, rng.random(count), side="right").astype(np.int64)
-    paths = np.empty((count, L + 1), dtype=np.int64)
-    paths[:, 0] = states
+    paths = np.empty((L + 1, count), dtype=np.int64)
+    paths[0] = np.searchsorted(cdf, rng.random(count), side="right")
+    up, upflat, total = np.empty(S - 1), np.empty(S - 1), np.empty(S - 1)
     down = np.zeros(S - 1)  # no down move at level 0
+    # the uniforms of several steps come from one draw of at most 2^13
+    # values (one step's count when that is larger), in the stream's order
+    per_draw = max(1, (1 << 13) // count)
+    uniforms = np.empty((min(per_draw, L), count))
+    r, gathered = np.empty(count), np.empty(count)
+    moved = np.empty(count, dtype=bool)
     for k in range(L):
+        if k % per_draw == 0:
+            drawn = rng.random(out=uniforms[:min(per_draw, L - k)])
         nxt = u[k + 1]
-        up = a[:-1] * nxt[1:]
-        upflat = up + b[:-1] * nxt[:-1]
+        np.multiply(a[:-1], nxt[1:], out=up)
+        np.multiply(b[:-1], nxt[:-1], out=upflat)
+        upflat += up
         np.multiply(c[1:-1], nxt[:-2], out=down[1:])
-        total = upflat + down
-        r = rng.random(count) * total[states]
-        states = states + 1 - (r >= up[states]) - (r >= upflat[states])
-        paths[:, k + 1] = states
-    return paths
+        np.add(upflat, down, out=total)
+        # states stay in 0..T+1+k < S-1, so "clip" only skips take's bounds check
+        states, row = paths[k], paths[k + 1]
+        np.multiply(drawn[k % per_draw], np.take(total, states, out=gathered, mode="clip"), out=r)
+        np.add(states, 1, out=row)
+        for bound in (up, upflat):
+            np.greater_equal(r, np.take(bound, states, out=gathered, mode="clip"), out=moved)
+            row -= moved
+    return paths.T
 
 
 # ------------------------------------------------------------- serialization

@@ -6,8 +6,10 @@ check.  The composite Gauss-Legendre rule is an integrator independent of
 the package's nested trapezoidal rule.  The sampler and chain oracles are
 the straightforward per-state forms of ``sample_paths`` and
 ``simulate_chain``: the package's table-driven loops must reproduce them bit
-for bit.  The recursive walk and the nested-loop expectation are the
-path-by-path forms of ``altitude_table`` and verify's enumeration check.
+for bit.  The per-cell writer is the plain form of the CLI's integer-table
+writer ``cli._int_lines``.  The recursive walk and the nested-loop
+expectation are the path-by-path forms of ``altitude_table`` and verify's
+enumeration check.
 The scalar recurrence is the per-point form of ``motzkin_poly_table``.
 The two prefix walks and the per-start correlation are the earlier forms of
 the exact finite-L laws in ``chains``: a recursive walk over head prefixes
@@ -241,6 +243,15 @@ def simulate_chain_numpy_loop(model, steps: int, seed: int,
             state -= 1 if state > 0 else 0
         out[i + 1] = state
     return out
+
+
+def int_lines_per_cell(table: np.ndarray, sep: str, numbered: bool = False) -> str:
+    """``cli._int_lines`` with one ``str`` per cell and one line per row."""
+    lines = []
+    for i, row in enumerate(table.tolist()):
+        cells = sep.join(str(v) for v in row)
+        lines.append(f"{i},{cells}\n" if numbered else f"{cells}\n")
+    return "".join(lines)
 
 
 def enumerate_paths_recursive(L: int, m: int, n: int) -> list[MotzkinPath]:

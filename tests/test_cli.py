@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkinq.ascpoly import QModelParams
@@ -86,6 +86,10 @@ ENUMERATE_DIGESTS = [
     (("enumerate", "--L", "4"),
      "6a71e83c804fd2128d56169130b1600b27f08a6d93f7bd5626e85b30b2b7179a",
      "41e679a78f0dcc247eadbcee36cd4c32f84bb9fb5884b5b50c15dc3418ff7a94"),
+    # levels cross 9 -> 10
+    (("enumerate", "--L", "8", "--m", "9", "--n", "10"),
+     "97e3e3241d117502b2c0cf1882e2c4aee93df6a35690fc818aff839a5351b8b8",
+     "8fe9ecccd9c03746fe7e00aa181d0f1cef9048bbfe0c5d6e1f6b9fcdb6924841"),
 ]
 
 
@@ -149,8 +153,9 @@ def test_chain_steps_in_range(capsys):
 
 # ------------------------------------------------------- output byte pins
 
-# SHA-256 of the whole stdout at the default model; the table rows are
-# those of the per-cell formatter the table formatter replaced.  The sampler
+# SHA-256 of the whole stdout, at the default model unless the argv sets
+# one; the table rows are those of the per-cell formatter that the table
+# writers replaced.  The sampler
 # and chain loops are pinned bitwise by their oracles, these pin the text
 OUTPUT_DIGESTS = [
     (("sample", "--L", "200", "--count", "1000", "--seed", "11"),
@@ -168,6 +173,10 @@ OUTPUT_DIGESTS = [
     (("chain", "--L", "1000"),
      "7ea499ea8843de9532e73233a125b202824a38bf0afd2f289d3a366d10e15617",
      "56378468209c9d31c5534239edcfceec5a27c582c5bd5a4b073391d2614d179d"),
+    # altitudes from 30 to 130, indices past 100
+    (("sample", "--q", "0.99", "--rho0", "0.9", "--L", "200", "--count", "300", "--seed", "4"),
+     "ad6295b480febdce4cc81c4ec6128a024ce2452d7be354c5db045b4fe3a81f8f",
+     "dcd22ebee3df2d35248bd2e3de54072c5b2ee09a1b0a9605034d13e5b2d2821b"),
 ]
 
 
@@ -178,6 +187,39 @@ def test_sample_and_chain_output_bytes_pinned(capsys, argv, csv_digest, json_dig
         status, out = run_cli(capsys, *argv, "--format", fmt)
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(top=st.sampled_from([0, 9, 10, 99, 100, 999, 1000, 12345]),
+       rows=st.integers(0, 40), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       sep=st.sampled_from([";", ","]), numbered=st.booleans(),
+       order=st.sampled_from(["C", "F"]))
+@example(top=10, rows=0, cols=1, seed=0, sep=";", numbered=True, order="C")
+@example(top=100, rows=7, cols=1, seed=1, sep=",", numbered=False, order="F")
+def test_int_lines_matches_per_cell_writer(top, rows, cols, seed, sep, numbered, order):
+    from motzkinq import cli
+    from oracles import int_lines_per_cell
+
+    table = np.random.default_rng(seed).integers(0, top + 1, (rows, cols))
+    table.flat[:1] = top  # the widest value is present when there is a cell
+    table = np.asarray(table, order=order)
+    got = "".join(cli._int_lines(table, sep, numbered))
+    assert got == int_lines_per_cell(table, sep, numbered)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("numbered", [False, True])
+def test_int_lines_at_a_block_boundary(monkeypatch, extra, numbered):
+    # blocks of 3 rows of 4 cells: the table ends one row before, at and
+    # one row after a block boundary, and is read from an F-ordered array
+    from motzkinq import cli
+    from oracles import int_lines_per_cell
+
+    cols = 4 - numbered
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 12)
+    table = np.asfortranarray(np.random.default_rng(3).integers(0, 1001, (6 + extra, cols)))
+    got = "".join(cli._int_lines(table, ";", numbered))
+    assert got == int_lines_per_cell(table, ";", numbered)
 
 
 def test_emit_mixed_column_keeps_per_cell_formats():
@@ -195,6 +237,20 @@ def test_emit_mixed_column_keeps_per_cell_formats():
     buf = io.StringIO()
     cli._emit(cfg, ["name"], [], buf)
     assert buf.getvalue() == "# command=x\n# format=csv\nname\n"
+
+
+def test_malloc_thresholds_left_alone_off_glibc(monkeypatch):
+    from motzkinq import cli
+
+    def no_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_dlopen(*_):
+        raise AssertionError("libc opened off glibc")
+
+    monkeypatch.setattr(cli.os, "confstr", no_glibc)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_dlopen)
+    assert cli._fix_malloc_thresholds.__wrapped__() is None
 
 
 # ------------------------------------------------------------------- verify

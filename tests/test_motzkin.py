@@ -416,6 +416,11 @@ _INTEGRAL_ROUTES = {
 }
 
 
+# the integrals that the density-underflow guard caught, though they did not
+# come out as 0 (C_L / B^L is 3.7e-297 at L = 600); the others come out as 0
+_GUARDED = {("expectation", 600), ("expectation", 620)}
+
+
 @pytest.mark.parametrize("route, L, in_denominator", [
     ("expectation", 700, False), ("expectation", 1000, True), ("expectation", 2000, True),
     ("expectation", 600, True), ("expectation", 620, True),
@@ -423,8 +428,13 @@ _INTEGRAL_ROUTES = {
 ])
 def test_integral_underflow_names_the_integral(route, L, in_denominator):
     integral = r"C_L / B\^L" if in_denominator else "the expectation's numerator"
-    with pytest.raises(OverflowError, match=rf"moment integral of {integral} underflows to 0 "
-                                            rf"at L={L}, q=0\.995: .* use the transfer route"):
+    if (route, L) in _GUARDED:
+        cause = ("loses more than REL_TOL of its mass where the orthogonality density "
+                 rf"underflows, at L={L}, q=0\.995")
+    else:
+        cause = rf"underflows to 0 at L={L}, q=0\.995: .*"
+    with pytest.raises(OverflowError, match=rf"moment integral of {integral} {cause}; "
+                                            "use the transfer route"):
         _INTEGRAL_ROUTES[route](L)
 
 
