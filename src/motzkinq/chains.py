@@ -20,13 +20,15 @@ orthogonality-measure integral
 
     P(X_k = n | X_0 = m) = (pi_n / pi_m) int (x/B)^k p_m(x) ptilde_n(x) nu(dx),
 
-kept as a cross-validation route.  The local-limit drivers use a Chebyshev
-expansion of P^k (:func:`_chebyshev_power`), which needs about
-sqrt(2 k ln(4/eps)) tridiagonal products instead of k.  The exact length-L
-laws that the chains approximate take their heads from ``altitude_table``
-and their middle from one backward pass of a few end vectors through
-``motzkin._power``, and drop at most EXACT_TAIL_TOL of the initial mass past
-the boundary cutoff.
+kept as a cross-validation route.  The local-limit drivers take one entry
+e_m P^k e_n of the Chebyshev expansion of P^k, degree
+d ~ sqrt(2 k ln(4/eps)), by one bilinear pass (:func:`_chebyshev_entry`):
+ceil(d/2) tridiagonal steps of the row e_m T_a(P) and the column
+T_a(P) e_n together, each on the exact reach of its end, instead of k
+steps.  The exact length-L laws that the chains approximate take their
+heads from ``altitude_table`` and their middle from one backward pass of a
+few end vectors through ``motzkin._power``, and drop at most
+EXACT_TAIL_TOL of the initial mass past the boundary cutoff.
 """
 
 from __future__ import annotations
@@ -171,33 +173,62 @@ def _chebyshev_power_coefficients(k: int) -> np.ndarray:
     return c
 
 
-def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
-                     down: np.ndarray) -> tuple[np.ndarray, int]:
-    """vec P^k as sum_j c_j T_j(P) vec by the Chebyshev three-term recurrence
-    T_(j+1)(P) v = 2 T_j(P) v P - T_(j-1)(P) v; returns (vector, degree d).
+def _chebyshev_entry(m: int, n: int, c: np.ndarray, up: np.ndarray, flat: np.ndarray,
+                     down: np.ndarray) -> float:
+    """e_m P^k e_n = sum_j c_j e_m T_j(P) e_n for the coefficients
+    c = _chebyshev_power_coefficients(k) of degree d, by one bilinear pass.
 
-    The capped chain is reversible and substochastic, so P is similar to a
-    symmetric matrix with spectrum in [-1, 1], where the truncated series
-    is within eps of x^k: d ~ sqrt(2 k ln(4/eps)) products instead of k.
-    The error is absolute in the pi-symmetrized entries
-    out[n] sqrt(pi_m / pi_n), so tiny values need a guard by the caller.
+    T_2a = 2 T_a^2 - I and T_(2a+1) = 2 T_(a+1) T_a - T_1 turn each term
+    into a dot product of the row x_a = e_m T_a(P) with the column
+    y_a = T_a(P) e_n: c_2a (2 x_a.y_a - x_0.y_0) for even k and
+    c_(2a+1) (2 x_(a+1).y_a - x_1.y_0) for odd k, so x and y need
+    R = ceil(d/2) = len(c) // 2 steps of the three-term recurrence
+    instead of d.  They are stepped as one vector [x | y]: x on the states
+    m-R..m+R with the rows up, flat, down, and y on n-R..n+R with the
+    transposed rows, both cut at 0.  The up weight at each block's top and
+    the down weight at its bottom are set to 0, so the blocks never
+    exchange flux; within R steps none reaches those edges anyway, so the
+    pass is exact and needs the rows of states 0..max(m, n) + R, without a
+    state cap.  The dot products run over the states the blocks share
+    (none: every term is 0).
+
+    P is similar to a symmetric matrix S with spectrum in [-1, 1] and
+    ||T_a(S)|| <= 1, so the error is about (d+1) eps in the
+    pi-symmetrized value e_m P^k e_n sqrt(pi_m / pi_n), as for the
+    vector form; tiny values need a guard by the caller.
     """
-    c = _chebyshev_power_coefficients(k)
-    d = len(c) - 1
-    prev = vec.astype(float)
-    out = c[0] * prev
-    if d == 0:
-        return out, d
-    cur = _tridiagonal_step(prev, up, flat, down)
-    out += c[1] * cur
-    up2, flat2, down2 = 2.0 * up, 2.0 * flat, 2.0 * down
-    for j in range(2, d + 1):
+    R = len(c) // 2
+    if R == 0:
+        return float(m == n)  # k = 0
+    blocks = []
+    for end, (u, w) in ((m, (up, down)), (n, _transposed(up, down))):
+        lo, hi = max(end - R, 0), end + R + 1
+        bu, bd = 2.0 * u[lo:hi], 2.0 * w[lo:hi]
+        bu[-1] = bd[0] = 0.0
+        blocks.append((lo, hi, bu, 2.0 * flat[lo:hi], bd))
+    (lo_x, hi_x, *rows_x), (lo_y, hi_y, *rows_y) = blocks
+    lo, hi = max(lo_x, lo_y), min(hi_x, hi_y)
+    if lo >= hi:
+        return 0.0
+    up2, flat2, down2 = (np.concatenate(pair) for pair in zip(rows_x, rows_y))
+    nx = hi_x - lo_x
+    xs, ys = slice(lo - lo_x, hi - lo_x), slice(nx + lo - lo_y, nx + hi - lo_y)
+    unit = np.zeros(len(up2))
+    unit[m - lo_x] = unit[nx + n - lo_y] = 1.0
+    once = 0.5 * _tridiagonal_step(unit, up2, flat2, down2)  # [x_1 | y_1]
+    coef = c[(len(c) - 1) % 2::2]
+    if len(c) % 2:  # k even: x_0.y_0 = [m == n], then x_1.y_1, ...
+        prev, cur, dots = unit, once, [float(m == n), float(once[xs] @ once[ys])]
+    else:  # k odd: y one step behind x, from y_(-1) = T_1(P) e_n = y_1
+        prev = np.concatenate((unit[:nx], once[nx:]))
+        cur = np.concatenate((once[:nx], unit[nx:]))
+        dots = [float(cur[xs] @ cur[ys])]
+    for _ in range(len(coef) - len(dots)):
         nxt = _tridiagonal_step(cur, up2, flat2, down2)
         nxt -= prev
         prev, cur = cur, nxt
-        if c[j]:
-            out += c[j] * cur
-    return out, d
+        dots.append(float(cur[xs] @ cur[ys]))
+    return 2.0 * float(coef @ np.array(dots)) - dots[0] * float(coef.sum())
 
 
 def kstep_distribution(start: Distribution, k: int, model: QModelParams) -> Distribution:

@@ -16,12 +16,15 @@ Two scaling regimes of the boundary chain are covered:
 
 The lattice sides of the limit statements are computed deterministically
 (never Monte Carlo), so the reported errors reflect convergence in N, not
-sampling noise.  P^k e_m is the Chebyshev expansion sum_j c_j T_j(P) e_m of
-degree d ~ sqrt(2 k ln(4/eps)), accurate to about (d+1) eps in the
-pi-symmetrized value P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value below
-10^6 times that (a far tail) is recomputed by exact tridiagonal stepping.
-Both run on one state cap, eight diffusive widths above the farther of the
-two levels; a cap that leaks more than 1e-9 of the mass raises
+sampling noise.  P(X_k = n | X_0 = m) is the (m, n) entry of the
+Chebyshev expansion sum_j c_j T_j(P) of P^k, degree
+d ~ sqrt(2 k ln(4/eps)), taken by one bilinear pass of ceil(d/2)
+tridiagonal steps on the exact reach of both ends, with no state cap; it
+is accurate to about (d+1) eps in the pi-symmetrized value
+P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).  A value below 10^6 times that
+(a far tail) is recomputed by exact tridiagonal stepping, and only that
+fallback runs on a state cap, eight diffusive widths above the farther of
+the two levels; a cap that leaks more than 1e-9 of the mass raises
 CapacityError.
 The chain rows come from the ratios s_{n+1} / s_n and the initial masses
 from log s_n - log C, so neither overflows at large N as q -> 1.
@@ -38,7 +41,8 @@ import numpy as np
 from .ascpoly import QModelParams, _initial_probs, index_map
 from .chains import (
     _EPS,
-    _chebyshev_power,
+    _chebyshev_entry,
+    _chebyshev_power_coefficients,
     _iterate_tridiagonal,
     transition_arrays,
 )
@@ -166,34 +170,39 @@ def zeta0_density(x: float, c: float) -> float:
 # ------------------------------------------------------- lattice iteration
 
 def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float:
-    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k on states
-    0..max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64, eight diffusive
-    widths above the farther end; CapacityError naming the cap, k and the
-    leak when more than 1e-9 of the mass leaves past the cap.
+    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k of degree
+    d, by the bilinear pass :func:`motzkinq.chains._chebyshev_entry` of
+    ceil(d/2) steps on one table of states 0..max(m, n) + ceil(d/2), the
+    exact reach of both ends; 0 when |m - n| > k.
 
     The expansion is accurate to about (d+1) eps in the pi-symmetrized value
-    out[n] sqrt(pi_m / pi_n); a value within 10^6 times that of zero (far
-    tails) is recomputed by exact stepping on the same cap.
+    P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value within 10^6 times that
+    of zero (far tails) is recomputed by exact stepping on states
+    0..max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64, eight diffusive
+    widths above the farther end, and CapacityError names that cap, k and
+    the leak when more than 1e-9 of the mass leaves past it.
     """
-    if n > m + k:
+    if abs(m - n) > k:
         return 0.0  # unreachable: at most one level per step
-    cap = max(m, n) + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
-    up, flat, down = transition_arrays(model, cap)
-    vec = np.zeros(cap + 1)
-    vec[m] = 1.0
-    out, d = _chebyshev_power(vec, k, up, flat, down)
-    leak = 1.0 - float(out.sum())
-    if leak > 1e-9:
-        raise CapacityError(f"state cap {cap} leaks mass {leak:.3g} > 1e-9 in k={k} steps "
-                            f"from level {m}")
+    c = _chebyshev_power_coefficients(k)
+    up, flat, down = transition_arrays(model, max(m, n) + len(c) // 2)
+    p = _chebyshev_entry(m, n, c, up, flat, down)
     lo, hi = min(m, n), max(m, n)
     log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
     if n < m:
         log_ratio = -log_ratio  # log(pi_n / pi_m)
-    floor = 1e6 * (d + 1) * _EPS
-    if out[n] > 0.0 and math.log(out[n]) - 0.5 * log_ratio >= math.log(floor):
-        return float(out[n])
-    return float(_iterate_tridiagonal(vec, k, up, flat, down)[0][n])
+    floor = 1e6 * len(c) * _EPS
+    if p > 0.0 and math.log(p) - 0.5 * log_ratio >= math.log(floor):
+        return p
+    cap = max(m, n) + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
+    up, flat, down = transition_arrays(model, cap)
+    vec = np.zeros(cap + 1)
+    vec[m] = 1.0
+    out, lost = _iterate_tridiagonal(vec, k, up, flat, down)
+    if lost > 1e-9:
+        raise CapacityError(f"state cap {cap} leaks mass {lost:.3g} > 1e-9 in k={k} steps "
+                            f"from level {m}")
+    return float(out[n])
 
 
 def local_limit_error_fixed_q(N: int, t: float, x: float, y: float,

@@ -19,7 +19,9 @@ g_L past a truncation are a backward and a forward pass of their own,
 
 The last block holds references that the package itself never calls: the
 untruncated fixed-end path sum ``partition_weight`` with its all-ones
-``unit_model``, the flat-step count and path-line parser, the convolution
+``unit_model``, the vector form ``_chebyshev_power`` of the Chebyshev
+expansion of P^k (checks the bilinear pass ``chains._chebyshev_entry``),
+the flat-step count and path-line parser, the convolution
 form ``asc_at_one`` of Q_n(1) / (q; q)_n (checks ``s_values``) and the
 scalar orthogonality density ``asc_density`` (checks
 ``density_times_sine``).
@@ -33,7 +35,7 @@ import math
 import numpy as np
 
 from motzkinq.ascpoly import AscParams, _check_order, q_number
-from motzkinq.chains import initial_law, transition_arrays
+from motzkinq.chains import _chebyshev_power_coefficients, initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, WeightModel, _backward_vectors,
                               _boundary_cutoff, _transposed, _tridiagonal_step,
@@ -512,6 +514,35 @@ def partition_weight(L: int, m: int, n: int, model: WeightModel) -> float:
     for _ in range(L):
         v = _tridiagonal_step(v, a, b, c)
     return float(v[n])
+
+
+def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
+                     down: np.ndarray) -> tuple[np.ndarray, int]:
+    """vec P^k as sum_j c_j T_j(P) vec by the Chebyshev three-term recurrence
+    T_(j+1)(P) v = 2 T_j(P) v P - T_(j-1)(P) v; returns (vector, degree d).
+
+    The capped chain is reversible and substochastic, so P is similar to a
+    symmetric matrix with spectrum in [-1, 1], where the truncated series
+    is within eps of x^k: d ~ sqrt(2 k ln(4/eps)) products instead of k.
+    The error is absolute in the pi-symmetrized entries
+    out[n] sqrt(pi_m / pi_n), so tiny values need a guard by the caller.
+    """
+    c = _chebyshev_power_coefficients(k)
+    d = len(c) - 1
+    prev = vec.astype(float)
+    out = c[0] * prev
+    if d == 0:
+        return out, d
+    cur = _tridiagonal_step(prev, up, flat, down)
+    out += c[1] * cur
+    up2, flat2, down2 = 2.0 * up, 2.0 * flat, 2.0 * down
+    for j in range(2, d + 1):
+        nxt = _tridiagonal_step(cur, up2, flat2, down2)
+        nxt -= prev
+        prev, cur = cur, nxt
+        if c[j]:
+            out += c[j] * cur
+    return out, d
 
 
 _IMAG_GUARD = 1e-9

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from motzkinq.ascpoly import QModelParams, pi_values, q_number, s_values
 from motzkinq.chains import (
-    _chebyshev_power,
     _chebyshev_power_coefficients,
     _iterate_tridiagonal,
     Distribution,
@@ -31,7 +30,7 @@ from motzkinq import chains
 from motzkinq.errors import CapacityError
 from motzkinq.motzkin import WeightModel, matrix_ansatz_expectation
 
-from oracles import (chain_head_law_walk, endpoint_pair_correlation_per_start,
+from oracles import (_chebyshev_power, chain_head_law_walk, endpoint_pair_correlation_per_start,
                      finite_path_head_law_walk, simulate_chain_numpy_loop)
 
 

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motzkinq.ascpoly import QModelParams
-from motzkinq import kernels
-from motzkinq.chains import _chebyshev_power, _iterate_tridiagonal, transition_arrays
+from motzkinq import chains, kernels
+from motzkinq.chains import (_EPS, _chebyshev_entry, _chebyshev_power_coefficients,
+                             _iterate_tridiagonal, transition_arrays)
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.kernels import (
     KernelQuery,
@@ -27,7 +30,7 @@ from motzkinq.kernels import (
 )
 from motzkinq.qspecial import bessel_k_imag
 
-from oracles import gauss_legendre, panel_rule
+from oracles import _chebyshev_power, gauss_legendre, panel_rule
 
 
 # ------------------------------------------------------------ killed kernel
@@ -276,19 +279,97 @@ def test_far_tail_point_falls_back_to_exact_stepping(regime, N, t, x, y):
 
 
 def test_leaking_state_cap_raises_capacity_error(monkeypatch):
-    # the cap is computed once and not regrown: a Chebyshev pass that loses
-    # mass past it is reported with the cap, k and the leak
-    model, m, n, k, cap = _lattice_query("fixed-q", 2500, 1.0, 1.0, 1.5)
-    real = kernels._chebyshev_power
+    # only the exact-stepping fallback has a state cap, computed once and
+    # not regrown: a fallback pass that loses mass past it is reported with
+    # the cap, k and the leak
+    model, m, n, k, cap = _lattice_query("fixed-q", 2500, 0.05, 1.0, 3.0)
+    real = kernels._iterate_tridiagonal
 
     def leaky(vec, k, *rows):
-        out, d = real(vec, k, *rows)
-        return out * (1.0 - 2e-9), d
+        out, _ = real(vec, k, *rows)
+        return out, 2e-9
 
-    monkeypatch.setattr(kernels, "_chebyshev_power", leaky)
+    monkeypatch.setattr(kernels, "_iterate_tridiagonal", leaky)
     with pytest.raises(CapacityError, match=rf"state cap {cap} leaks mass 2e-09 > 1e-9 "
                                             rf"in k={k} steps"):
         _chain_point_evolution(model, m, n, k)
+
+
+@pytest.mark.parametrize("N,t,x,y", [(100, 0.05, 1.0, 3.0), (400, 0.05, 3.0, 0.1)])
+def test_level_out_of_reach_is_zero_without_a_table(monkeypatch, N, t, x, y):
+    # a climb (10 -> 30) or a drop (60 -> 2) of more than k = floor(N t)
+    # levels is 0 before any transition table is built
+    def no_table(model, cap):
+        raise AssertionError("built a transition table for an unreachable level")
+
+    monkeypatch.setattr(kernels, "transition_arrays", no_table)
+    out = local_limit_error_fixed_q(N, t, x, y, QModelParams(q=0.5, sigma=1.0))
+    assert out.lhs == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(0.0, 0.99), sigma=st.floats(0.0, 1.0, exclude_min=True),
+       m=st.integers(0, 60), n=st.integers(0, 60), k=st.integers(0, 400))
+@example(q=0.5, sigma=0.8, m=7, n=7, k=0)  # d = k = 0
+@example(q=0.5, sigma=0.8, m=0, n=1, k=1)  # d = k, odd, the x_1.y_0 term
+@example(q=0.3, sigma=1.0, m=4, n=4, k=2)  # d = k, even
+@example(q=0.7, sigma=0.4, m=9, n=8, k=3)  # d = k, odd
+@example(q=0.5, sigma=0.8, m=20, n=21, k=399)  # odd, both blocks cut at 0 (R = 82)
+@example(q=0.5, sigma=0.8, m=60, n=60, k=400)  # even, both blocks cut at 0 (R = 82)
+@example(q=0.5, sigma=0.8, m=1, n=59, k=60)  # blocks of radius R = 28 share no state
+@example(q=0.99, sigma=1.0, m=0, n=0, k=4)  # just above the floor: 6e-9 relative
+def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
+    # the bilinear pass is within (d+1) eps of P^k[m, n] in the
+    # pi-symmetrized value; the driver adds 1e-9 relative on top, from the
+    # fallback, or raises CapacityError where the fallback cap really leaks
+    model = QModelParams(q=q, sigma=sigma)
+    top = max(m, n) + k + 1  # exact reach: nothing leaks
+    up, flat, down = transition_arrays(model, top)
+    vec = np.zeros(top + 1)
+    vec[m] = 1.0
+    want = _iterate_tridiagonal(vec, k, up, flat, down)[0][n]
+    c = _chebyshev_power_coefficients(k)
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:top] / down[1:]))))  # log pi_j / pi_0
+    bound = len(c) * _EPS * math.exp(0.5 * (log_pi[n] - log_pi[m]))
+    assert abs(_chebyshev_entry(m, n, c, up, flat, down) - want) <= bound
+    try:
+        lattice = _chain_point_evolution(model, m, n, k)
+    except CapacityError:
+        cap = max(m, n) + int(8.0 * math.sqrt(k / (1.0 + sigma))) + 64
+        _, lost = _iterate_tridiagonal(vec[:cap + 1], k, *transition_arrays(model, cap))
+        assert lost > 1e-9
+        return
+    assert lattice == pytest.approx(want, rel=1e-9, abs=bound)
+
+
+def test_lattice_point_takes_half_the_degree_in_steps(monkeypatch):
+    # k = 4e4: at most floor(d/2) + 1 tridiagonal steps, not d, on a vector
+    # of at most 2 (2A + 1) states, A = floor(d/2) + 1, from one table
+    model, m, n, k, cap = _lattice_query("fixed-q", 40_000, 1.0, 1.0, 2.0)
+    d = len(_chebyshev_power_coefficients(k)) - 1
+    A = d // 2 + 1
+    sizes, tables = [], []
+    real_step, real_table = chains._tridiagonal_step, kernels.transition_arrays
+
+    def step(v, *rows):
+        sizes.append(len(v))
+        return real_step(v, *rows)
+
+    def table(model, cap):
+        tables.append(cap)
+        return real_table(model, cap)
+
+    monkeypatch.setattr(chains, "_tridiagonal_step", step)
+    monkeypatch.setattr(kernels, "transition_arrays", table)
+    lattice = _chain_point_evolution(model, m, n, k)
+    assert d == 1658 and 0 < len(sizes) <= d // 2 + 1
+    assert max(sizes) <= 2 * (2 * A + 1)
+    assert tables == [max(m, n) + (d + 1) // 2]
+    monkeypatch.undo()
+    vec = np.zeros(cap + 1)
+    vec[m] = 1.0
+    assert lattice == pytest.approx(_chebyshev_power(vec, k, *real_table(model, cap))[0][n],
+                                    rel=1e-9, abs=0.0)
 
 
 def test_initial_limit_fixed_q():
