@@ -403,14 +403,20 @@ def asc_endpoint_limit_fixed_q(M: int, u: float, p: AscParams) -> float:
     return asc_eval(M, 1.0 - u * u / (2.0 * M * M), p) / M
 
 
+def _root(N: int) -> float:
+    """sqrt(N), the space scale of index_map and of the limit drivers in
+    :mod:`motzkinq.kernels`; ValueError unless N >= 1."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    return math.sqrt(N)
+
+
 def index_map(z: float, N: int, sigma: float) -> int:
     """Lattice index floor(z sqrt(N)) + floor(sqrt(N) log sqrt(2 N (1+sigma)))
     centering heights at the logarithmically growing bulk location."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    rn = _root(N)
     if not (0.0 < sigma <= 1.0):
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    rn = math.sqrt(N)
     return math.floor(z * rn) + math.floor(rn * math.log(math.sqrt(2.0 * N * (1.0 + sigma))))
 
 

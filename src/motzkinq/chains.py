@@ -46,7 +46,7 @@ from .ascpoly import (
     pi_values,
     s_ratios,
 )
-from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _power,
+from .motzkin import (TAIL_TOL, WeightModel, _boundary_cutoff, _initial_mass_past, _power,
                       _table_product, _transposed, _tridiagonal_step, _weight_tables,
                       altitude_table)
 from .numerics import _EPS
@@ -129,7 +129,7 @@ def transition_arrays(model: QModelParams, cap: int) -> tuple[np.ndarray, np.nda
     return up, flat, down
 
 
-def initial_law(which: str, model: QModelParams, tail_tol: float = 1e-12) -> Distribution:
+def initial_law(which: str, model: QModelParams, tail_tol: float = TAIL_TOL) -> Distribution:
     """Initial distribution of the head chain (which='X', weight rho0) or
     the tail chain (which='Y', weight rho1): P(n) = rho^n s_n / C, cut at the
     first n > 10 whose term is below tail_tol (1 - rho) / 2 of the mass so far.

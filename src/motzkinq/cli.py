@@ -54,12 +54,12 @@ __all__ = ["main"]
 DEFAULTS: dict = {
     "q": 0.5, "sigma": 0.8, "rho0": 0.3, "rho1": 0.25,
     "L": 6, "N": [400, 2500], "t": 1.0, "x": 1.0, "y": 1.0,
-    "m": 0, "n": 0, "count": 10, "seed": 0, "tol": 1e-10,
+    "m": 0, "n": 0, "count": 10, "seed": 0,
     "regime": "fixed-q", "format": "csv", "out": None, "config": None,
     "inject_fault": False,
 }
 
-_FLOAT_KEYS = ("q", "sigma", "rho0", "rho1", "t", "x", "y", "tol")
+_FLOAT_KEYS = ("q", "sigma", "rho0", "rho1", "t", "x", "y")
 _INT_KEYS = ("L", "m", "n", "count", "seed")
 _CHOICES = {"regime": ("fixed-q", "q-to-1"), "format": ("csv", "json")}
 # cells per block of _int_lines
@@ -164,12 +164,6 @@ def _qmodel(cfg: dict) -> QModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _int_lines(table: np.ndarray, sep: str, numbered: bool = False) -> Iterator[str]:
     """Text of a nonnegative int table, one line per row: its cells in
     decimal joined by the one-character sep, after the row number and a
@@ -211,19 +205,13 @@ def _int_lines(table: np.ndarray, sep: str, numbered: bool = False) -> Iterator[
 
 def _emit(cfg: dict, columns: list[str], rows: list[Sequence] | Iterator[str],
           stream) -> None:
+    header = {key: cfg[key] for key in sorted(cfg) if key not in ("out", "config")}
     if cfg["format"] == "json":
-        payload = {
-            "config": {k: cfg[k] for k in sorted(cfg) if k not in ("out", "config")},
-            "columns": columns,
-            "rows": rows,
-        }
-        json.dump(payload, stream, indent=1, default=str)
+        json.dump({"config": header, "columns": columns, "rows": rows}, stream,
+                  indent=1, default=str)
         stream.write("\n")
         return
-    for key in sorted(cfg):
-        if key in ("out", "config"):
-            continue
-        value = cfg[key]
+    for key, value in header.items():
         if isinstance(value, list):
             value = ",".join(str(v) for v in value)
         stream.write(f"# {key}={value}\n")
@@ -244,7 +232,8 @@ def _emit(cfg: dict, columns: list[str], rows: list[Sequence] | Iterator[str],
             formats.append("%.17g")
         else:
             if any(floats):
-                cells[j::width] = map(_fmt, column)
+                cells[j::width] = [f"{v:.17g}" if isinstance(v, float) else str(v)
+                                   for v in column]
             formats.append("%s")
     stream.write((",".join(formats) + "\n") * len(rows) % tuple(cells))
 
@@ -255,7 +244,7 @@ def _cmd_enumerate(cfg: dict) -> tuple[list[str], list[tuple[str, float, float]]
     model = WeightModel.from_qmodel(_qmodel(cfg))
     L, m, n = cfg["L"], cfg["m"], cfg["n"]
     alts = altitude_table(L, m, n)
-    C = normalizing_constant(L, model, tail_tol=min(cfg["tol"], 1e-10))
+    C = normalizing_constant(L, model)
     weights = table_weights(alts, model)
     probs = model.alpha(m) * model.beta(n) * weights / C
     paths = "".join(_int_lines(alts, ",")).splitlines()
@@ -267,8 +256,7 @@ def _cmd_enumerate(cfg: dict) -> tuple[list[str], list[tuple[str, float, float]]
 
 def _cmd_sample(cfg: dict) -> tuple[list[str], list[list] | Iterator[str], int]:
     model = WeightModel.from_qmodel(_qmodel(cfg))
-    draws = sample_paths(cfg["L"], model, cfg["count"], cfg["seed"],
-                         tail_tol=min(cfg["tol"], 1e-9))
+    draws = sample_paths(cfg["L"], model, cfg["count"], cfg["seed"])
     if cfg["format"] == "csv":
         return ["index", "altitudes"], _int_lines(draws, ";", numbered=True), 0
     paths = "".join(_int_lines(draws, ";")).splitlines()
@@ -357,10 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
         columns, rows, status = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     except (CapacityError, ConvergenceError, OverflowError, ArithmeticError) as exc:

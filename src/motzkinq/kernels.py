@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ascpoly import QModelParams, _initial_probs, index_map
+from .ascpoly import QModelParams, _initial_probs, _root, index_map
 from .chains import (
     _EPS,
     _chebyshev_entry,
@@ -205,17 +205,25 @@ def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float
     return float(out[n])
 
 
+def _compare(lhs: float, rhs: float, where: str) -> LimitComparison:
+    """OverflowError naming where when the continuum target underflows to 0,
+    since no relative error is defined there."""
+    if rhs == 0.0:
+        raise OverflowError(f"continuum target underflows to 0 in the {where}")
+    return LimitComparison(lhs=lhs, rhs=rhs)
+
+
 def local_limit_error_fixed_q(N: int, t: float, x: float, y: float,
                               model: QModelParams) -> LimitComparison:
     """sqrt(N) P(X_{floor(Nt)} = floor(y sqrt N) | X_0 = floor(x sqrt N))
     against the Bessel target (y/x) q_{t/(1+sigma)}(x, y)."""
     if x <= 0.0 or y <= 0.0 or t <= 0.0:
         raise ValueError("need x, y, t > 0")
-    rn = math.sqrt(N)
+    rn = _root(N)
     m, n, k = math.floor(x * rn), math.floor(y * rn), math.floor(N * t)
     lhs = rn * _chain_point_evolution(model, m, n, k)
     rhs = bessel3d_transition(KernelQuery(t=t, x=x, y=y, sigma=model.sigma))
-    return LimitComparison(lhs=lhs, rhs=rhs)
+    return _compare(lhs, rhs, f"fixed-q regime at t={t}, x={x}, y={y}")
 
 
 def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> LimitComparison:
@@ -223,12 +231,12 @@ def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> Li
     the density c^2 x exp(-c x)."""
     if x <= 0.0:
         raise ValueError("need x > 0")
-    rn = math.sqrt(N)
+    rn = _root(N)
     varying = QModelParams(q=model.q, sigma=model.sigma,
                            rho0=math.exp(-c / rn), rho1=model.rho1)
     m = math.floor(x * rn)
     lhs = rn * float(_initial_probs(varying, varying.rho0, m)[m])
-    return LimitComparison(lhs=lhs, rhs=xi0_density(x, c))
+    return _compare(lhs, xi0_density(x, c), f"fixed-q initial law at x={x}, c={c}")
 
 
 def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
@@ -237,27 +245,27 @@ def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
     against [K_0(e^-y)/K_0(e^-x)] p_{t/(1+sigma)}(x, y)."""
     if t <= 0.0:
         raise ValueError("need t > 0")
-    rn = math.sqrt(N)
+    rn = _root(N)
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma)
     m, n, k = index_map(x, N, sigma), index_map(y, N, sigma), math.floor(N * t)
     if m < 0 or n < 0:
         raise CapacityError(f"index map gave negative level (x={x}, y={y}, N={N})")
     lhs = rn * _chain_point_evolution(model, m, n, k)
     rhs = zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma))
-    return LimitComparison(lhs=lhs, rhs=rhs)
+    return _compare(lhs, rhs, f"q-to-1 regime at t={t}, x={x}, y={y}")
 
 
 def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitComparison:
     """sqrt(N) P(X_0 = J_x) with q = exp(-2/sqrt(N)), rho0 = exp(-c/sqrt(N))
     against the entrance law :func:`zeta0_density`,
     4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^-x)."""
-    rn = math.sqrt(N)
+    rn = _root(N)
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma, rho0=math.exp(-c / rn))
     level = index_map(x, N, sigma)
     if level < 0:
         raise CapacityError(f"index map gave negative level (x={x}, N={N})")
     lhs = rn * float(_initial_probs(model, model.rho0, level)[level])
-    return LimitComparison(lhs=lhs, rhs=zeta0_density(x, c))
+    return _compare(lhs, zeta0_density(x, c), f"q-to-1 initial law at x={x}, c={c}")
 
 
 def error_table(regime: str, Ns: list[int], t: float, x: float, y: float,

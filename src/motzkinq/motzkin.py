@@ -47,8 +47,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 14
-# share of the boundary mass that the transfer and integral routes may drop
-# past the boundary cutoff
+# share of the boundary mass that the transfer, integral and normalizer
+# routes may drop past the boundary cutoff; the sampler allows ten times it
 TAIL_TOL = 1e-12
 # entries (L+1) x S of the largest backward table that sample_paths
 # allocates (64 MB of float64)
@@ -274,18 +274,18 @@ def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
     return float(np.dot(v, bv * np.power(float(z1), powers))), log_scale
 
 
-def log_normalizing_constant(L: int, model: WeightModel, tail_tol: float = TAIL_TOL) -> float:
+def log_normalizing_constant(L: int, model: WeightModel) -> float:
     """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n over
-    the initial altitudes m <= T, T the boundary cutoff at tail_tol."""
-    tables = _weight_tables(model, _boundary_cutoff(model, tail_tol, L) + L + 2)
+    the initial altitudes m <= T, T the boundary cutoff at TAIL_TOL."""
+    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + L + 2)
     val, lg = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
     if val <= 0.0:
         raise ValueError("normalizing constant must be positive")
     return math.log(val) + lg
 
 
-def normalizing_constant(L: int, model: WeightModel, tail_tol: float = TAIL_TOL) -> float:
-    lg = log_normalizing_constant(L, model, tail_tol)
+def normalizing_constant(L: int, model: WeightModel) -> float:
+    lg = log_normalizing_constant(L, model)
     if lg > 700.0:
         raise OverflowError(f"normalizing constant exp({lg:.1f}) overflows; "
                             "use log_normalizing_constant")
@@ -438,8 +438,7 @@ def _backward_vectors(tables: tuple[np.ndarray, ...], L: int) -> np.ndarray:
     return u
 
 
-def sample_paths(L: int, model: WeightModel, count: int, seed: int,
-                 tail_tol: float = TAIL_TOL) -> np.ndarray:
+def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarray:
     """Exact samples from the path measure, as an int array (count, L+1):
     the transpose of the (L+1, count) buffer that the loop fills one step
     (one row) at a time, so it is F-ordered.
@@ -451,14 +450,15 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     then gathers its three entries and takes the move its uniform lands in.
     Deterministic for a fixed seed.
 
-    Initial altitudes are at most the boundary cutoff T, and the backward
+    Initial altitudes are at most the boundary cutoff T at TAIL_TOL, the
+    one cut of every finite-L route but the exact laws, and the backward
     table (L+1) x (T+L+2) must fit in SAMPLE_TABLE_CAP entries.
     CapacityError when the table does not fit, or when the initial
-    altitudes past T carry more than 10 tail_tol of the mass alpha_m u_0[m].
+    altitudes past T carry more than 10 TAIL_TOL of the mass alpha_m u_0[m].
     """
     if count < 1:
         raise ValueError("count must be positive")
-    T = _boundary_cutoff(model, tail_tol, L)
+    T = _boundary_cutoff(model, TAIL_TOL, L)
     S = T + L + 2
     if (L + 1) * S > SAMPLE_TABLE_CAP:
         raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
@@ -466,7 +466,7 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int,
     tables = _weight_tables(model, S)
     a, b, c, av, _ = tables
     u = _backward_vectors(tables, L)
-    _initial_mass_past(av, u[0], T, L, 10 * tail_tol)
+    _initial_mass_past(av, u[0], T, L, 10 * TAIL_TOL)
     p0 = (av * u[0])[:T + 1]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)

@@ -1,9 +1,11 @@
 """Tests for the command-line driver."""
 
+import argparse
 import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -75,21 +77,21 @@ ENUMERATE_MODEL = ("--q", "0.5", "--sigma", "0.8", "--rho0", "0.3", "--rho1", "0
 # (argv, csv digest, json digest): the text of the path-by-path CLI loop
 ENUMERATE_DIGESTS = [
     (("enumerate", "--L", "10", "--m", "0", "--n", "0"),
-     "886e9baff2b48a92807fb0e063c65eff1137d481b91841efbef676c57767a084",
-     "71499fc7940867fd006588b5755ea8809027c53ab6d36f79864e1f90b730da44"),
+     "525839251c069aaf36f123f9aca43041dc801dac11766e7b4bf8fe73eb028c76",
+     "ae76e828193e4152b74460eb69e48217ce57c99021a69eb416a88b53904bfe32"),
     (("enumerate", "--L", "10", "--m", "1", "--n", "2"),
-     "7eaa6680f4b1c97399229edbd054231d45419a39f4fc8e1b8fe635f859c0796d",
-     "fea731f2a580c19ff64eab3055a5d866a3ec613bd86d1bd0d5ef409540027d72"),
+     "9c03174928f592fbab7c7de8508041a13e5c3919506d37822ba69b403edb0e0e",
+     "a57f666bf64f354fc4a7cb0cfee86b151278ac118fc0d1c0f192166436e1bb4c"),
     (("enumerate", "--L", "10", "--m", "2", "--n", "1"),
-     "29e5308154fa30c2d931934e2bd57738b74b28ad42d513c929eb8a763678c1f3",
-     "589cb31a7dde61b6ccbf75586fe43ee7083dc801a748c9475abfcec1e3ab2f24"),
+     "acdb63078716fd8733c56bb43c30fc2b37e203d3338a6adcaa2ab7438d565e2e",
+     "ff51c86fa5ffdb78eeb9344455f530fe8dfe42fb3124ef64918394547574cb77"),
     (("enumerate", "--L", "4"),
-     "6a71e83c804fd2128d56169130b1600b27f08a6d93f7bd5626e85b30b2b7179a",
-     "41e679a78f0dcc247eadbcee36cd4c32f84bb9fb5884b5b50c15dc3418ff7a94"),
+     "1e4517da6fd2048b5b95f3d64b832c90ae4b0791e65cd2c966c6f0f46aafa82a",
+     "f2d48f250176173f85f84ca656ab974a0fba740d334e088d9514ea6e6eb8d60c"),
     # levels cross 9 -> 10
     (("enumerate", "--L", "8", "--m", "9", "--n", "10"),
-     "97e3e3241d117502b2c0cf1882e2c4aee93df6a35690fc818aff839a5351b8b8",
-     "8fe9ecccd9c03746fe7e00aa181d0f1cef9048bbfe0c5d6e1f6b9fcdb6924841"),
+     "6f5965c18845dee094df52e544bb7f3511400aea177570afd5e9c6f802410abd",
+     "afa5fc58e74acc6f845ec5528b2be5ff9ea670b003a57bfb2084bfe0f8ecd40f"),
 ]
 
 
@@ -159,24 +161,24 @@ def test_chain_steps_in_range(capsys):
 # and chain loops are pinned bitwise by their oracles, these pin the text
 OUTPUT_DIGESTS = [
     (("sample", "--L", "200", "--count", "1000", "--seed", "11"),
-     "d52637948464a11375323a37207771c08119fc170ad6b76e872bab7af1ccdbef",
-     "1b4e4d34543a4b01d22355d666213a70dd81383ffc0eeb7ea76f69947e41b2f0"),
+     "68c0741b61cd0c0f53f773a4b9ce5dfd5ad943f6418c41b157d0c18d7650b6bd",
+     "76ae41419707b2c3982b45a0e1360fb3cde7d5c499920f468a5e4b6ae0bb4eb0"),
     (("sample", "--L", "1000", "--count", "2000", "--seed", "12345"),
-     "8fbad3ea9c227022e7524fccf5346c7cdc117cd4c141530b5282571905718e27",
-     "16de2a92899d9968d9fba6fd16789b9e12953206c966c732685aa1a2d71baf1b"),
+     "eb8336bba9cb786e51a864f5c652415831c3759eab69ea688bf85e34bbfbcf59",
+     "86f61e384b976c75a16dead5723bb8827848140b09d0b71848e9dd9c720b04f9"),
     (("sample", "--L", "1000", "--count", "1000", "--seed", "7"),
-     "300ab2aa381f67ad3e6d236e189bde08e8c5d08b7e6b7baa2daffe68fcea2215",
-     "4dc7a0614191581256ddab190eab6a044d4b6d3a135eedb2f0c2ae978ae7d524"),
+     "04702dc9f6a6f7d4336ad8ed56d00a764bf15a0d56b2bd69977daef104fc9f7c",
+     "6293b31df64a2db9fbb2e6653aff04e9f06d46b8479c032f8c8e4af2edb7ac88"),
     (("chain", "--L", "100000", "--seed", "5"),
-     "b7860128c0b25d76211f769e5b6b1f0267e08917b936ead8fb4ca6c5308835c4",
-     "f4303d0d244706cd425c46b6eba49f1a0262013eff75f818c33176a33eec25eb"),
+     "3166865316f1b0dddb8b83c5076e1b6869dcc8d451695c77a260b1abf05ef06b",
+     "1f57589e324ba09a9a4762b166a7c68660bbcf594e727a96e19c3b5b65789146"),
     (("chain", "--L", "1000"),
-     "7ea499ea8843de9532e73233a125b202824a38bf0afd2f289d3a366d10e15617",
-     "56378468209c9d31c5534239edcfceec5a27c582c5bd5a4b073391d2614d179d"),
+     "72454408690bf8558d753ea27121d09ce0dedebdf106a717c51ff97b4e515769",
+     "f510e8d9dabfc5c6674f6644473104c4b35012aeb27a01010f627887a507ed1a"),
     # altitudes from 30 to 130, indices past 100
     (("sample", "--q", "0.99", "--rho0", "0.9", "--L", "200", "--count", "300", "--seed", "4"),
-     "ad6295b480febdce4cc81c4ec6128a024ce2452d7be354c5db045b4fe3a81f8f",
-     "dcd22ebee3df2d35248bd2e3de54072c5b2ee09a1b0a9605034d13e5b2d2821b"),
+     "b9a6736a151257944f6dfa9fcc2d67a5fe25e468a44e201957112e6f95af4ad9",
+     "c8494ee60e4cec7537241139a29ebd65096eb84e820242ee84804985beb12ea5"),
 ]
 
 
@@ -346,6 +348,24 @@ def test_locallimit_empty_N_is_config_error(capsys):
     assert status == 3
 
 
+@pytest.mark.parametrize("regime", ["fixed-q", "q-to-1"])
+def test_locallimit_N_below_one_is_config_error(capsys, regime):
+    status = main(["locallimit", "--regime", regime, "--N", "0"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert "N must be positive, got 0" in captured.err
+
+
+def test_locallimit_underflowing_target_is_numeric_guard(capsys):
+    status = main(["locallimit", "--regime", "fixed-q", "--N", "400",
+                   "--t", "0.001", "--x", "1", "--y", "3"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "t=0.001, x=1.0, y=3.0" in captured.err
+
+
 # ---------------------------------------------------------------- specialfn
 
 def test_specialfn_values(capsys):
@@ -400,6 +420,36 @@ def test_config_file_inject_fault_must_be_a_boolean(tmp_path, capsys):
     assert status == 3
     assert captured.out == ""
     assert "bad value for inject_fault: 'ture'" in captured.err
+
+
+def test_no_tolerance_setting(tmp_path, capsys):
+    # the boundary cut is one fixed rule (motzkin.TAIL_TOL), set by no flag
+    # or config key
+    status = main(["enumerate", "--tol", "1e-10"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert "unrecognized arguments: --tol" in captured.err
+    cfgfile = tmp_path / "tol.cfg"
+    cfgfile.write_text("tol=1e-10\n")
+    status = main(["enumerate", "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert "unknown key 'tol'" in captured.err
+
+
+def test_readme_documents_every_flag():
+    # README's "Common flags" paragraph names exactly the parser's options
+    from motzkinq import cli
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("Common flags:")
+    documented = set(re.findall(r"--[A-Za-z][\w-]*", readme[start:readme.index("\n\n", start)]))
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for sub in commands.choices.values() for action in sub._actions
+               for flag in action.option_strings}
+    assert documented == options - {"-h", "--help"}
 
 
 def test_every_setting_is_read_by_a_subcommand():

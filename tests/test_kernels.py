@@ -436,6 +436,29 @@ def test_initial_limit_q_to_1_value_at_desk_N():
     assert out.lhs == pytest.approx(0.26822646439816894, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [0, -4])
+@pytest.mark.parametrize("driver", [
+    lambda N: local_limit_error_fixed_q(N, 1.0, 1.0, 1.0, QModelParams(q=0.5, sigma=0.8)),
+    lambda N: local_limit_error_q_to_1(N, 1.0, 0.0, 0.0, 1.0),
+    lambda N: initial_limit_fixed_q(N, 1.0, 1.0, QModelParams(q=0.5, sigma=0.8)),
+    lambda N: initial_limit_q_to_1(N, 0.0, 1.0, 1.0),
+], ids=["local-fixed-q", "local-q-to-1", "initial-fixed-q", "initial-q-to-1"])
+def test_limit_drivers_reject_N_below_one(driver, N):
+    # N = 0 used to print lhs 0, rel_err 1 (fixed q) or divide by zero
+    with pytest.raises(ValueError, match=f"N must be positive, got {N}"):
+        driver(N)
+
+
+def test_underflowing_target_names_the_point():
+    # the Bessel target at t = 0.001, (x, y) = (1, 3) is exp(-4500) = 0, so
+    # no relative error exists; it used to divide by zero in rel_err
+    model = QModelParams(q=0.5, sigma=0.8)
+    with pytest.raises(OverflowError, match=r"fixed-q regime at t=0\.001, x=1\.0, y=3\.0"):
+        local_limit_error_fixed_q(400, 0.001, 1.0, 3.0, model)
+    with pytest.raises(OverflowError, match=r"fixed-q initial law at x=800\.0, c=1\.0"):
+        initial_limit_fixed_q(400, 800.0, 1.0, model)
+
+
 # ------------------------------------------------------- f.d.d. surrogates
 
 def test_fdd_surrogate_bessel_regime():
