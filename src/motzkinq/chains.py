@@ -20,15 +20,18 @@ orthogonality-measure integral
 
     P(X_k = n | X_0 = m) = (pi_n / pi_m) int (x/B)^k p_m(x) ptilde_n(x) nu(dx),
 
-kept as a cross-validation route.  The local-limit drivers take one entry
-e_m P^k e_n of the Chebyshev expansion of P^k, degree
-d ~ sqrt(2 k ln(4/eps)), by one bilinear pass (:func:`_chebyshev_entry`):
-ceil(d/2) tridiagonal steps of the row e_m T_a(P) and the column
-T_a(P) e_n together, each on the exact reach of its end, instead of k
-steps.  The exact length-L laws that the chains approximate take their
-heads from ``altitude_table`` and their middle from one backward pass of a
-few end vectors through ``motzkin._power``, and drop at most
-EXACT_TAIL_TOL of the initial mass past the boundary cutoff.
+kept as a cross-validation route.  P is the Al-Salam-Chihara Jacobi
+operator divided by B, so its spectrum lies in [A/B, 1] =
+[(sigma-1)/(sigma+1), 1].  The local-limit drivers take one entry
+e_m P^k e_n of the Chebyshev expansion of P^k on that interval, degree
+d ~ sqrt(2 k ln(4/eps) / (1+sigma)), by one bilinear pass
+(:func:`_chebyshev_entry`): ceil(d/2) in-place tridiagonal steps of the row
+e_m T_a(P') and the column T_a(P') e_n together, P' = P mapped onto
+[-1, 1], each on the exact reach of its end, instead of k steps.  The
+exact length-L laws that the chains approximate take their heads from
+``altitude_table`` and their middle from one backward pass of a few end
+vectors through ``motzkin._power``, and drop at most EXACT_TAIL_TOL of the
+initial mass past the boundary cutoff.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from .ascpoly import (
     s_ratios,
 )
 from .motzkin import (TAIL_TOL, WeightModel, _boundary_cutoff, _initial_mass_past, _power,
-                      _table_product, _transposed, _tridiagonal_step, _weight_tables,
-                      altitude_table)
+                      _step_rows, _step_views, _table_product, _transposed, _tridiagonal_step,
+                      _weight_tables, altitude_table)
 from .numerics import _EPS
 
 __all__ = [
@@ -143,92 +146,132 @@ def initial_law(which: str, model: QModelParams, tail_tol: float = TAIL_TOL) -> 
 def _iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
                          down: np.ndarray) -> tuple[np.ndarray, float]:
     """k tridiagonal steps; returns (vector, mass lost past the cap)."""
-    v = vec.astype(float).copy()
+    cur, nxt = _step_views(np.array(vec, dtype=float)), _step_views(np.empty(len(vec)))
+    rows, work = _step_rows(up, flat, down), np.empty(len(vec) - 1)
     lost = 0.0
     for _ in range(k):
-        lost += up[-1] * v[-1]
-        v = _tridiagonal_step(v, up, flat, down)
-    return v, lost
+        lost += up[-1] * cur[0][-1]
+        _tridiagonal_step(cur, nxt, rows, work)
+        cur, nxt = nxt, cur
+    return cur[0], lost
 
 
-def _chebyshev_power_coefficients(k: int) -> np.ndarray:
-    """c_0..c_d with x^k = sum_j c_j T_j(x) up to eps on [-1, 1].
+def _chebyshev_power_coefficients(k: int, lam0: float) -> np.ndarray:
+    """c_0..c_d with x^k = sum_j c_j T_j((x - b) / a) up to eps on
+    [lam0, 1], a = (1 - lam0) / 2, b = 1 - a.
 
-    c_j = 2^(1-k) C(k, (k-j)/2) for j = k (mod 2), c_0 halved, from the
-    ratio c_(j+2)/c_j = (k-j)/(k+j+2) normalized to sum 1.  The terms past
-    J = sqrt(2k ln(4/eps)) sum to at most 2 exp(-J^2/2k) = eps/2 (Hoeffding)
-    and are not formed; the series is cut at the first degree d whose tail
-    falls to eps/2 (d = k keeps it exact).
+    With x = b + a cos(theta), c_j is the cosine coefficient of
+    f(theta) = (b + a cos(theta))^k (c_0 halved), here from the trapezoidal
+    rule on M + 1 nodes of [0, pi], which is exact up to the aliases
+    c_(2M-j), c_(2M+j), ... (Trefethen & Weideman, SIAM Review 56, 2014).
+    Only the nodes where |f| is above eps e^-10 enter.  f is taken in log
+    form: k log1p(-2a sin^2(theta/2)) where its base 1 - 2a sin^2(theta/2) =
+    lam0 + 2a cos^2(theta/2) is positive, and
+    k (log(-lam0) + log1p(2a cos^2(theta/2) / lam0)) with the sign (-1)^k
+    where it is negative, so neither end of [0, pi] carries the k eps
+    relative error of the plain power.  Each c_j is P(|J| = j) for a
+    sum J of k steps in {-1, 0, 1} of variance a, so the terms past
+    t = l/3 + sqrt(l^2/9 + 2 k a l), l = ln(4/eps), sum to at most eps/2
+    (Bernstein) and are not formed; M = floor(t) + 3 puts every alias past them.
+    The series is cut at the first degree d whose tail falls to eps/4,
+    leaving eps/4 for the rounding of the transform: d ~ sqrt(2 k a ln(4/eps))
+    (lam0 = -1, a = 1: the binomials 2^(1-k) C(k, (k-j)/2) of x^k on [-1, 1]).
     """
-    top = min(k, int(math.sqrt(2.0 * k * math.log(4.0 / _EPS))) + 2)
-    js = np.arange(k % 2, top + 1, 2, dtype=float)
-    rel = np.cumprod(np.concatenate(([1.0], (k - js[:-1]) / (k + js[:-1] + 2.0))))
-    if js[0] == 0:
-        rel[1:] *= 2.0  # c_0 is halved, the ratio from it is doubled
-    rel /= rel.sum()
-    tail = np.cumsum(rel[::-1])[::-1]  # tail[i] = sum of rel[i:]
-    keep = int(np.argmax(tail <= 0.5 * _EPS)) if tail[-1] <= 0.5 * _EPS else len(js)
-    c = np.zeros(int(js[keep - 1]) + 1)
-    c[k % 2::2] = rel[:keep]
-    return c
+    if k == 0:
+        return np.ones(1)
+    a = 0.5 * (1.0 - lam0)
+    ell = math.log(4.0 / _EPS)
+    top = min(k, int(ell / 3.0 + math.sqrt(ell * ell / 9.0 + 2.0 * k * a * ell)) + 2)
+    M = top + 1
+    half = (0.5 * math.pi / M) * np.arange(M + 1)
+    x = 2.0 * a * np.sin(half) ** 2  # base = 1 - x = lam0 + 2a cos^2(theta/2)
+    log_f = np.full(M + 1, -math.inf)
+    pos, neg = x < 1.0, x > 1.0
+    log_f[pos] = k * np.log1p(-x[pos])
+    if neg.any():  # lam0 < 0: |base| = -lam0 (1 - 2a cos^2(theta/2) / -lam0)
+        log_f[neg] = k * (math.log(-lam0) + np.log1p(2.0 * a / lam0 * np.cos(half[neg]) ** 2))
+    nodes = np.flatnonzero(log_f > math.log(_EPS) - 10.0)
+    w = np.exp(log_f[nodes]) * (2.0 / M)
+    if k % 2:
+        w[neg[nodes]] *= -1.0
+    w[(nodes == 0) | (nodes == M)] *= 0.5
+    # cos(j theta_i) from a table of cos(pi r / M), r = j i mod 2M, exact in r
+    cos_table = np.cos((math.pi / M) * np.arange(2 * M))
+    c = cos_table[np.outer(np.arange(top + 1), nodes) % (2 * M)] @ w
+    c[0] *= 0.5
+    tail = np.cumsum(c[::-1])[::-1]  # tail[i] = sum of c[i:]
+    keep = int(np.argmax(tail <= 0.25 * _EPS)) if tail[-1] <= 0.25 * _EPS else len(c)
+    return c[:keep]
 
 
-def _chebyshev_entry(m: int, n: int, c: np.ndarray, up: np.ndarray, flat: np.ndarray,
-                     down: np.ndarray) -> float:
-    """e_m P^k e_n = sum_j c_j e_m T_j(P) e_n for the coefficients
-    c = _chebyshev_power_coefficients(k) of degree d, by one bilinear pass.
+def _chebyshev_entry(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
+                     flat: np.ndarray, down: np.ndarray) -> float:
+    """e_m P^k e_n = sum_j c_j e_m T_j(P') e_n for the coefficients
+    c = _chebyshev_power_coefficients(k, lam0) of degree d, by one bilinear
+    pass.  P' = (P - b I) / a maps the spectrum [lam0, 1] of P onto [-1, 1],
+    a = (1 - lam0) / 2, b = 1 - a; 2 P' has the rows up 2/a, (flat - b) 2/a
+    and down 2/a.
 
-    T_2a = 2 T_a^2 - I and T_(2a+1) = 2 T_(a+1) T_a - T_1 turn each term
-    into a dot product of the row x_a = e_m T_a(P) with the column
-    y_a = T_a(P) e_n: c_2a (2 x_a.y_a - x_0.y_0) for even k and
-    c_(2a+1) (2 x_(a+1).y_a - x_1.y_0) for odd k, so x and y need
-    R = ceil(d/2) = len(c) // 2 steps of the three-term recurrence
-    instead of d.  They are stepped as one vector [x | y]: x on the states
-    m-R..m+R with the rows up, flat, down, and y on n-R..n+R with the
+    T_2a = 2 T_a^2 - I and T_(2a-1) = 2 T_a T_(a-1) - T_1 turn each term
+    into a dot product of the row x_a = e_m T_a(P') with the column
+    y_a = T_a(P') e_n: c_2a (2 x_a.y_a - x_0.y_0) and
+    c_(2a-1) (2 x_a.y_(a-1) - x_1.y_0), so x and y need R = ceil(d/2) =
+    len(c) // 2 steps of the three-term recurrence instead of d, with two
+    dot products per step.  They are stepped as one vector [x | y]: x on the
+    states m-R..m+R with the rows up, flat, down, and y on n-R..n+R with the
     transposed rows, both cut at 0.  The up weight at each block's top and
     the down weight at its bottom are set to 0, so the blocks never
     exchange flux; within R steps none reaches those edges anyway, so the
     pass is exact and needs the rows of states 0..max(m, n) + R, without a
     state cap.  The dot products run over the states the blocks share
-    (none: every term is 0).
+    (none: every term is 0).  Three buffers take turns through the in-place
+    :func:`motzkinq.motzkin._tridiagonal_step`.
 
-    P is similar to a symmetric matrix S with spectrum in [-1, 1] and
-    ||T_a(S)|| <= 1, so the error is about (d+1) eps in the
-    pi-symmetrized value e_m P^k e_n sqrt(pi_m / pi_n), as for the
-    vector form; tiny values need a guard by the caller.
+    P is similar to a symmetric matrix with spectrum in [lam0, 1], so
+    ||T_a(P')|| <= 1 there and the error is about (d+1) eps in the
+    pi-symmetrized value e_m P^k e_n sqrt(pi_m / pi_n), as for the vector
+    form; tiny values need a guard by the caller.
     """
     R = len(c) // 2
     if R == 0:
         return float(m == n)  # k = 0
+    a = 0.5 * (1.0 - lam0)
+    b, scale = 1.0 - a, 2.0 / a
     blocks = []
     for end, (u, w) in ((m, (up, down)), (n, _transposed(up, down))):
         lo, hi = max(end - R, 0), end + R + 1
-        bu, bd = 2.0 * u[lo:hi], 2.0 * w[lo:hi]
+        bu, bd = scale * u[lo:hi], scale * w[lo:hi]
         bu[-1] = bd[0] = 0.0
-        blocks.append((lo, hi, bu, 2.0 * flat[lo:hi], bd))
+        blocks.append((lo, hi, bu, scale * (flat[lo:hi] - b), bd))
     (lo_x, hi_x, *rows_x), (lo_y, hi_y, *rows_y) = blocks
     lo, hi = max(lo_x, lo_y), min(hi_x, hi_y)
     if lo >= hi:
         return 0.0
-    up2, flat2, down2 = (np.concatenate(pair) for pair in zip(rows_x, rows_y))
+    rows = _step_rows(*(np.concatenate(pair) for pair in zip(rows_x, rows_y)))
     nx = hi_x - lo_x
     xs, ys = slice(lo - lo_x, hi - lo_x), slice(nx + lo - lo_y, nx + hi - lo_y)
-    unit = np.zeros(len(up2))
-    unit[m - lo_x] = unit[nx + n - lo_y] = 1.0
-    once = 0.5 * _tridiagonal_step(unit, up2, flat2, down2)  # [x_1 | y_1]
-    coef = c[(len(c) - 1) % 2::2]
-    if len(c) % 2:  # k even: x_0.y_0 = [m == n], then x_1.y_1, ...
-        prev, cur, dots = unit, once, [float(m == n), float(once[xs] @ once[ys])]
-    else:  # k odd: y one step behind x, from y_(-1) = T_1(P) e_n = y_1
-        prev = np.concatenate((unit[:nx], once[nx:]))
-        cur = np.concatenate((once[:nx], unit[nx:]))
-        dots = [float(cur[xs] @ cur[ys])]
-    for _ in range(len(coef) - len(dots)):
-        nxt = _tridiagonal_step(cur, up2, flat2, down2)
-        nxt -= prev
-        prev, cur = cur, nxt
-        dots.append(float(cur[xs] @ cur[ys]))
-    return 2.0 * float(coef @ np.array(dots)) - dots[0] * float(coef.sum())
+    size = nx + hi_y - lo_y
+    bufs = []  # (vector, its step views, its x part, its y part)
+    for _ in range(3):
+        v = np.zeros(size)
+        bufs.append((v, _step_views(v), v[xs], v[ys]))
+    work = np.empty(size - 1)
+    prev, cur, nxt = bufs
+    prev[0][m - lo_x] = prev[0][nx + n - lo_y] = 1.0  # [x_0 | y_0]
+    _tridiagonal_step(prev[1], cur[1], rows, work)
+    np.multiply(cur[0], 0.5, out=cur[0])  # [x_1 | y_1]
+    even = [float(m == n), float(cur[2] @ cur[3])]  # x_a.y_a from a = 0
+    odd = [float(cur[2] @ prev[3])]  # x_a.y_(a-1) from a = 1
+    for _ in range(R - 1):
+        _tridiagonal_step(cur[1], nxt[1], rows, work)
+        np.subtract(nxt[0], prev[0], out=nxt[0])
+        prev, cur, nxt = cur, nxt, prev
+        even.append(float(cur[2] @ cur[3]))
+        odd.append(float(cur[2] @ prev[3]))
+    ce, co = c[0::2], c[1::2]
+    ce_dots, co_dots = np.array(even[:len(ce)]), np.array(odd[:len(co)])
+    return (2.0 * float(ce @ ce_dots) - even[0] * float(ce.sum())
+            + 2.0 * float(co @ co_dots) - odd[0] * float(co.sum()))
 
 
 def kstep_distribution(start: Distribution, k: int, model: QModelParams) -> Distribution:

@@ -17,14 +17,16 @@ Two scaling regimes of the boundary chain are covered:
 The lattice sides of the limit statements are computed deterministically
 (never Monte Carlo), so the reported errors reflect convergence in N, not
 sampling noise.  P(X_k = n | X_0 = m) is the (m, n) entry of the
-Chebyshev expansion sum_j c_j T_j(P) of P^k, degree
-d ~ sqrt(2 k ln(4/eps)), taken by one bilinear pass of ceil(d/2)
-tridiagonal steps on the exact reach of both ends, with no state cap; it
-is accurate to about (d+1) eps in the pi-symmetrized value
-P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).  A value below 10^6 times that
-(a far tail) is recomputed by exact tridiagonal stepping, and only that
-fallback runs on a state cap, eight diffusive widths above the farther of
-the two levels; a cap that leaks more than 1e-9 of the mass raises
+Chebyshev expansion of P^k on the chain's spectrum [A/B, 1], degree
+d ~ sqrt(2 k ln(4/eps) / (1+sigma)), taken by one bilinear pass of
+ceil(d/2) tridiagonal steps on the exact reach of both ends, with no state
+cap; it is accurate to about (d+1) eps in the pi-symmetrized value
+P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).  Where k exact steps on the exact
+reach cost no more than the pass, they are taken instead.  A value below
+10^6 times that accuracy (a far tail) is recomputed by exact tridiagonal
+stepping, on the exact reach while that is at most twice a state cap
+eight diffusive widths above the farther of the two levels, and on that
+cap beyond it; a cap that leaks more than 1e-9 of the mass raises
 CapacityError.
 The chain rows come from the ratios s_{n+1} / s_n and the initial masses
 from log s_n - log C, so neither overflows at large N as q -> 1.
@@ -46,7 +48,7 @@ from .chains import (
     _iterate_tridiagonal,
     transition_arrays,
 )
-from .errors import CapacityError
+from .errors import CapacityError, ConvergenceError
 from .numerics import _nested_trapezoid
 from .qspecial import bessel_k_imag, bessel_k_imag_grid
 
@@ -170,23 +172,33 @@ def zeta0_density(x: float, c: float) -> float:
 # ------------------------------------------------------- lattice iteration
 
 def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float:
-    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k of degree
-    d, by the bilinear pass :func:`motzkinq.chains._chebyshev_entry` of
-    ceil(d/2) steps on one table of states 0..max(m, n) + ceil(d/2), the
-    exact reach of both ends; 0 when |m - n| > k.
+    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k on the
+    chain's spectrum [A/B, 1], of degree d, by the bilinear pass
+    :func:`motzkinq.chains._chebyshev_entry` of R = ceil(d/2) steps on one
+    table of states 0..max(m, n) + R, the exact reach of both ends; 0 when
+    |m - n| > k.  Where k steps on the exact reach 0..max(m, n) + k cost no
+    more state-steps than the pass, at most R 2 (2R + 1), they are taken
+    instead, and nothing leaks past that reach.
 
     The expansion is accurate to about (d+1) eps in the pi-symmetrized value
     P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value within 10^6 times that
-    of zero (far tails) is recomputed by exact stepping on states
-    0..max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64, eight diffusive
-    widths above the farther end, and CapacityError names that cap, k and
-    the leak when more than 1e-9 of the mass leaves past it.
+    of zero (far tails) is recomputed by exact stepping: on the exact reach
+    while max(m, n) + k is at most twice the diffusive cap
+    max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64, eight diffusive widths
+    above the farther end, and on that cap beyond it, where CapacityError
+    names the cap, k and the leak when more than 1e-9 of the mass leaves
+    past it.
     """
     if abs(m - n) > k:
         return 0.0  # unreachable: at most one level per step
-    c = _chebyshev_power_coefficients(k)
-    up, flat, down = transition_arrays(model, max(m, n) + len(c) // 2)
-    p = _chebyshev_entry(m, n, c, up, flat, down)
+    lam0 = model.A / model.B
+    c = _chebyshev_power_coefficients(k, lam0)
+    R = len(c) // 2
+    reach = max(m, n) + k
+    if k * (reach + 1) <= 2 * R * (2 * R + 1):
+        return _exact_point(model, m, n, k, reach)
+    up, flat, down = transition_arrays(model, max(m, n) + R)
+    p = _chebyshev_entry(m, n, c, lam0, up, flat, down)
     lo, hi = min(m, n), max(m, n)
     log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
     if n < m:
@@ -195,6 +207,13 @@ def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float
     if p > 0.0 and math.log(p) - 0.5 * log_ratio >= math.log(floor):
         return p
     cap = max(m, n) + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
+    return _exact_point(model, m, n, k, reach if reach <= 2 * cap else cap)
+
+
+def _exact_point(model: QModelParams, m: int, n: int, k: int, cap: int) -> float:
+    """P(X_k = n | X_0 = m) by k exact steps on states 0..cap; CapacityError
+    naming the cap, k and the leak when more than 1e-9 of the mass leaves
+    past it (never on the exact reach cap >= max(m, n) + k)."""
     up, flat, down = transition_arrays(model, cap)
     vec = np.zeros(cap + 1)
     vec[m] = 1.0
@@ -242,7 +261,9 @@ def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> Li
 def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
                              sigma: float) -> LimitComparison:
     """sqrt(N) P(X_{floor(Nt)} = J_y | X_0 = J_x) with q = exp(-2/sqrt(N))
-    against [K_0(e^-y)/K_0(e^-x)] p_{t/(1+sigma)}(x, y)."""
+    against [K_0(e^-y)/K_0(e^-x)] p_{t/(1+sigma)}(x, y).  A target that the
+    Bessel-K layer cannot compute (x or y far out, so e^-x or e^-y is below
+    its range) raises ConvergenceError naming this regime and (t, x, y)."""
     if t <= 0.0:
         raise ValueError("need t > 0")
     rn = _root(N)
@@ -251,8 +272,12 @@ def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
     if m < 0 or n < 0:
         raise CapacityError(f"index map gave negative level (x={x}, y={y}, N={N})")
     lhs = rn * _chain_point_evolution(model, m, n, k)
-    rhs = zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma))
-    return _compare(lhs, rhs, f"q-to-1 regime at t={t}, x={x}, y={y}")
+    where = f"q-to-1 regime at t={t}, x={x}, y={y}"
+    try:
+        rhs = zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma))
+    except ConvergenceError as err:
+        raise ConvergenceError(f"continuum target in the {where} is not computed: {err}") from err
+    return _compare(lhs, rhs, where)
 
 
 def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitComparison:

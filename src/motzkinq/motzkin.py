@@ -9,7 +9,9 @@ b_n, down c_n) plus boundary weights alpha_{g_0}, beta_{g_L}; the path
 probability is alpha beta w(path) / C_L.
 
 All transfer computations use the tridiagonal structure directly (O(S) per
-step); dense operator matrices are never formed.  Every multi-step pass of
+step); dense operator matrices are never formed.  Every step of every pass
+in the package is :func:`_tridiagonal_step`, which writes in place into a
+buffer its caller owns.  Every multi-step pass of
 a length-L route (the transfer product, the integral route's two end
 vectors, the exact laws of :mod:`motzkinq.chains`) is one scaled power,
 :func:`_power`, which carries its scale as a log; the sampler keeps every
@@ -191,16 +193,34 @@ def _table_product(table: np.ndarray, up: np.ndarray, flat: np.ndarray,
 
 # --------------------------------------------------------- transfer operator
 
-def _tridiagonal_step(v: np.ndarray, up: np.ndarray, flat: np.ndarray,
-                      down: np.ndarray) -> np.ndarray:
-    """One step v -> v M of the tridiagonal operator with M[n, n+1] = up[n],
-    M[n, n] = flat[n] and M[n, n-1] = down[n] on states 0..S-1; the flux
-    up[-1] v[-1] past the top is dropped.  The weighted operator M_t passes
+def _step_views(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(v, v[:-1], v[1:]): the views of a vector that :func:`_tridiagonal_step`
+    reads or writes, made once per pass."""
+    return v, v[:-1], v[1:]
+
+
+def _step_rows(up: np.ndarray, flat: np.ndarray,
+               down: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, up[:-1], down[1:]): the rows that :func:`_tridiagonal_step`
+    reads, made once per pass."""
+    return flat, up[:-1], down[1:]
+
+
+def _tridiagonal_step(v: tuple, out: tuple, rows: tuple, work: np.ndarray) -> None:
+    """out <- v M, one step of the tridiagonal operator with M[n, n+1] =
+    up[n], M[n, n] = flat[n] and M[n, n-1] = down[n] on states 0..S-1; the
+    flux up[-1] v[-1] past the top is dropped.  v and out are the
+    :func:`_step_views` of two distinct length-S vectors, rows is
+    :func:`_step_rows` and work a length-(S-1) work row, so a step
+    allocates nothing.  out[n] = flat[n] v[n] + up[n-1] v[n-1] +
+    down[n+1] v[n+1], added in that order.  The weighted operator M_t passes
     t up and down / t; the column step v -> M v passes :func:`_transposed`."""
-    new = flat * v
-    new[1:] += up[:-1] * v[:-1]
-    new[:-1] += down[1:] * v[1:]
-    return new
+    (v, v_lo, v_hi), (new, new_lo, new_hi), (flat, up_lo, down_hi) = v, out, rows
+    np.multiply(flat, v, out=new)
+    np.multiply(up_lo, v_lo, out=work)
+    new_hi += work
+    np.multiply(down_hi, v_hi, out=work)
+    new_lo += work
 
 
 def _transposed(up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,20 +236,24 @@ def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
     only where t changes; the column pass v -> M_t v passes
     :func:`_transposed`.  v is nonnegative, so its peak is its max, and v'
     is divided by it whenever it leaves [1e-200, 1e200]; (v', -inf) once
-    v dies out."""
+    v dies out.  Two buffers take turns; v itself is not written."""
     log_scale = 0.0
     prev = None
+    cur, nxt = _step_views(np.array(v, dtype=float)), _step_views(np.empty(len(v)))
+    work = np.empty(len(v) - 1)
     for t in ts:
         if t != prev:
-            tu, dt, prev = t * up, down / t, t
-        v = _tridiagonal_step(v, tu, flat, dt)
+            rows, prev = _step_rows(t * up, flat, down / t), t
+        _tridiagonal_step(cur, nxt, rows, work)
+        cur, nxt = nxt, cur
+        v = cur[0]
         peak = float(v.max())
         if peak == 0.0:
             return v, -math.inf
         if peak > 1e200 or peak < 1e-200:
-            v = v / peak
+            v /= peak
             log_scale += math.log(peak)
-    return v, log_scale
+    return cur[0], log_scale
 
 
 def _require_qmodel(model: WeightModel) -> QModelParams:
@@ -427,14 +451,21 @@ def _initial_mass_past(av: np.ndarray, u0: np.ndarray, T: int, L: int, bound: fl
 def _backward_vectors(tables: tuple[np.ndarray, ...], L: int) -> np.ndarray:
     """Rows u_k = M_1^{L-k} W_beta(1) on the altitudes of
     :func:`_weight_tables`, max-normalized per row (ratios of consecutive
-    rows are renormalized at sampling time)."""
+    rows are renormalized at sampling time); each step writes its row in
+    place."""
     a, b, c, _, bv = tables
     up_T, down_T = _transposed(a, c)
+    rows = _step_rows(up_T, b, down_T)
     u = np.empty((L + 1, len(a)))
     u[L] = bv / np.max(bv)
+    work = np.empty(len(a) - 1)
+    nxt = _step_views(u[L])
     for k in range(L - 1, -1, -1):
-        v = _tridiagonal_step(u[k + 1], up_T, b, down_T)
-        u[k] = v / v.max()
+        cur = _step_views(u[k])
+        _tridiagonal_step(nxt, cur, rows, work)
+        row = cur[0]
+        row /= row.max()
+        nxt = cur
     return u
 
 

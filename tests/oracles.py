@@ -3,7 +3,10 @@
 The path oracles enumerate paths directly (vectorized over all step
 sequences) and never touch the transfer-operator code they are used to
 check.  The composite Gauss-Legendre rule is an integrator independent of
-the package's nested trapezoidal rule.  The sampler and chain oracles are
+the package's nested trapezoidal rule.  The allocating tridiagonal step and
+the scaled power and backward table built on it are frozen copies of the
+loops that ``motzkin._power`` and ``motzkin._backward_vectors`` ran before
+their step wrote in place; the oracles below step with them.  The sampler and chain oracles are
 the straightforward per-state forms of ``sample_paths`` and
 ``simulate_chain``: the package's table-driven loops must reproduce them bit
 for bit.  The per-cell writer is the plain form of the CLI's integer-table
@@ -20,7 +23,8 @@ g_L past a truncation are a backward and a forward pass of their own,
 The last block holds references that the package itself never calls: the
 untruncated fixed-end path sum ``partition_weight`` with its all-ones
 ``unit_model``, the vector form ``_chebyshev_power`` of the Chebyshev
-expansion of P^k (checks the bilinear pass ``chains._chebyshev_entry``),
+expansion of P^k on all of [-1, 1] (checks the bilinear pass
+``chains._chebyshev_entry``, which expands on the chain's spectrum),
 the flat-step count and path-line parser, the convolution
 form ``asc_at_one`` of Q_n(1) / (q; q)_n (checks ``s_values``) and the
 scalar orthogonality density ``asc_density`` (checks
@@ -37,9 +41,8 @@ import numpy as np
 from motzkinq.ascpoly import AscParams, _check_order, q_number
 from motzkinq.chains import _chebyshev_power_coefficients, initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
-from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, WeightModel, _backward_vectors,
-                              _boundary_cutoff, _transposed, _tridiagonal_step,
-                              _weight_tables, path_weight)
+from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, WeightModel, _boundary_cutoff,
+                              _transposed, _weight_tables, path_weight)
 from motzkinq.qspecial import qpoch_infinite
 
 _EPS = float(np.finfo(float).eps)
@@ -58,6 +61,49 @@ def step_sequences(L: int) -> np.ndarray:
             got = np.stack([g.ravel() for g in grids], axis=1)
         _seq_cache[L] = got
     return got
+
+
+def tridiagonal_step_allocating(v: np.ndarray, up: np.ndarray, flat: np.ndarray,
+                                down: np.ndarray) -> np.ndarray:
+    """One step v -> v M of the tridiagonal operator in its allocating form,
+    the form before ``motzkin._tridiagonal_step`` wrote in place: new = flat v,
+    then new[1:] += up[:-1] v[:-1], then new[:-1] += down[1:] v[1:]."""
+    new = flat * v
+    new[1:] += up[:-1] * v[:-1]
+    new[:-1] += down[1:] * v[1:]
+    return new
+
+
+def power_allocating(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
+                     ts) -> tuple[np.ndarray, float]:
+    """``motzkin._power`` as the loop of allocating steps it was before the
+    in-place step; the package must match it bit for bit."""
+    log_scale = 0.0
+    prev = None
+    for t in ts:
+        if t != prev:
+            tu, dt, prev = t * up, down / t, t
+        v = tridiagonal_step_allocating(v, tu, flat, dt)
+        peak = float(v.max())
+        if peak == 0.0:
+            return v, -math.inf
+        if peak > 1e200 or peak < 1e-200:
+            v = v / peak
+            log_scale += math.log(peak)
+    return v, log_scale
+
+
+def backward_vectors_allocating(tables: tuple[np.ndarray, ...], L: int) -> np.ndarray:
+    """``motzkin._backward_vectors`` as the loop of allocating steps it was
+    before the in-place step; the package must match it bit for bit."""
+    a, b, c, _, bv = tables
+    up_T, down_T = _transposed(a, c)
+    u = np.empty((L + 1, len(a)))
+    u[L] = bv / np.max(bv)
+    for k in range(L - 1, -1, -1):
+        v = tridiagonal_step_allocating(u[k + 1], up_T, b, down_T)
+        u[k] = v / v.max()
+    return u
 
 
 def path_matrix(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +235,7 @@ def sample_paths_per_state(L: int, model, count: int, seed: int,
         raise ValueError("count must be positive")
     T = _boundary_cutoff(model, tail_tol, L)
     S = T + L + 2
-    u = _backward_vectors(_weight_tables(model, S), L)
+    u = backward_vectors_allocating(_weight_tables(model, S), L)
     a, b, c = model.weight_arrays(S)
     av, _ = model.boundary_arrays(S)
     p0 = av * u[0]
@@ -320,7 +366,7 @@ def finite_path_head_law_walk(wm, L: int, K: int,
     u = bv.astype(float)
     scale = 0.0
     for j in range(L - K):
-        u = _tridiagonal_step(u, up_T, b, down_T)
+        u = tridiagonal_step_allocating(u, up_T, b, down_T)
         peak = float(np.max(u))
         u /= peak
         scale += math.log(peak)
@@ -328,7 +374,7 @@ def finite_path_head_law_walk(wm, L: int, K: int,
     uk = u
     u0 = uk.copy()
     for j in range(K):
-        u0 = _tridiagonal_step(u0, up_T, b, down_T)
+        u0 = tridiagonal_step_allocating(u0, up_T, b, down_T)
     C = float(np.dot(av, u0))
     law: dict[tuple[int, ...], float] = {}
 
@@ -396,7 +442,7 @@ def endpoint_pair_correlation_per_start(wm, L: int, tail_tol: float = 1e-10) -> 
         v[m] = 1.0
         scale = 0.0
         for _ in range(L):
-            v = _tridiagonal_step(v, a, b, c)
+            v = tridiagonal_step_allocating(v, a, b, c)
             peak = float(np.max(v))
             if peak > 1e250:
                 v /= peak
@@ -512,7 +558,7 @@ def partition_weight(L: int, m: int, n: int, model: WeightModel) -> float:
     v = np.zeros(S)
     v[m] = 1.0
     for _ in range(L):
-        v = _tridiagonal_step(v, a, b, c)
+        v = tridiagonal_step_allocating(v, a, b, c)
     return float(v[n])
 
 
@@ -523,21 +569,22 @@ def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
 
     The capped chain is reversible and substochastic, so P is similar to a
     symmetric matrix with spectrum in [-1, 1], where the truncated series
+    of x^k on all of [-1, 1] (``_chebyshev_power_coefficients(k, -1.0)``)
     is within eps of x^k: d ~ sqrt(2 k ln(4/eps)) products instead of k.
     The error is absolute in the pi-symmetrized entries
     out[n] sqrt(pi_m / pi_n), so tiny values need a guard by the caller.
     """
-    c = _chebyshev_power_coefficients(k)
+    c = _chebyshev_power_coefficients(k, -1.0)
     d = len(c) - 1
     prev = vec.astype(float)
     out = c[0] * prev
     if d == 0:
         return out, d
-    cur = _tridiagonal_step(prev, up, flat, down)
+    cur = tridiagonal_step_allocating(prev, up, flat, down)
     out += c[1] * cur
     up2, flat2, down2 = 2.0 * up, 2.0 * flat, 2.0 * down
     for j in range(2, d + 1):
-        nxt = _tridiagonal_step(cur, up2, flat2, down2)
+        nxt = tridiagonal_step_allocating(cur, up2, flat2, down2)
         nxt -= prev
         prev, cur = cur, nxt
         if c[j]:

@@ -210,6 +210,13 @@ def test_kstep_integral_route_agrees_with_iteration(k, mm, nn):
 
 # ------------------------------------------------- Chebyshev power of P
 
+_EPS = float(np.finfo(float).eps)
+# the left end lam0 = A/B of the chain's spectrum at sigma = 0.8 and 1, and -1
+# (all of [-1, 1], where (b + a y)^k is y^k)
+_SPECTRA = [-1.0] + [m.A / m.B for m in (QModelParams(q=0.5, sigma=0.8),
+                                          QModelParams(q=0.5, sigma=1.0))]
+
+
 def _exact_chebyshev_coefficient(mpmath, k, j):
     c = mpmath.binomial(k, (k - j) // 2) * mpmath.mpf(2) ** (1 - k)
     return c / 2 if j == 0 else c
@@ -217,45 +224,99 @@ def _exact_chebyshev_coefficient(mpmath, k, j):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 125, 2500, 40000])
 def test_chebyshev_coefficients_match_exact_binomials(k):
+    # on [-1, 1] the coefficients of y^k are 2^(1-k) C(k, (k-j)/2) for
+    # j = k (mod 2), c_0 halved, and 0 for the other parity; the cosine
+    # transform has them to an absolute rounding level, and the terms it
+    # drops past d sum to at most eps/2
     mpmath = pytest.importorskip("mpmath")
-    c = _chebyshev_power_coefficients(k)
+    c = _chebyshev_power_coefficients(k, -1.0)
     d = len(c) - 1
-    assert d % 2 == k % 2
     with mpmath.workdps(30):
+        kept = mpmath.mpf(0)
         for j in range(d + 1):
-            if (k - j) % 2:
-                assert c[j] == 0.0
-                continue
-            exact = _exact_chebyshev_coefficient(mpmath, k, j)
-            assert abs(float((mpmath.mpf(c[j]) - exact) / exact)) <= 1e-13
+            exact = 0 if (k - j) % 2 else _exact_chebyshev_coefficient(mpmath, k, j)
+            kept += exact
+            assert abs(float(mpmath.mpf(c[j]) - exact)) <= 1e-15, j
+        assert float(1 - kept) <= 0.5 * _EPS
+
+
+def _double_sum_coefficient(mpmath, k, lam0, j):
+    """c_j of (b + a y)^k = sum_i C(k, i) b^(k-i) a^i y^i, with y^i =
+    sum_j 2^(1-i) C(i, (i-j)/2) T_j(y) (c_0 halved)."""
+    a = (1 - mpmath.mpf(lam0)) / 2
+    b = 1 - a
+    total = mpmath.mpf(0)
+    for i in range(j, k + 1, 2):
+        total += (mpmath.binomial(k, i) * b ** (k - i) * a ** i
+                  * mpmath.binomial(i, (i - j) // 2) * mpmath.mpf(2) ** (1 - i))
+    return total / 2 if j == 0 else total
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 120])
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 0.8, 1.0])
+def test_chebyshev_coefficients_match_double_sum(sigma, k):
+    mpmath = pytest.importorskip("mpmath")
+    model = QModelParams(q=0.5, sigma=sigma)
+    lam0 = model.A / model.B
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = _chebyshev_power_coefficients(k, lam0)
+    with mpmath.workdps(50):
+        exact = [_double_sum_coefficient(mpmath, k, lam0, j) for j in range(k + 1)]
+        for j in range(len(c)):
+            assert abs(float(mpmath.mpf(c[j]) - exact[j])) <= 1e-15, j
+        assert float(mpmath.fsum(exact[len(c):])) <= 0.5 * _EPS
+
+
+def test_chebyshev_coefficients_at_sigma_one_match_closed_form():
+    # at sigma = 1, ((1 + cos t) / 2)^k = cos(t/2)^(2k), so
+    # c_j = 2 C(2k, k - j) / 4^k (c_0 halved); the power taken as
+    # exp(k log1p(-2a sin^2(t/2))) keeps each c_j within 1e-16, where the
+    # plain power carries k eps of relative error
+    mpmath = pytest.importorskip("mpmath")
+    k = 40_000
+    model = QModelParams(q=0.5, sigma=1.0)
+    c = _chebyshev_power_coefficients(k, model.A / model.B)
+    with mpmath.workdps(40):
+        binom = mpmath.binomial(2 * k, k) / mpmath.mpf(4) ** k  # C(2k, k - j) / 4^k
+        for j in range(len(c)):
+            exact = binom if j == 0 else 2 * binom
+            assert abs(float(mpmath.mpf(c[j]) - exact)) <= 1e-16, j
+            binom = binom * (k - j) / (k + j + 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 125, 2500, 40000])
 def test_chebyshev_series_reproduces_power_on_interval(k):
+    # sum_j c_j T_j((x - b) / a) is within 1e-14 of x^k on [lam0, 1]
     mpmath = pytest.importorskip("mpmath")
-    c = _chebyshev_power_coefficients(k)
-    grid = list(np.linspace(-1.0, 1.0, 41)) + [-1.0 + 1e-4, 1.0 - 1e-4, 1.0 - 1e-3 / k]
-    with mpmath.workdps(30):
-        for x in grid:
-            x = mpmath.mpf(float(x))
-            t_prev, t_cur = mpmath.mpf(1), x  # T_0(x), T_1(x)
-            total = c[0] * t_prev + (c[1] * t_cur if len(c) > 1 else 0)
-            for j in range(2, len(c)):
-                t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
-                if c[j]:
+    ys = list(np.linspace(-1.0, 1.0, 41)) + [-1.0 + 1e-4, 1.0 - 1e-4, 1.0 - 1e-3 / k]
+    for lam0 in _SPECTRA:
+        c = _chebyshev_power_coefficients(k, lam0)
+        with mpmath.workdps(30):
+            a = (1 - mpmath.mpf(lam0)) / 2
+            for y in ys:
+                y = mpmath.mpf(float(y))
+                t_prev, t_cur = mpmath.mpf(1), y  # T_0(y), T_1(y)
+                total = c[0] * t_prev + (c[1] * t_cur if len(c) > 1 else 0)
+                for j in range(2, len(c)):
+                    t_prev, t_cur = t_cur, 2 * y * t_cur - t_prev
                     total += c[j] * t_cur
-            assert abs(float(total - x**k)) <= 1e-14
+                assert abs(float(total - (1 - a + a * y) ** k)) <= 1e-14, (lam0, y)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 125, 2500, 40000])
 def test_chebyshev_degree(k):
-    d = len(_chebyshev_power_coefficients(k)) - 1
-    if k <= 3:
-        assert d == k  # exact expansion
-    else:
-        eps = float(np.finfo(float).eps)
-        assert d < k
-        assert d <= math.sqrt(2.0 * k * math.log(4.0 / eps)) + 2
+    # the degree of x^k on an interval grows as sqrt(k width): on the
+    # chain's spectrum [lam0, 1] it is that on [-1, 1] over sqrt(1 + sigma)
+    full = len(_chebyshev_power_coefficients(k, -1.0)) - 1
+    for sigma in (0.05, 0.3, 0.8, 1.0):
+        d = len(_chebyshev_power_coefficients(k, (sigma - 1.0) / (sigma + 1.0))) - 1
+        if k <= 3:
+            assert d == full == k  # exact expansion
+        else:
+            assert d < k
+            assert full <= math.sqrt(2.0 * k * math.log(4.0 / _EPS)) + 2
+            assert d * math.sqrt(1.0 + sigma) <= 1.03 * full
 
 
 def test_chebyshev_power_matches_stepping_with_leaking_cap():

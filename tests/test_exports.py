@@ -1,10 +1,18 @@
-"""Every exported name exists, and the exported signatures stay lean."""
+"""Every exported name exists, the exported signatures stay lean, and the
+CLI loads no numpy submodule beyond what it needs."""
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import motzkinq
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_is_defined():
@@ -34,3 +42,33 @@ def test_only_initial_law_takes_a_tail_tolerance():
             if "tail_tol" in params:
                 takers.add(f"{obj.__module__}.{obj.__qualname__}")
     assert takers == {"motzkinq.chains.initial_law"}
+
+
+_SUBMODULE_PROBE = """
+import contextlib, io, json, sys
+import numpy
+plain = {name for name in sys.modules if name.startswith("numpy.")}
+from motzkinq import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["locallimit", "--regime", "fixed-q", "--N", "400", "--x", "1", "--y", "2"],
+                 ["locallimit", "--regime", "q-to-1", "--N", "400", "--x", "-1", "--y", "1"],
+                 ["sample", "--L", "20", "--count", "10"]):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("numpy.") and name not in plain)))
+"""
+
+
+def test_cli_loads_no_numpy_submodule_beyond_its_generator():
+    # a lazily imported numpy submodule (numpy.fft, numpy.polynomial, ...)
+    # moves the heap of every CLI run; past a plain `import numpy`, the CLI
+    # may load only numpy.random, the sampler's generator, which numpy 2
+    # imports on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SUBMODULE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    extra = json.loads(proc.stdout)
+    assert [name for name in extra
+            if name != "numpy.random" and not name.startswith("numpy.random.")] == []

@@ -280,9 +280,11 @@ def test_far_tail_point_falls_back_to_exact_stepping(regime, N, t, x, y):
 
 def test_leaking_state_cap_raises_capacity_error(monkeypatch):
     # only the exact-stepping fallback has a state cap, computed once and
-    # not regrown: a fallback pass that loses mass past it is reported with
-    # the cap, k and the leak
-    model, m, n, k, cap = _lattice_query("fixed-q", 2500, 0.05, 1.0, 3.0)
+    # not regrown, and only where the exact reach max(m, n) + k = 2800 is
+    # more than twice it (662): a fallback pass that loses mass past it is
+    # reported with the cap, k and the leak
+    model, m, n, k, cap = _lattice_query("fixed-q", 2500, 1.0, 1.0, 6.0)
+    assert max(m, n) + k > 2 * cap
     real = kernels._iterate_tridiagonal
 
     def leaky(vec, k, *rows):
@@ -317,7 +319,8 @@ def test_level_out_of_reach_is_zero_without_a_table(monkeypatch, N, t, x, y):
 @example(q=0.5, sigma=0.8, m=20, n=21, k=399)  # odd, both blocks cut at 0 (R = 82)
 @example(q=0.5, sigma=0.8, m=60, n=60, k=400)  # even, both blocks cut at 0 (R = 82)
 @example(q=0.5, sigma=0.8, m=1, n=59, k=60)  # blocks of radius R = 28 share no state
-@example(q=0.99, sigma=1.0, m=0, n=0, k=4)  # just above the floor: 6e-9 relative
+@example(q=0.99, sigma=1.0, m=0, n=0, k=4)  # the pass is 2e-8 off here; the driver steps
+@example(q=0.5, sigma=1e-300, m=3, n=5, k=400)  # lam0 = -1: all of [-1, 1]
 def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
     # the bilinear pass is within (d+1) eps of P^k[m, n] in the
     # pi-symmetrized value; the driver adds 1e-9 relative on top, from the
@@ -328,10 +331,11 @@ def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
     vec = np.zeros(top + 1)
     vec[m] = 1.0
     want = _iterate_tridiagonal(vec, k, up, flat, down)[0][n]
-    c = _chebyshev_power_coefficients(k)
+    lam0 = model.A / model.B
+    c = _chebyshev_power_coefficients(k, lam0)
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:top] / down[1:]))))  # log pi_j / pi_0
     bound = len(c) * _EPS * math.exp(0.5 * (log_pi[n] - log_pi[m]))
-    assert abs(_chebyshev_entry(m, n, c, up, flat, down) - want) <= bound
+    assert abs(_chebyshev_entry(m, n, c, lam0, up, flat, down) - want) <= bound
     try:
         lattice = _chain_point_evolution(model, m, n, k)
     except CapacityError:
@@ -342,34 +346,72 @@ def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
     assert lattice == pytest.approx(want, rel=1e-9, abs=bound)
 
 
-def test_lattice_point_takes_half_the_degree_in_steps(monkeypatch):
-    # k = 4e4: at most floor(d/2) + 1 tridiagonal steps, not d, on a vector
-    # of at most 2 (2A + 1) states, A = floor(d/2) + 1, from one table
+def test_lattice_point_steps_on_the_true_spectrum(monkeypatch):
+    # k = 4e4 at sigma = 0.8: the degree d' on [A/B, 1] is about that on
+    # [-1, 1] (1658) over sqrt(1.8); at most ceil(d'/2) + 1 in-place steps
+    # on a vector of at most 2 (2A + 1) states, A = ceil(d'/2), from one
+    # table, and no exact stepping
     model, m, n, k, cap = _lattice_query("fixed-q", 40_000, 1.0, 1.0, 2.0)
-    d = len(_chebyshev_power_coefficients(k)) - 1
-    A = d // 2 + 1
+    d = len(_chebyshev_power_coefficients(k, model.A / model.B)) - 1
+    A = (d + 1) // 2
     sizes, tables = [], []
     real_step, real_table = chains._tridiagonal_step, kernels.transition_arrays
 
-    def step(v, *rows):
-        sizes.append(len(v))
-        return real_step(v, *rows)
+    def step(v, out, rows, work):
+        sizes.append(len(v[0]))
+        real_step(v, out, rows, work)
 
     def table(model, cap):
         tables.append(cap)
         return real_table(model, cap)
 
+    def no_stepping(*args):
+        raise AssertionError("a bench-size point took exact stepping")
+
     monkeypatch.setattr(chains, "_tridiagonal_step", step)
     monkeypatch.setattr(kernels, "transition_arrays", table)
+    monkeypatch.setattr(kernels, "_iterate_tridiagonal", no_stepping)
     lattice = _chain_point_evolution(model, m, n, k)
-    assert d == 1658 and 0 < len(sizes) <= d // 2 + 1
+    assert d <= 0.8 * 1658 and 0 < len(sizes) <= A + 1
     assert max(sizes) <= 2 * (2 * A + 1)
-    assert tables == [max(m, n) + (d + 1) // 2]
+    assert tables == [max(m, n) + A]
     monkeypatch.undo()
     vec = np.zeros(cap + 1)
     vec[m] = 1.0
     assert lattice == pytest.approx(_chebyshev_power(vec, k, *real_table(model, cap))[0][n],
                                     rel=1e-9, abs=0.0)
+
+
+def test_cheap_point_steps_exactly_on_its_reach():
+    # k (max(m, n) + k + 1) = 20 state-steps, no more than the pass's
+    # R 2 (2R + 1) = 20: the driver steps on states 0..k, where nothing
+    # leaks, instead of taking the pass (2e-8 off at this point)
+    model = QModelParams(q=0.99, sigma=1.0)
+    _, _, (want, lost) = _exact_stepping(model, 0, 4, 4)
+    assert lost == 0.0
+    assert _chain_point_evolution(model, 0, 0, 4) == pytest.approx(want[0], rel=1e-9, abs=0.0)
+
+
+def test_far_tail_fallback_runs_on_the_exact_reach_within_twice_the_cap():
+    # max(m, n) + k = 230 is within twice the diffusive cap 174, which leaks
+    # 4.4e-4 of the mass in 200 steps; the fallback steps on the exact reach
+    model = QModelParams(q=0.99, sigma=1.0)
+    _, _, (want, lost) = _exact_stepping(model, 30, 200, 230)
+    assert lost == 0.0 and 6e-94 < want[30] < 7e-94
+    assert _chain_point_evolution(model, 30, 30, 200) == pytest.approx(want[30], rel=1e-9,
+                                                                        abs=0.0)
+
+
+@pytest.mark.parametrize("q,sigma", [(0.5, 0.8), (0.9, 0.3), (0.99, 1.0), (0.3, 0.05)])
+def test_chain_spectrum_lies_in_the_scaled_orthogonality_interval(q, sigma):
+    # the premise of the pass: P is pi-symmetric, and its symmetrized table
+    # on states 0..400 has its eigenvalues in [A/B, 1]
+    model = QModelParams(q=q, sigma=sigma)
+    up, flat, down = transition_arrays(model, 400)
+    off = np.sqrt(up[:-1] * down[1:])
+    eig = np.linalg.eigvalsh(np.diag(flat) + np.diag(off, 1) + np.diag(off, -1))
+    assert eig.min() >= model.A / model.B - 1e-12
+    assert eig.max() <= 1.0 + 1e-12
 
 
 def test_initial_limit_fixed_q():
@@ -457,6 +499,13 @@ def test_underflowing_target_names_the_point():
         local_limit_error_fixed_q(400, 0.001, 1.0, 3.0, model)
     with pytest.raises(OverflowError, match=r"fixed-q initial law at x=800\.0, c=1\.0"):
         initial_limit_fixed_q(400, 800.0, 1.0, model)
+
+
+def test_far_point_error_names_the_regime_and_the_point():
+    # at y = 40 the Bessel argument e^-40 = 4.2e-18 is below the K grid's
+    # range; the error names the caller's point, not only that argument
+    with pytest.raises(ConvergenceError, match=r"q-to-1 regime at t=1\.0, x=1\.0, y=40\.0"):
+        local_limit_error_q_to_1(400, 1.0, 1.0, 40.0, 1.0)
 
 
 # ------------------------------------------------------- f.d.d. surrogates

@@ -33,14 +33,17 @@ from motzkinq.motzkin import (
     sample_paths,
     table_weights,
     _boundary_cutoff,
+    _step_rows,
+    _step_views,
     _transposed,
     _tridiagonal_step,
 )
 
-from oracles import (brute_expectation, brute_partition_sum, end_laws, end_mass_shares_past,
-                     enumerate_paths_recursive, gauss_legendre, horizontal_count,
-                     parse_path_line, partition_weight, sample_paths_per_state,
-                     transfer_expectation_plain, unit_model)
+from oracles import (backward_vectors_allocating, brute_expectation, brute_partition_sum,
+                     end_laws, end_mass_shares_past, enumerate_paths_recursive, gauss_legendre,
+                     horizontal_count, parse_path_line, partition_weight, power_allocating,
+                     sample_paths_per_state, transfer_expectation_plain,
+                     tridiagonal_step_allocating, unit_model)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
 
@@ -494,6 +497,14 @@ def test_transfer_eigen_relation_on_polynomial_vector():
         assert abs(out[-1] - x * p[-1]) > 1e-6  # boundary row is the exception
 
 
+def _step(v, up, flat, down):
+    """v -> v M by the in-place step, into a fresh vector."""
+    out = np.empty(len(v))
+    _tridiagonal_step(_step_views(v), _step_views(out), _step_rows(up, flat, down),
+                      np.empty(len(v) - 1))
+    return out
+
+
 def test_tridiagonal_step_matches_dense_matrix():
     # M_t[n, n+1] = t a_n, M_t[n, n] = b_n, M_t[n, n-1] = c_n / t on 0..S-1
     rng = np.random.default_rng(8)
@@ -501,11 +512,32 @@ def test_tridiagonal_step_matches_dense_matrix():
     a, b, c = rng.uniform(0.5, 2.0, (3, S))
     M = np.diag(b) + np.diag(t * a[:-1], 1) + np.diag(c[1:] / t, -1)
     v = rng.uniform(0.1, 1.0, S)
-    row = _tridiagonal_step(v, t * a, b, c / t)
+    row = _step(v, t * a, b, c / t)
     assert np.allclose(row, v @ M, rtol=1e-14, atol=0.0)
     up_T, down_T = _transposed(a, c)
-    col = _tridiagonal_step(v, up_T / t, b, t * down_T)
+    col = _step(v, up_T / t, b, t * down_T)
     assert np.allclose(col, M @ v, rtol=1e-14, atol=0.0)
+    # the same float operations in the same order as the allocating step
+    assert np.array_equal(row, tridiagonal_step_allocating(v, t * a, b, c / t))
+    assert np.array_equal(col, tridiagonal_step_allocating(v, up_T / t, b, t * down_T))
+
+
+@pytest.mark.parametrize("q,L,ts", [(0.5, 300, None), (0.99, 2000, None),
+                                    (0.9, 400, [0.9] * 50 + [1.0] * 300 + [1.3] * 50)])
+def test_power_and_backward_table_match_the_allocating_loops_bitwise(q, L, ts):
+    # the in-place step does the allocating step's operations in its order,
+    # rescales included, in both orientations
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
+    tables = motzkin._weight_tables(wm, _boundary_cutoff(wm, motzkin.TAIL_TOL, L) + L + 2)
+    a, b, c, av, bv = tables
+    ts = [1.0] * L if ts is None else ts
+    up_T, down_T = _transposed(a, c)
+    for args in ((av, a, b, c, ts), (bv, up_T, b, down_T, ts)):
+        got, got_scale = motzkin._power(*args)
+        want, want_scale = power_allocating(*args)
+        assert got_scale == want_scale and np.array_equal(got, want)
+    assert np.array_equal(motzkin._backward_vectors(tables, L),
+                          backward_vectors_allocating(tables, L))
 
 
 def test_moment_ratio_limits_pick_out_right_endpoint():
