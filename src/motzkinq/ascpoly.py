@@ -13,13 +13,15 @@ right endpoint drive the boundary chains.
 The recurrences below run over the real coefficient pair
 ``(a+b, ab)``, so all public outputs of the Motzkin model are real; the
 endpoint values come from the ratio recurrence of :func:`s_ratios`.  The
-moment integrals int (x/B)^k p_m ptilde_n nu(dx) of the integral route, the
-k-step chain probabilities and the path-sum check all go through one
-function, :func:`_moment_integral`, and :func:`nu_integrate` raises
-``OverflowError`` where the density underflows at nodes that carry more than
-``numerics.REL_TOL`` of the integrand.  The lattice index J_x of the q -> 1
-scaling, :func:`index_map`, serves the endpoint limit and the kernels'
-local-limit drivers.
+orthogonality density exists once, in log form, as a quotient of Jacobi
+theta functions (:func:`log_density_times_sine`) whose series need at most
+three terms at every q < 1.  The moment integrals
+int (x/B)^k p_m ptilde_n nu(dx) of the integral route, the k-step chain
+probabilities and the path-sum check all go through one function,
+:func:`_moment_integral`, and :func:`nu_integrate` raises ``OverflowError``
+where an integral's L1 mass is too small for the quadrature to resolve.
+The lattice index J_x of the q -> 1 scaling, :func:`index_map`, serves the
+endpoint limit and the kernels' local-limit drivers.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ import numpy as np
 
 from . import numerics
 from .numerics import _nested_trapezoid
-from .qspecial import q_number, qpoch_infinite, qpoch_log_abs
+from .qspecial import q_number, qpoch_log_abs
 
 __all__ = [
     "AscParams",
     "QModelParams",
     "asc_eval",
     "asc_eval_scaled",
-    "density_times_sine",
+    "log_density_times_sine",
     "nu_integrate",
     "s_ratios",
     "log_s_values",
@@ -51,12 +53,7 @@ __all__ = [
 ]
 
 RECURRENCE_CAP = 100_000
-_TINY = float(np.finfo(float).tiny)
-
-
-class _DensityUnderflow(OverflowError):
-    """The orthogonality density underflowed at nodes that carry more than
-    numerics.REL_TOL of an integral's largest integrand value."""
+_PI_LO = math.sin(math.pi)  # pi - math.pi, to double precision
 
 
 @dataclass(frozen=True)
@@ -181,55 +178,57 @@ def asc_eval_scaled(n: int, x: float, p: AscParams) -> tuple[float, float]:
     return math.copysign(1.0, cur), math.log(abs(cur)) + log_scale
 
 
-def density_times_sine(theta: np.ndarray, p: AscParams) -> np.ndarray:
-    """g(cos theta) sin(theta) on a grid, g the orthogonality density of the
-    family on (-1, 1) (|a|, |b| < 1), in the form with the square-root edge
-    factors absorbed (smooth at both endpoints):
+def log_density_times_sine(theta: np.ndarray, m: QModelParams) -> np.ndarray:
+    """log(g(cos theta) sin theta) for theta in [0, pi], g the orthogonality
+    density of the model's family (a = -q e^{i phi}, b = conj(a),
+    cos phi = sigma); -inf at theta = 0 and pi.
 
+    By the Jacobi triple product (DLMF 20.5.2-3) the q-product form
     (2/pi) sin^2(theta) (q, ab; q)_inf |(q e^{2 i theta}; q)_inf|^2
-        / |(a e^{i theta}, b e^{i theta}; q)_inf|^2.
+    / |(a e^{i theta}, b e^{i theta}; q)_inf|^2 equals
 
-    Raises ``OverflowError`` naming q where the q-products leave double range
-    (q close to 1).
+        (2/pi) sin^2(theta) R(0) R(theta) / ((1 - q) R(v+) R(v-)),
+
+    v+- = pi/2 - (theta +- phi)/2, with R(v) = theta_1(v) / sin(v) on the
+    nome q^(1/2), prod_{n>=1} (1 - q^n)(1 - 2 q^n cos 2v + q^(2n)) up to a
+    constant.  R is even, pi-periodic and positive, so each v reduces to
+    [0, pi/2] and nothing cancels at theta = pi - phi, where theta_2 and the
+    cosine beside it vanish together.  For q <= e^(-2 pi), R is the series
+    sum_n (-1)^n w^(n(n+1)) D_n on the nome w = q^(1/2), with
+    D_n = sin((2n+1) v) / sin(v) = 1 + 2 sum_{j<=n} cos(2 j v).  Above,
+    with q = e^(-eps), the imaginary transformation (DLMF 20.7.30) gives the
+    same series on the nome e^(-2 pi^2 / eps) with cosh(2 j y),
+    y = 2 pi v / eps, in D_n, times e^(2 v (pi - v) / eps) sinh(y) /
+    (e^y sin v); the four exponentials combine into one closed form.  Each
+    series stops where nome^(n^2) < e^(-40), after at most three terms.
     """
-    q = p.q
-    e1 = np.exp(1j * theta)
-    with np.errstate(all="ignore"):
-        num = qpoch_infinite(q, q) * qpoch_infinite(p.prod_ab, q) \
-            * np.abs(qpoch_infinite(q * (e1 * e1), q)) ** 2
-        den = np.abs(qpoch_infinite(complex(p.a) * e1, q)
-                     * qpoch_infinite(complex(p.b) * e1, q)) ** 2
-        out = (2.0 / math.pi) * np.sin(theta) ** 2 * num / den
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise OverflowError(f"orthogonality density at q={q} left double range "
-                            f"at theta={float(np.ravel(theta)[bad[0]]):.6g}")
-    return out
-
-
-def _log_density_times_sine(theta: np.ndarray, p: AscParams) -> np.ndarray:
-    """log of :func:`density_times_sine` from :func:`qpoch_log_abs`, finite
-    where the density itself underflows (0 < theta < pi)."""
-    q = p.q
-    e1 = np.exp(1j * theta)
-    return math.log(2.0 / math.pi) + 2.0 * np.log(np.sin(theta)) \
-        + qpoch_log_abs(q, q) + qpoch_log_abs(p.prod_ab, q) \
-        + 2.0 * (qpoch_log_abs(q * (e1 * e1), q) - qpoch_log_abs(complex(p.a) * e1, q)
-                 - qpoch_log_abs(complex(p.b) * e1, q))
-
-
-def _check_underflow(theta: np.ndarray, fx: np.ndarray, peak: float, p: AscParams) -> None:
-    """_DensityUnderflow when the integrand g(cos theta) sin(theta) f(x), at
-    nodes where the density underflowed and f(x) = fx != 0, exceeds
-    numerics.REL_TOL times the largest value ``peak`` > 0 at the other nodes
-    of its level; compared in log space, from the log density."""
-    log_lost = _log_density_times_sine(theta, p) + np.log(np.abs(fx))
-    worst = int(np.argmax(log_lost))
-    if peak > 0.0 and log_lost[worst] > math.log(numerics.REL_TOL) + math.log(peak):
-        raise _DensityUnderflow(f"orthogonality density at q={p.q} underflows at "
-                                f"theta={float(theta[worst]):.6g}, where the integrand "
-                                f"exp({float(log_lost[worst]):.1f}) exceeds REL_TOL times the "
-                                f"largest value {peak:.3g} at the other nodes")
+    theta = np.asarray(theta, dtype=float)
+    phi = math.acos(m.sigma)
+    v = np.abs([np.zeros_like(theta), theta, 0.5 * (math.pi - theta - phi),
+                0.5 * (math.pi - theta + phi)])
+    # sinh(y) / sin(v) at v = 1e-300 is its v -> 0 limit in floating point
+    v = np.maximum(np.minimum(v, math.pi - v), 1e-300)
+    eps = -math.log(m.q) if m.q > 0.0 else math.inf
+    if eps >= 2.0 * math.pi:
+        log_nome, arg, harmonic, log_edge, shift = 0.5 * eps, 2.0 * v, np.cos, 0.0, 0.0
+    else:
+        log_nome, y = 2.0 * math.pi**2 / eps, 2.0 * math.pi / eps * v
+        arg, harmonic = 2.0 * y, np.cosh
+        log_edge = np.log(-np.expm1(-2.0 * y) / (2.0 * np.sin(v)))
+        # the exponents 2 v (pi - v) / eps of R(0) R(theta) / (R(v+) R(v-))
+        # in closed form, of size pi^2 / eps, so pi's rounding is put back
+        a = (math.pi - theta) - phi + _PI_LO
+        shift = -np.abs(a) * ((math.pi + _PI_LO) - np.sign(a) * (theta - phi)) / eps
+    series = np.ones_like(v)
+    d_n = np.ones_like(v)
+    for n in range(1, int(math.sqrt(40.0 / log_nome)) + 1):
+        d_n += 2.0 * harmonic(n * arg)
+        series += (-1) ** n * math.exp(-n * (n + 1) * log_nome) * d_n
+    log_r = np.log(series) + log_edge
+    with np.errstate(divide="ignore"):
+        log_sin = np.log(np.where(theta < math.pi, np.sin(theta), 0.0))
+    return (math.log(2.0 / math.pi) - math.log1p(-m.q) + log_r[0] + log_r[1]
+            - log_r[2] - log_r[3] + 2.0 * log_sin) + shift
 
 
 def nu_integrate(f, m: QModelParams) -> float:
@@ -238,27 +237,30 @@ def nu_integrate(f, m: QModelParams) -> float:
 
     The substituted integrand g(cos theta) sin(theta) f(x(theta)) is even,
     2 pi-periodic and analytic in theta, so the nested trapezoidal rule on
-    [0, pi] converges geometrically; floor 64 eps times the L1 mass.
+    [0, pi] converges geometrically; floor 64 eps times the L1 mass.  Each
+    node's value is sign(f) exp(log density + log|f|), so a density below
+    double range loses nothing.  OverflowError when the L1 mass is below
+    1e-300 / REL_TOL: only there can the quadrature's absolute 1e-300 floor,
+    or node values lost to underflow, cost more than REL_TOL.
     """
-    p = m.asc_params()
     scale = 2.0 / (1.0 - m.q)
 
     def integrand(theta):
         x = scale * (np.cos(theta) + m.sigma)
-        dens = density_times_sine(theta, p)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             fx = np.asarray(f(x), dtype=float)
-            out = dens * fx
+            out = np.sign(fx) * np.exp(log_density_times_sine(theta, m) + np.log(np.abs(fx)))
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise OverflowError(f"orthogonality-measure integrand left double range "
                                 f"at x={float(np.ravel(x)[bad[0]]):.6g}")
-        lost = (dens < _TINY) & (np.sin(theta) > 0.0) & (fx != 0.0)
-        if lost.any():
-            _check_underflow(theta[lost], fx[lost], float(np.abs(out[~lost]).max(initial=0.0)), p)
         return out
 
-    total, _ = _nested_trapezoid(integrand, math.pi, 64.0, "orthogonality-measure quadrature")
+    total, l1 = _nested_trapezoid(integrand, math.pi, 64.0, "orthogonality-measure quadrature")
+    if l1 < 1e-300 / numerics.REL_TOL:
+        raise OverflowError(f"orthogonality-measure quadrature at q={m.q:g} has L1 mass "
+                            f"{float(l1):.3g} < 1e-300 / REL_TOL, where its 1e-300 floor and "
+                            "underflowed node values can cost more than REL_TOL")
     return float(total)
 
 

@@ -27,8 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ascpoly import (QModelParams, _DensityUnderflow, _initial_law_probs, _moment_integral,
-                      q_number)
+from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, q_number
 from .errors import CapacityError
 
 __all__ = [
@@ -370,29 +369,18 @@ def _psi_functions(tables: tuple[np.ndarray, ...], z0: float, z1: float,
 
 def _positive_moments(qm: QModelParams, L: int, *terms) -> list[float]:
     """:func:`motzkinq.ascpoly._moment_integral` of each term
-    (v, w, power, what), positive here.  OverflowError naming L, q and the
-    first ``what`` that comes out as 0, else the first whose density
-    underflows where its integrand carries more than REL_TOL of its largest
-    value; both happen when the density underflows where (x/B)^power has
-    its mass."""
-    vals, lost = [], []
+    (v, w, power, what); an OverflowError of the first that raises is raised
+    again naming its ``what``, L and q.  At q close to 1 and large L the
+    mass of (x/B)^power sits where the density is below double range."""
+    vals = []
     for v, w, power, what in terms:
         try:
             vals.append(_moment_integral(v, w, power, qm))
-        except _DensityUnderflow:
-            vals.append(math.nan)
-            lost.append(what)
-    zero = [what for val, (*_, what) in zip(vals, terms) if val == 0.0]
-    if zero:
-        cause = (f"{zero[0]} underflows to 0 at L={L}, q={qm.q:g}: the orthogonality density "
-                 "underflows where (x/B)^L has its mass")
-    elif lost:
-        cause = (f"{lost[0]} loses more than REL_TOL of its mass where the orthogonality "
-                 f"density underflows, at L={L}, q={qm.q:g}")
-    else:
-        return vals
-    raise OverflowError(f"moment integral of {cause}; use the transfer route "
-                        "(matrix_ansatz_expectation, log_normalizing_constant)")
+        except OverflowError as exc:
+            raise OverflowError(f"moment integral of {what} at L={L}, q={qm.q:g}: {exc}; use the "
+                                "transfer route (matrix_ansatz_expectation, "
+                                "log_normalizing_constant)") from exc
+    return vals
 
 
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
@@ -403,8 +391,8 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
     S = T + 2K + 8, T the boundary cutoff at TAIL_TOL.  Powers are taken of
     x/B, and Psi_0, Psi_1 divided by their peaks with the scales combined in
     log space, so the integrand stays bounded for every L and K <= L/2.
-    OverflowError when either integral loses the part of its mass where the
-    density underflows (q close to 1 at large L).
+    OverflowError when either integral's L1 mass is below 1e-300 / REL_TOL
+    (q close to 1 at large L).
     """
     qm = _require_qmodel(model)
     t, s = _functional_args(z0, z1, t, s, L)

@@ -52,12 +52,11 @@ def q_number(n: int, q: float) -> float:
     return (1.0 - q**n) / (1.0 - q)
 
 
-def _term_count(a, q: float) -> int:
-    """Factors that (a; q)_inf needs (for an array ``a``, its largest |a|):
-    the smallest k with |a| q^k / (1-q), the tail of its log, below
-    ``numerics.REL_TOL``.  Raises :class:`ConvergenceError` past
-    ``numerics.MAX_TERMS``."""
-    amod = float(np.abs(a).max()) if np.ndim(a) else abs(a)
+def _term_count(a: complex, q: float) -> int:
+    """Factors that (a; q)_inf needs: the smallest k with |a| q^k / (1-q),
+    the tail of its log, below ``numerics.REL_TOL``.  Raises
+    :class:`ConvergenceError` past ``numerics.MAX_TERMS``."""
+    amod = abs(a)
     k = 1
     if amod != 0.0 and q != 0.0:
         bound = numerics.REL_TOL * (1.0 - q) / amod
@@ -72,25 +71,22 @@ def _term_count(a, q: float) -> int:
 _BLOCK = 2**14  # factor values per block, sized to stay in cache
 
 
-def _factors(a, q: float, n: int):
-    """The factors 1 - a q^k, k = 0..n-1, for a scalar or an array ``a``, in
-    blocks with k on axis 0; each block reuses the previous one's memory."""
-    rows = max(1, _BLOCK // max(getattr(a, "size", 1), 1))
+def _factors(a: complex, q: float, n: int):
+    """The factors 1 - a q^k, k = 0..n-1, in blocks of ``_BLOCK``; each
+    block reuses the previous one's memory."""
     block = None
-    for k0 in range(0, n, rows):
-        qk = np.power(q, np.arange(k0, min(n, k0 + rows)))
-        block = np.multiply.outer(qk, a, out=None if block is None else block[:qk.size])
+    for k0 in range(0, n, _BLOCK):
+        qk = np.power(q, np.arange(k0, min(n, k0 + _BLOCK)))
+        block = np.multiply(qk, a, out=None if block is None else block[:qk.size])
         yield np.subtract(1.0, block, out=block)
 
 
-def _product(a, q: float, n: int):
-    """prod_{k<n} (1 - a q^k): an array for an array ``a``, else a float for
-    real ``a`` and a complex number otherwise."""
+def _product(a: complex, q: float, n: int):
+    """prod_{k<n} (1 - a q^k): a float for real ``a``, else a complex
+    number."""
     out = 1.0
     for block in _factors(a, q, n):
-        out = out * block.prod(axis=0)
-    if np.ndim(a):
-        return out
+        out = out * block.prod()
     return complex(out) if isinstance(a, complex) else float(np.real(out))
 
 
@@ -106,30 +102,27 @@ def qpoch_finite(a: complex, q: float, n: int):
     return _product(a, q, n)
 
 
-def qpoch_infinite(a, q: float):
+def qpoch_infinite(a: complex, q: float):
     """Infinite q-Pochhammer symbol (a; q)_infty, truncated when the
     multiplicative tail bound |a| q^k / (1-q) drops below ``numerics.REL_TOL``.
 
-    ``a`` may be an array (one truncation for all entries, result of the same
-    shape); a scalar gives a float for real ``a``, else a complex number.
-    Raises :class:`ConvergenceError` if ``numerics.MAX_TERMS`` factors are not
-    enough, and ``OverflowError`` naming ``a`` and ``q`` if an entry of the
-    product leaves double range (``qpoch_log_abs`` still gives its log
-    modulus).  Deterministic for fixed inputs.
+    Returns a float for real ``a``, else a complex number.  Raises
+    :class:`ConvergenceError` if ``numerics.MAX_TERMS`` factors are not
+    enough, and ``OverflowError`` naming ``a`` and ``q`` if the product
+    leaves double range (``qpoch_log_abs`` still gives its log modulus).
+    Deterministic for fixed inputs.
     """
     _check_q(q)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _product(a, q, _term_count(a, q))
-    if not np.isfinite(out).all():
-        a_bad = np.ravel(a)[np.argmin(np.isfinite(out))] if np.ndim(a) else a
-        raise OverflowError(f"(a; q)_inf at a={a_bad}, q={q} left double range; "
+    if not cmath.isfinite(out):
+        raise OverflowError(f"(a; q)_inf at a={a}, q={q} left double range; "
                             f"qpoch_log_abs gives log |(a; q)_inf|")
     return out
 
 
-def qpoch_log_abs(a: complex, q: float, n: int | None = None):
-    """log |(a; q)_n| with n = None meaning the infinite product; an array
-    ``a`` gives an array, entry by entry, on one truncation.
+def qpoch_log_abs(a: complex, q: float, n: int | None = None) -> float:
+    """log |(a; q)_n| with n = None meaning the infinite product.
 
     Safe replacement for ``log(abs(qpoch_*))`` when the product itself would
     overflow or underflow double precision.
@@ -140,8 +133,8 @@ def qpoch_log_abs(a: complex, q: float, n: int | None = None):
     total = 0.0
     with np.errstate(divide="ignore"):
         for block in _factors(a, q, n):
-            total = total + np.log(np.abs(block)).sum(axis=0)
-    return total if np.ndim(a) else float(total)
+            total += float(np.log(np.abs(block)).sum())
+    return total
 
 
 def _log_ratio(a: complex, b: complex, log_b: complex, q: float, n: int,

@@ -27,8 +27,8 @@ expansion of P^k on all of [-1, 1] (checks the bilinear pass
 ``chains._chebyshev_entry``, which expands on the chain's spectrum),
 the flat-step count and path-line parser, the convolution
 form ``asc_at_one`` of Q_n(1) / (q; q)_n (checks ``s_values``) and the
-scalar orthogonality density ``asc_density`` (checks
-``density_times_sine``).
+scalar q-product orthogonality density ``asc_density`` (checks the theta
+quotient ``log_density_times_sine``).
 """
 
 from __future__ import annotations

@@ -14,12 +14,14 @@ from motzkinq.ascpoly import (
     asc_endpoint_limit_q_to_1,
     asc_eval,
     asc_eval_scaled,
+    log_density_times_sine,
     motzkin_poly_table,
     nu_integrate,
     pi_values,
     s_ratios,
     s_values,
 )
+from motzkinq.errors import ConvergenceError
 from motzkinq.qspecial import bessel_k_imag, q_number, qpoch_finite, qpoch_infinite
 
 from oracles import asc_at_one, asc_density
@@ -138,25 +140,76 @@ def test_density_normalizes_and_is_orthogonal_for_Q():
     assert gauss_legendre(q1q2_weighted, 1e-9, math.pi - 1e-9) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_density_overflow_names_q_at_once():
-    # at q = 0.998 the q-products of the density leave double range; the
-    # error names q at the first non-finite value instead of surfacing as a
-    # quadrature that never converges
-    m = QModelParams(q=0.998, sigma=0.8)
+def _mp_log_density_times_sine(mpmath, theta, q, sigma):
+    """log(g(cos theta) sin theta) from the q-products of the density in
+    mpmath, each modulus |(+-q e^{i alpha}; q)_inf|^2 as the real product
+    prod_{k>=1} (1 -+ 2 q^k cos(alpha) + q^(2k)) to q^k < 1e-20, a tail
+    below 1e-18 relative."""
+    theta, q = mpmath.mpf(theta), mpmath.mpf(q)
+    phi = mpmath.acos(sigma)
+    cosines = [mpmath.cos(2 * theta), -mpmath.cos(theta + phi), -mpmath.cos(theta - phi)]
+    mods = [mpmath.mpf(1)] * 3
+    qk = q
+    while qk > 1e-20:
+        mods = [mod * (1 - 2 * qk * c + qk * qk) for mod, c in zip(mods, cosines)]
+        qk *= q
+    num = mpmath.qp(q, q) * mpmath.qp(q * q, q) * mods[0]
+    return mpmath.log(2 / mpmath.pi * mpmath.sin(theta) ** 2 * num / (mods[1] * mods[2]))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.001, 0.0018, 0.0019, 0.05, 0.3, 0.5, 0.9, 0.97])
+@pytest.mark.parametrize("sigma", [0.3, 0.8, 1.0])
+def test_log_density_matches_mpmath_q_products(q, sigma):
+    # both sides of the self-dual point q = e^(-2 pi) = 0.00187; at
+    # theta = pi - phi, theta_2((theta + phi)/2) and the cosine beside it
+    # vanish together
+    mpmath = pytest.importorskip("mpmath")
+    m = QModelParams(q=q, sigma=sigma)
+    edge = math.pi - math.acos(sigma)
+    thetas = [t for t in [*np.linspace(0.01, math.pi - 0.01, 11), 1e-9, math.pi - 1e-9,
+                          edge, edge - 1e-9, edge + 1e-9] if 0.0 < t < math.pi]
+    got = log_density_times_sine(np.array(thetas), m)
+    with mpmath.workdps(40):
+        if q == 0.0:  # the density is (2/pi) sin^2(theta) there
+            want = [float(mpmath.log(2 / mpmath.pi * mpmath.sin(t) ** 2)) for t in thetas]
+        else:
+            want = [float(_mp_log_density_times_sine(mpmath, t, q, sigma)) for t in thetas]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [0.0, 0.001, 0.5, 0.9999])
+def test_log_density_is_minus_infinity_at_both_ends(q):
+    # zero density at theta = 0 and pi, never nan, and no numpy warning
+    for sigma in (0.8, 1.0):
+        got = log_density_times_sine(np.array([0.0, math.pi]), QModelParams(q=q, sigma=sigma))
+        assert np.all(np.isneginf(got))
+
+
+@pytest.mark.parametrize("q", [0.99, 0.995, 0.998, 0.999])
+@pytest.mark.parametrize("sigma", [0.8, 1.0])
+def test_measure_has_mass_one_as_q_approaches_one(q, sigma):
+    # the q-product density left double range here from q = 0.997
     start = time.perf_counter()
-    with pytest.raises(OverflowError, match=r"density at q=0\.998"):
-        nu_integrate(lambda x: np.ones_like(x), m)
+    total = nu_integrate(lambda x: np.ones_like(x), QModelParams(q=q, sigma=sigma))
+    assert time.perf_counter() - start < 1.0
+    assert total == pytest.approx(1.0, abs=1e-11)
+
+
+def test_measure_quadrature_names_itself_past_its_node_cap():
+    # at q = 0.9999 the density has a feature of width about eps = 1e-4 at
+    # theta = pi - phi: resolving it takes about 28 / eps nodes, past MAX_NODES
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="orthogonality-measure quadrature"):
+        nu_integrate(lambda x: np.ones_like(x), QModelParams(q=0.9999, sigma=0.8))
     assert time.perf_counter() - start < 1.0
 
 
 def test_density_forms_agree():
-    # the edge-absorbed form used in quadrature equals g(cos th) sin(th)
-    from motzkinq.ascpoly import density_times_sine
-
-    p = conj_params(0.45, 0.85)
+    # the theta quotient equals g(cos th) sin(th)
+    m = QModelParams(q=0.45, sigma=0.85)
     thetas = np.linspace(0.2, math.pi - 0.2, 9)
-    direct = np.array([asc_density(math.cos(t), p) * math.sin(t) for t in thetas])
-    absorbed = density_times_sine(thetas, p)
+    direct = np.array([asc_density(math.cos(t), m.asc_params()) * math.sin(t) for t in thetas])
+    absorbed = np.exp(log_density_times_sine(thetas, m))
     assert np.allclose(direct, absorbed, rtol=1e-11)
 
 

@@ -52,7 +52,8 @@ from motzkinq import cli
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["locallimit", "--regime", "fixed-q", "--N", "400", "--x", "1", "--y", "2"],
                  ["locallimit", "--regime", "q-to-1", "--N", "400", "--x", "-1", "--y", "1"],
-                 ["sample", "--L", "20", "--count", "10"]):
+                 ["sample", "--L", "20", "--count", "10"],
+                 ["verify"]):
         assert cli.main(argv) == 0, argv
 print(json.dumps(sorted(name for name in sys.modules
                         if name.startswith("numpy.") and name not in plain)))
@@ -63,7 +64,7 @@ def test_cli_loads_no_numpy_submodule_beyond_its_generator():
     # a lazily imported numpy submodule (numpy.fft, numpy.polynomial, ...)
     # moves the heap of every CLI run; past a plain `import numpy`, the CLI
     # may load only numpy.random, the sampler's generator, which numpy 2
-    # imports on first use
+    # imports on first use.  `verify` runs the orthogonality density.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _SUBMODULE_PROBE], env=env,

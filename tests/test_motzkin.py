@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from motzkinq.ascpoly import (
     QModelParams,
-    density_times_sine,
+    log_density_times_sine,
     motzkin_poly_table,
     nu_integrate,
     q_number,
@@ -408,43 +408,56 @@ def test_integral_normalizing_constant_overflow_names_layer():
         integral_normalizing_constant(200, wm)
 
 
-# at q = 0.995 the density underflows to 0 where (x/B)^L has its mass: the
-# integrals came out as 0 (ZeroDivisionError, "math domain error", or 0.0
-# returned for the expectation at L = 700), or lost part of it without an
-# error (-3.7% at L = 600, +19% at L = 620)
+# at q = 0.995 the density is below double range where (x/B)^L has its
+# mass: the q-product density made these integrals come out as 0
+# (ZeroDivisionError, "math domain error", or 0.0 returned for the
+# expectation at L = 700), or lose part of it without an error (-3.7% at
+# L = 600, +19% at L = 620)
 _Q995 = WeightModel.from_qmodel(QModelParams(q=0.995, sigma=0.8, rho0=0.3, rho1=0.25))
+_Q99 = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25))
 _INTEGRAL_ROUTES = {
     "expectation": lambda L: integral_expectation(0.9, 0.8, [0.8], [1.1], L, _Q995),
     "normalizing_constant": lambda L: integral_normalizing_constant(L, _Q995),
 }
 
 
-# the integrals that the density-underflow guard caught, though they did not
-# come out as 0 (C_L / B^L is 3.7e-297 at L = 600); the others come out as 0
-_GUARDED = {("expectation", 600), ("expectation", 620)}
-
-
 @pytest.mark.parametrize("route, L, in_denominator", [
-    ("expectation", 700, False), ("expectation", 1000, True), ("expectation", 2000, True),
-    ("expectation", 600, True), ("expectation", 620, True),
+    ("expectation", 700, True), ("expectation", 1000, True), ("expectation", 2000, True),
+    ("expectation", 600, True), ("expectation", 620, True), ("expectation", 540, False),
     ("normalizing_constant", 1000, True), ("normalizing_constant", 2000, True),
 ])
 def test_integral_underflow_names_the_integral(route, L, in_denominator):
+    # the first integral whose L1 mass is below 1e-300 / REL_TOL, where the
+    # quadrature's 1e-300 floor could cost more than REL_TOL
     integral = r"C_L / B\^L" if in_denominator else "the expectation's numerator"
-    if (route, L) in _GUARDED:
-        cause = ("loses more than REL_TOL of its mass where the orthogonality density "
-                 rf"underflows, at L={L}, q=0\.995")
-    else:
-        cause = rf"underflows to 0 at L={L}, q=0\.995: .*"
-    with pytest.raises(OverflowError, match=rf"moment integral of {integral} {cause}; "
+    with pytest.raises(OverflowError, match=rf"moment integral of {integral} at L={L}, "
+                                            r"q=0\.995: .* has L1 mass .* < 1e-300 / REL_TOL.*; "
                                             "use the transfer route"):
         _INTEGRAL_ROUTES[route](L)
+
+
+def test_integral_underflow_names_the_integral_at_q_099():
+    with pytest.raises(OverflowError, match=r"moment integral of the expectation's numerator "
+                                            r"at L=4000, q=0\.99: .* has L1 mass .*; "
+                                            "use the transfer route"):
+        integral_expectation(0.9, 0.8, [0.8], [1.1], 4000, _Q99)
 
 
 def test_integral_below_the_density_underflow_matches_transfer():
     # the density underflows at q = 0.995, but not where (x/B)^400 has its mass
     want = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 400, _Q995)
     assert _INTEGRAL_ROUTES["expectation"](400) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, L, rel", [(0.995, 486, 1e-12), (0.995, 500, 1e-12),
+                                     (0.995, 520, 1e-12), (0.99, 1250, 1e-11),
+                                     (0.99, 2500, 1e-11)])
+def test_integral_matches_transfer_where_the_density_is_below_double_range(q, L, rel):
+    # (x/B)^L has its mass where the density is below double range: the
+    # q-product density raised OverflowError here; its log form keeps that mass
+    wm = {0.995: _Q995, 0.99: _Q99}[q]
+    want = matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], L, wm)
+    assert integral_expectation(0.9, 0.8, [0.8], [1.1], L, wm) == pytest.approx(want, rel=rel)
 
 
 def test_integral_expectation_requires_qmodel():
@@ -553,7 +566,7 @@ def test_moment_ratio_limits_pick_out_right_endpoint():
         # indicator of x > 0.95 B, i.e. theta < theta_c; the B/2 cutoff is
         # below fp resolution already at L = 50
         theta_c = math.acos(0.95 * (1 + m.sigma) - m.sigma)
-        num_ind = gauss_legendre(lambda th: density_times_sine(th, m.asc_params())
+        num_ind = gauss_legendre(lambda th: np.exp(log_density_times_sine(th, m))
                                  * ((np.cos(th) + m.sigma) / (1 + m.sigma)) ** L, 0.0, theta_c)
         errs_ind.append(abs(num_ind / den - 1.0))
     assert errs_x[0] > errs_x[1] > errs_x[2]
