@@ -306,8 +306,20 @@ def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams) -> fl
 def simulate_chain(model: QModelParams, steps: int, seed: int,
                    start: int | None = None) -> np.ndarray:
     """Trajectory of the boundary chain, drawn from the initial law unless a
-    fixed start altitude is given.  Deterministic per seed.  The loop runs on
-    Python floats (the transition rows and the uniforms as lists)."""
+    fixed start altitude is given.  Deterministic per seed.
+
+    Step i moves up when its uniform r < up[state], stays when
+    r < up[state] + flat[state] and moves down otherwise, except at state 0,
+    whose row has no down move, so the flat branch takes the rounding
+    residue there.  The rows cover states 0..cap and cap -> 2 cap + 16
+    whenever state + 1 >= cap before a step.  The steps run in chunks of
+    at most _CHUNK_STEPS that stop short of the cap, each solved by
+    :func:`_chunk_fixed_point`, which gives the step-by-step trajectory
+    bit for bit.  ValueError for negative steps, start or seed.
+    """
+    for name, value in (("steps", steps), ("seed", seed), ("start", start)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     rng = np.random.default_rng(seed)
     if start is None:
         law = initial_law("X", model)
@@ -316,29 +328,64 @@ def simulate_chain(model: QModelParams, steps: int, seed: int,
     else:
         state = int(start)
     cap = state + 4 * int(math.sqrt(steps + 1)) + 64
-    up, flat = _step_lists(model, cap)
-    out = [state]
-    for r in rng.random(steps).tolist():
+    up, upflat = _move_bounds(model, cap)
+    draws = rng.random(steps)
+    out = np.empty(steps + 1, dtype=np.int64)
+    out[0] = state
+    done = 0
+    while done < steps:
         if state + 1 >= cap:
             cap = 2 * cap + 16
-            up, flat = _step_lists(model, cap)
-        if r < up[state]:
-            state += 1
-        elif r < up[state] + flat[state]:
-            pass
-        elif state > 0:
-            # residual rounding mass joins the down branch; at state 0 the
-            # row has no down component so the flat branch absorbs it
-            state -= 1
-        out.append(state)
-    return np.array(out, dtype=np.int64)
+            up, upflat = _move_bounds(model, cap)
+        # a chunk's steps start from states below cap - 1, so none regrows
+        size = min(_CHUNK_STEPS, steps - done, cap - 1 - state)
+        _chunk_fixed_point(draws[done:done + size], out[done:done + size + 1], up, upflat)
+        done += size
+        state = int(out[done])
+    return out
 
 
-def _step_lists(model: QModelParams, cap: int) -> tuple[list[float], list[float]]:
-    """The up and flat rows of :func:`transition_arrays` as Python floats,
-    which a state-by-state loop indexes without boxing numpy scalars."""
+# steps per chunk of simulate_chain
+_CHUNK_STEPS = 2048
+
+
+def _move_bounds(model: QModelParams, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(up, upflat) on states 0..cap: the uniform of a step from state s
+    moves up below up[s] and down at or above upflat[s] = up[s] + flat[s],
+    the float add of the step rule; upflat[0] is inf since state 0 has no
+    down move."""
     up, flat, _ = transition_arrays(model, cap)
-    return up.tolist(), flat.tolist()
+    upflat = up + flat
+    upflat[0] = np.inf
+    return up, upflat
+
+
+def _chunk_fixed_point(r: np.ndarray, states: np.ndarray, up: np.ndarray,
+                       upflat: np.ndarray) -> None:
+    """Fill states[1:] with the chain's states after the steps of the
+    uniforms r, from states[0].
+
+    Every state starts as a guess of states[0].  One pass takes all moves
+    from the guessed states at once and cumsums them into new guesses; a
+    fixed point obeys the step rule at every step, so it is the sequential
+    trajectory.  The states before the first changed guess were right, so
+    they and the first new guess are final and the next pass starts there:
+    each pass fixes at least one state.  Guesses may leave 0..cap; "clip"
+    keeps their lookups in the tables, and a wrong guess only costs a pass.
+    """
+    states[1:] = states[0]
+    lo, n = 0, len(r)
+    while lo < n:
+        before, rr = states[lo:n], r[lo:]
+        moves = np.subtract(rr < up.take(before, mode="clip"),
+                            rr >= upflat.take(before, mode="clip"), dtype=np.int64)
+        after = np.cumsum(moves, out=moves)
+        after += states[lo]
+        changed = np.flatnonzero(after != states[lo + 1:])
+        if not changed.size:
+            return
+        states[lo + 1:] = after
+        lo += int(changed[0]) + 1
 
 
 # ----------------------------------------------- exact finite-length laws

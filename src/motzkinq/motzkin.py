@@ -14,9 +14,12 @@ in the package is :func:`_tridiagonal_step`, which writes in place into a
 buffer its caller owns.  Every multi-step pass of
 a length-L route (the transfer product, the integral route's two end
 vectors, the exact laws of :mod:`motzkinq.chains`) is one scaled power,
-:func:`_power`, which carries its scale as a log; the sampler keeps every
-row of its backward table, each divided by its max.  The transfer and the
-integral route take their arguments through one check.
+:func:`_power`, which carries its scale as a log and reads the vector's
+peak only after steps where bounds on its growth let it leave range; the
+sampler keeps every row of its backward table, each divided by its max,
+and tabulates its move weights for a block of steps at a time on the
+levels its paths can reach.  The transfer and the integral route take
+their arguments through one check.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 
 from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, q_number
 from .errors import CapacityError
+from .numerics import _EPS
 
 __all__ = [
     "MotzkinPath",
@@ -234,17 +238,31 @@ def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
     the step of :func:`_tridiagonal_step` with up t and down / t, rebuilt
     only where t changes; the column pass v -> M_t v passes
     :func:`_transposed`.  v is nonnegative, so its peak is its max, and v'
-    is divided by it whenever it leaves [1e-200, 1e200]; (v', -inf) once
-    v dies out.  Two buffers take turns; v itself is not written."""
+    is divided by it after every step that leaves it outside
+    [1e-200, 1e200]; (v', -inf) once v dies out.  Two buffers take turns;
+    v itself is not written.
+
+    The peak is read only after steps where it may have left that range:
+    after a read of peak p, k steps of rows with the rates of
+    :func:`_peak_rates` keep it within [p e^(-k shrink), p e^(k grow)], so
+    the steps that this bound keeps inside the range are not read
+    (:func:`_unread_steps`), and the rescales and the scale are those of a
+    read after every step.  The first step with a new t is always read."""
     log_scale = 0.0
     prev = None
     cur, nxt = _step_views(np.array(v, dtype=float)), _step_views(np.empty(len(v)))
     work = np.empty(len(v) - 1)
+    unread = 0  # steps left that need no peak read
     for t in ts:
         if t != prev:
             rows, prev = _step_rows(t * up, flat, down / t), t
+            grow, shrink = _peak_rates(rows)
+            unread = 0
         _tridiagonal_step(cur, nxt, rows, work)
         cur, nxt = nxt, cur
+        if unread:
+            unread -= 1
+            continue
         v = cur[0]
         peak = float(v.max())
         if peak == 0.0:
@@ -252,7 +270,44 @@ def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
         if peak > 1e200 or peak < 1e-200:
             v /= peak
             log_scale += math.log(peak)
+            peak = 1.0
+        unread = _unread_steps(peak, grow, shrink)
     return cur[0], log_scale
+
+
+# log of the peak range of _power, less a margin far above the rounding of
+# the budget arithmetic in _unread_steps
+_LOG_PEAK_ROOM = math.log(1e200) - 1e-3
+
+
+def _peak_rates(rows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(grow, shrink): one :func:`_tridiagonal_step` of these rows moves a
+    nonnegative vector's peak by a factor within [e^-shrink, e^grow].  Entry
+    n of the step is at most the column sum flat[n] + up[n-1] + down[n+1]
+    times the peak and at least flat[n] times it, both up to a few roundings,
+    so grow is the log of the largest column sum and shrink minus the log of
+    the smallest flat weight, each widened by 16 ulp.  shrink is inf where a
+    flat weight is 0 (or NaN), and then every step is read."""
+    flat, up_lo, down_hi = rows
+    colsum = flat.copy()
+    colsum[1:] += up_lo
+    colsum[:-1] += down_hi
+    top = float(colsum.max()) * (1.0 + 16.0 * _EPS)
+    low = float(flat.min()) * (1.0 - 16.0 * _EPS)
+    return (math.log(top) if top > 0.0 else -math.inf,
+            -math.log(low) if low > 0.0 else math.inf)
+
+
+def _unread_steps(peak: float, grow: float, shrink: float) -> int:
+    """Steps after a peak read at ``peak`` in [1e-200, 1e200] whose peaks
+    the rates of :func:`_peak_rates` keep inside that range."""
+    log_peak = math.log(peak)
+    steps = math.inf
+    if grow > 0.0:
+        steps = (_LOG_PEAK_ROOM - log_peak) / grow
+    if shrink > 0.0:
+        steps = min(steps, (_LOG_PEAK_ROOM + log_peak) / shrink)
+    return max(0, int(min(steps, 1 << 62)))
 
 
 def _require_qmodel(model: WeightModel) -> QModelParams:
@@ -464,19 +519,24 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
 
     Sequential sampler: the initial altitude is drawn proportionally to
     alpha_m u_0[m], then every step proportionally to edge weight times the
-    next backward vector.  Step k tabulates, once per level h, the cumulative
-    weights up, up + flat and up + flat + down of the three moves; each path
-    then gathers its three entries and takes the move its uniform lands in.
-    Deterministic for a fixed seed.
+    next backward vector.  Step k takes, per level h, the cumulative weights
+    up, up + flat and up + flat + down of the three moves from the tables of
+    :func:`_move_tables`, made for a block of _BLOCK_STEPS steps at once;
+    each path then gathers its three entries and takes the move its uniform
+    lands in.  Deterministic for a fixed seed.
 
     Initial altitudes are at most the boundary cutoff T at TAIL_TOL, the
     one cut of every finite-L route but the exact laws, and the backward
     table (L+1) x (T+L+2) must fit in SAMPLE_TABLE_CAP entries.
     CapacityError when the table does not fit, or when the initial
     altitudes past T carry more than 10 TAIL_TOL of the mass alpha_m u_0[m].
+    ValueError for a negative L or seed, or a count below 1.
     """
+    for name, value in (("L", L), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     if count < 1:
-        raise ValueError("count must be positive")
+        raise ValueError(f"count must be positive, got {count}")
     T = _boundary_cutoff(model, TAIL_TOL, L)
     S = T + L + 2
     if (L + 1) * S > SAMPLE_TABLE_CAP:
@@ -491,9 +551,9 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(p0)
     paths = np.empty((L + 1, count), dtype=np.int64)
+    # paths[0] <= T + 1, the length of the cdf
     paths[0] = np.searchsorted(cdf, rng.random(count), side="right")
-    up, upflat, total = np.empty(S - 1), np.empty(S - 1), np.empty(S - 1)
-    down = np.zeros(S - 1)  # no down move at level 0
+    tables = np.empty((3, min(_BLOCK_STEPS, L), S - 1))
     # the uniforms of several steps come from one draw of at most 2^13
     # values (one step's count when that is larger), in the stream's order
     per_draw = max(1, (1 << 13) // count)
@@ -503,20 +563,44 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     for k in range(L):
         if k % per_draw == 0:
             drawn = rng.random(out=uniforms[:min(per_draw, L - k)])
-        nxt = u[k + 1]
-        np.multiply(a[:-1], nxt[1:], out=up)
-        np.multiply(b[:-1], nxt[:-1], out=upflat)
-        upflat += up
-        np.multiply(c[1:-1], nxt[:-2], out=down[1:])
-        np.add(upflat, down, out=total)
-        # states stay in 0..T+1+k < S-1, so "clip" only skips take's bounds check
+        j = k % _BLOCK_STEPS
+        if j == 0:
+            # the states of step k' are at most T + 1 + k', so the levels
+            # 0..T + 1 + k' of the block's last step k' hold every state
+            steps = min(_BLOCK_STEPS, L - k)
+            up, upflat, total = _move_tables(a, b, c, u[k + 1:k + 1 + steps],
+                                             tables[:, :steps, :T + 1 + k + steps])
+        # every state has its level in the tables, so "clip" only skips
+        # take's bounds check
         states, row = paths[k], paths[k + 1]
-        np.multiply(drawn[k % per_draw], np.take(total, states, out=gathered, mode="clip"), out=r)
+        np.multiply(drawn[k % per_draw], total[j].take(states, out=gathered, mode="clip"), out=r)
         np.add(states, 1, out=row)
-        for bound in (up, upflat):
-            np.greater_equal(r, np.take(bound, states, out=gathered, mode="clip"), out=moved)
+        for bound in (up[j], upflat[j]):
+            np.greater_equal(r, bound.take(states, out=gathered, mode="clip"), out=moved)
             row -= moved
     return paths.T
+
+
+# steps per block of the sampler's move tables
+_BLOCK_STEPS = 32
+
+
+def _move_tables(a: np.ndarray, b: np.ndarray, c: np.ndarray, nxt: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """(up, upflat, total) written into out, of shape (3, steps, n): for
+    the backward rows nxt[i] = u_(k+1+i) of a block of steps and the levels
+    h < n, the cumulative move weights up = a_h nxt[h+1],
+    upflat = up + b_h nxt[h] and total = upflat + c_h nxt[h-1] (no down
+    move at h = 0), each product and sum rounded once."""
+    up, upflat, total = out
+    n = up.shape[1]
+    np.multiply(a[:n], nxt[:, 1:n + 1], out=up)
+    np.multiply(b[:n], nxt[:, :n], out=upflat)
+    upflat += up
+    total[:, 0] = 0.0  # no down move at level 0
+    np.multiply(c[1:n], nxt[:, :n - 1], out=total[:, 1:])
+    total += upflat
+    return out
 
 
 # ------------------------------------------------------------- serialization

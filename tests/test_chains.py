@@ -30,6 +30,7 @@ from motzkinq import chains
 from motzkinq.errors import CapacityError
 from motzkinq.motzkin import WeightModel, matrix_ansatz_expectation
 
+import oracles
 from oracles import (_chebyshev_power, chain_head_law_walk, endpoint_pair_correlation_per_start,
                      finite_path_head_law_walk, simulate_chain_numpy_loop)
 
@@ -380,6 +381,61 @@ def test_simulation_matches_numpy_loop_oracle_bitwise(m, start):
         got = simulate_chain(m, steps, seed, start=start)
         want = simulate_chain_numpy_loop(m, steps, seed, start=start)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m, start", [
+    (QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25), None),
+    (QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25), 1000),
+    (QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), None),
+    (QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25), 0),
+])
+def test_long_simulation_matches_numpy_loop_oracle_bitwise(monkeypatch, m, start):
+    # 10^5 steps run in many chunks; at q = 0.99 from altitude 0 (seed 0)
+    # the chain climbs past its first cap of 1328, so chunks stop at the cap
+    # and one regrowth happens inside the run
+    caps = []
+
+    def recording(model, cap):
+        caps.append(cap)
+        return transition_arrays(model, cap)
+
+    monkeypatch.setattr(chains, "transition_arrays", recording)
+    got = simulate_chain(m, 100_000, 0, start=start)
+    monkeypatch.undo()
+    assert np.array_equal(got, simulate_chain_numpy_loop(m, 100_000, 0, start=start))
+    if start == 0:
+        assert caps == [1328, 2672] and got.max() >= 1327
+
+
+def test_simulation_chunks_stop_at_the_cap(monkeypatch):
+    # rows that alternate with the parity of the state, so a chunk that read
+    # past the cap (clipped to the top row) would change the path, and a
+    # drift of +0.1 per step that passes five caps from 64 on
+    def parity_rows(model, cap):
+        up = np.where(np.arange(cap + 1) % 2 == 1, 0.2, 0.7)
+        return up, np.full(cap + 1, 0.2), 0.8 - up
+
+    caps = []
+
+    def recording(model, cap):
+        caps.append(cap)
+        return parity_rows(model, cap)
+
+    m = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+    monkeypatch.setattr(chains, "math", SimpleNamespace(sqrt=lambda x: 0.0))
+    monkeypatch.setattr(chains, "transition_arrays", recording)
+    got = simulate_chain(m, 20_000, seed=4, start=0)
+    monkeypatch.setattr(oracles, "transition_arrays", parity_rows)
+    assert np.array_equal(got, simulate_chain_numpy_loop(m, 20_000, 4, start=0))
+    assert caps == [64, 144, 304, 624, 1264, 2544] and got.max() >= 1263
+
+
+@pytest.mark.parametrize("steps, seed, start, name, value", [
+    (-1, 0, None, "steps", -1), (10, -1, None, "seed", -1), (10, 0, -3, "start", -3)])
+def test_simulation_names_a_negative_argument(steps, seed, start, name, value):
+    m = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got {value}$"):
+        simulate_chain(m, steps, seed, start=start)
 
 
 def test_simulation_cap_regrowth_matches_oracle(monkeypatch):

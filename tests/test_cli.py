@@ -153,6 +153,21 @@ def test_chain_steps_in_range(capsys):
     assert min(states) >= 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--L", "-1"], "L must be nonnegative, got -1"),
+    (["sample", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["chain", "--L", "-1"], "steps must be nonnegative, got -1"),
+    (["chain", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["sample", "--count", "0"], "count must be positive, got 0"),
+])
+def test_out_of_range_size_count_or_seed_is_config_error_naming_it(capsys, argv, message):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 # ------------------------------------------------------- output byte pins
 
 # SHA-256 of the whole stdout, at the default model unless the argv sets

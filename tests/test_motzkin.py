@@ -553,6 +553,52 @@ def test_power_and_backward_table_match_the_allocating_loops_bitwise(q, L, ts):
                           backward_vectors_allocating(tables, L))
 
 
+def _power_case(case):
+    """(v, up, flat, down, ts) on 60 states: weights in [0.5, 2] times a
+    scale that moves the peak by about that factor per step, or rows that
+    move it by exactly the bound that _power skips its reads by."""
+    rng = np.random.default_rng(12)
+    a, b, c = rng.uniform(0.5, 2.0, (3, 60))
+    v = rng.uniform(0.0, 1.0, 60)
+    ts = [1.0] * 40
+    if case == "grows-at-bound":
+        # v = 1 grows by the column sum G = 2 * 5.5e39 + 5.5e29 inside
+        # [20, 40), and G^5 = 1.6e200: the read after 4 steps that the bound
+        # skips is the one that rescales
+        return np.ones(60), np.full(60, 5.5e39), np.full(60, 5.5e29), np.full(60, 5.5e39), ts
+    if case == "shrinks-at-bound":
+        # the peak sits on the smallest flat weight 1e-41, which it shrinks by
+        b = 1e-39 * a
+        b[30] = 1e-41
+        return np.eye(60)[30], np.full(60, 1e-300), b, np.full(60, 1e-300), ts
+    scale = {"dies": 1e-170, "grows": 1e60, "shrinks": 1e-60, "ts": 1.0, "flat0": 1e45}[case]
+    if case == "ts":
+        # slow growth, with room for hundreds of unread steps, up to a jump
+        # to t = 1e80, past which the peak crosses 1e200 within 3 steps
+        ts = [0.7, 0.7, 1.4, 1.4, 1.4, 0.9] * 4 + [1e80] * 4 + [0.7, 1.4, 0.9] * 10
+    if case == "flat0":
+        b[7] = 0.0
+    return v, scale * a, scale * b, scale * c, ts
+
+
+@pytest.mark.parametrize("case", ["dies", "grows", "shrinks", "ts", "flat0",
+                                  "grows-at-bound", "shrinks-at-bound"])
+def test_power_matches_allocating_loop_where_peak_reads_are_skipped(case):
+    # a vector that dies out (-inf), peaks that cross 1e200 or 1e-200 within
+    # a few steps, rows that change every few steps, a zero flat weight, and
+    # peaks that move by the full factor of the skipping bound
+    v, a, b, c, ts = _power_case(case)
+    up_T, down_T = _transposed(a, c)
+    for args in ((v, a, b, c, ts), (v, up_T, b, down_T, ts)):
+        got, got_scale = motzkin._power(*args)
+        want, want_scale = power_allocating(*args)
+        assert got_scale == want_scale and np.array_equal(got, want)
+    if case == "dies":
+        assert got_scale == -math.inf
+    else:
+        assert math.isfinite(got_scale) and got_scale != 0.0
+
+
 def test_moment_ratio_limits_pick_out_right_endpoint():
     # int F x^L nu / int x^L nu -> F(B) for F(x) = x and an indicator
     m = QModelParams(q=0.5, sigma=0.7)
@@ -683,3 +729,19 @@ def test_sampler_matches_per_state_oracle_bitwise(model, L):
         want = sample_paths_per_state(L, wm, 300, seed)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("L", [31, 32, 33, 37, 64, 65])
+def test_sampler_move_table_blocks_match_per_state_oracle_bitwise(L):
+    # L off and on multiples of the 32-step move-table block; 9000 paths
+    # are more than one draw of 2^13 uniforms holds, so each draw is one step
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    got = sample_paths(L, wm, 9000, seed=21)
+    assert np.array_equal(got, sample_paths_per_state(L, wm, 9000, seed=21))
+
+
+@pytest.mark.parametrize("L, seed, name", [(-1, 0, "L"), (5, -1, "seed")])
+def test_sampler_names_a_negative_argument(L, seed, name):
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+        sample_paths(L, wm, 10, seed)
