@@ -14,9 +14,9 @@ r_n = s_{n+1} / s_n, which :func:`motzkinq.ascpoly.s_ratios` gives in O(cap)
 real arithmetic, and the initial laws combine log s_n with log C, so both
 stay finite where s_n and C leave double range (q -> 1 at large N).  Every
 function takes the model parameters directly; nothing is cached.
-k-step probabilities come either from tridiagonal iteration (default, on
-states 0..max support + k, the exact reach) or from the
-orthogonality-measure integral
+k-step probabilities come either from k exact steps of
+``motzkin._power`` (default, on states 0..max support + k, the exact
+reach) or from the orthogonality-measure integral
 
     P(X_k = n | X_0 = m) = (pi_n / pi_m) int (x/B)^k p_m(x) ptilde_n(x) nu(dx),
 
@@ -29,13 +29,14 @@ d ~ sqrt(2 k ln(4/eps) / (1+sigma)), by one bilinear pass
 e_m T_a(P') and the column T_a(P') e_n together, P' = P mapped onto
 [-1, 1], each on the exact reach of its end, instead of k steps.  The
 exact length-L laws that the chains approximate take their heads from
-``altitude_table`` and their middle from one backward pass of a few end
-vectors through ``motzkin._power``, and drop at most EXACT_TAIL_TOL of the
-initial mass past the boundary cutoff.
+``altitude_table`` and their middle from one backward pass of a stack of
+end columns through ``motzkin._power``, and drop at most EXACT_TAIL_TOL of
+the initial mass past the boundary cutoff.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,8 +51,8 @@ from .ascpoly import (
     s_ratios,
 )
 from .motzkin import (TAIL_TOL, WeightModel, _boundary_cutoff, _initial_mass_past, _power,
-                      _step_rows, _step_views, _table_product, _transposed, _tridiagonal_step,
-                      _weight_tables, altitude_table)
+                      _require_qmodel, _step_rows, _step_views, _table_product, _transposed,
+                      _tridiagonal_step, _weight_tables, altitude_table)
 from .numerics import _EPS
 
 __all__ = [
@@ -141,19 +142,6 @@ def initial_law(which: str, model: QModelParams, tail_tol: float = TAIL_TOL) -> 
         raise ValueError("which must be 'X' or 'Y'")
     rho = model.rho0 if which == "X" else model.rho1
     return Distribution(offset=0, probs=_initial_law_probs(model, rho, tail_tol))
-
-
-def _iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
-                         down: np.ndarray) -> tuple[np.ndarray, float]:
-    """k tridiagonal steps; returns (vector, mass lost past the cap)."""
-    cur, nxt = _step_views(np.array(vec, dtype=float)), _step_views(np.empty(len(vec)))
-    rows, work = _step_rows(up, flat, down), np.empty(len(vec) - 1)
-    lost = 0.0
-    for _ in range(k):
-        lost += up[-1] * cur[0][-1]
-        _tridiagonal_step(cur, nxt, rows, work)
-        cur, nxt = nxt, cur
-    return cur[0], lost
 
 
 def _chebyshev_power_coefficients(k: int, lam0: float) -> np.ndarray:
@@ -277,15 +265,15 @@ def _chebyshev_entry(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
 def kstep_distribution(start: Distribution, k: int, model: QModelParams) -> Distribution:
     """Distribution after k steps from ``start`` on states 0..max support + k,
     the exact reach: mass gets to the top state only at step k, so none is
-    lost past it."""
+    lost past it.  The steps are :func:`motzkinq.motzkin._power`."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     cap = start.offset + len(start.probs) - 1 + k
     up, flat, down = transition_arrays(model, cap)
     vec = np.zeros(cap + 1)
     vec[start.offset: start.offset + len(start.probs)] = start.probs
-    out, _ = _iterate_tridiagonal(vec, k, up, flat, down)
-    return Distribution(offset=0, probs=out)
+    out, log_scale = _power(vec, up, flat, down, itertools.repeat(1.0, k))
+    return Distribution(offset=0, probs=out * math.exp(log_scale))
 
 
 def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams) -> float:
@@ -392,25 +380,21 @@ def _chunk_fixed_point(r: np.ndarray, states: np.ndarray, up: np.ndarray,
 
 def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int):
     """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends up to
-    a positive factor (:func:`motzkinq.motzkin._power`), for the end columns
-    beta_n n^i, i < moments, on altitudes 0..T+L+1, T the boundary cutoff at
-    EXACT_TAIL_TOL, and lost the share of the initial mass alpha_m u_0[m],
-    u_0 = M^L ends, past T.  CapacityError if lost > EXACT_TAIL_TOL.
-
-    The columns are stepped as one vector of length moments S, one block of
-    S altitudes per column: the zero up_T[-1] and down_T[0] of the tiled
-    weights keep the blocks apart, and the peak that _power rescales by is
-    that of all columns, as in an (S, moments) array.  u_K comes back as
-    that (S, moments) array."""
+    a positive factor, for the end columns beta_n n^i, i < moments, on
+    altitudes 0..T+L+1, T the boundary cutoff at EXACT_TAIL_TOL, and lost
+    the share of the initial mass alpha_m u_0[m], u_0 = M^L ends, past T.
+    CapacityError if lost > EXACT_TAIL_TOL.  The columns are stepped as one
+    (moments, S) stack by :func:`motzkinq.motzkin._power`, which rescales
+    them by their common peak; u_K comes back as an (S, moments) array."""
     T = _boundary_cutoff(wm, EXACT_TAIL_TOL, L)
     S = T + L + 2
     a, b, c, av, bv = _weight_tables(wm, S)
-    up_T, down_T, flat = (np.tile(w, moments) for w in (*_transposed(a, c), b))
-    ends = (bv * np.arange(S) ** np.arange(moments)[:, None]).ravel()
-    uK, _ = _power(ends, up_T, flat, down_T, [1.0] * (L - K))
-    u0, _ = _power(uK, up_T, flat, down_T, [1.0] * K)
-    lost = _initial_mass_past(av, u0[:S], T, L, EXACT_TAIL_TOL)
-    return T, (a, b, c, av), np.ascontiguousarray(uK.reshape(moments, S).T), lost
+    up_T, down_T = _transposed(a, c)
+    ends = bv * np.arange(S) ** np.arange(moments)[:, None]
+    uK, _ = _power(ends, up_T, b, down_T, itertools.repeat(1.0, L - K))
+    u0, _ = _power(uK, up_T, b, down_T, itertools.repeat(1.0, K))
+    lost = _initial_mass_past(av, u0[0], T, L, EXACT_TAIL_TOL)
+    return T, (a, b, c, av), np.ascontiguousarray(uK.T), lost
 
 
 def _positive_rows(table: np.ndarray, p: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -464,8 +448,12 @@ def endpoint_pair_correlation(wm: WeightModel, L: int) -> float:
     up to one factor, T the boundary cutoff.  CapacityError if more than
     EXACT_TAIL_TOL of the initial mass lies past T, so the law behind the
     moments misses at most that share of its total.  Needs the q-model
-    weights.
+    weights; ValueError where rho0 = 0 or rho1 = 0 pins g_0 or g_L at 0,
+    so the correlation is undefined.
     """
+    for name in ("rho0", "rho1"):
+        if getattr(_require_qmodel(wm), name) == 0.0:
+            raise ValueError(f"{name} = 0 pins an end at 0: corr(g_0, g_L) is undefined")
     T, (*_, av), u0, _ = _pulled_back_ends(wm, L, 0, 3)
     heads = av[:T + 1, None] * np.arange(T + 1)[:, None] ** np.arange(3)
     F = heads.T @ u0[:T + 1]

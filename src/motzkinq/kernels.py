@@ -23,17 +23,18 @@ ceil(d/2) tridiagonal steps on the exact reach of both ends, with no state
 cap; it is accurate to about (d+1) eps in the pi-symmetrized value
 P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).  Where k exact steps on the exact
 reach cost no more than the pass, they are taken instead.  A value below
-10^6 times that accuracy (a far tail) is recomputed by exact tridiagonal
-stepping, on the exact reach while that is at most twice a state cap
-eight diffusive widths above the farther of the two levels, and on that
-cap beyond it; a cap that leaks more than 1e-9 of the mass raises
-CapacityError.
+10^6 times that accuracy (a far tail) is recomputed by k exact steps of
+``motzkin._power``, on the exact reach while that is at most twice a
+state cap eight diffusive widths above the farther of the two levels, and
+on that cap beyond it, where one absorbing state past the cap gathers the
+leaked mass; a cap that leaks more than 1e-9 of it raises CapacityError.
 The chain rows come from the ratios s_{n+1} / s_n and the initial masses
 from log s_n - log C, so neither overflows at large N as q -> 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,14 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascpoly import QModelParams, _initial_probs, _root, index_map
-from .chains import (
-    _EPS,
-    _chebyshev_entry,
-    _chebyshev_power_coefficients,
-    _iterate_tridiagonal,
-    transition_arrays,
-)
+from .chains import _EPS, _chebyshev_entry, _chebyshev_power_coefficients, transition_arrays
 from .errors import CapacityError, ConvergenceError
+from .motzkin import _power
 from .numerics import _nested_trapezoid
 from .qspecial import bessel_k_imag, bessel_k_imag_grid
 
@@ -128,8 +124,9 @@ def yakubovich_kernel(q: KernelQuery) -> float:
     The u-integral truncates where the Gaussian factor reaches e^-40, uses
     1/|Gamma(iu)|^2 = u sinh(pi u)/pi in closed form, and runs on the nested
     trapezoidal rule (the integrand is even and analytic in u), so each
-    level computes the Bessel grids only at its new u nodes.
-    """
+    level computes the Bessel grids only at its new u nodes.  ConvergenceError
+    where sinh(pi u) overflows within that horizon (t < 1.6e-3), or where the
+    value is negative past its noise floor."""
     t, x, y = q.t, q.x, q.y
     for z in (x, y):
         if math.exp(-z) < 1e-8:
@@ -142,12 +139,18 @@ def yakubovich_kernel(q: KernelQuery) -> float:
         ky = kx if ex == ey else bessel_k_imag_grid(us, ey)
         return (2.0 / math.pi**2) * np.exp(-t * us**2 / 2.0) * kx * ky * us * np.sinh(math.pi * us)
 
+    horizon = max(math.sqrt(80.0 / t), 10.0)
+    if math.pi * horizon > 710.0:
+        raise ConvergenceError(f"Yakubovich u-integral at t={t}: its horizon {horizon:.4g} "
+                               "puts sinh(pi u) past double range")
     # rounding noise of the Bessel grids is amplified by sinh(pi u), so the
     # attainable absolute accuracy scales with the L1 mass
-    val, l1 = _nested_trapezoid(integrand, max(math.sqrt(80.0 / t), 10.0), 4096.0,
+    val, l1 = _nested_trapezoid(integrand, horizon, 4096.0,
                                 f"Yakubovich u-integral at t={t}, x={x}, y={y}")
-    if val < -4096.0 * _EPS * l1 - 1e-300:
-        raise ArithmeticError(f"kernel value {val} below noise floor yet negative")
+    floor = 4096.0 * _EPS * l1 + 1e-300
+    if val < -floor:
+        raise ConvergenceError(f"Yakubovich kernel at t={t}, x={x}, y={y} is {val:.3g}, "
+                               f"negative past its noise floor {floor:.3g}")
     return max(float(val), 0.0)
 
 
@@ -211,13 +214,17 @@ def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float
 
 
 def _exact_point(model: QModelParams, m: int, n: int, k: int, cap: int) -> float:
-    """P(X_k = n | X_0 = m) by k exact steps on states 0..cap; CapacityError
-    naming the cap, k and the leak when more than 1e-9 of the mass leaves
-    past it (never on the exact reach cap >= max(m, n) + k)."""
-    up, flat, down = transition_arrays(model, cap)
-    vec = np.zeros(cap + 1)
+    """P(X_k = n | X_0 = m) by k exact steps of
+    :func:`motzkinq.motzkin._power` on states 0..cap and one absorbing state
+    cap + 1 (up 0, flat 1, down 0), whose entry gathers the mass that leaves
+    past the cap; CapacityError naming the cap, k and that leak when it is
+    more than 1e-9 (never on the exact reach cap >= max(m, n) + k)."""
+    up, flat, down = (np.append(w, end) for w, end in
+                      zip(transition_arrays(model, cap), (0.0, 1.0, 0.0)))
+    vec = np.zeros(cap + 2)
     vec[m] = 1.0
-    out, lost = _iterate_tridiagonal(vec, k, up, flat, down)
+    out, _ = _power(vec, up, flat, down, itertools.repeat(1.0, k))
+    lost = out[-1]
     if lost > 1e-9:
         raise CapacityError(f"state cap {cap} leaks mass {lost:.3g} > 1e-9 in k={k} steps "
                             f"from level {m}")

@@ -11,15 +11,14 @@ probability is alpha beta w(path) / C_L.
 All transfer computations use the tridiagonal structure directly (O(S) per
 step); dense operator matrices are never formed.  Every step of every pass
 in the package is :func:`_tridiagonal_step`, which writes in place into a
-buffer its caller owns.  Every multi-step pass of
-a length-L route (the transfer product, the integral route's two end
-vectors, the exact laws of :mod:`motzkinq.chains`) is one scaled power,
-:func:`_power`, which carries its scale as a log and reads the vector's
-peak only after steps where bounds on its growth let it leave range; the
-sampler keeps every row of its backward table, each divided by its max,
-and tabulates its move weights for a block of steps at a time on the
-levels its paths can reach.  The transfer and the integral route take
-their arguments through one check.
+buffer its caller owns.  Every exact multi-step pass (the transfer product,
+the integral route's end vectors, the chains' k-step and exact laws, the
+lattice point's exact branches) is :func:`_power`, on one vector or a stack,
+which carries its scale as a log and reads the peak only after steps where
+bounds on its growth let it leave range; the sampler keeps every row of its
+backward table, each divided by its max, and tabulates its move weights for
+a block of steps at a time on the levels its paths can reach.  The transfer
+and the integral route take their arguments through one check.
 """
 
 from __future__ import annotations
@@ -197,9 +196,9 @@ def _table_product(table: np.ndarray, up: np.ndarray, flat: np.ndarray,
 # --------------------------------------------------------- transfer operator
 
 def _step_views(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(v, v[:-1], v[1:]): the views of a vector that :func:`_tridiagonal_step`
-    reads or writes, made once per pass."""
-    return v, v[:-1], v[1:]
+    """(v, v[..., :-1], v[..., 1:]): the views of a vector or a stack of them
+    that :func:`_tridiagonal_step` reads or writes, made once per pass."""
+    return v, v[..., :-1], v[..., 1:]
 
 
 def _step_rows(up: np.ndarray, flat: np.ndarray,
@@ -213,11 +212,12 @@ def _tridiagonal_step(v: tuple, out: tuple, rows: tuple, work: np.ndarray) -> No
     """out <- v M, one step of the tridiagonal operator with M[n, n+1] =
     up[n], M[n, n] = flat[n] and M[n, n-1] = down[n] on states 0..S-1; the
     flux up[-1] v[-1] past the top is dropped.  v and out are the
-    :func:`_step_views` of two distinct length-S vectors, rows is
-    :func:`_step_rows` and work a length-(S-1) work row, so a step
-    allocates nothing.  out[n] = flat[n] v[n] + up[n-1] v[n-1] +
-    down[n+1] v[n+1], added in that order.  The weighted operator M_t passes
-    t up and down / t; the column step v -> M v passes :func:`_transposed`."""
+    :func:`_step_views` of two distinct length-S vectors or stacks (on the
+    last axis), rows is :func:`_step_rows` and work a length-(S-1) work row
+    of that stack shape, so a step allocates nothing.  out[n] = flat[n] v[n]
+    + up[n-1] v[n-1] + down[n+1] v[n+1], added in that order.  The weighted
+    operator M_t passes t up and down / t; the column step v -> M v passes
+    :func:`_transposed`."""
     (v, v_lo, v_hi), (new, new_lo, new_hi), (flat, up_lo, down_hi) = v, out, rows
     np.multiply(flat, v, out=new)
     np.multiply(up_lo, v_lo, out=work)
@@ -237,10 +237,10 @@ def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
     """(v', log_scale) with v M_{t_1} ... M_{t_n} = v' exp(log_scale), M_t
     the step of :func:`_tridiagonal_step` with up t and down / t, rebuilt
     only where t changes; the column pass v -> M_t v passes
-    :func:`_transposed`.  v is nonnegative, so its peak is its max, and v'
-    is divided by it after every step that leaves it outside
-    [1e-200, 1e200]; (v', -inf) once v dies out.  Two buffers take turns;
-    v itself is not written.
+    :func:`_transposed`.  v is nonnegative, one vector or a stack stepped on
+    its last axis, so its peak is its max, and v' is divided by it after
+    every step that leaves it outside [1e-200, 1e200]; (v', -inf) once v
+    dies out.  Two buffers take turns; v itself is not written.
 
     The peak is read only after steps where it may have left that range:
     after a read of peak p, k steps of rows with the rates of
@@ -250,8 +250,9 @@ def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
     read after every step.  The first step with a new t is always read."""
     log_scale = 0.0
     prev = None
-    cur, nxt = _step_views(np.array(v, dtype=float)), _step_views(np.empty(len(v)))
-    work = np.empty(len(v) - 1)
+    v = np.array(v, dtype=float)
+    cur, nxt = _step_views(v), _step_views(np.empty_like(v))
+    work = np.empty_like(cur[1])
     unread = 0  # steps left that need no peak read
     for t in ts:
         if t != prev:

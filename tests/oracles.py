@@ -6,8 +6,13 @@ check.  The composite Gauss-Legendre rule is an integrator independent of
 the package's nested trapezoidal rule.  The allocating tridiagonal step and
 the scaled power and backward table built on it are frozen copies of the
 loops that ``motzkin._power`` and ``motzkin._backward_vectors`` ran before
-their step wrote in place; the oracles below step with them.  The sampler and chain oracles are
-the straightforward per-state forms of ``sample_paths`` and
+their step wrote in place; the oracles below step with them.  The leaking
+stepper is the chain's old k-step loop, which summed the flux past the
+cap step by step; ``kernels._exact_point`` now reads that leak from an
+absorbing state of ``_power``.  The tiled power is the old form of the
+stacked ``_power`` in ``chains._pulled_back_ends``: several end columns as
+one vector, kept apart by zero weights at the block edges.  The sampler and
+chain oracles are the straightforward per-state forms of ``sample_paths`` and
 ``simulate_chain``: the package's table-driven loops must reproduce them bit
 for bit.  The per-cell writer is the plain form of the CLI's integer-table
 writer ``cli._int_lines``.  The recursive walk and the nested-loop
@@ -42,7 +47,7 @@ from motzkinq.ascpoly import AscParams, _check_order, q_number
 from motzkinq.chains import _chebyshev_power_coefficients, initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, WeightModel, _boundary_cutoff,
-                              _transposed, _weight_tables, path_weight)
+                              _power, _transposed, _weight_tables, path_weight)
 from motzkinq.qspecial import qpoch_infinite
 
 _EPS = float(np.finfo(float).eps)
@@ -104,6 +109,29 @@ def backward_vectors_allocating(tables: tuple[np.ndarray, ...], L: int) -> np.nd
         v = tridiagonal_step_allocating(u[k + 1], up_T, b, down_T)
         u[k] = v / v.max()
     return u
+
+
+def iterate_tridiagonal(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
+                        down: np.ndarray) -> tuple[np.ndarray, float]:
+    """k unscaled tridiagonal steps; returns (vector, mass lost past the
+    cap), the loss summed before each step as up[-1] v[-1]."""
+    v = np.array(vec, dtype=float)
+    lost = 0.0
+    for _ in range(k):
+        lost += up[-1] * v[-1]
+        v = tridiagonal_step_allocating(v, up, flat, down)
+    return v, lost
+
+
+def tiled_power(ends: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
+                ts) -> tuple[np.ndarray, float]:
+    """The stack ``ends`` (columns, S) stepped by ``motzkin._power`` as one
+    vector of columns * S entries: up[-1] and down[0] must be 0, so the
+    tiled weights keep the blocks apart.  Returns (stack, log_scale)."""
+    cols, S = ends.shape
+    up_t, flat_t, down_t = (np.tile(w, cols) for w in (up, flat, down))
+    v, log_scale = _power(ends.ravel(), up_t, flat_t, down_t, ts)
+    return v.reshape(cols, S), log_scale
 
 
 def path_matrix(m: int, L: int) -> tuple[np.ndarray, np.ndarray]:

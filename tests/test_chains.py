@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from motzkinq.ascpoly import QModelParams, pi_values, q_number, s_values
 from motzkinq.chains import (
     _chebyshev_power_coefficients,
-    _iterate_tridiagonal,
     Distribution,
     chain_head_law,
     endpoint_pair_correlation,
@@ -28,11 +27,13 @@ from motzkinq.chains import (
 )
 from motzkinq import chains
 from motzkinq.errors import CapacityError
-from motzkinq.motzkin import WeightModel, matrix_ansatz_expectation
+from motzkinq.motzkin import (WeightModel, _power, _transposed, _weight_tables,
+                              matrix_ansatz_expectation)
 
 import oracles
 from oracles import (_chebyshev_power, chain_head_law_walk, endpoint_pair_correlation_per_start,
-                     finite_path_head_law_walk, simulate_chain_numpy_loop)
+                     finite_path_head_law_walk, iterate_tridiagonal, simulate_chain_numpy_loop,
+                     tiled_power)
 
 
 # ------------------------------------------------------------- transitions
@@ -193,7 +194,7 @@ def test_kstep_runs_on_the_exact_reach():
         cap = top + k + 40
         vec = np.zeros(cap + 1)
         vec[start.offset: top + 1] = start.probs
-        want, lost = _iterate_tridiagonal(vec, k, *transition_arrays(m, cap))
+        want, lost = iterate_tridiagonal(vec, k, *transition_arrays(m, cap))
         assert lost == 0.0
         assert np.array_equal(got.probs, want[:top + k + 1])
         assert not want[top + k + 1:].any()
@@ -327,7 +328,7 @@ def test_chebyshev_power_matches_stepping_with_leaking_cap():
     up, flat, down = transition_arrays(m, 60)
     vec = np.zeros(61)
     vec[30] = 1.0
-    want, lost = _iterate_tridiagonal(vec, 900, up, flat, down)
+    want, lost = iterate_tridiagonal(vec, 900, up, flat, down)
     got, d = _chebyshev_power(vec, 900, up, flat, down)
     assert d < 900
     assert lost > 1e-3
@@ -581,6 +582,32 @@ def test_endpoint_pair_correlation_finite_for_long_paths(L, want):
         corr = endpoint_pair_correlation(wm, L)
     assert math.isfinite(corr)
     assert corr == pytest.approx(want, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["rho0", "rho1"])
+def test_endpoint_pair_correlation_at_zero_rho_is_a_value_error(name):
+    # rho0 = 0 pins g_0 at 0 and rho1 = 0 pins g_L: a 0/0 correlation
+    rhos = {"rho0": 0.3, "rho1": 0.25, name: 0.0}
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, **rhos))
+    with pytest.raises(ValueError, match=rf"{name} = 0 pins an end"):
+        endpoint_pair_correlation(wm, 50)
+
+
+@pytest.mark.parametrize("L,K,moments", [(1000, 0, 3), (200, 3, 1)])
+def test_pulled_back_ends_step_their_stack_as_the_tiled_vector(L, K, moments):
+    # the (moments, S) stack of end columns through _power is the old tiled
+    # vector of moments * S entries bit for bit, rescales (at L = 1000) and
+    # their common peak included
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    T, _, uK, _ = chains._pulled_back_ends(wm, L, K, moments)
+    a, b, c, _, bv = _weight_tables(wm, T + L + 2)
+    up_T, down_T = _transposed(a, c)
+    ends = bv * np.arange(len(bv)) ** np.arange(moments)[:, None]
+    stacked, scale = _power(ends, up_T, b, down_T, [1.0] * (L - K))
+    want, want_scale = tiled_power(ends, up_T, b, down_T, [1.0] * (L - K))
+    assert scale == want_scale and (scale != 0.0) == (L == 1000)
+    assert stacked.tobytes() == want.tobytes()
+    assert uK.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 def test_kstep_integral_overflow_is_named_at_once():

@@ -1,6 +1,8 @@
-"""Every exported name exists, the exported signatures stay lean, and the
-CLI loads no numpy submodule beyond what it needs."""
+"""Every exported name exists, the exported signatures stay lean, every
+raise in the package is one of its typed errors, and the CLI loads no
+numpy submodule beyond what it needs."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -58,6 +60,24 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(name for name in sys.modules
                         if name.startswith("numpy.") and name not in plain)))
 """
+
+
+# the errors a failure may raise: plain domain errors, the numeric guards
+# of motzkinq.errors and the CLI's configuration error
+TYPED_ERRORS = {"ValueError", "OverflowError", "CapacityError", "ConvergenceError", "ConfigError"}
+
+
+def test_every_raise_in_the_package_is_a_typed_error():
+    # a bare ArithmeticError or RuntimeError names no layer and slips past
+    # handlers that catch the typed errors
+    untyped = []
+    for path in sorted((ROOT / "src" / "motzkinq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) not in TYPED_ERRORS:
+                    untyped.append(f"{path.name}:{node.lineno}")
+    assert untyped == []
 
 
 def test_cli_loads_no_numpy_submodule_beyond_its_generator():

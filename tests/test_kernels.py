@@ -1,6 +1,7 @@
 """Tests for the continuum kernels and the local-limit drivers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from motzkinq.ascpoly import QModelParams
 from motzkinq import chains, kernels
-from motzkinq.chains import (_EPS, _chebyshev_entry, _chebyshev_power_coefficients,
-                             _iterate_tridiagonal, transition_arrays)
+from motzkinq.chains import _EPS, _chebyshev_entry, _chebyshev_power_coefficients, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.kernels import (
     KernelQuery,
@@ -30,7 +30,7 @@ from motzkinq.kernels import (
 )
 from motzkinq.qspecial import bessel_k_imag
 
-from oracles import _chebyshev_power, gauss_legendre, panel_rule
+from oracles import _chebyshev_power, gauss_legendre, iterate_tridiagonal, panel_rule
 
 
 # ------------------------------------------------------------ killed kernel
@@ -157,6 +157,30 @@ def test_yakubovich_failure_names_the_u_integral():
         yakubovich_kernel(KernelQuery(t=0.02, x=0.0, y=0.0))
 
 
+@pytest.mark.parametrize("t,x,y,val", [(0.05, 1.0, 10.0, "-1.87e-12"),
+                                       (0.03, -1.0, 2.0, "-3.18e-11")])
+def test_yakubovich_negative_value_past_its_floor_is_a_convergence_error(t, x, y, val):
+    with pytest.raises(ConvergenceError, match=rf"Yakubovich kernel at t={t}, x={x}, y={y} is "
+                                               rf"{val}, negative past its noise floor"):
+        yakubovich_kernel(KernelQuery(t=t, x=x, y=y))
+
+
+def test_negative_kernel_value_is_named_by_the_local_limit_driver():
+    # sigma = 1 halves t = 0.1 to the kernel's 0.05
+    with pytest.raises(ConvergenceError, match=r"q-to-1 regime at t=0\.1, x=1\.0, y=10\.0 is "
+                                               r"not computed: Yakubovich kernel at t=0\.05"):
+        local_limit_error_q_to_1(10_000, 0.1, 1.0, 10.0, 1.0)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-4])
+def test_yakubovich_horizon_past_sinh_range_is_named_before_any_warning(t):
+    # the u-horizon sqrt(80 / t) passes 226, where sinh(pi u) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=rf"Yakubovich u-integral at t={t}: its horizon"):
+            yakubovich_kernel(KernelQuery(t=t, x=0.0, y=0.0))
+
+
 def test_yakubovich_decays_for_large_time():
     assert yakubovich_kernel(KernelQuery(t=50.0, x=0.0, y=0.0)) < 0.05
 
@@ -245,7 +269,7 @@ def _exact_stepping(model, m, k, cap):
     up, flat, down = transition_arrays(model, cap)
     vec = np.zeros(cap + 1)
     vec[m] = 1.0
-    return vec, (up, flat, down), _iterate_tridiagonal(vec, k, up, flat, down)
+    return vec, (up, flat, down), iterate_tridiagonal(vec, k, up, flat, down)
 
 
 _PARITY_POINTS = {"fixed-q": [(1.0, 2.0), (2.0, 1.0), (1.5, 0.5)],
@@ -285,13 +309,14 @@ def test_leaking_state_cap_raises_capacity_error(monkeypatch):
     # reported with the cap, k and the leak
     model, m, n, k, cap = _lattice_query("fixed-q", 2500, 1.0, 1.0, 6.0)
     assert max(m, n) + k > 2 * cap
-    real = kernels._iterate_tridiagonal
+    real = kernels._power
 
-    def leaky(vec, k, *rows):
-        out, _ = real(vec, k, *rows)
-        return out, 2e-9
+    def leaky(*args):
+        out, log_scale = real(*args)
+        out[-1] = 2e-9  # the absorbing state past the cap
+        return out, log_scale
 
-    monkeypatch.setattr(kernels, "_iterate_tridiagonal", leaky)
+    monkeypatch.setattr(kernels, "_power", leaky)
     with pytest.raises(CapacityError, match=rf"state cap {cap} leaks mass 2e-09 > 1e-9 "
                                             rf"in k={k} steps"):
         _chain_point_evolution(model, m, n, k)
@@ -330,7 +355,7 @@ def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
     up, flat, down = transition_arrays(model, top)
     vec = np.zeros(top + 1)
     vec[m] = 1.0
-    want = _iterate_tridiagonal(vec, k, up, flat, down)[0][n]
+    want = iterate_tridiagonal(vec, k, up, flat, down)[0][n]
     lam0 = model.A / model.B
     c = _chebyshev_power_coefficients(k, lam0)
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:top] / down[1:]))))  # log pi_j / pi_0
@@ -340,7 +365,7 @@ def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
         lattice = _chain_point_evolution(model, m, n, k)
     except CapacityError:
         cap = max(m, n) + int(8.0 * math.sqrt(k / (1.0 + sigma))) + 64
-        _, lost = _iterate_tridiagonal(vec[:cap + 1], k, *transition_arrays(model, cap))
+        _, lost = iterate_tridiagonal(vec[:cap + 1], k, *transition_arrays(model, cap))
         assert lost > 1e-9
         return
     assert lattice == pytest.approx(want, rel=1e-9, abs=bound)
@@ -370,7 +395,7 @@ def test_lattice_point_steps_on_the_true_spectrum(monkeypatch):
 
     monkeypatch.setattr(chains, "_tridiagonal_step", step)
     monkeypatch.setattr(kernels, "transition_arrays", table)
-    monkeypatch.setattr(kernels, "_iterate_tridiagonal", no_stepping)
+    monkeypatch.setattr(kernels, "_power", no_stepping)
     lattice = _chain_point_evolution(model, m, n, k)
     assert d <= 0.8 * 1658 and 0 < len(sizes) <= A + 1
     assert max(sizes) <= 2 * (2 * A + 1)
@@ -400,6 +425,41 @@ def test_far_tail_fallback_runs_on_the_exact_reach_within_twice_the_cap():
     assert lost == 0.0 and 6e-94 < want[30] < 7e-94
     assert _chain_point_evolution(model, 30, 30, 200) == pytest.approx(want[30], rel=1e-9,
                                                                         abs=0.0)
+
+
+@pytest.mark.parametrize("q,sigma,m,n,k,cap", [
+    (0.99, 1.0, 0, 0, 4, 4),  # cheap: k steps on the exact reach
+    (0.99, 1.0, 30, 30, 200, 230),  # far tail, on the exact reach
+    (0.5, 0.8, 50, 300, 2500, 662),  # far tail, on the diffusive cap
+])
+def test_exact_branches_match_the_leaking_stepper_bitwise(monkeypatch, q, sigma, m, n, k, cap):
+    # every exact branch of the lattice point is k steps of _power on the
+    # table of states 0..cap plus one absorbing state, which holds the old
+    # loop's summed leak past the cap (0 on the exact reach, 2.8e-60 on the
+    # cap), bit for bit
+    model = QModelParams(q=q, sigma=sigma)
+    runs, real = [], kernels._power
+
+    def spy(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(kernels, "_power", spy)
+    got = _chain_point_evolution(model, m, n, k)
+    _, _, (want, lost) = _exact_stepping(model, m, k, cap)
+    [(out, log_scale)] = runs
+    assert log_scale == 0.0 and len(out) == cap + 2
+    assert np.array_equal(out[:-1], want) and out[-1] == lost
+    assert (lost > 0.0) == (cap < max(m, n) + k)
+    assert got == want[n]
+
+
+def test_leaking_cap_reports_the_leaking_steppers_loss():
+    # the diffusive cap 174 loses 4.4e-4 of the mass in 200 steps from 30
+    model = QModelParams(q=0.99, sigma=1.0)
+    _, _, (_, lost) = _exact_stepping(model, 30, 200, 174)
+    with pytest.raises(CapacityError, match=rf"state cap 174 leaks mass {lost:.3g} > 1e-9"):
+        kernels._exact_point(model, 30, 30, 200, 174)
 
 
 @pytest.mark.parametrize("q,sigma", [(0.5, 0.8), (0.9, 0.3), (0.99, 1.0), (0.3, 0.05)])
