@@ -207,12 +207,12 @@ def _chebyshev_entry(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
     len(c) // 2 steps of the three-term recurrence instead of d, with two
     dot products per step.  They are stepped as one vector [x | y]: x on the
     states m-R..m+R with the rows up, flat, down, and y on n-R..n+R with the
-    transposed rows, both cut at 0.  The up weight at each block's top and
-    the down weight at its bottom are set to 0, so the blocks never
-    exchange flux; within R steps none reaches those edges anyway, so the
-    pass is exact and needs the rows of states 0..max(m, n) + R, without a
-    state cap.  The dot products run over the states the blocks share
-    (none: every term is 0).  Three buffers take turns through the in-place
+    transposed rows, both cut at 0.  Within R steps x reaches m +- R and
+    y reaches n +- R only at the last step, so no flux crosses a block edge
+    (an edge cut at 0 has down weight 0) and the pass is exact with the
+    rows of states 0..max(m, n) + R, without a state cap.  The dot products
+    run over the states the blocks share (none: every term is 0).  Three
+    buffers take turns through the in-place
     :func:`motzkinq.motzkin._tridiagonal_step`.
 
     P is similar to a symmetric matrix with spectrum in [lam0, 1], so
@@ -228,9 +228,7 @@ def _chebyshev_entry(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
     blocks = []
     for end, (u, w) in ((m, (up, down)), (n, _transposed(up, down))):
         lo, hi = max(end - R, 0), end + R + 1
-        bu, bd = scale * u[lo:hi], scale * w[lo:hi]
-        bu[-1] = bd[0] = 0.0
-        blocks.append((lo, hi, bu, scale * (flat[lo:hi] - b), bd))
+        blocks.append((lo, hi, scale * u[lo:hi], scale * (flat[lo:hi] - b), scale * w[lo:hi]))
     (lo_x, hi_x, *rows_x), (lo_y, hi_y, *rows_y) = blocks
     lo, hi = max(lo_x, lo_y), min(hi_x, hi_y)
     if lo >= hi:

@@ -68,25 +68,15 @@ def _term_count(a: complex, q: float) -> int:
     return k
 
 
-_BLOCK = 2**14  # factor values per block, sized to stay in cache
-
-
-def _factors(a: complex, q: float, n: int):
-    """The factors 1 - a q^k, k = 0..n-1, in blocks of ``_BLOCK``; each
-    block reuses the previous one's memory."""
-    block = None
-    for k0 in range(0, n, _BLOCK):
-        qk = np.power(q, np.arange(k0, min(n, k0 + _BLOCK)))
-        block = np.multiply(qk, a, out=None if block is None else block[:qk.size])
-        yield np.subtract(1.0, block, out=block)
+def _factors(a: complex, q: float, n: int) -> np.ndarray:
+    """The factors 1 - a q^k, k = 0..n-1, as one array."""
+    return 1.0 - np.power(q, np.arange(n)) * a
 
 
 def _product(a: complex, q: float, n: int):
-    """prod_{k<n} (1 - a q^k): a float for real ``a``, else a complex
-    number."""
-    out = 1.0
-    for block in _factors(a, q, n):
-        out = out * block.prod()
+    """prod_{k<n} (1 - a q^k), one reduction of :func:`_factors`: a float
+    for real ``a``, else a complex number."""
+    out = _factors(a, q, n).prod()
     return complex(out) if isinstance(a, complex) else float(np.real(out))
 
 
@@ -130,11 +120,8 @@ def qpoch_log_abs(a: complex, q: float, n: int | None = None) -> float:
     _check_q(q)
     if n is None:
         n = _term_count(a, q)
-    total = 0.0
     with np.errstate(divide="ignore"):
-        for block in _factors(a, q, n):
-            total += float(np.log(np.abs(block)).sum())
-    return total
+        return float(np.log(np.abs(_factors(a, q, n))).sum())
 
 
 def _log_ratio(a: complex, b: complex, log_b: complex, q: float, n: int,
@@ -147,21 +134,19 @@ def _log_ratio(a: complex, b: complex, log_b: complex, q: float, n: int,
     as q -> 1.  ``ValueError(pole)`` on a vanishing factor."""
     d = log_b - cmath.log(b) if b else 0.0
     d = complex(d.real, math.remainder(d.imag, 2.0 * math.pi))
-    total = 0.0 + 0.0j
-    for top, bot in zip(_factors(a, q, n), _factors(b, q, n)):
-        if not bot.all():
-            raise ValueError(pole)
-        bot = bot.astype(complex)
-        total += complex(np.sum(np.log(top) - np.log(bot) + d * (1.0 - bot) / bot))
-    return total
+    top, bot = _factors(a, q, n), _factors(b, q, n)
+    if not bot.all():
+        raise ValueError(pole)
+    bot = bot.astype(complex)
+    return complex(np.sum(np.log(top) - np.log(bot) + d * (1.0 - bot) / bot))
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
+def _is_nonpositive_integer(z: complex) -> bool:
     zr, zi = (z.real, z.imag) if isinstance(z, complex) else (float(z), 0.0)
-    if abs(zi) > tol:
+    if abs(zi) > 1e-12:
         return False
     k = round(zr)
-    return k <= 0 and abs(zr - k) <= tol
+    return k <= 0 and abs(zr - k) <= 1e-12
 
 
 def q_gamma_log(z: complex, q: float) -> complex:

@@ -22,7 +22,8 @@ from motzkinq.ascpoly import (
     s_values,
 )
 from motzkinq.errors import ConvergenceError
-from motzkinq.qspecial import bessel_k_imag, q_number, qpoch_finite, qpoch_infinite
+from motzkinq.qspecial import (bessel_k_imag, gamma_abs_imag_sq, q_number, qpoch_finite,
+                               qpoch_infinite)
 
 from oracles import asc_at_one, asc_density
 
@@ -183,6 +184,18 @@ def test_log_density_is_minus_infinity_at_both_ends(q):
     for sigma in (0.8, 1.0):
         got = log_density_times_sine(np.array([0.0, math.pi]), QModelParams(q=q, sigma=sigma))
         assert np.all(np.isneginf(got))
+
+
+@pytest.mark.parametrize("M", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("sigma", [0.8, 1.0])
+def test_density_edge_has_the_kontorovich_lebedev_shape(M, sigma):
+    # at theta = u/M and q = e^(-2/M), log(g(cos theta) sin theta) plus
+    # log|Gamma(iu)|^2 is constant in u up to u^2/(2M): over u in [0.25, 4]
+    # its spread times M tends to (4^2 - 0.25^2)/2
+    us = np.linspace(0.25, 4.0, 16)
+    m = QModelParams(q=math.exp(-2.0 / M), sigma=sigma)
+    vals = log_density_times_sine(us / M, m) + np.log([gamma_abs_imag_sq(u) for u in us])
+    assert abs(np.ptp(vals) * M - (4.0**2 - 0.25**2) / 2.0) < 0.1
 
 
 @pytest.mark.parametrize("q", [0.99, 0.995, 0.998, 0.999])

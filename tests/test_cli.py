@@ -279,11 +279,21 @@ def test_verify_default_passes(capsys):
     assert all(row[3] is True for row in payload["rows"])
 
 
-def test_verify_normalizer_level_count_past_cap_names_the_check(capsys):
-    status = main(["verify", "--q", "0.9999", "--sigma", "1", "--rho0", "0.9"])
+def test_verify_normalizer_sums_the_initial_law_near_q_one(capsys):
+    # check 12 sums the initial law to its own cut: 61961 levels, within
+    # RECURRENCE_CAP
+    status, out = run_cli(capsys, "verify", "--q", "0.9999", "--sigma", "1", "--rho0", "0.9",
+                          "--format", "json")
+    assert status == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 12 and all(row[3] is True for row in rows)
+
+
+def test_verify_normalizer_past_level_cap_names_rho_and_q(capsys):
+    status = main(["verify", "--q", "0.99995", "--sigma", "1", "--rho0", "0.9"])
     out, err = capsys.readouterr()
     assert status == 2 and out == ""
-    assert "initial-law normalizer check at rho=0.9, q=0.9999 needs 115200 levels" in err
+    assert "initial law at rho=0.9, q=0.99995 needs more than RECURRENCE_CAP=100000 levels" in err
 
 
 @pytest.mark.parametrize("q, sigma, rho0, rho1", [(0.4, 0.7, 0.3, 0.25), (0.4, 0.75, 0.3, 0.25),

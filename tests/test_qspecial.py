@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from motzkinq.ascpoly import QModelParams, initial_log_normalizer
 from motzkinq.errors import ConvergenceError
-from motzkinq import numerics
+from motzkinq import numerics, qspecial
 from motzkinq.qspecial import (
     bessel_k_imag,
     bessel_k_imag_grid,
@@ -99,6 +100,40 @@ def test_qpoch_log_abs_matches_direct():
     a, q = 0.3 + 0.2j, 0.7
     assert qpoch_log_abs(a, q, 9) == pytest.approx(math.log(abs(qpoch_finite(a, q, 9))), rel=1e-13)
     assert qpoch_log_abs(a, q) == pytest.approx(math.log(abs(qpoch_infinite(a, q))), rel=1e-12)
+
+
+# products of 40, 3224 and 83 factors, pinned bitwise
+PRODUCT_PINS = [
+    (lambda: initial_log_normalizer(QModelParams(0.5, 0.8), 0.3), "1.8171211304028778"),
+    (lambda: q_gamma(0.5, math.exp(-0.01)), "1.7691372993260428"),
+    (lambda: qpoch_infinite(2.0, 0.7), "0.0003718170628420378"),
+]
+
+
+def test_short_products_pinned_bitwise():
+    for value, want in PRODUCT_PINS:
+        assert repr(value()) == want
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9999])
+@pytest.mark.parametrize("a", [0.5, 0.9j, -0.7])
+def test_qpoch_log_abs_of_long_products_against_exact_sum(a, q):
+    # 3.4e4 to 3.7e5 factors, reduced as one array
+    n = qspecial._term_count(a, q)
+    want = math.fsum(math.log(abs(1.0 - a * q**k)) for k in range(n))
+    assert qpoch_log_abs(a, q) == pytest.approx(want, rel=1e-13)
+
+
+def test_factor_cap_raises_before_any_factor_is_formed(monkeypatch):
+    def no_factors(*args):
+        raise AssertionError("factors formed past MAX_TERMS")
+
+    monkeypatch.setattr(qspecial, "_factors", no_factors)
+    monkeypatch.setattr(numerics, "MAX_TERMS", 10)
+    for call in (lambda: qpoch_infinite(0.5, 0.999), lambda: qpoch_log_abs(0.5, 0.999),
+                 lambda: q_gamma(0.5, 0.999)):
+        with pytest.raises(ConvergenceError, match="MAX_TERMS=10"):
+            call()
 
 
 # ----------------------------------------------------------------- q-Gamma
