@@ -5,9 +5,12 @@ Every run is deterministic given its configuration and seed; the effective
 configuration is echoed into the output header.  Outputs are CSV ('.'
 decimal, 17 significant digits) or JSON.  Every subcommand's table goes
 through ``_emit``, which writes a CSV table with one %-format built per
-column from the cell types.  The integer tables (``sample``'s paths,
-``chain``'s trajectory and ``enumerate``'s path column) are turned into text
-by ``_int_lines`` alone, which costs no Python call per cell.
+column from the cell types, or the bytes of ``json.dump(indent=1)`` with
+each column's cells encoded in one call of the C encoder.  The integer
+tables (``sample``'s paths, ``chain``'s trajectory and ``enumerate``'s path
+column) are turned into text by ``_int_lines`` alone, which gathers each
+cell as one scalar from a table of digit texts as wide as its column needs
+and costs no Python call per cell.
 
 Exit status: 0 success, 1 verification check failed, 2 numeric guard
 tripped (cap/convergence/overflow), 3 invalid configuration.
@@ -164,42 +167,74 @@ def _qmodel(cfg: dict) -> QModelParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _digit_cells(top: int, size: int, end: str) -> np.ndarray:
+    """The text of 0..top as a (top + 1, size) uint8 table: row v holds the
+    decimal digits of v right-aligned behind NUL pads, then the character
+    end.  Row d*10**j + r, for r < 10**j, is row r zero-padded with the
+    digit d in front, so each power of ten copies the rows below it in
+    blocks; the leading zeros are blanked at the end."""
+    width = len(str(top))
+    cells = np.zeros((top + 1, size), dtype=np.uint8)
+    cells[:, -1 - width:-1] = ord("0")
+    cells[:, -1] = ord(end)
+    cells[:10, -2] += np.arange(min(10, top + 1), dtype=np.uint8)
+    for j in range(1, width):
+        run = 10 ** j
+        for d in range(1, min(10, top // run + 1)):
+            block = cells[d * run:(d + 1) * run]
+            block[...] = cells[:len(block)]
+            block[:, -2 - j] += d
+    for j in range(1, width):
+        cells[:10 ** j, -2 - j] = 0  # no leading zeros
+    return cells
+
+
 def _int_lines(table: np.ndarray, sep: str, numbered: bool = False) -> Iterator[str]:
     """Text of a nonnegative int table, one line per row: its cells in
     decimal joined by the one-character sep, after the row number and a
     comma when numbered.  Yielded one block of about _BLOCK_CELLS cells at
     a time, so no copy of the whole text is made here.
 
-    Each cell is gathered from a lookup table of its value's digits,
-    right-aligned behind NUL pads and followed by the separator, and one
-    ``bytes.translate`` per block drops the pads; each block is copied out
-    of the table (of any memory order) on its own.
+    Every value cell is its digits and separator right-aligned behind NUL
+    pads in 2, 4, 8 or, past 7 digits, 16 or more bytes, as few as the
+    table's largest value needs, so one ``np.take`` gathers each cell as one
+    scalar from a table of texts: of 0..max, or of the distinct values when
+    that is the shorter list.  The row number and its comma take as many
+    such scalars as the last row number needs, from texts of 0..rows - 1
+    appended to the same table.  One ``bytes.translate`` per block drops the
+    pads.  Each block is copied out of the table (of any memory order) on
+    its own.
     """
     rows, cols = table.shape
-    lead = 1 if numbered else 0
-    cells = lead + cols
-    top = max(int(table.max(initial=0)), rows - 1 if numbered else 0)
-    width = len(str(top))
-    values = np.arange(top + 1)
-    digits = np.zeros((top + 1, width + 1), dtype=np.uint8)
-    for j in range(width):
-        digits[:, width - 1 - j] = np.where((values >= 10 ** j) | (j == 0),
-                                            values // 10 ** j % 10 + ord("0"), 0)
-    digits[:, width] = ord(sep)
-    block = max(1, min(rows, _BLOCK_CELLS // cells))
-    index = np.empty((block, cells), dtype=np.intp)
-    text = np.empty((block, cells, width + 1), dtype=np.uint8)
+    if rows == 0:
+        return
+    top = int(table.max(initial=0))
+    size = 1 << len(str(top)).bit_length()  # the digits and sep fit in size bytes
+    kind = np.dtype(f"u{size}") if size <= 8 else np.dtype(f"V{size}")
+    if top < table.size:
+        values = _digit_cells(top, size, sep).view(kind)[:, 0]
+    else:  # a text per value up to top would outgrow the table: one per distinct value
+        distinct, index = np.unique(table, return_inverse=True)
+        table = index.reshape(rows, cols)
+        values = np.frombuffer("".join([str(v).rjust(size - 1, "\0") + sep
+                                        for v in distinct.tolist()]).encode(), dtype=kind)
+    lead, first = 0, len(values)
+    if numbered:  # row r's number is entries first + r*lead .. first + (r+1)*lead - 1
+        lead = -(-(len(str(rows - 1)) + 1) // size)
+        numbers = _digit_cells(rows - 1, lead * size, ",").view(kind).ravel()
+        values = np.concatenate([values, numbers])
+    block = max(1, min(rows, _BLOCK_CELLS // (lead + cols)))
+    index = np.empty((block, lead + cols), dtype=np.intp)
+    text = np.empty((block, lead + cols), dtype=kind)
     for start in range(0, rows, block):
         stop = min(start + block, rows)
         idx, out = index[:stop - start], text[:stop - start]
         if numbered:
-            idx[:, 0] = np.arange(start, stop)
+            idx[:, :lead] = np.arange(first + start * lead, first + stop * lead).reshape(-1, lead)
         idx[:, lead:] = table[start:stop]
-        # every index lies in 0..top, so "clip" only skips take's bounds check
-        np.take(digits, idx, axis=0, out=out, mode="clip")
-        if numbered:
-            out[:, 0, width] = ord(",")
-        out[:, -1, width] = ord("\n")
+        # every index is an entry of values, so "clip" only skips take's bounds check
+        np.take(values, idx, out=out, mode="clip")
+        out.view(np.uint8)[:, -1] = ord("\n")
         yield out.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -207,9 +242,24 @@ def _emit(cfg: dict, columns: list[str], rows: list[Sequence] | Iterator[str],
           stream) -> None:
     header = {key: cfg[key] for key in sorted(cfg) if key not in ("out", "config")}
     if cfg["format"] == "json":
-        json.dump({"config": header, "columns": columns, "rows": rows}, stream,
-                  indent=1, default=str)
-        stream.write("\n")
+        # the text of json.dump(..., indent=1, default=str) without its
+        # pure-Python encoder: a column of plain ints is written as it is,
+        # any other column of scalar cells goes through one call of the C
+        # encoder, NUL-separated (a NUL in a string is escaped), and one
+        # %-format lays the cells out as the indented rows
+        text = json.dumps({"config": header, "columns": columns, "rows": []},
+                          indent=1, default=str)
+        if rows:
+            width = len(columns)
+            cells = list(itertools.chain.from_iterable(rows))
+            for j in range(width):
+                column = cells[j::width]
+                if set(map(type, column)) != {int}:
+                    cells[j::width] = json.dumps(column, separators=("\0", ":"),
+                                                 default=str)[1:-1].split("\0")
+            row = "\n  [" + ",".join(["\n   %s"] * width) + "\n  ]"
+            text = text[:-len("]\n}")] + ",".join([row] * len(rows)) % tuple(cells) + "\n ]\n}"
+        stream.write(text + "\n")
         return
     for key, value in header.items():
         if isinstance(value, list):

@@ -522,15 +522,18 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     alpha_m u_0[m], then every step proportionally to edge weight times the
     next backward vector.  Step k takes, per level h, the cumulative weights
     up, up + flat and up + flat + down of the three moves from the tables of
-    :func:`_move_tables`, made for a block of _BLOCK_STEPS steps at once;
+    :func:`_move_tables`, made for a block of _BLOCK_STEPS steps at once on
+    the levels the paths can reach in it: a block that starts at step k
+    with highest state m has its states at most m + i at step k + i;
     each path then gathers its three entries and takes the move its uniform
     lands in.  Deterministic for a fixed seed.
 
     Initial altitudes are at most the boundary cutoff T at TAIL_TOL, the
     one cut of every finite-L route but the exact laws, and the backward
     table (L+1) x (T+L+2) must fit in SAMPLE_TABLE_CAP entries.
-    CapacityError when the table does not fit, or when the initial
-    altitudes past T carry more than 10 TAIL_TOL of the mass alpha_m u_0[m].
+    CapacityError when the table does not fit, when the (L+1) x count path
+    table cannot be allocated, or when the initial altitudes past T carry
+    more than 10 TAIL_TOL of the mass alpha_m u_0[m].
     ValueError for a negative L or seed, or a count below 1.
     """
     for name, value in (("L", L), ("seed", seed)):
@@ -551,10 +554,15 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(p0)
-    paths = np.empty((L + 1, count), dtype=np.int64)
+    try:
+        paths = np.empty((L + 1, count), dtype=np.int64)
+    except MemoryError as exc:
+        raise CapacityError(f"path table of (L+1) x count int64 entries at L={L}, "
+                            f"count={count} needs {8 * (L + 1) * count} bytes, "
+                            f"more than can be allocated") from exc
     # paths[0] <= T + 1, the length of the cdf
     paths[0] = np.searchsorted(cdf, rng.random(count), side="right")
-    tables = np.empty((3, min(_BLOCK_STEPS, L), S - 1))
+    tables = np.empty(3 * min(_BLOCK_STEPS, L) * (S - 1))
     # the uniforms of several steps come from one draw of at most 2^13
     # values (one step's count when that is larger), in the stream's order
     per_draw = max(1, (1 << 13) // count)
@@ -566,11 +574,13 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
             drawn = rng.random(out=uniforms[:min(per_draw, L - k)])
         j = k % _BLOCK_STEPS
         if j == 0:
-            # the states of step k' are at most T + 1 + k', so the levels
-            # 0..T + 1 + k' of the block's last step k' hold every state
+            # the states of step k + i are at most max(paths[k]) + i, so the
+            # levels 0..max(paths[k]) + steps - 1 hold every state of the
+            # block; its three tables are one contiguous (3, steps, width) array
             steps = min(_BLOCK_STEPS, L - k)
+            width = int(paths[k].max()) + steps
             up, upflat, total = _move_tables(a, b, c, u[k + 1:k + 1 + steps],
-                                             tables[:, :steps, :T + 1 + k + steps])
+                                             tables[:3 * steps * width].reshape(3, steps, width))
         # every state has its level in the tables, so "clip" only skips
         # take's bounds check
         states, row = paths[k], paths[k + 1]

@@ -168,6 +168,18 @@ def test_out_of_range_size_count_or_seed_is_config_error_naming_it(capsys, argv,
     assert captured.err == f"configuration error: {message}\n"
 
 
+def test_sample_past_any_address_space_is_numeric_guard(capsys):
+    # 1001 x 10^12 int64 entries (7.1 PiB) exceed every address space, so the
+    # allocation fails whatever the overcommit setting
+    status = main(["sample", "--L", "1000", "--count", str(10**12)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == ("numeric guard: path table of (L+1) x count int64 entries at "
+                            "L=1000, count=1000000000000 needs 8008000000000000 bytes, "
+                            "more than can be allocated\n")
+
+
 # ------------------------------------------------------- output byte pins
 
 # SHA-256 of the whole stdout, at the default model unless the argv sets
@@ -237,6 +249,97 @@ def test_int_lines_at_a_block_boundary(monkeypatch, extra, numbered):
     table = np.asfortranarray(np.random.default_rng(3).integers(0, 1001, (6 + extra, cols)))
     got = "".join(cli._int_lines(table, ";", numbered))
     assert got == int_lines_per_cell(table, ";", numbered)
+
+
+@pytest.mark.parametrize("top", [9, 10, 99, 100, 999, 1000, 9999, 10**4, 9999999, 10**7,
+                                 10**15 - 1, 10**15, 2**63 - 1])
+@pytest.mark.parametrize("numbered", [False, True])
+def test_int_lines_at_every_cell_size_edge(top, numbered):
+    # value cells of 2, 4, 8, 16 and 32 bytes on both sides of each edge; a
+    # table of more cells than top reads the texts of 0..top, a smaller one
+    # the texts of its distinct values
+    from motzkinq import cli
+    from oracles import int_lines_per_cell
+
+    rng = np.random.default_rng(top % 1009)
+    for rows in sorted({7, 3 + min(top, 10**4) // 2}):
+        table = rng.integers(0, top, (rows, 3), endpoint=True)
+        table[rows // 2, 1] = top
+        got = "".join(cli._int_lines(table, ";", numbered))
+        assert got == int_lines_per_cell(table, ";", numbered)
+
+
+@pytest.mark.parametrize("rows", [10, 11, 1000, 1001, 10000, 10001])
+@pytest.mark.parametrize("top", [9, 99999])
+def test_int_lines_row_numbers_across_digit_counts(rows, top):
+    # the last row number has one digit more than the one before it, and
+    # takes one to three value-sized cells
+    from motzkinq import cli
+    from oracles import int_lines_per_cell
+
+    table = np.random.default_rng(rows).integers(0, top, (rows, 2), endpoint=True)
+    assert "".join(cli._int_lines(table, ",", True)) == int_lines_per_cell(table, ",", True)
+
+
+def test_int_lines_of_the_chain_trajectory():
+    from motzkinq import cli
+    from motzkinq.chains import simulate_chain
+    from oracles import int_lines_per_cell
+
+    model = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+    table = simulate_chain(model, 100_000, 5)[:, None]
+    assert "".join(cli._int_lines(table, ",", True)) == int_lines_per_cell(table, ",", True)
+
+
+@pytest.mark.parametrize("top, size", [(0, 2), (9, 2), (10, 4), (999, 4), (1000, 8),
+                                       (12345, 8), (0, 16), (12345, 16)])
+def test_digit_cells_against_str(top, size):
+    # the dense texts at every cell size, 16 bytes included, which the
+    # writer reads from only for tables of more than 10^7 cells
+    from motzkinq import cli
+
+    want = "".join(str(v).rjust(size - 1, "\0") + ";" for v in range(top + 1))
+    assert cli._digit_cells(top, size, ";").tobytes() == want.encode()
+
+
+def _json_dump(cfg, columns, rows) -> str:
+    header = {key: cfg[key] for key in sorted(cfg) if key not in ("out", "config")}
+    buf = io.StringIO()
+    json.dump({"config": header, "columns": columns, "rows": rows}, buf, indent=1, default=str)
+    return buf.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--L", "4", "--m", "1", "--n", "2"],
+    ["enumerate", "--L", "1", "--m", "0", "--n", "2"],
+    ["sample", "--L", "30", "--count", "40"],
+    ["chain", "--L", "500"],
+    ["verify"],
+    ["verify", "--inject-fault"],
+    ["locallimit", "--N", "400,2500"],
+    ["specialfn", "--y", "0"],
+], ids=" ".join)
+def test_emit_json_matches_json_dump(argv):
+    from motzkinq import cli
+
+    cfg = cli._effective_config(cli._build_parser().parse_args([*argv, "--format", "json"]))
+    columns, rows, _ = cli._COMMANDS[cfg["command"]](cfg)
+    buf = io.StringIO()
+    cli._emit(cfg, columns, rows, buf)
+    assert buf.getvalue() == _json_dump(cfg, columns, rows)
+
+
+def test_emit_json_matches_json_dump_on_every_scalar_kind():
+    from motzkinq import cli
+
+    cfg = {"format": "json", "command": "x", "N": [1, 2], "out": None, "config": None}
+    rows = [[1, True, 0.1, "a", None],
+            [-2**70, False, float("nan"), 'q"\\\n\0\u00e9\U0001f600', np.float64(-0.0)],
+            [np.int64(7), np.bool_(True), float("-inf"), "", 1e300],
+            [3, 0, float("inf"), "]\0[", 5]]
+    buf = io.StringIO()
+    cli._emit(cfg, ["a", "b", "c", "d", "e"], rows, buf)
+    assert buf.getvalue() == _json_dump(cfg, ["a", "b", "c", "d", "e"], rows)
 
 
 def test_emit_mixed_column_keeps_per_cell_formats():
