@@ -27,7 +27,8 @@ e_m P^k e_n of the Chebyshev expansion of P^k on that interval, degree
 d ~ sqrt(2 k ln(4/eps) / (1+sigma)), by one bilinear pass
 (:func:`_chebyshev_entry`): ceil(d/2) in-place tridiagonal steps of the row
 e_m T_a(P') and the column T_a(P') e_n together, P' = P mapped onto
-[-1, 1], each on the exact reach of its end, instead of k steps.  The
+[-1, 1], instead of k steps, in blocks on the states both ends reach by
+the block's last step, with two row sums of moments per block.  The
 exact length-L laws that the chains approximate take their heads from
 ``altitude_table`` and their middle from one backward pass of a stack of
 end columns through ``motzkin._power``, and drop at most EXACT_TAIL_TOL of
@@ -197,23 +198,16 @@ def _chebyshev_entry(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
     """e_m P^k e_n = sum_j c_j e_m T_j(P') e_n for the coefficients
     c = _chebyshev_power_coefficients(k, lam0) of degree d, by one bilinear
     pass.  P' = (P - b I) / a maps the spectrum [lam0, 1] of P onto [-1, 1],
-    a = (1 - lam0) / 2, b = 1 - a; 2 P' has the rows up 2/a, (flat - b) 2/a
-    and down 2/a.
+    a = (1 - lam0) / 2, b = 1 - a.
 
     T_2a = 2 T_a^2 - I and T_(2a-1) = 2 T_a T_(a-1) - T_1 turn each term
-    into a dot product of the row x_a = e_m T_a(P') with the column
+    into a moment of the row x_a = e_m T_a(P') and the column
     y_a = T_a(P') e_n: c_2a (2 x_a.y_a - x_0.y_0) and
     c_(2a-1) (2 x_a.y_(a-1) - x_1.y_0), so x and y need R = ceil(d/2) =
-    len(c) // 2 steps of the three-term recurrence instead of d, with two
-    dot products per step.  They are stepped as one vector [x | y]: x on the
-    states m-R..m+R with the rows up, flat, down, and y on n-R..n+R with the
-    transposed rows, both cut at 0.  Within R steps x reaches m +- R and
-    y reaches n +- R only at the last step, so no flux crosses a block edge
-    (an edge cut at 0 has down weight 0) and the pass is exact with the
-    rows of states 0..max(m, n) + R, without a state cap.  The dot products
-    run over the states the blocks share (none: every term is 0).  Three
-    buffers take turns through the in-place
-    :func:`motzkinq.motzkin._tridiagonal_step`.
+    len(c) // 2 steps of the three-term recurrence instead of d, taken by
+    :func:`_chebyshev_blocks` with the rows of states 0..max(m, n) + R and
+    no state cap.  Each block's moments are two einsum row sums over the
+    states x and y share (none when |m - n| > 2R: every term is 0).
 
     P is similar to a symmetric matrix with spectrum in [lam0, 1], so
     ||T_a(P')|| <= 1 there and the error is about (d+1) eps in the
@@ -221,43 +215,65 @@ def _chebyshev_entry(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
     form; tiny values need a guard by the caller.
     """
     R = len(c) // 2
-    if R == 0:
-        return float(m == n)  # k = 0
+    if R == 0 or abs(m - n) > 2 * R:
+        return float(m == n)  # k = 0, or no state shared
+    even, odd = [np.array([float(m == n)])], []  # x_a.y_a from a = 0, x_a.y_(a-1) from 1
+    for block, lo_x, lo_y, nx in _chebyshev_blocks(m, n, R, lam0, up, flat, down):
+        lo = max(lo_x, lo_y)
+        hi = max(lo, min(lo_x + nx, lo_y + block.shape[1] - nx))
+        xs, ys = block[:, lo - lo_x:hi - lo_x], block[:, nx + lo - lo_y:nx + hi - lo_y]
+        even.append(np.einsum("ij,ij->i", xs[2:], ys[2:]))
+        odd.append(np.einsum("ij,ij->i", xs[2:], ys[1:-1]))
+    even, odd = np.concatenate(even), np.concatenate(odd)
+    ce, co = c[0::2], c[1::2]
+    return float(2.0 * (ce @ even[:len(ce)]) - even[0] * ce.sum()
+                 + 2.0 * (co @ odd) - odd[0] * co.sum())
+
+
+_RING = 32  # three-term steps per block of _chebyshev_blocks
+
+
+def _chebyshev_blocks(m: int, n: int, R: int, lam0: float, up: np.ndarray, flat: np.ndarray,
+                      down: np.ndarray):
+    """Yield (block, lo_x, lo_y, nx) per block of up to _RING steps of x_a
+    and y_a, a <= R, in one ring of _RING + 2 rows [x | y]: x on the states
+    lo_x..lo_x + nx - 1 and y from lo_y, the states m +- a and n +- a that
+    each end reaches by the block's last step a, cut at 0.  Row i of a block
+    after step a0 holds step a0 - 1 + i (row 0 is 0 in the first block).
+    Entries past the reach are exactly 0 and no flux crosses from x to y
+    before the last step (a state cut at 0 has down weight 0), so each row
+    is the float vector of stepping on all states.  Each step goes in place
+    through :func:`motzkinq.motzkin._tridiagonal_step` with the rows of
+    2 P' (transposed for y), then subtracts the row two back (the first
+    step halves instead).
+    """
     a = 0.5 * (1.0 - lam0)
     b, scale = 1.0 - a, 2.0 / a
-    blocks = []
-    for end, (u, w) in ((m, (up, down)), (n, _transposed(up, down))):
-        lo, hi = max(end - R, 0), end + R + 1
-        blocks.append((lo, hi, scale * u[lo:hi], scale * (flat[lo:hi] - b), scale * w[lo:hi]))
-    (lo_x, hi_x, *rows_x), (lo_y, hi_y, *rows_y) = blocks
-    lo, hi = max(lo_x, lo_y), min(hi_x, hi_y)
-    if lo >= hi:
-        return 0.0
-    rows = _step_rows(*(np.concatenate(pair) for pair in zip(rows_x, rows_y)))
-    nx = hi_x - lo_x
-    xs, ys = slice(lo - lo_x, hi - lo_x), slice(nx + lo - lo_y, nx + hi - lo_y)
-    size = nx + hi_y - lo_y
-    bufs = []  # (vector, its step views, its x part, its y part)
-    for _ in range(3):
-        v = np.zeros(size)
-        bufs.append((v, _step_views(v), v[xs], v[ys]))
-    work = np.empty(size - 1)
-    prev, cur, nxt = bufs
-    prev[0][m - lo_x] = prev[0][nx + n - lo_y] = 1.0  # [x_0 | y_0]
-    _tridiagonal_step(prev[1], cur[1], rows, work)
-    np.multiply(cur[0], 0.5, out=cur[0])  # [x_1 | y_1]
-    even = [float(m == n), float(cur[2] @ cur[3])]  # x_a.y_a from a = 0
-    odd = [float(cur[2] @ prev[3])]  # x_a.y_(a-1) from a = 1
-    for _ in range(R - 1):
-        _tridiagonal_step(cur[1], nxt[1], rows, work)
-        np.subtract(nxt[0], prev[0], out=nxt[0])
-        prev, cur, nxt = cur, nxt, prev
-        even.append(float(cur[2] @ cur[3]))
-        odd.append(float(cur[2] @ prev[3]))
-    ce, co = c[0::2], c[1::2]
-    ce_dots, co_dots = np.array(even[:len(ce)]), np.array(odd[:len(co)])
-    return (2.0 * float(ce @ ce_dots) - even[0] * float(ce.sum())
-            + 2.0 * float(co @ co_dots) - odd[0] * float(co.sum()))
+    sides = [(scale * u, scale * (flat - b), scale * w)
+             for u, w in ((up, down), _transposed(up, down))]
+    ring, work = np.empty((_RING + 2) * (4 * R + 2)), np.empty(4 * R + 1)
+    done, carry = 0, (np.array([[0.0, 0.0], [1.0, 1.0]]), m, n, 1)  # [x_0 | y_0]
+    while done < R:
+        last = min(done + _RING, R)
+        lo_x, lo_y = max(m - last, 0), max(n - last, 0)
+        nx, size = m + last + 1 - lo_x, m + n + 2 * last + 2 - lo_x - lo_y
+        rows = _step_rows(*(np.concatenate((u[lo_x:lo_x + nx], v[lo_y:lo_y + size - nx]))
+                            for u, v in zip(*sides)))
+        block = ring[:(last - done + 2) * size].reshape(-1, size)
+        old, x0, y0, old_nx = carry
+        block[:2] = 0.0
+        block[:2, x0 - lo_x:x0 - lo_x + old_nx] = old[:, :old_nx]
+        block[:2, nx + y0 - lo_y:nx + y0 - lo_y + old.shape[1] - old_nx] = old[:, old_nx:]
+        views = [_step_views(v) for v in block]
+        for i in range(2, len(block)):
+            new = views[i][0]
+            _tridiagonal_step(views[i - 1], views[i], rows, work[:size - 1])
+            if done == 0 and i == 2:
+                np.multiply(new, 0.5, out=new)  # [x_1 | y_1]
+            else:
+                np.subtract(new, views[i - 2][0], out=new)
+        yield block, lo_x, lo_y, nx
+        carry, done = (block[-2:].copy(), lo_x, lo_y, nx), last
 
 
 def kstep_distribution(start: Distribution, k: int, model: QModelParams) -> Distribution:

@@ -12,16 +12,17 @@ Two scaling regimes of the boundary chain are covered:
       p_t(x,y) = (2/pi) int_0^inf e^{-t u^2/2} K_{iu}(e^-x) K_{iu}(e^-y)
                  du / |Gamma(iu)|^2,
 
-  started from 4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^{-x}).
+  started from 4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^{-x}).  Both K_0 of
+  the ratio are the u = 0 node of the Bessel grids of p's u-integral.
 
 The lattice sides of the limit statements are computed deterministically
 (never Monte Carlo), so the reported errors reflect convergence in N, not
 sampling noise.  P(X_k = n | X_0 = m) is the (m, n) entry of the
 Chebyshev expansion of P^k on the chain's spectrum [A/B, 1], degree
 d ~ sqrt(2 k ln(4/eps) / (1+sigma)), taken by one bilinear pass of
-ceil(d/2) tridiagonal steps on the exact reach of both ends, with no state
-cap; it is accurate to about (d+1) eps in the pi-symmetrized value
-P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).  Where k exact steps on the exact
+ceil(d/2) tridiagonal steps in blocks on the growing reach of both ends,
+with no state cap; it is accurate to about (d+1) eps in the pi-symmetrized
+value P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).  Where k exact steps on the exact
 reach cost no more than the pass, they are taken instead.  A value below
 10^6 times that accuracy (a far tail) is recomputed by k exact steps of
 ``motzkin._power``, on the exact reach while that is at most twice a
@@ -126,17 +127,22 @@ def yakubovich_kernel(q: KernelQuery) -> float:
     trapezoidal rule (the integrand is even and analytic in u), so each
     level computes the Bessel grids only at its new u nodes.  ConvergenceError
     where sinh(pi u) overflows within that horizon (t < 1.6e-3), or where the
-    value is negative past its noise floor."""
-    t, x, y = q.t, q.x, q.y
-    for z in (x, y):
-        if math.exp(-z) < 1e-8:
-            warnings.warn(f"kernel argument e^-{z} < 1e-8: Bessel accuracy degrades",
-                          RuntimeWarning, stacklevel=2)
+    value is negative past its noise floor; after those, a RuntimeWarning
+    where e^-x or e^-y is below 1e-8, past which the Bessel grids degrade."""
+    return _yakubovich(q.t, q.x, q.y)[0]
+
+
+def _yakubovich(t: float, x: float, y: float) -> tuple[float, float, float]:
+    """(p_t(x, y), K_0(e^-x), K_0(e^-y)), the K_0 read from the first Bessel
+    grids of the u-integral, whose first node is u = 0."""
     ex, ey = math.exp(-x), math.exp(-y)
+    k0 = []
 
     def integrand(us):
         kx = bessel_k_imag_grid(us, ex)
         ky = kx if ex == ey else bessel_k_imag_grid(us, ey)
+        if not k0:
+            k0.extend((float(kx[0]), float(ky[0])))
         return (2.0 / math.pi**2) * np.exp(-t * us**2 / 2.0) * kx * ky * us * np.sinh(math.pi * us)
 
     horizon = max(math.sqrt(80.0 / t), 10.0)
@@ -151,17 +157,20 @@ def yakubovich_kernel(q: KernelQuery) -> float:
     if val < -floor:
         raise ConvergenceError(f"Yakubovich kernel at t={t}, x={x}, y={y} is {val:.3g}, "
                                f"negative past its noise floor {floor:.3g}")
-    return max(float(val), 0.0)
+    for z in (x, y):
+        if math.exp(-z) < 1e-8:
+            warnings.warn(f"kernel argument e^-{z} < 1e-8: Bessel accuracy degrades",
+                          RuntimeWarning, stacklevel=3)
+    return max(float(val), 0.0), *k0
 
 
 def zeta_transition(q: KernelQuery) -> float:
-    """Transition density [K_0(e^-y)/K_0(e^-x)] p_{t/(1+sigma)}(x, y)."""
-    k0_from = bessel_k_imag(0.0, math.exp(-q.x))
+    """Transition density [K_0(e^-y)/K_0(e^-x)] p_{t/(1+sigma)}(x, y), both
+    K_0 from the kernel's own Bessel grids; ValueError where K_0(e^-x) is 0."""
+    kernel, k0_from, k0_to = _yakubovich(q.t / (1.0 + q.sigma), q.x, q.y)
     if k0_from == 0.0:
         raise ValueError(f"K_0(e^-x) underflows at x={q.x}; start point out of range")
-    ratio = bessel_k_imag(0.0, math.exp(-q.y)) / k0_from
-    dilated = KernelQuery(t=q.t / (1.0 + q.sigma), x=q.x, y=q.y, sigma=q.sigma)
-    return ratio * yakubovich_kernel(dilated)
+    return k0_to / k0_from * kernel
 
 
 def zeta0_density(x: float, c: float) -> float:

@@ -36,6 +36,9 @@ def _nested_trapezoid(f, T: float, noise: float, what: str) -> tuple[np.ndarray,
     returns the sums and L1 masses; else :class:`ConvergenceError` names ``what``.
     """
     n = max(1, MIN_NODES // 2)
+    if 2 * n > MAX_NODES:
+        raise ConvergenceError(f"{what} has no second level: MAX_NODES = {MAX_NODES} is below "
+                               f"twice the {n} starting intervals of MIN_NODES = {MIN_NODES}")
     h = T / n
     w = np.full(n + 1, h)
     w[0] = w[-1] = 0.5 * h

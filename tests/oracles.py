@@ -30,6 +30,9 @@ untruncated fixed-end path sum ``partition_weight`` with its all-ones
 ``unit_model``, the vector form ``_chebyshev_power`` of the Chebyshev
 expansion of P^k on all of [-1, 1] (checks the bilinear pass
 ``chains._chebyshev_entry``, which expands on the chain's spectrum),
+the three-buffer form ``chebyshev_entry_three_buffers`` of that pass,
+frozen as it was before it ran in blocks on the growing reach, with
+``chebyshev_rows_full_width``, its row and column stepped on all states,
 the flat-step count and path-line parser, the convolution
 form ``asc_at_one`` of Q_n(1) / (q; q)_n (checks ``s_values``) and the
 scalar q-product orthogonality density ``asc_density`` (checks the theta
@@ -47,7 +50,8 @@ from motzkinq.ascpoly import AscParams, _check_order, q_number
 from motzkinq.chains import _chebyshev_power_coefficients, initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.motzkin import (ENUMERATION_CAP, MotzkinPath, WeightModel, _boundary_cutoff,
-                              _power, _transposed, _weight_tables, path_weight)
+                              _power, _step_rows, _step_views, _transposed, _tridiagonal_step,
+                              _weight_tables, path_weight)
 from motzkinq.qspecial import qpoch_infinite
 
 _EPS = float(np.finfo(float).eps)
@@ -618,6 +622,71 @@ def _chebyshev_power(vec: np.ndarray, k: int, up: np.ndarray, flat: np.ndarray,
         if c[j]:
             out += c[j] * cur
     return out, d
+
+
+def chebyshev_entry_three_buffers(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
+                                  flat: np.ndarray, down: np.ndarray) -> float:
+    """``chains._chebyshev_entry`` as it was before its blocks: [x | y] on
+    the states m-R..m+R and n-R..n+R (cut at 0) for all R = len(c) // 2
+    steps, three buffers taking turns through the in-place step, and two
+    dot products per step."""
+    R = len(c) // 2
+    if R == 0:
+        return float(m == n)  # k = 0
+    a = 0.5 * (1.0 - lam0)
+    b, scale = 1.0 - a, 2.0 / a
+    blocks = []
+    for end, (u, w) in ((m, (up, down)), (n, _transposed(up, down))):
+        lo, hi = max(end - R, 0), end + R + 1
+        blocks.append((lo, hi, scale * u[lo:hi], scale * (flat[lo:hi] - b), scale * w[lo:hi]))
+    (lo_x, hi_x, *rows_x), (lo_y, hi_y, *rows_y) = blocks
+    lo, hi = max(lo_x, lo_y), min(hi_x, hi_y)
+    if lo >= hi:
+        return 0.0
+    rows = _step_rows(*(np.concatenate(pair) for pair in zip(rows_x, rows_y)))
+    nx = hi_x - lo_x
+    xs, ys = slice(lo - lo_x, hi - lo_x), slice(nx + lo - lo_y, nx + hi - lo_y)
+    size = nx + hi_y - lo_y
+    bufs = []  # (vector, its step views, its x part, its y part)
+    for _ in range(3):
+        v = np.zeros(size)
+        bufs.append((v, _step_views(v), v[xs], v[ys]))
+    work = np.empty(size - 1)
+    prev, cur, nxt = bufs
+    prev[0][m - lo_x] = prev[0][nx + n - lo_y] = 1.0  # [x_0 | y_0]
+    _tridiagonal_step(prev[1], cur[1], rows, work)
+    np.multiply(cur[0], 0.5, out=cur[0])  # [x_1 | y_1]
+    even = [float(m == n), float(cur[2] @ cur[3])]  # x_a.y_a from a = 0
+    odd = [float(cur[2] @ prev[3])]  # x_a.y_(a-1) from a = 1
+    for _ in range(R - 1):
+        _tridiagonal_step(cur[1], nxt[1], rows, work)
+        np.subtract(nxt[0], prev[0], out=nxt[0])
+        prev, cur, nxt = cur, nxt, prev
+        even.append(float(cur[2] @ cur[3]))
+        odd.append(float(cur[2] @ prev[3]))
+    ce, co = c[0::2], c[1::2]
+    ce_dots, co_dots = np.array(even[:len(ce)]), np.array(odd[:len(co)])
+    return (2.0 * float(ce @ ce_dots) - even[0] * float(ce.sum())
+            + 2.0 * float(co @ co_dots) - odd[0] * float(co.sum()))
+
+
+def chebyshev_rows_full_width(m: int, n: int, R: int, lam0: float, up: np.ndarray,
+                              flat: np.ndarray, down: np.ndarray) -> tuple[list, list]:
+    """(xs, ys): the row x_a = e_m T_a(P') and the column y_a = T_a(P') e_n
+    of ``chains._chebyshev_entry`` for a = 0..R, each on all the states of
+    the tables, by allocating steps of 2 P' minus the vector two back."""
+    a = 0.5 * (1.0 - lam0)
+    b, scale = 1.0 - a, 2.0 / a
+    mid = scale * (flat - b)
+    out = []
+    for end, (u, w) in ((m, (up, down)), (n, _transposed(up, down))):
+        vs = [np.zeros(len(up))]
+        vs[0][end] = 1.0
+        for i in range(R):
+            v = tridiagonal_step_allocating(vs[-1], scale * u, mid, scale * w)
+            vs.append(v * 0.5 if i == 0 else v - vs[-2])
+        out.append(vs)
+    return out[0], out[1]
 
 
 _IMAG_GUARD = 1e-9

@@ -31,7 +31,8 @@ from motzkinq.motzkin import (WeightModel, _power, _transposed, _weight_tables,
                               matrix_ansatz_expectation)
 
 import oracles
-from oracles import (_chebyshev_power, chain_head_law_walk, endpoint_pair_correlation_per_start,
+from oracles import (_chebyshev_power, chain_head_law_walk, chebyshev_entry_three_buffers,
+                     chebyshev_rows_full_width, endpoint_pair_correlation_per_start,
                      finite_path_head_law_walk, iterate_tridiagonal, simulate_chain_numpy_loop,
                      tiled_power)
 
@@ -334,6 +335,80 @@ def test_chebyshev_power_matches_stepping_with_leaking_cap():
     assert lost > 1e-3
     assert 1.0 - got.sum() == pytest.approx(lost, rel=1e-9, abs=0.0)
     assert np.allclose(got, want, rtol=1e-9, atol=1e-15)
+
+
+# ------------------------------------------------- blocked bilinear pass
+
+def _entry_against_oracle(model, k, m, n):
+    """(blocked pass, three-buffer oracle, pi-symmetrized (d+1) eps bound)
+    for e_m P^k e_n."""
+    lam0 = model.A / model.B
+    c = _chebyshev_power_coefficients(k, lam0)
+    tables = transition_arrays(model, max(m, n) + len(c) // 2)
+    up, _, down = tables
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:-1] / down[1:]))))  # log pi_j / pi_0
+    bound = len(c) * _EPS * math.exp(0.5 * (log_pi[n] - log_pi[m]))
+    return (chains._chebyshev_entry(m, n, c, lam0, *tables),
+            chebyshev_entry_three_buffers(m, n, c, lam0, *tables), bound)
+
+
+def test_blocked_entry_matches_three_buffer_oracle_on_a_seeded_sweep():
+    # only the summation order of the moments changed
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        q = float(rng.choice([0.0, 0.3, 0.5, 0.9, 0.99, 0.999]))
+        sigma = float(rng.choice([0.05, 0.5, 0.8, 1.0]))
+        k, m = int(rng.integers(0, 3001)), int(rng.integers(0, 301))
+        n = max(0, m + int(rng.integers(-200, 201)))
+        got, want, bound = _entry_against_oracle(QModelParams(q=q, sigma=sigma), k, m, n)
+        assert abs(got - want) <= bound, (q, sigma, k, m, n)
+
+
+def _k_with_half_degree(R, lam0):
+    """The least k whose expansion has len(c) // 2 = R steps."""
+    return next(k for k in range(1, 100 * R * R)
+                if len(_chebyshev_power_coefficients(k, lam0)) // 2 == R)
+
+
+@pytest.mark.parametrize("R", [5, chains._RING - 1, chains._RING, chains._RING + 1,
+                               2 * chains._RING - 1, 2 * chains._RING, 2 * chains._RING + 1])
+def test_blocked_entry_at_block_edges_matches_three_buffer_oracle(R):
+    # R below, at and one past a multiple of the block, and inside the
+    # first block; ends far from 0, within R of 0 (the window is cut
+    # there), 2R apart (at most one shared state, at the last step) and
+    # further apart (no shared state: the entry is 0)
+    model = QModelParams(q=0.5, sigma=0.8)
+    k = _k_with_half_degree(R, model.A / model.B)
+    for m, n in [(200, 200), (150, 190), (3, 10), (R + 40, 0), (10, 10 + 2 * R),
+                 (0, 2 * R + 1), (2 * R + 7, 5)]:
+        got, want, bound = _entry_against_oracle(model, k, m, n)
+        if abs(m - n) > 2 * R:
+            assert got == want == 0.0
+        else:
+            assert abs(got - want) <= bound, (m, n)
+
+
+@pytest.mark.parametrize("m, n, R", [(200, 190, 70), (3, 10, 65), (40, 0, 33), (5, 6, 5),
+                                     (0, 0, 2 * chains._RING)])
+def test_windowed_ring_rows_equal_full_width_stepping(m, n, R):
+    # every row of every block is the vector that stepping on all states
+    # gives, equal as floats on the window and 0 past it
+    model = QModelParams(q=0.7, sigma=0.5)
+    lam0 = model.A / model.B
+    tables = transition_arrays(model, max(m, n) + R)
+    xs, ys = chebyshev_rows_full_width(m, n, R, lam0, *tables)
+    done = 0
+    for block, lo_x, lo_y, nx in chains._chebyshev_blocks(m, n, R, lam0, *tables):
+        for i, row in enumerate(block):
+            a = done - 1 + i
+            if a < 0:
+                assert not row.any()
+                continue
+            for full, part, lo in ((xs[a], row[:nx], lo_x), (ys[a], row[nx:], lo_y)):
+                assert np.array_equal(part, full[lo:lo + len(part)]), (a, i)
+                assert not full[:lo].any() and not full[lo + len(part):].any(), (a, i)
+        done += len(block) - 2
+    assert done == R
 
 
 # --------------------------------------------------------------- simulation

@@ -190,6 +190,52 @@ def test_yakubovich_accuracy_warning():
         yakubovich_kernel(KernelQuery(t=1.0, x=20.0, y=0.0))
 
 
+# repr of p_t(x, y): sharing the Bessel grids with zeta must not move a bit
+YAKUBOVICH_PINS = [(0.5, 0.0, 0.0, "0.42308883069378095"),
+                   (1.0, 0.4, -0.3, "0.17078491215322567"),
+                   (0.125, 1.0, 2.0, "0.020588533973455024")]
+
+
+@pytest.mark.parametrize("t, x, y, want", YAKUBOVICH_PINS)
+def test_yakubovich_kernel_is_pinned(t, x, y, want):
+    assert repr(yakubovich_kernel(KernelQuery(t=t, x=x, y=y))) == want
+
+
+def test_zeta_k0_ratio_matches_one_order_bessel_calls():
+    # the (t, x, y) set of the kernel benchmark, x = y included
+    axis = (-1.0, 0.0, 1.0, 2.0)
+    for t in (0.25, 0.5, 1.0, 2.0):
+        for x in axis:
+            for y in axis:
+                ratio = bessel_k_imag(0.0, math.exp(-y)) / bessel_k_imag(0.0, math.exp(-x))
+                kernel = yakubovich_kernel(KernelQuery(t=t / 2.0, x=x, y=y))
+                got = zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=1.0))
+                assert got == pytest.approx(ratio * kernel, rel=1e-13, abs=0.0), (t, x, y)
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 1.0), (1.0, 1.0)])
+def test_zeta_takes_k0_from_the_kernel_grids(monkeypatch, x, y):
+    # no one-order Bessel call, and no more grids than the kernel itself
+    calls = {"one": 0, "grid": 0}
+    real_one, real_grid = kernels.bessel_k_imag, kernels.bessel_k_imag_grid
+
+    def one(*args):
+        calls["one"] += 1
+        return real_one(*args)
+
+    def grid(*args):
+        calls["grid"] += 1
+        return real_grid(*args)
+
+    monkeypatch.setattr(kernels, "bessel_k_imag", one)
+    monkeypatch.setattr(kernels, "bessel_k_imag_grid", grid)
+    zeta_transition(KernelQuery(t=1.0, x=x, y=y, sigma=1.0))
+    zeta_grids = calls["grid"]
+    yakubovich_kernel(KernelQuery(t=0.5, x=x, y=y))
+    assert calls["one"] == 0
+    assert zeta_grids == calls["grid"] - zeta_grids > 0
+
+
 def test_zeta_transition_integrates_to_one():
     # int [K0(e^-y)/K0(e^-x)] p_{t/(1+sigma)}(x, y) dy = 1
     t, x, sigma = 1.0, 0.0, 1.0

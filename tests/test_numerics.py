@@ -53,3 +53,12 @@ def test_nested_trapezoid_raises_when_nodes_run_out(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"oscillator did not converge within 16 intervals"):
         _nested_trapezoid(lambda t: np.cos(40.0 * t) * np.exp(-t * t / 2), 12.0, 64.0,
                           "oscillator")
+
+
+def test_nested_trapezoid_raises_when_max_nodes_leaves_no_second_level(monkeypatch):
+    monkeypatch.setattr(numerics, "MIN_NODES", 64)
+    monkeypatch.setattr(numerics, "MAX_NODES", 16)
+    with pytest.raises(ConvergenceError, match=r"gaussian has no second level: MAX_NODES = 16 "
+                                               r"is below twice the 32 starting intervals of "
+                                               r"MIN_NODES = 64"):
+        _nested_trapezoid(lambda t: np.exp(-t * t / 2), 12.0, 64.0, "gaussian")
