@@ -264,10 +264,10 @@ def _chebyshev_blocks(m: int, n: int, R: int, lam0: float, up: np.ndarray, flat:
         block[:2] = 0.0
         block[:2, x0 - lo_x:x0 - lo_x + old_nx] = old[:, :old_nx]
         block[:2, nx + y0 - lo_y:nx + y0 - lo_y + old.shape[1] - old_nx] = old[:, old_nx:]
-        views = [_step_views(v) for v in block]
+        views, w = [_step_views(v) for v in block], work[:size - 1]
         for i in range(2, len(block)):
             new = views[i][0]
-            _tridiagonal_step(views[i - 1], views[i], rows, work[:size - 1])
+            _tridiagonal_step(views[i - 1], views[i], rows, w)
             if done == 0 and i == 2:
                 np.multiply(new, 0.5, out=new)  # [x_1 | y_1]
             else:
