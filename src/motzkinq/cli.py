@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Subcommands: enumerate, sample, chain, verify, locallimit, specialfn.
-Every run is deterministic given its configuration and seed; the effective
-configuration is echoed into the output header.  Outputs are CSV ('.'
+Each takes only the settings it reads (``_SETTINGS``): they alone make its
+flags, its config-file keys and the configuration echoed into its output
+header, and flag and file text both become values in ``_coerce``.  Runs
+are deterministic given configuration and seed.  Outputs are CSV ('.'
 decimal, 17 significant digits) or JSON.  Every subcommand's table goes
 through ``_emit``, which writes a CSV table with one %-format built per
 column from the cell types, or the bytes of ``json.dump(indent=1)`` with
@@ -68,6 +70,12 @@ _CHOICES = {"regime": ("fixed-q", "q-to-1"), "format": ("csv", "json")}
 # cells per block of _int_lines
 _BLOCK_CELLS = 1 << 16
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# add_argument keywords beyond a flag's name
+_FLAGS = {"N": {"help": "comma-separated list, e.g. 400,2500,10000"},
+          "config": {"help": "key=value file; flags override file entries"},
+          "inject_fault": {"action": "store_const", "const": "1",
+                           "help": "testing aid: corrupt one side of a cross-check"},
+          **{key: {"choices": choices} for key, choices in _CHOICES.items()}}
 
 
 class ConfigError(Exception):
@@ -84,34 +92,15 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="motzkinq", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("enumerate", "list all paths of a given length and endpoints with weights"),
-        ("sample", "draw exact path samples"),
-        ("chain", "simulate the boundary chain"),
-        ("verify", "run the cross-identity check suite"),
-        ("locallimit", "lattice-vs-kernel error table"),
-        ("specialfn", "evaluate the special-function layer"),
-    ]:
-        sp = sub.add_parser(name, help=desc)
-        for key in _FLOAT_KEYS:
-            sp.add_argument(f"--{key}", type=float, default=None)
-        for key in _INT_KEYS:
-            sp.add_argument(f"--{key}", type=int, default=None)
-        sp.add_argument("--N", type=str, default=None,
-                        help="comma-separated list, e.g. 400,2500,10000")
-        for key, choices in _CHOICES.items():
-            sp.add_argument(f"--{key}", choices=choices, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--config", type=str, default=None,
-                        help="key=value file; flags override file entries")
-        if name == "verify":
-            sp.add_argument("--inject-fault", dest="inject_fault",
-                            action="store_true", default=None,
-                            help="testing aid: corrupt one side of a cross-check")
+    for name, keys in _SETTINGS.items():
+        # exact names only: an abbreviation would take another flag's value
+        sp = sub.add_parser(name, help=_COMMANDS[name].__doc__, allow_abbrev=False)
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), **_FLAGS.get(key, {}))
     return p
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -126,45 +115,40 @@ def _parse_config_file(path: str) -> dict:
             if key in _CHOICES and value not in _CHOICES[key]:
                 raise ConfigError(f"{path}:{lineno}: {key} must be one of "
                                   f"{', '.join(_CHOICES[key])}, got {value!r}")
-            out[key] = value
+            out[key] = _coerce(key, value)
+            if key not in _SETTINGS[command]:
+                raise ConfigError(f"{path}:{lineno}: {key} is not a setting of {command}")
     return out
 
 
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        try:
-            if key in _INT_KEYS:
-                return int(value)
-            if key in _FLOAT_KEYS:
-                return float(value)
-            if key == "N":
-                return [int(tok) for tok in value.split(",") if tok.strip()]
-            if key == "inject_fault":
-                return _BOOLS[value.lower()]
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {value!r}") from exc
+def _coerce(key: str, value: str):
+    """The value of a setting's flag or config-file text."""
+    try:
+        if key in _INT_KEYS:
+            return int(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+        if key == "N":
+            return [int(tok) for tok in value.split(",") if tok.strip()]
+        if key == "inject_fault":
+            return _BOOLS[value.lower()]
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key}: {value!r}") from exc
     return value
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in _parse_config_file(args.config).items():
-            cfg[key] = _coerce(key, value)
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = _coerce(key, flag)
-    cfg["command"] = args.command
+    cfg = {key: DEFAULTS[key] for key in _SETTINGS[args.command]}
+    if args.config:
+        cfg.update(_parse_config_file(args.config, args.command))
+    # the flags given, each one of the subcommand's settings, and "command"
+    cfg.update((key, _coerce(key, text)) for key, text in vars(args).items()
+               if text is not None)
     return cfg
 
 
 def _qmodel(cfg: dict) -> QModelParams:
-    try:
-        return QModelParams(q=cfg["q"], sigma=cfg["sigma"],
-                            rho0=cfg["rho0"], rho1=cfg["rho1"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return QModelParams(q=cfg["q"], sigma=cfg["sigma"], rho0=cfg["rho0"], rho1=cfg["rho1"])
 
 
 def _digit_cells(top: int, size: int, end: str) -> np.ndarray:
@@ -291,6 +275,7 @@ def _emit(cfg: dict, columns: list[str], rows: list[Sequence] | Iterator[str],
 # ---------------------------------------------------------------- commands
 
 def _cmd_enumerate(cfg: dict) -> tuple[list[str], list[tuple[str, float, float]], int]:
+    """list all paths of a given length and endpoints with weights"""
     model = WeightModel.from_qmodel(_qmodel(cfg))
     L, m, n = cfg["L"], cfg["m"], cfg["n"]
     alts = altitude_table(L, m, n)
@@ -305,6 +290,7 @@ def _cmd_enumerate(cfg: dict) -> tuple[list[str], list[tuple[str, float, float]]
 
 
 def _cmd_sample(cfg: dict) -> tuple[list[str], list[list] | Iterator[str], int]:
+    """draw exact path samples"""
     model = WeightModel.from_qmodel(_qmodel(cfg))
     draws = sample_paths(cfg["L"], model, cfg["count"], cfg["seed"])
     if cfg["format"] == "csv":
@@ -315,6 +301,7 @@ def _cmd_sample(cfg: dict) -> tuple[list[str], list[list] | Iterator[str], int]:
 
 
 def _cmd_chain(cfg: dict) -> tuple[list[str], list[tuple[int, int]] | Iterator[str], int]:
+    """simulate the boundary chain"""
     traj = simulate_chain(_qmodel(cfg), cfg["L"], cfg["seed"])
     if cfg["format"] == "csv":
         return ["k", "state"], _int_lines(traj[:, None], ",", numbered=True), 0
@@ -322,6 +309,7 @@ def _cmd_chain(cfg: dict) -> tuple[list[str], list[tuple[int, int]] | Iterator[s
 
 
 def _cmd_verify(cfg: dict) -> tuple[list[str], list[list], int]:
+    """run the cross-identity check suite"""
     results = run_checks(_qmodel(cfg), inject_fault=bool(cfg["inject_fault"]))
     rows = [[r.name, r.deviation, r.tolerance, r.passed] for r in results]
     status = 0 if all(r.passed for r in results) else 1
@@ -329,6 +317,7 @@ def _cmd_verify(cfg: dict) -> tuple[list[str], list[list], int]:
 
 
 def _cmd_locallimit(cfg: dict) -> tuple[list[str], list[list], int]:
+    """lattice-vs-kernel error table"""
     if not cfg["N"]:
         raise ConfigError("locallimit needs a nonempty N list")
     model = _qmodel(cfg) if cfg["regime"] == "fixed-q" else None
@@ -340,6 +329,7 @@ def _cmd_locallimit(cfg: dict) -> tuple[list[str], list[list], int]:
 
 
 def _cmd_specialfn(cfg: dict) -> tuple[list[str], list[list], int]:
+    """evaluate the special-function layer"""
     # x: evaluation point / Bessel argument; y: imaginary order u; t: tau = t*i
     q, x, u, t = cfg["q"], cfg["x"], cfg["y"], cfg["t"]
     if x <= 0:
@@ -365,6 +355,15 @@ _COMMANDS = {
     "locallimit": _cmd_locallimit,
     "specialfn": _cmd_specialfn,
 }
+# the settings each subcommand reads, and format, out and config
+_SETTINGS = {name: (*keys.split(), "format", "out", "config") for name, keys in {
+    "enumerate": "q sigma rho0 rho1 L m n",
+    "sample": "q sigma rho0 rho1 L count seed",
+    "chain": "q sigma rho0 rho1 L seed",
+    "verify": "q sigma rho0 rho1 inject_fault",
+    "locallimit": "q sigma rho0 rho1 N t x y regime",
+    "specialfn": "q x y t",
+}.items()}
 
 
 @functools.cache

@@ -286,7 +286,7 @@ def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma)
     m, n, k = index_map(x, N, sigma), index_map(y, N, sigma), math.floor(N * t)
     if m < 0 or n < 0:
-        raise CapacityError(f"index map gave negative level (x={x}, y={y}, N={N})")
+        raise ValueError(f"index map puts x={x}, y={y} at levels {m}, {n}, left of 0 at N={N}")
     lhs = rn * _chain_point_evolution(model, m, n, k)
     where = f"q-to-1 regime at t={t}, x={x}, y={y}"
     try:
@@ -304,7 +304,7 @@ def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitCompa
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma, rho0=math.exp(-c / rn))
     level = index_map(x, N, sigma)
     if level < 0:
-        raise CapacityError(f"index map gave negative level (x={x}, N={N})")
+        raise ValueError(f"index map puts x={x} at level {level}, left of 0 at N={N}")
     lhs = rn * float(_initial_probs(model, model.rho0, level)[level])
     return _compare(lhs, zeta0_density(x, c), f"q-to-1 initial law at x={x}, c={c}")
 

@@ -209,8 +209,8 @@ def ramanujan_ratio(z: complex, lam: complex, q: float):
 
 
 def _theta_sum(terms) -> complex:
-    """Sum a theta series until two consecutive terms are negligible and
-    decreasing, against ``numerics.REL_TOL`` and ``numerics.MAX_TERMS``."""
+    """Sum an endless theta series until two consecutive terms are negligible
+    and decreasing, against ``numerics.REL_TOL`` and ``numerics.MAX_TERMS``."""
     total = 0.0 + 0.0j
     scale = 0.0
     small_streak = 0
@@ -228,7 +228,6 @@ def _theta_sum(terms) -> complex:
         prev_mag = mag
         if n + 1 >= numerics.MAX_TERMS:
             raise ConvergenceError(f"theta series exceeded MAX_TERMS={numerics.MAX_TERMS}")
-    return total
 
 
 def theta1(v: complex, tau: complex) -> complex:

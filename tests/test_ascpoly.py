@@ -64,6 +64,14 @@ def test_asc_eval_order_cap():
         asc_eval(100_001, 0.3, p)
 
 
+def test_asc_eval_raises_where_the_value_leaves_double_range():
+    # Q_40(1e10) is about (2e10)^40 = 1e412; asc_eval_scaled still holds it
+    p = conj_params(0.5, 0.7)
+    with pytest.raises(OverflowError, match=r"Q_40\(10000000000\.0\) overflowed"):
+        asc_eval(40, 1e10, p)
+    assert asc_eval_scaled(40, 1e10, p)[0] == 1.0
+
+
 def test_asc_eval_scaled_matches_plain():
     p = conj_params(0.4, 0.6)
     for n in (0, 1, 7, 40):

@@ -24,6 +24,24 @@ def _workload():
     return workloads.Workload("paths", [], [], random.Random(0))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_argv_parse(monkeypatch, seed):
+    # every CLI call of the three workloads' ops and warm-ups, recorded and
+    # parsed, without running the subcommands
+    mods = {name: importlib.import_module(f"motzkinq.{name}")
+            for name in ("cli", "kernels", "motzkin", "ascpoly")}
+    recorded = []
+    monkeypatch.setattr(workloads, "run_cli", lambda _cli, argv: recorded.append(argv))
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, mods, seed)
+        for run in [op.run for op in wl.ops] + wl.warmup:
+            if "run_cli" in run.__code__.co_names:
+                run()
+    assert {argv[0] for argv in recorded} == set(cli._COMMANDS)
+    for argv in recorded:
+        cli._effective_config(cli._build_parser().parse_args(argv))
+
+
 @pytest.mark.parametrize("L, count", [(1, 3), (20, 50), (200, 40)])
 def test_check_sample_accepts_cli_output(L, count):
     wl = _workload()

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -77,21 +78,21 @@ ENUMERATE_MODEL = ("--q", "0.5", "--sigma", "0.8", "--rho0", "0.3", "--rho1", "0
 # (argv, csv digest, json digest): the text of the path-by-path CLI loop
 ENUMERATE_DIGESTS = [
     (("enumerate", "--L", "10", "--m", "0", "--n", "0"),
-     "525839251c069aaf36f123f9aca43041dc801dac11766e7b4bf8fe73eb028c76",
-     "ae76e828193e4152b74460eb69e48217ce57c99021a69eb416a88b53904bfe32"),
+     "0c1831beaf28f69133bcd02b97beaaa70585e9b8567b4cb328f16f67701aaf6b",
+     "78bc228d76f652eb93a982bce29c6aba83896dac60540dcab277b2682159e9a4"),
     (("enumerate", "--L", "10", "--m", "1", "--n", "2"),
-     "9c03174928f592fbab7c7de8508041a13e5c3919506d37822ba69b403edb0e0e",
-     "a57f666bf64f354fc4a7cb0cfee86b151278ac118fc0d1c0f192166436e1bb4c"),
+     "0f9a1b618f686e0dd0a037903a07ab30684693f273ded847fe13df22f0d1d4e5",
+     "f7bf8949fd12fb968b4077c947a1e74a8debf8835634a622194bd32ee0e5a9f7"),
     (("enumerate", "--L", "10", "--m", "2", "--n", "1"),
-     "acdb63078716fd8733c56bb43c30fc2b37e203d3338a6adcaa2ab7438d565e2e",
-     "ff51c86fa5ffdb78eeb9344455f530fe8dfe42fb3124ef64918394547574cb77"),
+     "dae478f4a02cf0b383afc16a88e893d23130db4c785482931068e47bdc572025",
+     "94382e45aaa058568445bef7064d9baa983ac45644f698852991a40e52fc4a6d"),
     (("enumerate", "--L", "4"),
-     "1e4517da6fd2048b5b95f3d64b832c90ae4b0791e65cd2c966c6f0f46aafa82a",
-     "f2d48f250176173f85f84ca656ab974a0fba740d334e088d9514ea6e6eb8d60c"),
+     "2a72eb88ed6a636903c07611dd65980f30c0b2120515274b15cbf54fefaa39e7",
+     "9d2bb4d91fa3d2d49687a0a3bfb1cf06dcf806e9a072d862a7a4d033b1b892c6"),
     # levels cross 9 -> 10
     (("enumerate", "--L", "8", "--m", "9", "--n", "10"),
-     "6f5965c18845dee094df52e544bb7f3511400aea177570afd5e9c6f802410abd",
-     "afa5fc58e74acc6f845ec5528b2be5ff9ea670b003a57bfb2084bfe0f8ecd40f"),
+     "d46837998b566afb51e32e039c06137e6af973c7dc7fd2eb7c99636836eed8a3",
+     "172f811d770f9c12c61825ec599f6bef2c8707d8bdb3950f35b6652874c0692a"),
 ]
 
 
@@ -188,24 +189,24 @@ def test_sample_past_any_address_space_is_numeric_guard(capsys):
 # and chain loops are pinned bitwise by their oracles, these pin the text
 OUTPUT_DIGESTS = [
     (("sample", "--L", "200", "--count", "1000", "--seed", "11"),
-     "68c0741b61cd0c0f53f773a4b9ce5dfd5ad943f6418c41b157d0c18d7650b6bd",
-     "76ae41419707b2c3982b45a0e1360fb3cde7d5c499920f468a5e4b6ae0bb4eb0"),
+     "89d3c6cfa6fef45da01e9720d0bcf873441b1e723ebd71edc930215b165166a2",
+     "2a5729c522cd2613fcfc386e3e22e96e8ccac2f501a94a811f7df4d2367c0717"),
     (("sample", "--L", "1000", "--count", "2000", "--seed", "12345"),
-     "eb8336bba9cb786e51a864f5c652415831c3759eab69ea688bf85e34bbfbcf59",
-     "86f61e384b976c75a16dead5723bb8827848140b09d0b71848e9dd9c720b04f9"),
+     "5b99f0a5f0aa0cb4e5cd1f938dd320c96a9aa07a50cb34d11a35cd0e30549b61",
+     "ab0f7784c49c5d7a671daae031fef9600e8b338707d330739a56d26a601d984f"),
     (("sample", "--L", "1000", "--count", "1000", "--seed", "7"),
-     "04702dc9f6a6f7d4336ad8ed56d00a764bf15a0d56b2bd69977daef104fc9f7c",
-     "6293b31df64a2db9fbb2e6653aff04e9f06d46b8479c032f8c8e4af2edb7ac88"),
+     "d94431a3d0fa578e63cb4a87ff4fab734d2e52f8e6e3e913b22bd130adbb4ea5",
+     "0a501ab4cd59cd9a25af6023cf1b4ddff64646160165e71cd6ce660fc48c1014"),
     (("chain", "--L", "100000", "--seed", "5"),
-     "3166865316f1b0dddb8b83c5076e1b6869dcc8d451695c77a260b1abf05ef06b",
-     "1f57589e324ba09a9a4762b166a7c68660bbcf594e727a96e19c3b5b65789146"),
+     "e746f65350de54f974b8dad622fa698bad54f5fe7a71899c961b3087c0b64253",
+     "e43aabf9e631228ba53f2a5dcbed1ed38816a9829a169eb2e6f2128038fb2ec1"),
     (("chain", "--L", "1000"),
-     "72454408690bf8558d753ea27121d09ce0dedebdf106a717c51ff97b4e515769",
-     "f510e8d9dabfc5c6674f6644473104c4b35012aeb27a01010f627887a507ed1a"),
+     "3731b0ba3b0312f2b1d7f64b5874f27cea91375084d7525e7529d8193c2d59ee",
+     "dd8557543ec632f77d4aefa534f8d7c208b55a9db22de6784e76b09a0a5c8ca7"),
     # altitudes from 30 to 130, indices past 100
     (("sample", "--q", "0.99", "--rho0", "0.9", "--L", "200", "--count", "300", "--seed", "4"),
-     "b9a6736a151257944f6dfa9fcc2d67a5fe25e468a44e201957112e6f95af4ad9",
-     "c8494ee60e4cec7537241139a29ebd65096eb84e820242ee84804985beb12ea5"),
+     "ebf811ed6dc6b319b494cc2bd467fce9e87b466d6e7a2d96c18248585bc3ebc5",
+     "d4747a4dc24f1b3e8ad0a265327ee87ea92df4a7517a4218e5dfccc4104eaa5a"),
 ]
 
 
@@ -494,6 +495,15 @@ def test_locallimit_underflowing_target_is_numeric_guard(capsys):
     assert "t=0.001, x=1.0, y=3.0" in captured.err
 
 
+def test_locallimit_q_to_1_left_of_the_lattice_is_config_error(capsys):
+    # x = -30 maps to level -528 at N = 400: an input out of range
+    status = main(["locallimit", "--regime", "q-to-1", "--N", "400", "--x", "-30", "--y", "0"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert "x=-30.0, y=0.0 at levels -528, 72, left of 0 at N=400" in captured.err
+
+
 # ---------------------------------------------------------------- specialfn
 
 def test_specialfn_values(capsys):
@@ -502,6 +512,14 @@ def test_specialfn_values(capsys):
     rows = {r.split(",")[0]: float(r.split(",")[2]) for r in data_rows(out)}
     assert rows["q_number"] == pytest.approx(1.9375)
     assert rows["bessel_k_imag"] == pytest.approx(0.42102443824070834, rel=1e-9)
+
+
+def test_specialfn_needs_positive_x(capsys):
+    status = main(["specialfn", "--x", "0"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert "specialfn needs x > 0" in captured.err
 
 
 # ----------------------------------------------------------- config plumbing
@@ -548,6 +566,94 @@ def test_config_file_inject_fault_must_be_a_boolean(tmp_path, capsys):
     assert status == 3
     assert captured.out == ""
     assert "bad value for inject_fault: 'ture'" in captured.err
+
+
+def test_config_file_line_without_equals_sign(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("L=3\nq 0.25\n")
+    status = main(["enumerate", "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert f"{cfgfile}:2: expected key=value, got 'q 0.25\\n'" in captured.err
+
+
+def test_config_file_key_of_another_subcommand(tmp_path, capsys):
+    # it used to run and echo "# inject_fault=True" under enumerate
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("L=3\ninject_fault=1\n")
+    status = main(["enumerate", "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert f"{cfgfile}:2: inject_fault is not a setting of enumerate" in captured.err
+
+
+# the flags each subcommand takes: the settings it reads, and --format,
+# --out and --config
+SUBCOMMAND_FLAGS = {
+    "enumerate": "--q --sigma --rho0 --rho1 --L --m --n",
+    "sample": "--q --sigma --rho0 --rho1 --L --count --seed",
+    "chain": "--q --sigma --rho0 --rho1 --L --seed",
+    "verify": "--q --sigma --rho0 --rho1 --inject-fault",
+    "locallimit": "--q --sigma --rho0 --rho1 --N --t --x --y --regime",
+    "specialfn": "--q --x --y --t",
+}
+
+
+def test_each_subcommand_has_only_its_own_flags():
+    from motzkinq import cli
+
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(SUBCOMMAND_FLAGS)
+    settable = 0
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        options = {flag for action in commands.choices[name]._actions
+                   for flag in action.option_strings}
+        assert options == {*flags.split(), "--format", "--out", "--config", "-h", "--help"}, name
+        settable += len(options) - 2
+    assert settable == 56
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_FLAGS))
+def test_each_setting_is_read_by_its_subcommand(name):
+    # _qmodel(cfg) reads the four model settings
+    from motzkinq import cli
+
+    source = inspect.getsource(cli._COMMANDS[name])
+    read = {key for key in cli.DEFAULTS if f'cfg["{key}"]' in source}
+    if "_qmodel(cfg)" in source:
+        read |= {"q", "sigma", "rho0", "rho1"}
+    settings = set(cli._SETTINGS[name]) - {"format", "out", "config"}
+    assert settings <= read
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_FLAGS))
+def test_header_echoes_exactly_the_subcommands_settings(name):
+    from motzkinq import cli
+
+    cfg = cli._effective_config(cli._build_parser().parse_args([name]))
+    buf = io.StringIO()
+    cli._emit(cfg, ["a"], [], buf)
+    echoed = {line[2:].split("=")[0] for line in buf.getvalue().splitlines()
+              if line.startswith("# ")}
+    settings = {flag[2:].replace("-", "_") for flag in SUBCOMMAND_FLAGS[name].split()}
+    assert echoed == settings | {"command", "format"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chain", "--N", "7"], "unrecognized arguments: --N 7"),
+    # an abbreviation is not taken: --co would otherwise become --config
+    (["chain", "--co", "5"], "unrecognized arguments: --co 5"),
+    (["specialfn", "--sig", "1"], "unrecognized arguments: --sig 1"),
+])
+def test_flag_of_another_subcommand_or_abbreviated_is_config_error(capsys, argv, message):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_no_tolerance_setting(tmp_path, capsys):

@@ -614,6 +614,24 @@ def test_far_point_error_names_the_regime_and_the_point():
         local_limit_error_q_to_1(400, 1.0, 1.0, 40.0, 1.0)
 
 
+@pytest.mark.parametrize("x, y, levels", [(-30.0, 0.0, "-528, 72"), (0.0, -30.0, "72, -528")])
+def test_local_limit_q_to_1_left_of_the_lattice_is_a_value_error(x, y, levels):
+    # an input out of range, as in asc_endpoint_limit_q_to_1, not a cap
+    with pytest.raises(ValueError, match=f"x={x}, y={y} at levels {levels}, left of 0 at N=400"):
+        local_limit_error_q_to_1(400, 1.0, x, y, 0.8)
+
+
+def test_initial_limit_q_to_1_left_of_the_lattice_is_a_value_error():
+    with pytest.raises(ValueError, match="x=-30.0 at level -528, left of 0 at N=400"):
+        initial_limit_q_to_1(400, -30.0, 1.0, 0.8)
+
+
+def test_zeta_transition_start_point_past_k0_range():
+    # K_0(e^7) ~ exp(-1097) underflows to 0
+    with pytest.raises(ValueError, match=r"K_0\(e\^-x\) underflows at x=-7"):
+        zeta_transition(KernelQuery(t=1.0, x=-7.0, y=0.0, sigma=1.0))
+
+
 # ------------------------------------------------------- f.d.d. surrogates
 
 def test_fdd_surrogate_bessel_regime():
@@ -649,6 +667,11 @@ def test_error_table_shapes_and_constant_rhs():
     assert rows[0]["rhs"] == rows[1]["rhs"]
     with pytest.raises(ValueError):
         error_table("nope", [100], 1.0, 1.0, 1.0, model=m)
+
+
+def test_error_table_fixed_q_needs_a_model():
+    with pytest.raises(ValueError, match="fixed-q regime needs model parameters"):
+        error_table("fixed-q", [400], 1.0, 1.0, 1.0)
 
 
 def test_kernel_query_validation():

@@ -224,6 +224,18 @@ def test_normalizing_constant_growth_rate():
     assert errs[2] < 0.015
 
 
+def test_normalizing_constant_past_exp_700_raises():
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    assert 700.0 < log_normalizing_constant(400, wm) < 800.0
+    with pytest.raises(OverflowError, match=r"normalizing constant exp\(777\.5\) overflows"):
+        normalizing_constant(400, wm)
+
+
+def test_functional_args_need_equal_lengths():
+    with pytest.raises(ValueError, match="t and s must have equal length"):
+        motzkin._functional_args(0.9, 0.8, [0.8, 1.2], [1.1], 6)
+
+
 # ----------------------------------------------------------- matrix ansatz
 
 def test_matrix_ansatz_constant_is_one():

@@ -311,6 +311,19 @@ def test_ramanujan_ratio_domain_error():
         ramanujan_ratio(1.5, 0.5, 0.5)
 
 
+def test_q_zero_products_are_one_factor():
+    # at q = 0 each product (a; 0)_inf is the single factor 1 - a
+    assert q_gamma(0.7, 0.0) == 1.0
+    assert ramanujan_ratio(0.3, 0.5, 0.0) == 1.0 - 0.3
+    assert ramanujan_ratio(0.3 + 0.2j, 2.0 + 1.0j, 0.0) == 1.0 - (0.3 + 0.2j)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 1j, -2.0 + 3.0j])
+def test_ramanujan_ratio_at_q_zero_needs_positive_real_lam(lam):
+    with pytest.raises(ValueError, match=r"q = 0 with Re\(lam\) <= 0"):
+        ramanujan_ratio(0.3, lam, 0.0)
+
+
 # ------------------------------------------------------------------- theta
 
 def test_theta1_vanishes_at_zero():
