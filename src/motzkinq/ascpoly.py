@@ -10,9 +10,13 @@ parameters built from ``(q, sigma)`` and renormalized polynomials ``p_n``
 supported on an interval ``[A, B]``; their values ``pi_n = p_n(B)`` at the
 right endpoint drive the boundary chains.
 
-The recurrences below run over the real coefficient pair
-``(a+b, ab)``, so all public outputs of the Motzkin model are real; the
-endpoint values come from the ratio recurrence of :func:`s_ratios`.  The
+One three-term loop, :func:`_three_term`, gives every polynomial value,
+on three row sets over the real pair ``(a+b, ab)``, so every value is
+real: ``Q_n`` itself (:func:`asc_eval`), the Motzkin polynomials ``p_n``
+on a grid (:func:`motzkin_poly_table`), and ``Q_n / (q; q)_n`` with its
+rows scaled by the chain's own ratios ``s_(n+1)/s_n``, so that it stays in
+range at q -> 1 (:func:`asc_endpoint_limit_q_to_1`).  Those ratios, and so the
+endpoint values, come from the ratio recurrence of :func:`s_ratios`.  The
 orthogonality density exists once, in log form, as a quotient of Jacobi
 theta functions (:func:`log_density_times_sine`) whose series need at most
 three terms at every q < 1.  The moment integrals
@@ -39,7 +43,6 @@ __all__ = [
     "AscParams",
     "QModelParams",
     "asc_eval",
-    "asc_eval_scaled",
     "log_density_times_sine",
     "nu_integrate",
     "s_ratios",
@@ -131,51 +134,34 @@ def _check_order(n: int) -> None:
         raise OverflowError(f"recurrence order {n} exceeds cap {RECURRENCE_CAP}")
 
 
-def _asc_recurrence(n: int, x: float, p: AscParams) -> tuple[float, float]:
-    """(value, log scale) with Q_n(x) = value exp(log scale), by forward
-    recurrence; both recurrence terms are divided by |Q_k| whenever it
-    passes 1e150, so the scale stays 0 while Q_k stays below that."""
-    _check_order(n)
-    s1, s2, q = p.sum_ab, p.prod_ab, p.q
+def _three_term(y, up, flat, down) -> list:
+    """[P_0, ..., P_n] of P_(k+1) = ((y - flat_k) P_k - down_k P_(k-1)) / up_k
+    for k < n = len(up), from P_(-1) = 0 and P_0 = 1, over a float or an
+    array y; a value that leaves double range is left as inf or nan."""
     prev, cur = 0.0, 1.0
-    log_scale = 0.0
-    qn = 1.0  # q^k
-    qn1 = 1.0 / q if q > 0 else 0.0  # q^(k-1); unused factor at k=0 since (1-q^0)=0
-    for _ in range(n):
-        prev, cur = cur, (2.0 * x - s1 * qn) * cur - (1.0 - qn) * (1.0 - s2 * qn1) * prev
-        qn1 = qn
-        qn *= q
-        acur = abs(cur)
-        if acur > 1e150:
-            prev /= acur
-            cur /= acur
-            log_scale += math.log(acur)
-    return cur, log_scale
+    out = [cur]
+    for u, f, d in zip(up, flat, down):
+        prev, cur = cur, ((y - f) * cur - d * prev) / u
+        out.append(cur)
+    return out
 
 
 def asc_eval(n: int, x: float, p: AscParams) -> float:
-    """Q_n(x; a, b | q) by forward recurrence; OverflowError where it
+    """Q_n(x; a, b | q) by the three-term loop at y = 2x on the rows
+    (1, (a+b) q^k, (1 - q^k)(1 - ab q^(k-1))); OverflowError where it
     leaves double range."""
-    cur, log_scale = _asc_recurrence(n, x, p)
-    try:
-        cur *= math.exp(log_scale)
-    except OverflowError:
-        cur = math.inf
+    _check_order(n)
+    s1, s2, q = p.sum_ab, p.prod_ab, p.q
+    flat, down = [], []
+    qk, qk1 = 1.0, 0.0  # q^k and q^(k-1), the latter unused at k = 0
+    for _ in range(n):
+        flat.append(s1 * qk)
+        down.append((1.0 - qk) * (1.0 - s2 * qk1))
+        qk, qk1 = qk * q, qk
+    cur = _three_term(2.0 * x, [1.0] * n, flat, down)[-1]
     if not math.isfinite(cur):
         raise OverflowError(f"Q_{n}({x}) overflowed double precision")
     return cur
-
-
-def asc_eval_scaled(n: int, x: float, p: AscParams) -> tuple[float, float]:
-    """(sign, log|Q_n(x)|) by the rescaled forward recurrence.
-
-    Stays usable where Q_n itself leaves the double-precision range (the
-    q -> 1 endpoint scaling needs orders in the thousands with huge values).
-    """
-    cur, log_scale = _asc_recurrence(n, x, p)
-    if cur == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, cur), math.log(abs(cur)) + log_scale
 
 
 def log_density_times_sine(theta: np.ndarray, m: QModelParams) -> np.ndarray:
@@ -357,24 +343,19 @@ def pi_values(nmax: int, m: QModelParams) -> np.ndarray:
 
 
 def motzkin_poly_table(nmax: int, xs: np.ndarray, m: QModelParams) -> np.ndarray:
-    """Matrix of p_n(x) values, shape (nmax+1, len(xs)), by the forward
-    recurrence (up [n+2]_q, flat 2 sigma [n+1]_q, down [n]_q); OverflowError
-    names the first order n and the first x where p_n leaves double range."""
+    """Matrix of p_n(x) values, shape (nmax+1, len(xs)), by the three-term
+    loop on the rows (up [n+2]_q, flat 2 sigma [n+1]_q, down [n]_q);
+    OverflowError names the first order n and the first x where p_n leaves
+    double range."""
     _check_order(nmax)
     xs = np.asarray(xs, dtype=float)
-    table = np.empty((nmax + 1, xs.size))
-    table[0] = 1.0
-    if nmax == 0:
-        return table
-    prev = np.zeros_like(xs)
-    cur = np.ones_like(xs)
+    qn = [q_number(k, m.q) for k in range(nmax + 2)]
+    two_sigma = 2.0 * m.sigma
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(nmax):
-            up = q_number(k + 2, m.q)
-            flat = 2.0 * m.sigma * q_number(k + 1, m.q)
-            down = q_number(k, m.q)
-            prev, cur = cur, ((xs - flat) * cur - down * prev) / up
-            table[k + 1] = cur
+        rows = _three_term(xs, qn[2:], [two_sigma * v for v in qn[1:-1]], qn[:-2])
+    table = np.empty((nmax + 1, xs.size))
+    for k, row in enumerate(rows):
+        table[k] = row
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         n, j = bad[0]
@@ -427,21 +408,31 @@ def asc_endpoint_limit_q_to_1(M: int, u: float, x: float, sigma: float) -> float
     (q, sigma); converges to K_{i|u|}(exp(-x)) as M grows.
 
     Evaluates
-        (q;q)_inf^2 / (M (a, b; q)_inf) * Q_m(cos(u/M)) / (q;q)_m
-    with m = index_map(x, M^2, sigma), entirely in log space: the individual
-    factors overflow double precision for M in the hundreds.
+        (q;q)_inf^2 / (M (a, b; q)_inf) * S_m(cos(u/M)),  S_m = Q_m / (q;q)_m,
+    with m = index_map(x, M^2, sigma), in log space: the factors overflow
+    double precision for M in the hundreds.  S_m runs on the three-term loop
+    with the rows (1 - q^(k+1), -2 sigma q^(k+1), 1 - q^(k+1)) at
+    y = 2 cos(u/M), its up row times r_k and its down row over r_(k-1), the
+    ratios s_(k+1)/s_k of :func:`s_ratios`.  The loop then carries
+    S_k / s_k, which stays near 1, and log s_m is the sum of the log-ratios.
     """
     if M < 1:
         raise ValueError(f"M must be positive, got {M}")
     midx = index_map(x, M * M, sigma)
     if midx < 0:
         raise ValueError(f"index {midx} < 0: x={x} too negative for M={M}")
-    params = QModelParams(math.exp(-2.0 / M), sigma).asc_params()
-    a, b, q = params.a, params.b, params.q
-    sign, logq_m = asc_eval_scaled(midx, math.cos(u / M), params)
-    if sign == 0.0:
+    model = QModelParams(math.exp(-2.0 / M), sigma)
+    q = model.q
+    r = s_ratios(midx, model)[:midx]
+    decay = _decay(midx - 1, q)
+    down = decay.copy()
+    down[1:] /= r[:-1]
+    scaled = _three_term(2.0 * math.cos(u / M), (decay * r).tolist(),
+                         (-2.0 * sigma * (1.0 - decay)).tolist(), down.tolist())[-1]
+    if scaled == 0.0:
         return 0.0
     lqq_inf = qpoch_log_abs(q, q)
-    lab_inf = qpoch_log_abs(a, q) + qpoch_log_abs(b, q)
-    lqq_m = qpoch_log_abs(q, q, midx)
-    return sign * math.exp(2.0 * lqq_inf - math.log(M) - lab_inf + logq_m - lqq_m)
+    lab_inf = qpoch_log_abs(model.asc_a, q) + qpoch_log_abs(model.asc_b, q)
+    log_s_m = float(np.log(r).sum())
+    return math.copysign(math.exp(2.0 * lqq_inf - math.log(M) - lab_inf + log_s_m
+                                  + math.log(abs(scaled))), scaled)

@@ -320,7 +320,7 @@ def _cmd_locallimit(cfg: dict) -> tuple[list[str], list[list], int]:
     """lattice-vs-kernel error table"""
     if not cfg["N"]:
         raise ConfigError("locallimit needs a nonempty N list")
-    model = _qmodel(cfg) if cfg["regime"] == "fixed-q" else None
+    model = _qmodel(cfg)  # checked in both regimes; q-to-1 reads only sigma
     table = error_table(cfg["regime"], cfg["N"], cfg["t"], cfg["x"], cfg["y"],
                         model=model, sigma=cfg["sigma"])
     rows = [[r["N"], r["t"], r["x"], r["y"], r["lhs"], r["rhs"], r["rel_err"]]

@@ -74,13 +74,6 @@ class MotzkinPath:
         if any(abs(b - a) > 1 for a, b in zip(alts, alts[1:])):
             raise ValueError(f"steps must lie in {{-1,0,1}}: {alts}")
 
-    @property
-    def length(self) -> int:
-        return len(self.altitudes) - 1
-
-    def __iter__(self):
-        return iter(self.altitudes)
-
 
 @dataclass(frozen=True)
 class WeightModel:

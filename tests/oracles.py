@@ -19,6 +19,9 @@ writer ``cli._int_lines``.  The recursive walk and the nested-loop
 expectation are the path-by-path forms of ``altitude_table`` and verify's
 enumeration check.
 The scalar recurrence is the per-point form of ``motzkin_poly_table``.
+``_asc_recurrence`` is the rescaled scalar loop that ``asc_eval`` and the
+q -> 1 endpoint limit ran on before they shared one three-term loop with
+``motzkin_poly_table``, frozen as it was.
 The two prefix walks and the per-start correlation are the earlier forms of
 the exact finite-L laws in ``chains``: a recursive walk over head prefixes
 and one L-step transfer pass per initial altitude.  The shares of g_0 and
@@ -502,6 +505,28 @@ def motzkin_poly_eval_scalar(n: int, x: float, m) -> float:
         down = q_number(k, m.q)
         prev, cur = cur, ((x - flat) * cur - down * prev) / up
     return cur
+
+
+def _asc_recurrence(n: int, x: float, p: AscParams) -> tuple[float, float]:
+    """(value, log scale) with Q_n(x) = value exp(log scale), by forward
+    recurrence; both recurrence terms are divided by |Q_k| whenever it
+    passes 1e150, so the scale stays 0 while Q_k stays below that."""
+    _check_order(n)
+    s1, s2, q = p.sum_ab, p.prod_ab, p.q
+    prev, cur = 0.0, 1.0
+    log_scale = 0.0
+    qn = 1.0  # q^k
+    qn1 = 1.0 / q if q > 0 else 0.0  # q^(k-1); unused factor at k=0 since (1-q^0)=0
+    for _ in range(n):
+        prev, cur = cur, (2.0 * x - s1 * qn) * cur - (1.0 - qn) * (1.0 - s2 * qn1) * prev
+        qn1 = qn
+        qn *= q
+        acur = abs(cur)
+        if acur > 1e150:
+            prev /= acur
+            cur /= acur
+            log_scale += math.log(acur)
+    return cur, log_scale
 
 
 def end_laws(wm, L: int, S: int) -> tuple[np.ndarray, np.ndarray]:

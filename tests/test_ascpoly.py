@@ -13,7 +13,7 @@ from motzkinq.ascpoly import (
     asc_endpoint_limit_fixed_q,
     asc_endpoint_limit_q_to_1,
     asc_eval,
-    asc_eval_scaled,
+    index_map,
     log_density_times_sine,
     motzkin_poly_table,
     nu_integrate,
@@ -23,7 +23,7 @@ from motzkinq.ascpoly import (
 )
 from motzkinq.errors import ConvergenceError
 from motzkinq.qspecial import (bessel_k_imag, gamma_abs_imag_sq, q_number, qpoch_finite,
-                               qpoch_infinite)
+                               qpoch_infinite, qpoch_log_abs)
 
 from oracles import asc_at_one, asc_density
 
@@ -65,24 +65,27 @@ def test_asc_eval_order_cap():
 
 
 def test_asc_eval_raises_where_the_value_leaves_double_range():
-    # Q_40(1e10) is about (2e10)^40 = 1e412; asc_eval_scaled still holds it
+    # Q_40(1e10) is about (2e10)^40 = 1e412
     p = conj_params(0.5, 0.7)
     with pytest.raises(OverflowError, match=r"Q_40\(10000000000\.0\) overflowed"):
         asc_eval(40, 1e10, p)
-    assert asc_eval_scaled(40, 1e10, p)[0] == 1.0
 
 
-def test_asc_eval_scaled_matches_plain():
-    p = conj_params(0.4, 0.6)
-    for n in (0, 1, 7, 40):
-        for x in (-0.8, 0.2, 0.99):
-            sign, logabs = asc_eval_scaled(n, x, p)
-            direct = asc_eval(n, x, p)
-            if direct == 0.0:
-                assert sign == 0.0
-            else:
-                assert sign == math.copysign(1.0, direct)
-                assert logabs == pytest.approx(math.log(abs(direct)), rel=1e-12)
+def test_asc_eval_bitwise_equal_to_the_rescaled_recurrence():
+    # the frozen loop divides by |Q_k| past 1e150; below that both loops
+    # take the same floating-point steps
+    from oracles import _asc_recurrence
+    params = [conj_params(q, sigma) for q in (0.0, 0.3, 0.5, 0.9, 0.99) for sigma in (0.3, 1.0)]
+    params += [AscParams(-0.8, 0.35, 0.45), AscParams(0.6, -0.2, 0.9)]
+    compared = 0
+    for p in params:
+        for n in (0, 1, 2, 3, 10, 40, 100, 300):
+            for x in (-0.9, 0.1, 0.9999, 1.0):
+                value, log_scale = _asc_recurrence(n, x, p)
+                if log_scale == 0.0:
+                    assert asc_eval(n, x, p) == value, (p, n, x)
+                    compared += 1
+    assert compared >= 300
 
 
 # ------------------------------------------------------------ value at x=1
@@ -511,6 +514,60 @@ def test_endpoint_limit_q_to_1_even_in_u():
 def test_endpoint_limit_q_to_1_negative_index_error():
     with pytest.raises(ValueError):
         asc_endpoint_limit_q_to_1(10, 0.0, -50.0, 1.0)
+
+
+def _mp_endpoint_limit_q_to_1(mpmath, M, u, x, sigma):
+    """(q;q)_inf^2 / (M (a, b; q)_inf) Q_m(cos(u/M)) / (q;q)_m in 40 digits
+    at the double q = exp(-2/M) and cos(u/M) of the package: Q_m by its own
+    recurrence (a + b = -2 sigma q, ab = q^2), each q-product factor by
+    factor, the infinite ones to q^k < 1e-45 (mpmath.qp does not converge
+    at M = 1000)."""
+    m = index_map(x, M * M, sigma)
+    with mpmath.workdps(40):
+        q, s = mpmath.mpf(math.exp(-2.0 / M)), mpmath.mpf(sigma)
+        y = mpmath.mpf(math.cos(u / M))
+        prev, cur, qk, qq_m = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(1)
+        for _ in range(m):
+            prev, cur = cur, (2 * y + 2 * s * q * qk) * cur - (1 - qk) * (1 - q * qk) * prev
+            qk *= q
+            qq_m *= 1 - qk
+        qq_inf, ab_inf, qk = mpmath.mpf(1), mpmath.mpf(1), q
+        while qk > mpmath.mpf(10) ** -45:
+            qq_inf *= 1 - qk
+            ab_inf *= 1 + 2 * s * qk + qk * qk  # (1 - a q^(k-1)) (1 - b q^(k-1))
+            qk *= q
+        return float(qq_inf**2 / (M * ab_inf) * cur / qq_m)
+
+
+@pytest.mark.parametrize("u,x,sigma", [(2.0, 1.0, 0.3), (0.0, -0.5, 0.6)])
+def test_endpoint_limit_q_to_1_against_mpmath_at_M_400(u, x, sigma):
+    # about 3000 levels, far past the M <= 50 of the frozen values above
+    mpmath = pytest.importorskip("mpmath")
+    want = _mp_endpoint_limit_q_to_1(mpmath, 400, u, x, sigma)
+    assert asc_endpoint_limit_q_to_1(400, u, x, sigma) == pytest.approx(want, rel=1e-10)
+
+
+def test_endpoint_limit_q_to_1_matches_the_rescaled_route():
+    # the former route: sign and log |Q_m| of the rescaled scalar loop, over
+    # (q;q)_m as its own product; the ratio-scaled S-rows differ from it only
+    # by rounding, which grows with the level count
+    from oracles import _asc_recurrence
+    for M in (25, 50, 100, 200, 400, 1000, 3000, 9000):
+        for u, x, sigma in [(0.0, 0.0, 1.0), (1.0, 0.5, 1.0), (0.0, -0.5, 0.6), (2.0, 1.0, 0.3)]:
+            model = QModelParams(math.exp(-2.0 / M), sigma)
+            q, m = model.q, index_map(x, M * M, sigma)
+            value, log_scale = _asc_recurrence(m, math.cos(u / M), model.asc_params())
+            log_rest = (2.0 * qpoch_log_abs(q, q) - math.log(M) - qpoch_log_abs(model.asc_a, q)
+                        - qpoch_log_abs(model.asc_b, q) - qpoch_log_abs(q, q, m))
+            want = math.copysign(math.exp(log_rest + log_scale + math.log(abs(value))), value)
+            got = asc_endpoint_limit_q_to_1(M, u, x, sigma)
+            assert got == pytest.approx(want, rel=2e-9 if M == 9000 else 2e-10), (M, u, x, sigma)
+
+
+def test_endpoint_limit_q_to_1_order_cap():
+    # m = index_map(1, 10^8, 1) = 109034 levels, past RECURRENCE_CAP
+    with pytest.raises(OverflowError, match=r"^recurrence order 109034 exceeds cap 100000$"):
+        asc_endpoint_limit_q_to_1(10_000, 2.0, 1.0, 1.0)
 
 
 # ------------------------------------------------------------------- types

@@ -504,6 +504,20 @@ def test_locallimit_q_to_1_left_of_the_lattice_is_config_error(capsys):
     assert "x=-30.0, y=0.0 at levels -528, 72, left of 0 at N=400" in captured.err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--q", "7", "q must lie in [0, 1), got 7.0"),
+    ("--rho0", "3", "rho0 must lie in [0, 1), got 3.0"),
+])
+def test_locallimit_q_to_1_checks_the_model_settings(capsys, flag, value, message):
+    # the regime sets q = exp(-2/sqrt(N)) itself and reads only sigma, but
+    # the four model settings are checked as in every other subcommand
+    status = main(["locallimit", "--regime", "q-to-1", "--N", "400", flag, value])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------- specialfn
 
 def test_specialfn_values(capsys):

@@ -1,6 +1,6 @@
 """Every exported name exists, the exported signatures stay lean, every
-raise in the package is one of its typed errors, and the CLI loads no
-numpy submodule beyond what it needs."""
+raise in the package is one of its typed errors, no module imports a name
+it never uses, and the CLI loads no numpy submodule beyond what it needs."""
 
 import ast
 import importlib
@@ -78,6 +78,30 @@ def test_every_raise_in_the_package_is_a_typed_error():
                 if getattr(exc, "id", getattr(exc, "attr", None)) not in TYPED_ERRORS:
                     untyped.append(f"{path.name}:{node.lineno}")
     assert untyped == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import left behind when its last use moved away; a name listed in
+    # __all__ counts as used (the package re-exports that way)
+    unused = []
+    for path in sorted((ROOT / "src" / "motzkinq").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
 
 
 def test_cli_loads_no_numpy_submodule_beyond_its_generator():
