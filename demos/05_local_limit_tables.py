@@ -4,7 +4,10 @@
 The boundary chain, diffusively rescaled, converges to the 3d Bessel
 process for fixed q and, when q also climbs to 1, to a Markov process
 built from Bessel K of imaginary order.  The lattice probabilities are
-computed exactly by tridiagonal iteration, so the tables below show pure
+computed without sampling: the k-step entries by the Chebyshev expansion
+of P^k on the chain's spectrum, to about (d+1) eps (by exact tridiagonal
+stepping where that costs no more or the entry is a far tail), and the
+initial laws from rho^n s_n / C, so the tables below show pure
 convergence error (no sampling noise).  Each produces the CSV that the
 `motzkinq locallimit` subcommand also emits.
 """

@@ -305,22 +305,23 @@ def _initial_probs(model: QModelParams, rho: float, nmax: int) -> np.ndarray:
                   - initial_log_normalizer(model, rho))
 
 
-def _initial_law_probs(model: QModelParams, rho: float, tail_tol: float) -> np.ndarray:
+def _initial_law_probs(model: QModelParams, rho: float) -> np.ndarray:
     """rho^n s_n / C cut at the first n > 10 whose term is below
-    tail_tol (1 - rho) / 2 of the mass so far; [1.0] at rho = 0.  This cut
-    is the boundary truncation of every finite-length route."""
+    ``numerics.TAIL_TOL`` (1 - rho) / 2 of the mass so far; [1.0] at
+    rho = 0.  This cut is the boundary truncation of every finite-length
+    route."""
     if rho == 0.0:
         return np.array([1.0])
     nmax = 64
     while True:
         probs = _initial_probs(model, rho, nmax)
-        small = probs < tail_tol * np.cumsum(probs) * (1.0 - rho) / 2.0
+        small = probs < numerics.TAIL_TOL * np.cumsum(probs) * (1.0 - rho) / 2.0
         cut = np.flatnonzero(small[11:])
         if cut.size:
             return probs[:cut[0] + 12]
         if nmax == RECURRENCE_CAP:
             raise OverflowError(f"initial law at rho={rho}, q={model.q} needs more than "
-                                f"RECURRENCE_CAP={RECURRENCE_CAP} levels for tail_tol={tail_tol}")
+                                f"RECURRENCE_CAP={RECURRENCE_CAP} levels")
         nmax = min(2 * nmax, RECURRENCE_CAP)
 
 

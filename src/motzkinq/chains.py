@@ -31,8 +31,8 @@ e_m T_a(P') and the column T_a(P') e_n together, P' = P mapped onto
 the block's last step, with two row sums of moments per block.  The
 exact length-L laws that the chains approximate take their heads from
 ``altitude_table`` and their middle from one backward pass of a stack of
-end columns through ``motzkin._power``, and drop at most EXACT_TAIL_TOL of
-the initial mass past the boundary cutoff.
+end columns through ``motzkin._power``, and drop at most
+10 ``numerics.TAIL_TOL`` of the initial mass past the boundary cutoff.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from .ascpoly import (
     pi_values,
     s_ratios,
 )
-from .motzkin import (TAIL_TOL, WeightModel, _boundary_cutoff, _initial_mass_past, _power,
-                      _require_qmodel, _step_rows, _step_views, _table_product, _transposed,
-                      _tridiagonal_step, _weight_tables, altitude_table)
+from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _power, _require_qmodel,
+                      _step_rows, _step_views, _table_product, _transposed, _tridiagonal_step,
+                      _weight_tables, altitude_table)
 from .numerics import _EPS
 
 __all__ = [
@@ -69,10 +69,6 @@ __all__ = [
     "tv_distance",
     "endpoint_pair_correlation",
 ]
-
-# share of the initial mass that the exact head law and the endpoint
-# correlation may drop past the boundary cutoff
-EXACT_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,15 +130,15 @@ def transition_arrays(model: QModelParams, cap: int) -> tuple[np.ndarray, np.nda
     return up, flat, down
 
 
-def initial_law(which: str, model: QModelParams, tail_tol: float = TAIL_TOL) -> Distribution:
+def initial_law(which: str, model: QModelParams) -> Distribution:
     """Initial distribution of the head chain (which='X', weight rho0) or
     the tail chain (which='Y', weight rho1): P(n) = rho^n s_n / C, cut at the
-    first n > 10 whose term is below tail_tol (1 - rho) / 2 of the mass so far.
+    first n > 10 whose term is below TAIL_TOL (1 - rho) / 2 of the mass so far.
     """
     if which not in ("X", "Y"):
         raise ValueError("which must be 'X' or 'Y'")
     rho = model.rho0 if which == "X" else model.rho1
-    return Distribution(offset=0, probs=_initial_law_probs(model, rho, tail_tol))
+    return Distribution(offset=0, probs=_initial_law_probs(model, rho))
 
 
 def _chebyshev_power_coefficients(k: int, lam0: float) -> np.ndarray:
@@ -395,19 +391,19 @@ def _chunk_fixed_point(r: np.ndarray, states: np.ndarray, up: np.ndarray,
 def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int):
     """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends up to
     a positive factor, for the end columns beta_n n^i, i < moments, on
-    altitudes 0..T+L+1, T the boundary cutoff at EXACT_TAIL_TOL, and lost
-    the share of the initial mass alpha_m u_0[m], u_0 = M^L ends, past T.
-    CapacityError if lost > EXACT_TAIL_TOL.  The columns are stepped as one
+    altitudes 0..T+L+1, T the boundary cutoff, and lost the share of the
+    initial mass alpha_m u_0[m], u_0 = M^L ends, past T.  CapacityError if
+    lost > 10 ``numerics.TAIL_TOL``.  The columns are stepped as one
     (moments, S) stack by :func:`motzkinq.motzkin._power`, which rescales
     them by their common peak; u_K comes back as an (S, moments) array."""
-    T = _boundary_cutoff(wm, EXACT_TAIL_TOL, L)
+    T = _boundary_cutoff(wm, L)
     S = T + L + 2
     a, b, c, av, bv = _weight_tables(wm, S)
     up_T, down_T = _transposed(a, c)
     ends = bv * np.arange(S) ** np.arange(moments)[:, None]
     uK, _ = _power(ends, up_T, b, down_T, itertools.repeat(1.0, L - K))
     u0, _ = _power(uK, up_T, b, down_T, itertools.repeat(1.0, K))
-    lost = _initial_mass_past(av, u0[0], T, L, EXACT_TAIL_TOL)
+    lost = _initial_mass_past(av, u0[0], T, L)
     return T, (a, b, c, av), np.ascontiguousarray(uK.T), lost
 
 
@@ -421,7 +417,7 @@ def finite_path_head_law(wm: WeightModel, L: int, K: int) -> dict[tuple[int, ...
     alpha_m w(head) u_K[g_K] / (alpha . u_0) over the :func:`altitude_table`
     heads from m <= T, T the boundary cutoff, whose total is 1 - lost.
     CapacityError if the share lost of the mass alpha_m u_0[m] past T
-    exceeds EXACT_TAIL_TOL, so the law misses at most that.  Needs the
+    exceeds 10 TAIL_TOL, so the law misses at most that.  Needs the
     q-model weights.  Guarded at K <= ENUMERATION_CAP."""
     if K >= L:
         raise ValueError("need K < L")
@@ -433,10 +429,10 @@ def finite_path_head_law(wm: WeightModel, L: int, K: int) -> dict[tuple[int, ...
 
 def chain_head_law(model: QModelParams, which: str, K: int) -> dict[tuple[int, ...], float]:
     """Joint law of the first K+1 chain states (X_0..X_K or Y_0..Y_K): the
-    :func:`altitude_table` heads from each start of the initial law, cut at
-    EXACT_TAIL_TOL, priced by the (up, flat, down) rows.  Guarded at
+    :func:`altitude_table` heads from each start of :func:`initial_law`,
+    priced by the (up, flat, down) rows.  Guarded at
     K <= ENUMERATION_CAP."""
-    init = initial_law(which, model, EXACT_TAIL_TOL)
+    init = initial_law(which, model)
     up, flat, down = transition_arrays(model, init.offset + len(init.probs) + K)
     table = np.concatenate([altitude_table(K, n, None) for n, _ in init.rows()])
     p = init.probs[table[:, 0] - init.offset] * _table_product(table, up, flat, down)
@@ -460,7 +456,7 @@ def endpoint_pair_correlation(wm: WeightModel, L: int) -> float:
     (beta, beta n, beta n^2) pulled back L steps and paired with
     (alpha, alpha m, alpha m^2) over m <= T give F[i, j] = C E[g_0^i g_L^j]
     up to one factor, T the boundary cutoff.  CapacityError if more than
-    EXACT_TAIL_TOL of the initial mass lies past T, so the law behind the
+    10 TAIL_TOL of the initial mass lies past T, so the law behind the
     moments misses at most that share of its total.  Needs the q-model
     weights; ValueError where rho0 = 0 or rho1 = 0 pins g_0 or g_L at 0,
     so the correlation is undefined.

@@ -26,6 +26,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from collections.abc import Iterator, Sequence
@@ -122,12 +123,16 @@ def _parse_config_file(path: str, command: str) -> dict:
 
 
 def _coerce(key: str, value: str):
-    """The value of a setting's flag or config-file text."""
+    """The value of a setting's flag or config-file text; a float setting
+    must be finite."""
     try:
         if key in _INT_KEYS:
             return int(value)
         if key in _FLOAT_KEYS:
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+            return number
         if key == "N":
             return [int(tok) for tok in value.split(",") if tok.strip()]
         if key == "inject_fault":

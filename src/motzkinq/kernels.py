@@ -240,9 +240,14 @@ def _exact_point(model: QModelParams, m: int, n: int, k: int, cap: int) -> float
     return float(out[n])
 
 
-def _compare(lhs: float, rhs: float, where: str) -> LimitComparison:
-    """OverflowError naming where when the continuum target underflows to 0,
-    since no relative error is defined there."""
+def _compare(lhs: float, target, where: str) -> LimitComparison:
+    """lhs against the continuum value target(); a ConvergenceError of the
+    target is raised again naming where, and so is an OverflowError when
+    the target underflows to 0, since no relative error is defined there."""
+    try:
+        rhs = target()
+    except ConvergenceError as err:
+        raise ConvergenceError(f"continuum target in the {where} is not computed: {err}") from err
     if rhs == 0.0:
         raise OverflowError(f"continuum target underflows to 0 in the {where}")
     return LimitComparison(lhs=lhs, rhs=rhs)
@@ -257,8 +262,8 @@ def local_limit_error_fixed_q(N: int, t: float, x: float, y: float,
     rn = _root(N)
     m, n, k = math.floor(x * rn), math.floor(y * rn), math.floor(N * t)
     lhs = rn * _chain_point_evolution(model, m, n, k)
-    rhs = bessel3d_transition(KernelQuery(t=t, x=x, y=y, sigma=model.sigma))
-    return _compare(lhs, rhs, f"fixed-q regime at t={t}, x={x}, y={y}")
+    return _compare(lhs, lambda: bessel3d_transition(KernelQuery(t=t, x=x, y=y, sigma=model.sigma)),
+                    f"fixed-q regime at t={t}, x={x}, y={y}")
 
 
 def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> LimitComparison:
@@ -271,7 +276,7 @@ def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> Li
                            rho0=math.exp(-c / rn), rho1=model.rho1)
     m = math.floor(x * rn)
     lhs = rn * float(_initial_probs(varying, varying.rho0, m)[m])
-    return _compare(lhs, xi0_density(x, c), f"fixed-q initial law at x={x}, c={c}")
+    return _compare(lhs, lambda: xi0_density(x, c), f"fixed-q initial law at x={x}, c={c}")
 
 
 def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
@@ -288,25 +293,22 @@ def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
     if m < 0 or n < 0:
         raise ValueError(f"index map puts x={x}, y={y} at levels {m}, {n}, left of 0 at N={N}")
     lhs = rn * _chain_point_evolution(model, m, n, k)
-    where = f"q-to-1 regime at t={t}, x={x}, y={y}"
-    try:
-        rhs = zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma))
-    except ConvergenceError as err:
-        raise ConvergenceError(f"continuum target in the {where} is not computed: {err}") from err
-    return _compare(lhs, rhs, where)
+    return _compare(lhs, lambda: zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma)),
+                    f"q-to-1 regime at t={t}, x={x}, y={y}")
 
 
 def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitComparison:
     """sqrt(N) P(X_0 = J_x) with q = exp(-2/sqrt(N)), rho0 = exp(-c/sqrt(N))
     against the entrance law :func:`zeta0_density`,
-    4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^-x)."""
+    4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^-x); ConvergenceError naming this
+    law and (x, c) where the Bessel-K layer cannot compute it (x far out)."""
     rn = _root(N)
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma, rho0=math.exp(-c / rn))
     level = index_map(x, N, sigma)
     if level < 0:
         raise ValueError(f"index map puts x={x} at level {level}, left of 0 at N={N}")
     lhs = rn * float(_initial_probs(model, model.rho0, level)[level])
-    return _compare(lhs, zeta0_density(x, c), f"q-to-1 initial law at x={x}, c={c}")
+    return _compare(lhs, lambda: zeta0_density(x, c), f"q-to-1 initial law at x={x}, c={c}")
 
 
 def error_table(regime: str, Ns: list[int], t: float, x: float, y: float,

@@ -12,23 +12,27 @@ All transfer computations use the tridiagonal structure directly (O(S) per
 step); dense operator matrices are never formed.  Every step of every pass
 in the package is :func:`_tridiagonal_step`, which writes in place into a
 buffer its caller owns.  Every exact multi-step pass (the transfer product,
-the integral route's end vectors, the chains' k-step and exact laws, the
-lattice point's exact branches) is :func:`_power`, on one vector or a stack,
-which carries its scale as a log and reads the peak only after steps where
-bounds on its growth let it leave range; the sampler keeps every row of its
-backward table, each divided by its max, and tabulates its move weights for
-a block of steps at a time on the levels its paths can reach.  The transfer
-and the integral route take their arguments through one check.
+the integral route's end vectors, the sampler's backward table, the chains'
+k-step and exact laws, the lattice point's exact branches) is the loop
+:func:`_steps` (:func:`_power` is its last vector), on one vector or a
+stack, which carries its scale as a log and reads the peak only after steps
+where bounds on its growth let it leave range; the sampler tabulates its
+move weights for a block of steps at a time on the levels its paths can
+reach.  The transfer and the integral route take their arguments through
+one check.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import numerics
 from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, q_number
 from .errors import CapacityError
 from .numerics import _EPS
@@ -51,9 +55,6 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 14
-# share of the boundary mass that the transfer, integral and normalizer
-# routes may drop past the boundary cutoff; the sampler allows ten times it
-TAIL_TOL = 1e-12
 # entries (L+1) x S of the largest backward table that sample_paths
 # allocates (64 MB of float64)
 SAMPLE_TABLE_CAP = 1 << 23
@@ -225,15 +226,15 @@ def _transposed(up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.append(down[1:], 0.0), np.append(0.0, up[:-1])
 
 
-def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
-           ts) -> tuple[np.ndarray, float]:
-    """(v', log_scale) with v M_{t_1} ... M_{t_n} = v' exp(log_scale), M_t
-    the step of :func:`_tridiagonal_step` with up t and down / t, rebuilt
-    only where t changes; the column pass v -> M_t v passes
-    :func:`_transposed`.  v is nonnegative, one vector or a stack stepped on
-    its last axis, so its peak is its max, and v' is divided by it after
-    every step that leaves it outside [1e-200, 1e200]; (v', -inf) once v
-    dies out.  Two buffers take turns; v itself is not written.
+def _steps(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray, ts):
+    """Yield (v_j, log_scale_j) for j = 0..n, with v M_{t_1} ... M_{t_j} =
+    v_j exp(log_scale_j), M_t the step of :func:`_tridiagonal_step` with up
+    t and down / t, rebuilt only where t changes; the column pass
+    v -> M_t v passes :func:`_transposed`.  v is nonnegative, one vector or
+    a stack stepped on its last axis, so its peak is its max, and v_j is
+    divided by it after every step that leaves it outside [1e-200, 1e200];
+    the last yield is (v_j, -inf) once v dies out.  Two buffers take turns,
+    so v_j is overwritten two steps on; v itself is not written.
 
     The peak is read only after steps where it may have left that range:
     after a read of peak p, k steps of rows with the rates of
@@ -247,6 +248,7 @@ def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
     cur, nxt = _step_views(v), _step_views(np.empty_like(v))
     work = np.empty_like(cur[1])
     unread = 0  # steps left that need no peak read
+    yield v, log_scale
     for t in ts:
         if t != prev:
             rows, prev = _step_rows(t * up, flat, down / t), t
@@ -254,22 +256,30 @@ def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
             unread = 0
         _tridiagonal_step(cur, nxt, rows, work)
         cur, nxt = nxt, cur
+        v = cur[0]
         if unread:
             unread -= 1
-            continue
-        v = cur[0]
-        peak = float(v.max())
-        if peak == 0.0:
-            return v, -math.inf
-        if peak > 1e200 or peak < 1e-200:
-            v /= peak
-            log_scale += math.log(peak)
-            peak = 1.0
-        unread = _unread_steps(peak, grow, shrink)
-    return cur[0], log_scale
+        else:
+            peak = float(v.max())
+            if peak == 0.0:
+                yield v, -math.inf
+                return
+            if peak > 1e200 or peak < 1e-200:
+                v /= peak
+                log_scale += math.log(peak)
+                peak = 1.0
+            unread = _unread_steps(peak, grow, shrink)
+        yield v, log_scale
 
 
-# log of the peak range of _power, less a margin far above the rounding of
+def _power(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray,
+           ts) -> tuple[np.ndarray, float]:
+    """(v', log_scale) with v M_{t_1} ... M_{t_n} = v' exp(log_scale): the
+    last yield of :func:`_steps`, kept by a deque of length 1."""
+    return collections.deque(_steps(v, up, flat, down, ts), maxlen=1)[0]
+
+
+# log of the peak range of _steps, less a margin far above the rounding of
 # the budget arithmetic in _unread_steps
 _LOG_PEAK_ROOM = math.log(1e200) - 1e-3
 
@@ -310,10 +320,10 @@ def _require_qmodel(model: WeightModel) -> QModelParams:
     return model.qmodel
 
 
-def _boundary_cutoff(model: WeightModel, tail_tol: float, L: int) -> int:
+def _boundary_cutoff(model: WeightModel, L: int) -> int:
     """Largest initial altitude T that the finite-length routes keep: the
     larger length of the two chain initial laws rho^n s_n / C of the
-    q-model cut at tail_tol.
+    q-model cut at ``numerics.TAIL_TOL``.
 
     The length-L law of g_0 is the law with rho0 tilted by a weight that
     falls with the altitude, so its mass past T stays below that law's tail
@@ -324,9 +334,9 @@ def _boundary_cutoff(model: WeightModel, tail_tol: float, L: int) -> int:
     """
     qm = _require_qmodel(model)
     lo, hi = sorted((qm.rho0, qm.rho1))
-    t_lo = len(_initial_law_probs(qm, lo, tail_tol))
+    t_lo = len(_initial_law_probs(qm, lo))
     try:
-        return max(t_lo, len(_initial_law_probs(qm, hi, tail_tol)))
+        return max(t_lo, len(_initial_law_probs(qm, hi)))
     except OverflowError:
         return t_lo + L
 
@@ -348,8 +358,8 @@ def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
 
 def log_normalizing_constant(L: int, model: WeightModel) -> float:
     """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n over
-    the initial altitudes m <= T, T the boundary cutoff at TAIL_TOL."""
-    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + L + 2)
+    the initial altitudes m <= T, T the boundary cutoff."""
+    tables = _weight_tables(model, _boundary_cutoff(model, L) + L + 2)
     val, lg = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
     if val <= 0.0:
         raise ValueError("normalizing constant must be positive")
@@ -387,13 +397,13 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
     E[z0^{g_0} prod_j t_j^{g_j - g_{j-1}} prod_j s_j^{-(g_{L-j+1} - g_{L-j})} z1^{g_L}]
     via the transfer-operator product sandwiched between boundary vectors,
     on S = T + L + 2 altitudes, which every path from an initial altitude
-    m <= T stays below, T the boundary cutoff at TAIL_TOL.  Numerator and
+    m <= T stays below, T the boundary cutoff.  Numerator and
     denominator share the weight tables.
     """
     t, s = _functional_args(z0, z1, t, s, L)
     K = len(t)
     tlist = t + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
-    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + L + 2)
+    tables = _weight_tables(model, _boundary_cutoff(model, L) + L + 2)
     num, lg_num = _bilinear_log(tables, z0, z1, tlist)
     den, lg_den = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
     return num / den * math.exp(lg_num - lg_den)
@@ -437,7 +447,7 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
     """Same expectation as :func:`matrix_ansatz_expectation`, with the same
     argument check, evaluated as (1/C_L) int x^{L-2K} Psi_0(x) Psi_1(x) nu(dx)
     against the q-model orthogonality measure, both vectors truncated at
-    S = T + 2K + 8, T the boundary cutoff at TAIL_TOL.  Powers are taken of
+    S = T + 2K + 8, T the boundary cutoff.  Powers are taken of
     x/B, and Psi_0, Psi_1 divided by their peaks with the scales combined in
     log space, so the integrand stays bounded for every L and K <= L/2.
     OverflowError when either integral's L1 mass is below 1e-300 / REL_TOL
@@ -446,7 +456,7 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
     qm = _require_qmodel(model)
     t, s = _functional_args(z0, z1, t, s, L)
     K = len(t)
-    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 2 * K + 8)
+    tables = _weight_tables(model, _boundary_cutoff(model, L) + 2 * K + 8)
     v1, w1, lg_den = _psi_functions(tables, 1.0, 1.0, [], [])
     v, w, lg_num = _psi_functions(tables, z0, z1, t, s)
     den, num = _positive_moments(qm, L, (v1, w1, L, "C_L / B^L"),
@@ -456,10 +466,10 @@ def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
 
 def integral_normalizing_constant(L: int, model: WeightModel) -> float:
     """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx), both
-    vectors truncated at S = T + 8, T the boundary cutoff at TAIL_TOL."""
+    vectors truncated at S = T + 8, T the boundary cutoff."""
     qm = _require_qmodel(model)
     B = qm.B
-    tables = _weight_tables(model, _boundary_cutoff(model, TAIL_TOL, L) + 8)
+    tables = _weight_tables(model, _boundary_cutoff(model, L) + 8)
     v1, w1, log_scale = _psi_functions(tables, 1.0, 1.0, [], [])
     den, = _positive_moments(qm, L, (v1, w1, L, "C_L / B^L"))
     log_value = math.log(den) + log_scale + L * math.log(B)
@@ -471,39 +481,20 @@ def integral_normalizing_constant(L: int, model: WeightModel) -> float:
 
 # ------------------------------------------------------------------ sampling
 
-def _initial_mass_past(av: np.ndarray, u0: np.ndarray, T: int, L: int, bound: float) -> float:
+def _initial_mass_past(av: np.ndarray, u0: np.ndarray, T: int, L: int) -> float:
     """Share of the initial-altitude mass alpha_m u_0[m] at altitudes m > T;
-    CapacityError naming T, L and the share when it is above bound."""
+    CapacityError naming T, L and the share when it is above
+    10 ``numerics.TAIL_TOL``."""
     p0 = av * u0
     total = float(np.sum(p0))
     if not total > 0.0:
         raise ValueError("initial-altitude mass alpha_m u_0[m] is not positive")
     lost = float(np.sum(p0[T + 1:])) / total
+    bound = 10.0 * numerics.TAIL_TOL
     if lost > bound:
         raise CapacityError(f"initial altitudes past T={T} carry mass {lost:.2e} "
                             f"> {bound:g} at L={L}")
     return lost
-
-
-def _backward_vectors(tables: tuple[np.ndarray, ...], L: int) -> np.ndarray:
-    """Rows u_k = M_1^{L-k} W_beta(1) on the altitudes of
-    :func:`_weight_tables`, max-normalized per row (ratios of consecutive
-    rows are renormalized at sampling time); each step writes its row in
-    place."""
-    a, b, c, _, bv = tables
-    up_T, down_T = _transposed(a, c)
-    rows = _step_rows(up_T, b, down_T)
-    u = np.empty((L + 1, len(a)))
-    u[L] = bv / np.max(bv)
-    work = np.empty(len(a) - 1)
-    nxt = _step_views(u[L])
-    for k in range(L - 1, -1, -1):
-        cur = _step_views(u[k])
-        _tridiagonal_step(nxt, cur, rows, work)
-        row = cur[0]
-        row /= row.max()
-        nxt = cur
-    return u
 
 
 def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarray:
@@ -513,7 +504,8 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
 
     Sequential sampler: the initial altitude is drawn proportionally to
     alpha_m u_0[m], then every step proportionally to edge weight times the
-    next backward vector.  Step k takes, per level h, the cumulative weights
+    next backward vector u_k = M_1^{L-k} W_beta(1), from :func:`_steps` up
+    to a positive factor.  Step k takes, per level h, the cumulative weights
     up, up + flat and up + flat + down of the three moves from the tables of
     :func:`_move_tables`, made for a block of _BLOCK_STEPS steps at once on
     the levels the paths can reach in it: a block that starts at step k
@@ -521,12 +513,12 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     each path then gathers its three entries and takes the move its uniform
     lands in.  Deterministic for a fixed seed.
 
-    Initial altitudes are at most the boundary cutoff T at TAIL_TOL, the
-    one cut of every finite-L route but the exact laws, and the backward
-    table (L+1) x (T+L+2) must fit in SAMPLE_TABLE_CAP entries.
-    CapacityError when the table does not fit, when the (L+1) x count path
-    table cannot be allocated, or when the initial altitudes past T carry
-    more than 10 TAIL_TOL of the mass alpha_m u_0[m].
+    Initial altitudes are at most the boundary cutoff T, the one cut of
+    every finite-L route, and the backward table (L+1) x (T+L+2) must fit in
+    SAMPLE_TABLE_CAP entries.  CapacityError when the table does not fit,
+    when the (L+1) x count path table cannot be allocated, or when the
+    initial altitudes past T carry more than 10 TAIL_TOL of the mass
+    alpha_m u_0[m].
     ValueError for a negative L or seed, or a count below 1.
     """
     for name, value in (("L", L), ("seed", seed)):
@@ -534,15 +526,17 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    T = _boundary_cutoff(model, TAIL_TOL, L)
+    T = _boundary_cutoff(model, L)
     S = T + L + 2
     if (L + 1) * S > SAMPLE_TABLE_CAP:
         raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
                             f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
-    tables = _weight_tables(model, S)
-    a, b, c, av, _ = tables
-    u = _backward_vectors(tables, L)
-    _initial_mass_past(av, u[0], T, L, 10 * TAIL_TOL)
+    a, b, c, av, bv = _weight_tables(model, S)
+    up_T, down_T = _transposed(a, c)
+    u = np.empty((L + 1, S))
+    for i, (row, _) in enumerate(_steps(bv, up_T, b, down_T, itertools.repeat(1.0, L))):
+        u[L - i] = row
+    _initial_mass_past(av, u[0], T, L)
     p0 = (av * u[0])[:T + 1]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)

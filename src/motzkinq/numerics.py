@@ -6,8 +6,9 @@ below ``REL_TOL`` relative, and raises :class:`ConvergenceError` past
 Yakubovich u-integral and the orthogonality-measure integral) is one nested
 trapezoidal rule over an even analytic integrand, which halves its step
 from ``MIN_NODES // 2`` intervals until two levels agree to ``REL_TOL``,
-giving up past ``MAX_NODES`` intervals.  The four constants are read from
-this module at call time.
+giving up past ``MAX_NODES`` intervals.  Every finite-length route cuts
+the boundary laws at ``TAIL_TOL`` and allows 10 ``TAIL_TOL`` of the
+initial mass past that cut.  The five constants are read at call time.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["REL_TOL", "MAX_TERMS", "MIN_NODES", "MAX_NODES"]
+__all__ = ["REL_TOL", "MAX_TERMS", "MIN_NODES", "MAX_NODES", "TAIL_TOL"]
 
 REL_TOL = 1e-12
 MAX_TERMS = 2_000_000
 MIN_NODES = 32
 MAX_NODES = 2**15
+TAIL_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, pi_values, s_values
 from .chains import transition_arrays
 from .motzkin import (
-    TAIL_TOL,
     WeightModel,
     altitude_table,
     enumerate_paths,
@@ -143,7 +142,7 @@ def run_checks(model: QModelParams, inject_fault: bool = False) -> list[CheckRes
     # log space and cut where every finite-length route cuts it
     rho = min(max(model.rho0, 0.3), 0.9)
     out.append(CheckResult("initial-law-normalizer",
-                           abs(math.fsum(_initial_law_probs(model, rho, TAIL_TOL)) - 1.0), 1e-9))
+                           abs(math.fsum(_initial_law_probs(model, rho)) - 1.0), 1e-9))
 
     return out
 

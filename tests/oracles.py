@@ -5,8 +5,9 @@ sequences) and never touch the transfer-operator code they are used to
 check.  The composite Gauss-Legendre rule is an integrator independent of
 the package's nested trapezoidal rule.  The allocating tridiagonal step and
 the scaled power and backward table built on it are frozen copies of the
-loops that ``motzkin._power`` and ``motzkin._backward_vectors`` ran before
-their step wrote in place; the oracles below step with them.  The leaking
+loops that ``motzkin._power`` and the sampler's backward table (then its
+own loop, with every row divided by its max) ran before their step wrote
+in place; the oracles below step with them.  The leaking
 stepper is the chain's old k-step loop, which summed the flux past the
 cap step by step; ``kernels._exact_point`` now reads that leak from an
 absorbing state of ``_power``.  The tiled power is the old form of the
@@ -49,6 +50,7 @@ import math
 
 import numpy as np
 
+from motzkinq import numerics
 from motzkinq.ascpoly import AscParams, _check_order, q_number
 from motzkinq.chains import _chebyshev_power_coefficients, initial_law, transition_arrays
 from motzkinq.errors import CapacityError, ConvergenceError
@@ -262,13 +264,12 @@ def gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-12, min_nodes: int
     )
 
 
-def sample_paths_per_state(L: int, model, count: int, seed: int,
-                           tail_tol: float = 1e-12) -> np.ndarray:
+def sample_paths_per_state(L: int, model, count: int, seed: int) -> np.ndarray:
     """``motzkin.sample_paths`` with every path gathering its own edge
     weights and backward-vector entries at each step."""
     if count < 1:
         raise ValueError("count must be positive")
-    T = _boundary_cutoff(model, tail_tol, L)
+    T = _boundary_cutoff(model, L)
     S = T + L + 2
     u = backward_vectors_allocating(_weight_tables(model, S), L)
     a, b, c = model.weight_arrays(S)
@@ -276,8 +277,8 @@ def sample_paths_per_state(L: int, model, count: int, seed: int,
     p0 = av * u[0]
     top = S - L - 1
     lost = float(np.sum(p0[top:])) / float(np.sum(p0))
-    if lost > tail_tol * 10:
-        raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > tail_tol")
+    if lost > numerics.TAIL_TOL * 10:
+        raise CapacityError(f"initial-altitude cap discards mass {lost:.2e} > 10 TAIL_TOL")
     p0 = p0[:top]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)
@@ -387,13 +388,12 @@ def enumeration_expectation_nested(wm, z0: float, z1: float,
     return num / den
 
 
-def finite_path_head_law_walk(wm, L: int, K: int,
-                              tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
+def finite_path_head_law_walk(wm, L: int, K: int) -> dict[tuple[int, ...], float]:
     """``chains.finite_path_head_law`` as a recursive walk over the head
     prefixes of every initial altitude up to the boundary cutoff."""
     if K >= L:
         raise ValueError("need K < L")
-    T = _boundary_cutoff(wm, tail_tol, L)
+    T = _boundary_cutoff(wm, L)
     S = T + L + 2
     a, b, c = wm.weight_arrays(S)
     av, bv = wm.boundary_arrays(S)
@@ -437,10 +437,9 @@ def finite_path_head_law_walk(wm, L: int, K: int,
     return law
 
 
-def chain_head_law_walk(model, which: str, K: int,
-                        tail_tol: float = 1e-10) -> dict[tuple[int, ...], float]:
+def chain_head_law_walk(model, which: str, K: int) -> dict[tuple[int, ...], float]:
     """``chains.chain_head_law`` as a recursive walk over chain prefixes."""
-    init = initial_law(which, model, tail_tol)
+    init = initial_law(which, model)
     up, flat, down = transition_arrays(model, len(init.probs) + K)
     law: dict[tuple[int, ...], float] = {}
 
@@ -461,11 +460,11 @@ def chain_head_law_walk(model, which: str, K: int,
     return law
 
 
-def endpoint_pair_correlation_per_start(wm, L: int, tail_tol: float = 1e-10) -> float:
+def endpoint_pair_correlation_per_start(wm, L: int) -> float:
     """``chains.endpoint_pair_correlation`` with one L-step transfer pass per
     initial altitude, each rescaled by its own peak, filling the joint law
     of (g_0, g_L)."""
-    T = _boundary_cutoff(wm, tail_tol, L)
+    T = _boundary_cutoff(wm, L)
     S = T + L + 2
     a, b, c = wm.weight_arrays(S)
     av, bv = wm.boundary_arrays(S)

@@ -117,7 +117,7 @@ def test_initial_law_q_zero_geometric_times_linear():
 @pytest.mark.parametrize("which,rho", [("X", 0.45), ("Y", 0.6)])
 def test_initial_law_normalizer_closed_form(which, rho):
     m = QModelParams(q=0.5, sigma=0.7, rho0=0.45, rho1=0.6)
-    law = initial_law(which, m, tail_tol=1e-12)
+    law = initial_law(which, m)
     # direct summation oracle of rho^n s_n against the product normalizer
     s = s_values(len(law.probs) + 600, m)
     direct = float(np.sum(np.power(rho, np.arange(len(s))) * s))
@@ -606,9 +606,9 @@ def test_initial_law_uses_the_whole_recurrence_cap_then_names_itself():
 
 def test_finite_laws_raise_when_the_cut_loses_mass(monkeypatch):
     # a cut at T = 9 leaves 3.5e-4 of the initial mass past it at L = 200
-    monkeypatch.setattr(chains, "_boundary_cutoff", lambda wm, tail_tol, L: 9)
+    monkeypatch.setattr(chains, "_boundary_cutoff", lambda wm, L: 9)
     wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
-    msg = r"initial altitudes past T=9 carry mass 3.52e-04 > 1e-10 at L=200"
+    msg = r"initial altitudes past T=9 carry mass 3.52e-04 > 1e-11 at L=200"
     with pytest.raises(CapacityError, match=msg):
         finite_path_head_law(wm, 200, 2)
     with pytest.raises(CapacityError, match=msg):

@@ -582,6 +582,21 @@ def test_config_file_inject_fault_must_be_a_boolean(tmp_path, capsys):
     assert "bad value for inject_fault: 'ture'" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["t", "x", "y"])
+def test_non_finite_float_setting_is_invalid_configuration(key, value, tmp_path, capsys):
+    # these used to reach the numerics and exit 2 from a guard deep inside
+    # (specialfn --t nan spun 2e6 theta terms first)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key}={value}\n")
+    for argv in (["specialfn", f"--{key}={value}"], ["specialfn", "--config", str(cfgfile)]):
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 3, argv
+        assert captured.out == ""
+        assert f"{key} must be finite, got '{value}'" in captured.err
+
+
 def test_config_file_line_without_equals_sign(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("L=3\nq 0.25\n")
@@ -671,7 +686,7 @@ def test_flag_of_another_subcommand_or_abbreviated_is_config_error(capsys, argv,
 
 
 def test_no_tolerance_setting(tmp_path, capsys):
-    # the boundary cut is one fixed rule (motzkin.TAIL_TOL), set by no flag
+    # the boundary cut is one fixed rule (numerics.TAIL_TOL), set by no flag
     # or config key
     status = main(["enumerate", "--tol", "1e-10"])
     captured = capsys.readouterr()

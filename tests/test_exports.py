@@ -1,10 +1,10 @@
-"""Every exported name exists, the exported signatures stay lean, every
-raise in the package is one of its typed errors, no module imports a name
-it never uses, and the CLI loads no numpy submodule beyond what it needs."""
+"""Every exported name exists, no function takes a tail tolerance, only the
+two stepping loops call the tridiagonal step, every raise in the package is
+one of its typed errors, no module imports a name it never uses, and the
+CLI loads no numpy submodule beyond what it needs."""
 
 import ast
 import importlib
-import inspect
 import json
 import os
 import pkgutil
@@ -26,24 +26,33 @@ def test_every_exported_name_is_defined():
     assert dangling == []
 
 
-def test_only_initial_law_takes_a_tail_tolerance():
-    # the finite-L routes cut at one fixed rule (motzkin.TAIL_TOL); only the
-    # chain initial law, with two callers needing two cuts, takes its own
-    modules = [motzkinq] + [importlib.import_module(f"motzkinq.{info.name}")
-                            for info in pkgutil.iter_modules(motzkinq.__path__)]
-    takers = set()
-    for mod in modules:
-        for name in getattr(mod, "__all__", []):
-            obj = getattr(mod, name)
-            if not callable(obj):
-                continue
-            try:
-                params = inspect.signature(obj).parameters
-            except (TypeError, ValueError):
-                continue
-            if "tail_tol" in params:
-                takers.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert takers == {"motzkinq.chains.initial_law"}
+def _package_functions():
+    """(module file name, function node) for every def in the package."""
+    for path in sorted((ROOT / "src" / "motzkinq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.name, node
+
+
+def test_no_function_takes_a_tail_tolerance():
+    # every finite-length route cuts at one rule, numerics.TAIL_TOL, read at
+    # call time; no function, public or private, takes a cut of its own
+    takers = [f"{name}:{fn.name}" for name, fn in _package_functions()
+              if "tail_tol" in {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}]
+    assert takers == []
+
+
+def test_only_the_two_stepping_loops_call_the_tridiagonal_step():
+    # every exact multi-step pass runs through motzkin._steps and the
+    # Chebyshev pass through chains._chebyshev_blocks; a third caller of
+    # the step would be a stepping loop with its own rescale rule
+    callers = set()
+    for name, fn in _package_functions():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and "_tridiagonal_step" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(f"{name}:{fn.name}")
+    assert callers == {"motzkin.py:_steps", "chains.py:_chebyshev_blocks"}
 
 
 _SUBMODULE_PROBE = """

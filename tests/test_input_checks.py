@@ -1,0 +1,106 @@
+"""Every input check of the package raises its typed error with its message.
+
+One case per check that no other test reaches: the argument ranges of the
+polynomial, chain, kernel, path and q-series layers, the positive-mass
+guards of the normalizer and the sampler on a model without initial mass,
+and the theta series' term cap, the one ConvergenceError case, run with
+``numerics.MAX_TERMS`` lowered to 5.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from motzkinq import numerics
+from motzkinq.ascpoly import (AscParams, QModelParams, _check_order, asc_endpoint_limit_fixed_q,
+                              asc_endpoint_limit_q_to_1, index_map)
+from motzkinq.chains import (Distribution, finite_path_head_law, initial_law, kstep_distribution,
+                             transition_row)
+from motzkinq.errors import ConvergenceError
+from motzkinq.kernels import (initial_limit_fixed_q, local_limit_error_fixed_q,
+                              local_limit_error_q_to_1, xi0_density, zeta0_density)
+from motzkinq.motzkin import (MotzkinPath, WeightModel, altitude_table, log_normalizing_constant,
+                              sample_paths)
+from motzkinq.qspecial import qpoch_finite, ramanujan_ratio, theta1
+
+MODEL = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+ASC = AscParams(0.1, 0.2, 0.5)
+# the q-model's tag with every initial weight 0, so no path has mass
+MASSLESS = dataclasses.replace(WeightModel.from_qmodel(MODEL), alpha=lambda n: 0.0)
+
+
+def _weights(flat=1.0, alpha=1.0):
+    """A weight model with every up and down weight 1."""
+    one = lambda n: 1.0  # noqa: E731
+    return WeightModel(up=one, flat=lambda n: flat, down=one, alpha=lambda n: alpha, beta=one)
+
+
+CASES = [
+    ("AscParams-q", lambda: AscParams(0.1, 0.2, 1.0), ValueError,
+     r"q must lie in \[0, 1\), got 1.0"),
+    ("check_order", lambda: _check_order(-1), ValueError,
+     "polynomial order must be nonnegative, got -1"),
+    ("endpoint-fixed-q-M", lambda: asc_endpoint_limit_fixed_q(0, 1.0, ASC), ValueError,
+     "M must be positive, got 0"),
+    ("endpoint-fixed-q-u", lambda: asc_endpoint_limit_fixed_q(5, -1.0, ASC), ValueError,
+     "u must be nonnegative, got -1.0"),
+    ("endpoint-q-to-1-M", lambda: asc_endpoint_limit_q_to_1(0, 1.0, 0.0, 0.5), ValueError,
+     "M must be positive, got 0"),
+    ("index_map-sigma-0", lambda: index_map(0.0, 100, 0.0), ValueError,
+     r"sigma must lie in \(0, 1\], got 0.0"),
+    ("index_map-sigma-1.5", lambda: index_map(0.0, 100, 1.5), ValueError,
+     r"sigma must lie in \(0, 1\], got 1.5"),
+    ("Distribution-offset", lambda: Distribution(offset=-1, probs=np.ones(1)), ValueError,
+     "offset must be nonnegative"),
+    ("Distribution-probs", lambda: Distribution(offset=0, probs=np.array([0.5, -0.5])),
+     ValueError, "probabilities must be nonnegative"),
+    ("transition_row", lambda: transition_row(-1, MODEL), ValueError,
+     "altitude must be nonnegative"),
+    ("initial_law", lambda: initial_law("Z", MODEL), ValueError, "which must be 'X' or 'Y'"),
+    ("kstep_distribution", lambda: kstep_distribution(Distribution.point_mass(0), -1, MODEL),
+     ValueError, "k must be nonnegative"),
+    ("finite_path_head_law", lambda: finite_path_head_law(WeightModel.from_qmodel(MODEL), 3, 3),
+     ValueError, "need K < L"),
+    ("xi0_density", lambda: xi0_density(1.0, 0.0), ValueError, "c must be positive, got 0.0"),
+    ("zeta0_density", lambda: zeta0_density(1.0, -1.0), ValueError,
+     "c must be positive, got -1.0"),
+    ("fixed-q-x", lambda: local_limit_error_fixed_q(100, 1.0, 0.0, 1.0, MODEL), ValueError,
+     r"need x, y, t > 0"),
+    ("fixed-q-y", lambda: local_limit_error_fixed_q(100, 1.0, 1.0, -1.0, MODEL), ValueError,
+     r"need x, y, t > 0"),
+    ("fixed-q-initial-x", lambda: initial_limit_fixed_q(100, 0.0, 1.0, MODEL), ValueError,
+     r"need x > 0"),
+    ("q-to-1-t", lambda: local_limit_error_q_to_1(100, 0.0, 1.0, 1.0, 0.8), ValueError,
+     r"need t > 0"),
+    ("log_normalizing_constant", lambda: log_normalizing_constant(5, MASSLESS), ValueError,
+     "normalizing constant must be positive"),
+    ("initial_mass_past", lambda: sample_paths(5, MASSLESS, 10, 0), ValueError,
+     r"initial-altitude mass alpha_m u_0\[m\] is not positive"),
+    ("MotzkinPath", lambda: MotzkinPath(()), ValueError, "a path needs at least one altitude"),
+    ("weight_arrays", lambda: _weights(flat=-1.0).weight_arrays(4), ValueError,
+     r"need up > 0, flat >= 0, down > 0 \(down at 0 may be 0\)"),
+    ("boundary_arrays", lambda: _weights(alpha=-1.0).boundary_arrays(4), ValueError,
+     "boundary weights must be nonnegative"),
+    ("altitude_table-L", lambda: altitude_table(-1, 0, 0), ValueError,
+     "L, m, n must be nonnegative"),
+    ("altitude_table-n", lambda: altitude_table(3, 0, -1), ValueError,
+     "L, m, n must be nonnegative"),
+    ("qpoch_finite", lambda: qpoch_finite(0.5, 0.5, -1), ValueError,
+     "n must be nonnegative, got -1"),
+    # z q^lam = 0.25 * 4 = 1: the first factor of (z q^lam; q)_inf is 0
+    ("ramanujan_ratio", lambda: ramanujan_ratio(0.25, -2, 0.5), ValueError,
+     "vanishing factor in Ramanujan ratio"),
+    # run with MAX_TERMS = 5; the nome e^(-0.05 pi) = 0.855 needs more terms
+    ("theta-max-terms", lambda: theta1(0.3, 0.05j), ConvergenceError,
+     "theta series exceeded MAX_TERMS=5"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [pytest.param(*case[1:], id=case[0])
+                                                  for case in CASES])
+def test_input_check_raises_its_typed_error(call, error, message, monkeypatch):
+    if error is ConvergenceError:
+        monkeypatch.setattr(numerics, "MAX_TERMS", 5)
+    with pytest.raises(error, match=message):
+        call()

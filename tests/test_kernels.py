@@ -614,6 +614,14 @@ def test_far_point_error_names_the_regime_and_the_point():
         local_limit_error_q_to_1(400, 1.0, 1.0, 40.0, 1.0)
 
 
+def test_far_initial_point_error_names_the_law_and_the_point():
+    # at x = 30 the Bessel argument e^-30 = 9.4e-14 is below the K grid's
+    # range; the error names the caller's law and point, as the regime's does
+    with pytest.raises(ConvergenceError, match=r"q-to-1 initial law at x=30\.0, c=1\.0 is not "
+                                               r"computed: x=9\.35.*too small"):
+        initial_limit_q_to_1(400, 30.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("x, y, levels", [(-30.0, 0.0, "-528, 72"), (0.0, -30.0, "72, -528")])
 def test_local_limit_q_to_1_left_of_the_lattice_is_a_value_error(x, y, levels):
     # an input out of range, as in asc_endpoint_limit_q_to_1, not a cap
