@@ -8,7 +8,9 @@ are deterministic given configuration and seed.  Outputs are CSV ('.'
 decimal, 17 significant digits) or JSON.  Every subcommand's table goes
 through ``_emit``, which writes a CSV table with one %-format built per
 column from the cell types, or the bytes of ``json.dump(indent=1)`` with
-each column's cells encoded in one call of the C encoder.  The integer
+each column's cells encoded in one call of the C encoder (``sample``'s
+rows come straight from its numbered text lines, which need no
+escaping).  The integer
 tables (``sample``'s paths, ``chain``'s trajectory and ``enumerate``'s path
 column) are turned into text by ``_int_lines`` alone, which gathers each
 cell as one scalar from a table of digit texts as wide as its column needs
@@ -28,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterator, Sequence
 
@@ -84,6 +87,14 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that looks like any negative float literal (-1e-3, -inf,
+        # -nan), not only -1 or -1.5, is a value, not a flag: no flag of
+        # this CLI looks like one
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*(e[-+]?\d+)?|\.\d+(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
     def error(self, message):  # argparse exits with 2 by default; remap to 3
         raise ConfigError(message)
 
@@ -116,7 +127,10 @@ def _parse_config_file(path: str, command: str) -> dict:
             if key in _CHOICES and value not in _CHOICES[key]:
                 raise ConfigError(f"{path}:{lineno}: {key} must be one of "
                                   f"{', '.join(_CHOICES[key])}, got {value!r}")
-            out[key] = _coerce(key, value)
+            try:
+                out[key] = _coerce(key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
             if key not in _SETTINGS[command]:
                 raise ConfigError(f"{path}:{lineno}: {key} is not a setting of {command}")
     return out
@@ -238,7 +252,13 @@ def _emit(cfg: dict, columns: list[str], rows: list[Sequence] | Iterator[str],
         # %-format lays the cells out as the indented rows
         text = json.dumps({"config": header, "columns": columns, "rows": []},
                           indent=1, default=str)
-        if rows:
+        if not isinstance(rows, list):
+            # the numbered lines "i,cells\n" of _int_lines, as rows [i, "cells"]:
+            # cells of digits and separators need no escaping
+            body = "".join(rows).replace("\n", "\0").replace(",", ',\n   "')
+            body = body.replace("\0", '"\n  ],\n  [\n   ')[:-len(",\n  [\n   ")]
+            text = text[:-len("]\n}")] + "\n  [\n   " + body + "\n ]\n}"
+        elif rows:
             width = len(columns)
             cells = list(itertools.chain.from_iterable(rows))
             for j in range(width):
@@ -298,11 +318,7 @@ def _cmd_sample(cfg: dict) -> tuple[list[str], list[list] | Iterator[str], int]:
     """draw exact path samples"""
     model = WeightModel.from_qmodel(_qmodel(cfg))
     draws = sample_paths(cfg["L"], model, cfg["count"], cfg["seed"])
-    if cfg["format"] == "csv":
-        return ["index", "altitudes"], _int_lines(draws, ";", numbered=True), 0
-    paths = "".join(_int_lines(draws, ";")).splitlines()
-    rows = [[i, path] for i, path in enumerate(paths)]
-    return ["index", "altitudes"], rows, 0
+    return ["index", "altitudes"], _int_lines(draws, ";", numbered=True), 0
 
 
 def _cmd_chain(cfg: dict) -> tuple[list[str], list[tuple[int, int]] | Iterator[str], int]:

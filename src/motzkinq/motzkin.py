@@ -18,8 +18,11 @@ k-step and exact laws, the lattice point's exact branches) is the loop
 stack, which carries its scale as a log and reads the peak only after steps
 where bounds on its growth let it leave range; the sampler tabulates its
 move weights for a block of steps at a time on the levels its paths can
-reach.  The transfer and the integral route take their arguments through
-one check.
+reach.  The transfer and the sampler step on O(sqrt L) altitudes above the
+boundary cut plus one absorbing top state, whose final entry, weighted by
+the q-model's harmonic vectors, bounds what the height drops; the height
+doubles until that bound is below eps / 16 of the value.  The transfer and
+the integral route take their arguments through one check.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, q_number
+from .ascpoly import QModelParams, _initial_law_probs, _moment_integral, log_s_values, q_number
 from .errors import CapacityError
 from .numerics import _EPS
 
@@ -323,7 +326,11 @@ def _require_qmodel(model: WeightModel) -> QModelParams:
 def _boundary_cutoff(model: WeightModel, L: int) -> int:
     """Largest initial altitude T that the finite-length routes keep: the
     larger length of the two chain initial laws rho^n s_n / C of the
-    q-model cut at ``numerics.TAIL_TOL``.
+    q-model cut at ``numerics.TAIL_TOL``.  The transfer and the sampler
+    step the paths on heights T + 8 sqrt(L) + 64, doubled up to T + L + 2
+    (:func:`_heights`), each with an absorbing top state whose final
+    entry bounds what the height drops; a height is taken when that bound
+    is at most eps / 16 of the value.
 
     The length-L law of g_0 is the law with rho0 tilted by a weight that
     falls with the altitude, so its mass past T stays below that law's tail
@@ -346,21 +353,106 @@ def _weight_tables(model: WeightModel, size: int) -> tuple[np.ndarray, ...]:
     return (*model.weight_arrays(size), *model.boundary_arrays(size))
 
 
+def _heights(model: WeightModel, T: int, L: int):
+    """The tables that the transfer and the sampler try in turn, one per
+    height S': T + ceil(8 sqrt L) + 64, doubled while below T + L + 2, each
+    as (:func:`_top_tables`, log s_S'), skipped where its tail bound
+    diverges; last ((up, flat, down, alpha, beta) on T + L + 2 altitudes,
+    None), the exact reach of the paths from initial altitudes m <= T,
+    with no top state and no bound."""
+    full = T + L + 2
+    S = T + math.ceil(8.0 * math.sqrt(L)) + 64
+    while S < full:
+        topped = _top_tables(model, S)
+        if topped is not None:
+            yield topped
+        S *= 2
+    yield _weight_tables(model, full), None
+
+
+def _top_tables(model: WeightModel, S: int) -> tuple[tuple[np.ndarray, ...], float] | None:
+    """((up, flat, down, alpha, beta), log s_S) on altitudes 0..S-1 plus an
+    absorbing top state S, or None where the tail bound below diverges.
+
+    The top state has the self-weight B of the q-model; each route takes
+    its down move out of it away, so it keeps the flux that crosses the cut
+    (up[S-1] t in a forward pass, down[S] in a column pass).  Its alpha and
+    beta entries bound the boundary vectors' tails in the units of the top
+    state: sum_(n >= S) rho^n s_n / s_S <= rho^S / (1 - rho r_S), as the
+    ratios r_n = s_(n+1) / s_n fall with n (measured), so alpha_S and
+    beta_S are divided by 1 - rho r_S.  s_n comes from ``log_s_values``,
+    as it leaves double range at large n."""
+    qm = model.qmodel
+    a, b, c, av, bv = _weight_tables(model, S + 1)
+    log_s = log_s_values(S + 1, qm)
+    ratio = math.exp(log_s[S + 1] - log_s[S])
+    for vec, rho in ((av, qm.rho0), (bv, qm.rho1)):
+        if rho * ratio >= 1.0:
+            return None
+        vec[S] /= 1.0 - rho * ratio
+    b[S] = qm.B
+    return (a, b, c, av, bv), float(log_s[S])
+
+
+def _certified(value: float, top: float, log_weight: float) -> bool:
+    """Whether top exp(log_weight), a bound on what the cut drops from a
+    value in the same units, is at most eps / 16 of that value."""
+    if not value > 0.0:
+        return False
+    return top == 0.0 or math.log(top) + log_weight <= math.log(_EPS / 16.0 * value)
+
+
 def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
-                  tlist: list[float]) -> tuple[float, float]:
-    """(mantissa, log_scale) of V_alpha(z0)^T M_{t_1} ... M_{t_L} W_beta(z1)
-    on the truncated operator of :func:`_weight_tables`, by :func:`_power`."""
+                  tlist: list[float]) -> tuple[float, float, float]:
+    """(mantissa, log_scale, top): V_alpha(z0)^T M_{t_1} ... M_{t_L}
+    W_beta(z1) on the truncated operator of :func:`_weight_tables` is
+    mantissa exp(log_scale), by :func:`_power`, and top exp(log_scale) is
+    the last state's final entry.  A beta of 0 at an absorbing top state
+    leaves it out of the mantissa."""
     a, b, c, av, bv = tables
     powers = np.arange(len(a))
     v, log_scale = _power(av * np.power(float(z0), powers), a, b, c, tlist)
-    return float(np.dot(v, bv * np.power(float(z1), powers))), log_scale
+    return float(np.dot(v, bv * np.power(float(z1), powers))), log_scale, float(v[-1])
+
+
+def _transfer_logs(model: WeightModel, L: int, passes) -> list[tuple[float, float]]:
+    """(mantissa, log_scale) of :func:`_bilinear_log` for each
+    (z0, z1, tlist) of ``passes``, on the first tables of :func:`_heights`
+    whose top-state bound passes :func:`_certified` for every pass.
+
+    A path that leaves the altitudes below S' enters the top state, which
+    then grows by B per step.  The q-model's harmonic vector pi_n = s_n /
+    [n+1]_q (M pi = B pi, pi_0 = 1, nondecreasing) and M_t <=
+    max(t, 1/t) M entrywise bound what the path would have added by
+    pi_S' prod_j max(t_j, 1/t_j) per unit of top state, as beta_n z1^n
+    <= 1 <= pi_n; so that times the top's final entry bounds the drop."""
+    T = _boundary_cutoff(model, L)
+    q = model.qmodel.q
+    tilts = [sum(abs(math.log(t)) for t in tlist) for _, _, tlist in passes]
+    for tables, log_s in _heights(model, T, L):
+        if log_s is None:
+            return [_bilinear_log(tables, *args)[:2] for args in passes]
+        a, b, c, av, bv = tables
+        c[-1] = bv[-1] = 0.0  # no down move out of the top state; not in the value
+        log_pi = log_s - math.log(q_number(len(a), q))
+        logs = []
+        for args, tilt in zip(passes, tilts):
+            val, lg, top = _bilinear_log(tables, *args)
+            if not _certified(val, top, log_pi + tilt):
+                break
+            logs.append((val, lg))
+        else:
+            return logs
 
 
 def log_normalizing_constant(L: int, model: WeightModel) -> float:
-    """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n over
-    the initial altitudes m <= T, T the boundary cutoff."""
-    tables = _weight_tables(model, _boundary_cutoff(model, L) + L + 2)
-    val, lg = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
+    """log of the normalizing constant C_L = sum alpha_m W_{m,n} beta_n.
+
+    The paths run on the first height S' of :func:`_heights`, T + 8 sqrt(L)
+    + 64 doubled up to T + L + 2, T the boundary cutoff, whose absorbing
+    top state bounds the weight of the paths that cross S' by at most
+    eps / 16 of C_L (:func:`_transfer_logs`)."""
+    (val, lg), = _transfer_logs(model, L, [(1.0, 1.0, [1.0] * L)])
     if val <= 0.0:
         raise ValueError("normalizing constant must be positive")
     return math.log(val) + lg
@@ -395,17 +487,20 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
                               L: int, model: WeightModel) -> float:
     """Joint generating functional
     E[z0^{g_0} prod_j t_j^{g_j - g_{j-1}} prod_j s_j^{-(g_{L-j+1} - g_{L-j})} z1^{g_L}]
-    via the transfer-operator product sandwiched between boundary vectors,
-    on S = T + L + 2 altitudes, which every path from an initial altitude
-    m <= T stays below, T the boundary cutoff.  Numerator and
-    denominator share the weight tables.
+    via the transfer-operator product sandwiched between boundary vectors.
+
+    Numerator and denominator run on one height S' of :func:`_heights`,
+    T + 8 sqrt(L) + 64 doubled up to T + L + 2, T the boundary cutoff: the
+    first whose absorbing top state bounds the weight of the paths that
+    cross S' by at most eps / 16 of both (:func:`_transfer_logs`).  At
+    T + L + 2, which every path from an initial altitude m <= T stays
+    below, no bound is needed.
     """
     t, s = _functional_args(z0, z1, t, s, L)
     K = len(t)
     tlist = t + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
-    tables = _weight_tables(model, _boundary_cutoff(model, L) + L + 2)
-    num, lg_num = _bilinear_log(tables, z0, z1, tlist)
-    den, lg_den = _bilinear_log(tables, 1.0, 1.0, [1.0] * L)
+    (num, lg_num), (den, lg_den) = _transfer_logs(
+        model, L, [(z0, z1, tlist), (1.0, 1.0, [1.0] * L)])
     return num / den * math.exp(lg_num - lg_den)
 
 
@@ -514,11 +609,15 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     lands in.  Deterministic for a fixed seed.
 
     Initial altitudes are at most the boundary cutoff T, the one cut of
-    every finite-L route, and the backward table (L+1) x (T+L+2) must fit in
-    SAMPLE_TABLE_CAP entries.  CapacityError when the table does not fit,
-    when the (L+1) x count path table cannot be allocated, or when the
-    initial altitudes past T carry more than 10 TAIL_TOL of the mass
-    alpha_m u_0[m].
+    every finite-L route.  The backward vectors run on the first height
+    S' of :func:`_heights`, T + 8 sqrt(L) + 64 doubled up to T + L + 2,
+    whose absorbing top state bounds the share of the path measure that
+    the cut drops by eps / 16 (:func:`_backward_table`); level S' - 1 has
+    no up move.  CapacityError when the (L+1) x S backward table of a
+    height (S counts the top state) passes SAMPLE_TABLE_CAP entries, before
+    its pass, when the (L+1) x count path table cannot be allocated, or
+    when the initial altitudes past T carry more than 10 TAIL_TOL of the
+    mass alpha_m u_0[m].
     ValueError for a negative L or seed, or a count below 1.
     """
     for name, value in (("L", L), ("seed", seed)):
@@ -527,15 +626,8 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     T = _boundary_cutoff(model, L)
-    S = T + L + 2
-    if (L + 1) * S > SAMPLE_TABLE_CAP:
-        raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
-                            f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
-    a, b, c, av, bv = _weight_tables(model, S)
-    up_T, down_T = _transposed(a, c)
-    u = np.empty((L + 1, S))
-    for i, (row, _) in enumerate(_steps(bv, up_T, b, down_T, itertools.repeat(1.0, L))):
-        u[L - i] = row
+    (a, b, c, av, bv), u = _backward_table(model, T, L)
+    S = u.shape[1]
     _initial_mass_past(av, u[0], T, L)
     p0 = (av * u[0])[:T + 1]
     p0 = p0 / np.sum(p0)
@@ -561,11 +653,12 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
             drawn = rng.random(out=uniforms[:min(per_draw, L - k)])
         j = k % _BLOCK_STEPS
         if j == 0:
-            # the states of step k + i are at most max(paths[k]) + i, so the
-            # levels 0..max(paths[k]) + steps - 1 hold every state of the
-            # block; its three tables are one contiguous (3, steps, width) array
+            # the states of step k + i are at most max(paths[k]) + i and
+            # below S - 1, so the levels 0..max(paths[k]) + steps - 1 up to
+            # S - 2 hold every state of the block; its three tables are one
+            # contiguous (3, steps, width) array
             steps = min(_BLOCK_STEPS, L - k)
-            width = int(paths[k].max()) + steps
+            width = min(int(paths[k].max()) + steps, S - 1)
             up, upflat, total = _move_tables(a, b, c, u[k + 1:k + 1 + steps],
                                              tables[:3 * steps * width].reshape(3, steps, width))
         # every state has its level in the tables, so "clip" only skips
@@ -577,6 +670,38 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
             np.greater_equal(r, bound.take(states, out=gathered, mode="clip"), out=moved)
             row -= moved
     return paths.T
+
+
+def _backward_table(model: WeightModel, T: int, L: int) -> tuple[tuple, np.ndarray]:
+    """((up, flat, down, alpha, beta), u): the rows u[k] = u_k of the
+    sampler's backward vectors up to positive factors, on the first tables
+    of :func:`_heights` whose top-state bound passes :func:`_certified`
+    against the mass sum_(m <= T) alpha_m u_0[m] that the sampler draws
+    from, with the top state's column zeroed.
+
+    Read backwards, a path is the column pass's row process from beta,
+    which enters the top state where it first crosses S'.  The left
+    harmonic vector s (M^T s = B s) bounds what the path would have added
+    by s_S' per unit of top state, as alpha_m <= s_m, so s_S' times the
+    top's entry of u_0 bounds the drop.  SAMPLE_TABLE_CAP is checked
+    before each pass."""
+    for tables, log_s in _heights(model, T, L):
+        a, b, c, av, bv = tables
+        S = len(a)
+        if (L + 1) * S > SAMPLE_TABLE_CAP:
+            raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
+                                f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
+        up_T, down_T = _transposed(a, c)
+        if log_s is not None:
+            down_T[-1] = 0.0  # no down move out of the top state
+        u = np.empty((L + 1, S))
+        for i, (row, _) in enumerate(_steps(bv, up_T, b, down_T, itertools.repeat(1.0, L))):
+            u[L - i] = row
+        if log_s is None:
+            return tables, u
+        if _certified(float(np.dot(av[:T + 1], u[0, :T + 1])), float(u[0, -1]), log_s):
+            u[:, -1] = 0.0  # level S' - 1 has no up move
+            return tables, u
 
 
 # steps per block of the sampler's move tables

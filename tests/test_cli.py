@@ -326,7 +326,13 @@ def test_emit_json_matches_json_dump(argv):
     cfg = cli._effective_config(cli._build_parser().parse_args([*argv, "--format", "json"]))
     columns, rows, _ = cli._COMMANDS[cfg["command"]](cfg)
     buf = io.StringIO()
-    cli._emit(cfg, columns, rows, buf)
+    if isinstance(rows, list):
+        cli._emit(cfg, columns, rows, buf)
+    else:  # sample's numbered text lines "i,cells", dumped as rows [i, "cells"]
+        blocks = list(rows)
+        cli._emit(cfg, columns, iter(blocks), buf)
+        rows = [[int(i), cells] for i, cells in
+                (line.split(",") for line in "".join(blocks).splitlines())]
     assert buf.getvalue() == _json_dump(cfg, columns, rows)
 
 
@@ -595,6 +601,36 @@ def test_non_finite_float_setting_is_invalid_configuration(key, value, tmp_path,
         assert status == 3, argv
         assert captured.out == ""
         assert f"{key} must be finite, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("specialfn", "x=1\ny=inf\n", "2: y must be finite, got 'inf'"),
+    ("verify", "inject_fault=ture\n", "1: bad value for inject_fault: 'ture'"),
+])
+def test_config_file_value_error_names_its_line(tmp_path, capsys, command, text, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    status = main([command, "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert f"configuration error: {cfgfile}:{message}\n" == captured.err
+
+
+@pytest.mark.parametrize("value, status, message", [
+    ("-1e-3", 0, None), ("-.5E-1", 0, None), ("-inf", 3, "x must be finite, got '-inf'"),
+    ("-nan", 3, "x must be finite, got '-nan'"), ("-1e", 3, "argument --x: expected one argument"),
+])
+def test_negative_float_flag_value_reaches_the_value_check(capsys, value, status, message):
+    # argparse took only -1 and -1.5 for numbers; -1e-3 and -inf were
+    # read as flags, so "--x -1e-3" (a valid q-to-1 point) was rejected
+    got = main(["locallimit", "--regime", "q-to-1", "--N", "400", "--x", value])
+    captured = capsys.readouterr()
+    assert got == status
+    if message is None:
+        assert f"\n400,1,{float(value):.17g},1," in captured.out
+    else:
+        assert message in captured.err
 
 
 def test_config_file_line_without_equals_sign(tmp_path, capsys):

@@ -314,6 +314,117 @@ def test_transfer_takes_the_cut_from_the_short_end_when_rho0_is_near_one():
     assert got == pytest.approx(0.27025397, rel=1e-7)
 
 
+# --------------------------------------------------------- the height rule
+
+_HEIGHT_QS = [0.0, 0.3, 0.5, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("q", _HEIGHT_QS)
+@pytest.mark.parametrize("sigma", [0.01, 0.8, 1.0])
+def test_top_state_bound_rests_on_harmonic_vectors(q, sigma):
+    # the facts the top-state bound uses: M pi = B pi and M^T s = B s
+    # (checked through the log ratios of log_s_values), pi_0 = 1 with pi
+    # nondecreasing, and falling ratios r_n = s_(n+1) / s_n
+    m = QModelParams(q=q, sigma=sigma)
+    wm = WeightModel.from_qmodel(m)
+    n = 2000
+    log_s = motzkin.log_s_values(n + 1, m)
+    log_pi = log_s - np.log([q_number(k + 1, q) for k in range(n + 2)])
+    a, b, c = wm.weight_arrays(n + 1)
+    k = np.arange(1, n)
+    d, r = np.exp(np.diff(log_pi)), np.exp(np.diff(log_s))
+    right = a[k] * d[k] + b[k] + c[k] / d[k - 1]  # (M pi)_k / pi_k
+    left = a[k - 1] / r[k - 1] + b[k] + c[k + 1] * r[k]  # (M^T s)_k / s_k
+    assert np.max(np.abs(right / m.B - 1.0)) < 1e-12
+    assert np.max(np.abs(left / m.B - 1.0)) < 1e-12
+    assert log_pi[0] == 0.0 and np.all(np.diff(log_pi) >= 0.0)
+    assert np.all(np.diff(r) <= 0.0)
+
+
+def _full_height_only(model, T, L):
+    return iter([(motzkin._weight_tables(model, T + L + 2), None)])
+
+
+def _at_height(monkeypatch, S):
+    """Patch the routes to run at height S alone and to accept it; the
+    list returned collects each certificate's (value, top, log_weight)."""
+    spied = []
+    monkeypatch.setattr(motzkin, "_heights", lambda model, T, L: iter([motzkin._top_tables(model, S)]))
+    monkeypatch.setattr(motzkin, "_certified", lambda *args: spied.append(args) or True)
+    return spied
+
+
+def _share_bound(value, top, log_weight):
+    """The bound of a certificate as a share of its value."""
+    return 0.0 if top == 0.0 else math.exp(min(math.log(top) + log_weight - math.log(value), 700.0))
+
+
+@pytest.mark.parametrize("extra", [20, 60])
+@pytest.mark.parametrize("q", _HEIGHT_QS)
+def test_top_state_bound_holds_at_forced_low_heights(monkeypatch, q, extra):
+    # at S' = T + 20 the cut drops up to 1e-4 of the value, and the bound is
+    # at least that for the numerator, the denominator and the sampler's mass
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
+    L = 500
+    T = _boundary_cutoff(wm, L)
+    passes = [(0.9, 0.8, [0.8] + [1.0] * (L - 2) + [1.0 / 1.1]), (1.0, 1.0, [1.0] * L)]
+    a, b, c, av, bv = motzkin._weight_tables(wm, T + L + 2)
+    av[T + 1:] = 0.0  # the sampler's initial altitudes
+    full = motzkin._power(av, a, b, c, [1.0] * L)
+    with monkeypatch.context() as mp:
+        mp.setattr(motzkin, "_heights", _full_height_only)
+        want = motzkin._transfer_logs(wm, L, passes)
+    spied = _at_height(monkeypatch, T + extra)
+    got = motzkin._transfer_logs(wm, L, passes)
+    motzkin._backward_table(wm, T, L)
+    cut = motzkin._power(av[:T + extra], a[:T + extra], b[:T + extra], c[:T + extra], [1.0] * L)
+    drops = [1.0 - g / w * math.exp(lg - lw) for (g, lg), (w, lw) in zip(got, want)]
+    drops.append(1.0 - cut[0].dot(bv[:T + extra]) / full[0].dot(bv) * math.exp(cut[1] - full[1]))
+    for drop, certificate in zip(drops, spied, strict=True):
+        assert drop <= _share_bound(*certificate) + 1e-14
+    if extra == 20 and q < 0.99:
+        assert min(drops) > 1e-6
+
+
+@pytest.mark.parametrize("L", [500, 2000])
+@pytest.mark.parametrize("model", [QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25)
+                                   for q in _HEIGHT_QS]
+                         + [QModelParams(q=0.5, sigma=0.01, rho0=0.9, rho1=0.25),
+                            QModelParams(q=0.9, sigma=0.5, rho0=0.95, rho1=0.95)],
+                         ids=str)
+def test_certified_height_agrees_with_the_full_height(monkeypatch, model, L):
+    # the values stay within their eps / 16 bounds of the full-height ones;
+    # on these models, bench model included, they agree bit for bit
+    wm = WeightModel.from_qmodel(model)
+    args = (0.9, 0.8, [0.8, 1.3], [1.1, 0.7], L, wm)
+    got = matrix_ansatz_expectation(*args), log_normalizing_constant(L, wm)
+    monkeypatch.setattr(motzkin, "_heights", _full_height_only)
+    assert got == (matrix_ansatz_expectation(*args), log_normalizing_constant(L, wm))
+
+
+@pytest.mark.parametrize("q, L, heights", [(0.5, 2000, [453]), (0.5, 20_000, [1227]),
+                                           (0.9, 2000, [473, 945]),
+                                           (0.99, 2000, [631, 1261, 2210])])
+def test_transfer_doubles_the_height_until_the_bound_passes(monkeypatch, q, L, heights):
+    # table lengths stepped (S' plus the top state, or T + L + 2 at the end)
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
+    seen = []
+    real = motzkin._bilinear_log
+    monkeypatch.setattr(motzkin, "_bilinear_log",
+                        lambda tables, *args: seen.append(len(tables[0])) or real(tables, *args))
+    matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], L, wm)
+    assert sorted(set(seen)) == heights
+
+
+def test_sampler_reaches_past_the_full_height_cap():
+    # 5001 x 5032 entries at T + L + 2 pass SAMPLE_TABLE_CAP; the first
+    # height, T + 566 + 64, fits
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    paths = sample_paths(5000, wm, 20, seed=2)
+    assert paths.shape == (20, 5001)
+    assert paths.min() >= 0 and np.all(np.abs(np.diff(paths, axis=1)) <= 1)
+
+
 # the q = 0.99 weights without their qmodel tag
 _UNTAGGED = dataclasses.replace(
     WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.3, rho1=0.25)), qmodel=None)
@@ -694,13 +805,22 @@ def test_sampler_initial_marginal_matches_generating_function():
 
 
 def test_sampler_table_cap_checked_before_the_backward_pass(monkeypatch):
-    # T = 691 at q = 0.99, rho0 = 0.8: the table 2601 x 3293 passes 2^23 entries
-    def no_pass(*args):
-        raise AssertionError("backward pass started")
-    monkeypatch.setattr(motzkin, "_steps", no_pass)
+    # T = 691 at q = 0.99, rho0 = 0.8: the first height's table, 4001 x 1262,
+    # fits and its bound fails; the doubled height's, 4001 x 2523, passes
+    # 2^23 entries and raises before its pass
+    widths = []
+    real = motzkin._steps
+
+    def counted(v, *args):
+        widths.append(v.shape[-1])
+        return real(v, *args)
+
+    monkeypatch.setattr(motzkin, "_steps", counted)
     wm = WeightModel.from_qmodel(QModelParams(q=0.99, sigma=0.8, rho0=0.8, rho1=0.25))
-    with pytest.raises(CapacityError, match=r"L=2600, S=3293 passes SAMPLE_TABLE_CAP"):
-        sample_paths(2600, wm, 10, seed=1)
+    with pytest.raises(CapacityError, match=r"L=4000, S=2523 passes SAMPLE_TABLE_CAP"):
+        sample_paths(4000, wm, 10, seed=1)
+    assert widths == [1262]
+    assert all(4001 * w <= motzkin.SAMPLE_TABLE_CAP for w in widths)
 
 
 def test_sampler_default_cap_raises_when_the_cut_loses_mass(monkeypatch):
