@@ -30,9 +30,10 @@ e_m T_a(P') and the column T_a(P') e_n together, P' = P mapped onto
 [-1, 1], instead of k steps, in blocks on the states both ends reach by
 the block's last step, with two row sums of moments per block.  The
 exact length-L laws that the chains approximate take their heads from
-``altitude_table`` and their middle from one backward pass of a stack of
-end columns through ``motzkin._power``, and drop at most
-10 ``numerics.TAIL_TOL`` of the initial mass past the boundary cutoff.
+``altitude_table`` and their middle from ``motzkin._backward_table``, the
+sampler's backward pass: their end columns, one or a stack, pulled back on
+the first certified O(sqrt L) height, with at most 10 ``numerics.TAIL_TOL``
+of the initial mass dropped past the boundary cutoff.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ from .ascpoly import (
     pi_values,
     s_ratios,
 )
-from .motzkin import (WeightModel, _boundary_cutoff, _initial_mass_past, _power, _require_qmodel,
-                      _step_rows, _step_views, _table_product, _transposed, _tridiagonal_step,
-                      _weight_tables, altitude_table)
+from .motzkin import (WeightModel, _backward_table, _power, _require_qmodel, _step_rows,
+                      _step_views, _table_product, _transposed, _tridiagonal_step, altitude_table)
 from .numerics import _EPS
 
 __all__ = [
@@ -388,25 +388,6 @@ def _chunk_fixed_point(r: np.ndarray, states: np.ndarray, up: np.ndarray,
 
 # ----------------------------------------------- exact finite-length laws
 
-def _pulled_back_ends(wm: WeightModel, L: int, K: int, moments: int):
-    """(T, (up, flat, down, alpha), u_K, lost) with u_K = M^(L-K) ends up to
-    a positive factor, for the end columns beta_n n^i, i < moments, on
-    altitudes 0..T+L+1, T the boundary cutoff, and lost the share of the
-    initial mass alpha_m u_0[m], u_0 = M^L ends, past T.  CapacityError if
-    lost > 10 ``numerics.TAIL_TOL``.  The columns are stepped as one
-    (moments, S) stack by :func:`motzkinq.motzkin._power`, which rescales
-    them by their common peak; u_K comes back as an (S, moments) array."""
-    T = _boundary_cutoff(wm, L)
-    S = T + L + 2
-    a, b, c, av, bv = _weight_tables(wm, S)
-    up_T, down_T = _transposed(a, c)
-    ends = bv * np.arange(S) ** np.arange(moments)[:, None]
-    uK, _ = _power(ends, up_T, b, down_T, itertools.repeat(1.0, L - K))
-    u0, _ = _power(uK, up_T, b, down_T, itertools.repeat(1.0, K))
-    lost = _initial_mass_past(av, u0[0], T, L)
-    return T, (a, b, c, av), np.ascontiguousarray(uK.T), lost
-
-
 def _positive_rows(table: np.ndarray, p: np.ndarray) -> dict[tuple[int, ...], float]:
     keep = p > 0.0
     return dict(zip(map(tuple, table[keep].tolist()), p[keep].tolist()))
@@ -415,15 +396,18 @@ def _positive_rows(table: np.ndarray, p: np.ndarray) -> dict[tuple[int, ...], fl
 def finite_path_head_law(wm: WeightModel, L: int, K: int) -> dict[tuple[int, ...], float]:
     """Exact joint law of (g_0, ..., g_K) under the length-L path measure:
     alpha_m w(head) u_K[g_K] / (alpha . u_0) over the :func:`altitude_table`
-    heads from m <= T, T the boundary cutoff, whose total is 1 - lost.
-    CapacityError if the share lost of the mass alpha_m u_0[m] past T
-    exceeds 10 TAIL_TOL, so the law misses at most that.  Needs the
-    q-model weights.  Guarded at K <= ENUMERATION_CAP."""
+    heads from m <= T, T the boundary cutoff, whose total is 1 - lost; u_K
+    comes from ``motzkin._backward_table``.  CapacityError if the share
+    lost of the mass alpha_m u_0[m] past T exceeds 10 TAIL_TOL, so the law
+    misses at most that.  Needs the q-model weights.  Guarded at
+    K <= ENUMERATION_CAP."""
+    if K < 0:
+        raise ValueError(f"K must be nonnegative, got {K}")
     if K >= L:
         raise ValueError("need K < L")
-    T, (a, b, c, av), uK, lost = _pulled_back_ends(wm, L, K, 1)
+    T, (a, b, c, av, _), uK, lost = _backward_table(wm, L, (K,))
     table = np.concatenate([altitude_table(K, m, None) for m in range(T + 1)])
-    p = av[table[:, 0]] * _table_product(table, a, b, c) * uK[table[:, -1], 0]
+    p = av[table[:, 0]] * _table_product(table, a, b, c) * uK[0, table[:, -1]]
     return _positive_rows(table, p * ((1.0 - lost) / p.sum()))
 
 
@@ -432,6 +416,8 @@ def chain_head_law(model: QModelParams, which: str, K: int) -> dict[tuple[int, .
     :func:`altitude_table` heads from each start of :func:`initial_law`,
     priced by the (up, flat, down) rows.  Guarded at
     K <= ENUMERATION_CAP."""
+    if K < 0:
+        raise ValueError(f"K must be nonnegative, got {K}")
     init = initial_law(which, model)
     up, flat, down = transition_arrays(model, init.offset + len(init.probs) + K)
     table = np.concatenate([altitude_table(K, n, None) for n, _ in init.rows()])
@@ -453,20 +439,21 @@ def tv_distance(law1: dict[tuple[int, ...], float],
 def endpoint_pair_correlation(wm: WeightModel, L: int) -> float:
     """Correlation of (g_0, g_L) under the exact length-L path measure.
 
-    (beta, beta n, beta n^2) pulled back L steps and paired with
-    (alpha, alpha m, alpha m^2) over m <= T give F[i, j] = C E[g_0^i g_L^j]
-    up to one factor, T the boundary cutoff.  CapacityError if more than
-    10 TAIL_TOL of the initial mass lies past T, so the law behind the
-    moments misses at most that share of its total.  Needs the q-model
-    weights; ValueError where rho0 = 0 or rho1 = 0 pins g_0 or g_L at 0,
-    so the correlation is undefined.
+    (beta, beta n, beta n^2) pulled back L steps in one stack by
+    ``motzkin._backward_table`` and paired with (alpha, alpha m, alpha m^2)
+    over m <= T give F[i, j] = C E[g_0^i g_L^j] up to one factor, T the
+    boundary cutoff.  CapacityError if more than 10 TAIL_TOL of the
+    initial mass lies past T, so the law behind the moments misses at most
+    that share of its total.  Needs the q-model weights; ValueError where
+    rho0 = 0 or rho1 = 0 pins g_0 or g_L at 0, so the correlation is
+    undefined.
     """
     for name in ("rho0", "rho1"):
         if getattr(_require_qmodel(wm), name) == 0.0:
             raise ValueError(f"{name} = 0 pins an end at 0: corr(g_0, g_L) is undefined")
-    T, (*_, av), u0, _ = _pulled_back_ends(wm, L, 0, 3)
+    T, (*_, av, _), u, _ = _backward_table(wm, L, (0,), moments=3)
     heads = av[:T + 1, None] * np.arange(T + 1)[:, None] ** np.arange(3)
-    F = heads.T @ u0[:T + 1]
+    F = heads.T @ np.ascontiguousarray(u[0].T)[:T + 1]
     F /= F[0, 0]  # F[i, j] = E[g_0^i g_L^j]
     vm, vn = F[2, 0] - F[1, 0] ** 2, F[0, 2] - F[0, 1] ** 2
     return float((F[1, 1] - F[1, 0] * F[0, 1]) / math.sqrt(vm * vn))

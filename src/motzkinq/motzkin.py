@@ -12,13 +12,15 @@ All transfer computations use the tridiagonal structure directly (O(S) per
 step); dense operator matrices are never formed.  Every step of every pass
 in the package is :func:`_tridiagonal_step`, which writes in place into a
 buffer its caller owns.  Every exact multi-step pass (the transfer product,
-the integral route's end vectors, the sampler's backward table, the chains'
-k-step and exact laws, the lattice point's exact branches) is the loop
-:func:`_steps` (:func:`_power` is its last vector), on one vector or a
-stack, which carries its scale as a log and reads the peak only after steps
-where bounds on its growth let it leave range; the sampler tabulates its
-move weights for a block of steps at a time on the levels its paths can
-reach.  The transfer and the sampler step on O(sqrt L) altitudes above the
+the integral route's end vectors, the backward pass, the chains' k-step
+laws, the lattice point's exact branches) is the loop :func:`_steps`
+(:func:`_power` is its last vector), on one vector or a stack, which
+carries its scale as a log and reads the peak only after steps where
+bounds on its growth let it leave range.  One backward pass,
+:func:`_backward_table`, pulls the end columns back for the sampler and
+for the exact laws of ``chains``; the sampler tabulates its move weights
+for a block of steps at a time on the levels its paths can reach.  The
+transfer and the backward pass step on O(sqrt L) altitudes above the
 boundary cut plus one absorbing top state, whose final entry, weighted by
 the q-model's harmonic vectors, bounds what the height drops; the height
 doubles until that bound is below eps / 16 of the value.  The transfer and
@@ -58,8 +60,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 14
-# entries (L+1) x S of the largest backward table that sample_paths
-# allocates (64 MB of float64)
+# entries of the largest table of rows that the backward pass keeps, (L+1)
+# x S for sample_paths (64 MB of float64)
 SAMPLE_TABLE_CAP = 1 << 23
 
 
@@ -326,19 +328,23 @@ def _require_qmodel(model: WeightModel) -> QModelParams:
 def _boundary_cutoff(model: WeightModel, L: int) -> int:
     """Largest initial altitude T that the finite-length routes keep: the
     larger length of the two chain initial laws rho^n s_n / C of the
-    q-model cut at ``numerics.TAIL_TOL``.  The transfer and the sampler
-    step the paths on heights T + 8 sqrt(L) + 64, doubled up to T + L + 2
-    (:func:`_heights`), each with an absorbing top state whose final
-    entry bounds what the height drops; a height is taken when that bound
-    is at most eps / 16 of the value.
+    q-model cut at ``numerics.TAIL_TOL``.  The transfer and the backward
+    pass (the sampler and the exact laws of ``chains``) step the paths on
+    heights T + 8 sqrt(L) + 64, doubled up to T + L + 2 (:func:`_heights`),
+    each with an absorbing top state whose final entry bounds what the
+    height drops; a height is taken when that bound is at most eps / 16 of
+    the value.
 
     The length-L law of g_0 is the law with rho0 tilted by a weight that
     falls with the altitude, so its mass past T stays below that law's tail
     at every L; g_L and rho1 likewise.  This is measured, not proven, and
     the exact laws and the sampler check it.  Where the law with the larger
     rho is not cut within RECURRENCE_CAP levels, T is the other law's length
-    plus L, as |g_0 - g_L| <= L.  ValueError without the q-model.
+    plus L, as |g_0 - g_L| <= L.  ValueError for a negative L or without
+    the q-model.
     """
+    if L < 0:
+        raise ValueError(f"L must be nonnegative, got {L}")
     qm = _require_qmodel(model)
     lo, hi = sorted((qm.rho0, qm.rho1))
     t_lo = len(_initial_law_probs(qm, lo))
@@ -354,9 +360,9 @@ def _weight_tables(model: WeightModel, size: int) -> tuple[np.ndarray, ...]:
 
 
 def _heights(model: WeightModel, T: int, L: int):
-    """The tables that the transfer and the sampler try in turn, one per
-    height S': T + ceil(8 sqrt L) + 64, doubled while below T + L + 2, each
-    as (:func:`_top_tables`, log s_S'), skipped where its tail bound
+    """The tables that the transfer and the backward pass try in turn, one
+    per height S': T + ceil(8 sqrt L) + 64, doubled while below T + L + 2,
+    each as (:func:`_top_tables`, log s_S'), skipped where its tail bound
     diverges; last ((up, flat, down, alpha, beta) on T + L + 2 altitudes,
     None), the exact reach of the paths from initial altitudes m <= T,
     with no top state and no bound."""
@@ -576,22 +582,6 @@ def integral_normalizing_constant(L: int, model: WeightModel) -> float:
 
 # ------------------------------------------------------------------ sampling
 
-def _initial_mass_past(av: np.ndarray, u0: np.ndarray, T: int, L: int) -> float:
-    """Share of the initial-altitude mass alpha_m u_0[m] at altitudes m > T;
-    CapacityError naming T, L and the share when it is above
-    10 ``numerics.TAIL_TOL``."""
-    p0 = av * u0
-    total = float(np.sum(p0))
-    if not total > 0.0:
-        raise ValueError("initial-altitude mass alpha_m u_0[m] is not positive")
-    lost = float(np.sum(p0[T + 1:])) / total
-    bound = 10.0 * numerics.TAIL_TOL
-    if lost > bound:
-        raise CapacityError(f"initial altitudes past T={T} carry mass {lost:.2e} "
-                            f"> {bound:g} at L={L}")
-    return lost
-
-
 def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarray:
     """Exact samples from the path measure, as an int array (count, L+1):
     the transpose of the (L+1, count) buffer that the loop fills one step
@@ -599,36 +589,30 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
 
     Sequential sampler: the initial altitude is drawn proportionally to
     alpha_m u_0[m], then every step proportionally to edge weight times the
-    next backward vector u_k = M_1^{L-k} W_beta(1), from :func:`_steps` up
-    to a positive factor.  Step k takes, per level h, the cumulative weights
-    up, up + flat and up + flat + down of the three moves from the tables of
-    :func:`_move_tables`, made for a block of _BLOCK_STEPS steps at once on
-    the levels the paths can reach in it: a block that starts at step k
-    with highest state m has its states at most m + i at step k + i;
-    each path then gathers its three entries and takes the move its uniform
-    lands in.  Deterministic for a fixed seed.
+    next backward vector u_k = M_1^{L-k} W_beta(1), from
+    :func:`_backward_table` up to a positive factor.  Step k takes, per
+    level h, the cumulative weights up, up + flat and up + flat + down of
+    the three moves from the tables of :func:`_move_tables`, made for a
+    block of _BLOCK_STEPS steps at once on the levels the paths can reach
+    in it: a block that starts at step k with highest state m has its
+    states at most m + i at step k + i; each path then gathers its three
+    entries and takes the move its uniform lands in.  Deterministic for a
+    fixed seed.
 
     Initial altitudes are at most the boundary cutoff T, the one cut of
-    every finite-L route.  The backward vectors run on the first height
-    S' of :func:`_heights`, T + 8 sqrt(L) + 64 doubled up to T + L + 2,
-    whose absorbing top state bounds the share of the path measure that
-    the cut drops by eps / 16 (:func:`_backward_table`); level S' - 1 has
-    no up move.  CapacityError when the (L+1) x S backward table of a
-    height (S counts the top state) passes SAMPLE_TABLE_CAP entries, before
-    its pass, when the (L+1) x count path table cannot be allocated, or
-    when the initial altitudes past T carry more than 10 TAIL_TOL of the
-    mass alpha_m u_0[m].
-    ValueError for a negative L or seed, or a count below 1.
+    every finite-L route, and level S' - 1 of the certified height has no
+    up move.  CapacityError when the (L+1) x S backward table of a height
+    passes SAMPLE_TABLE_CAP entries, before its pass, when the (L+1) x count
+    path table cannot be allocated, or when the initial altitudes past T
+    carry more than 10 TAIL_TOL of the mass alpha_m u_0[m].  ValueError for
+    a negative L or seed, or a count below 1.
     """
-    for name, value in (("L", L), ("seed", seed)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    T = _boundary_cutoff(model, L)
-    (a, b, c, av, bv), u = _backward_table(model, T, L)
+    T, (a, b, c, av, bv), u, _ = _backward_table(model, L, range(L + 1))
     S = u.shape[1]
-    _initial_mass_past(av, u[0], T, L)
     p0 = (av * u[0])[:T + 1]
     p0 = p0 / np.sum(p0)
     rng = np.random.default_rng(seed)
@@ -672,36 +656,64 @@ def sample_paths(L: int, model: WeightModel, count: int, seed: int) -> np.ndarra
     return paths.T
 
 
-def _backward_table(model: WeightModel, T: int, L: int) -> tuple[tuple, np.ndarray]:
-    """((up, flat, down, alpha, beta), u): the rows u[k] = u_k of the
-    sampler's backward vectors up to positive factors, on the first tables
-    of :func:`_heights` whose top-state bound passes :func:`_certified`
-    against the mass sum_(m <= T) alpha_m u_0[m] that the sampler draws
-    from, with the top state's column zeroed.
+def _backward_table(model: WeightModel, L: int, keep,
+                    moments: int = 1) -> tuple[int, tuple, np.ndarray, float]:
+    """(T, (up, flat, down, alpha, beta), u, lost): the one backward pass
+    of the finite-L routes, the sampler and the exact laws of ``chains``.
+    u[i] = M^(L - keep[i]) ends up to a positive factor, for the end
+    columns beta_n n^j, j < moments, stepped by :func:`_steps` as one stack
+    (a vector beta when moments = 1), with the top state's column zeroed; T
+    is the boundary cutoff and lost the share of the initial mass
+    alpha_m u_0[m] past T.  The pass runs on the first tables of
+    :func:`_heights` whose top-state bound passes :func:`_certified` for
+    every F[i, j] = sum_(m <= T) alpha_m m^i u_0[m, j].
 
-    Read backwards, a path is the column pass's row process from beta,
+    Read backwards, a path is the column pass's row process from the ends,
     which enters the top state where it first crosses S'.  The left
     harmonic vector s (M^T s = B s) bounds what the path would have added
-    by s_S' per unit of top state, as alpha_m <= s_m, so s_S' times the
-    top's entry of u_0 bounds the drop.  SAMPLE_TABLE_CAP is checked
-    before each pass."""
+    by s_S' per unit of top state, as alpha_m <= s_m, so T^i s_S' times
+    column j's top entry of u_0 bounds the drop of F[i, j] (m^i <= T^i).
+    The top state's ends take n = T + L, the highest end that a path from
+    m <= T reaches.  CapacityError when the kept rows of a height (S counts
+    the top state) pass SAMPLE_TABLE_CAP entries, before its pass, or when
+    lost is above 10 ``numerics.TAIL_TOL``; ValueError where the initial
+    mass is not positive."""
+    T = _boundary_cutoff(model, L)
     for tables, log_s in _heights(model, T, L):
         a, b, c, av, bv = tables
         S = len(a)
-        if (L + 1) * S > SAMPLE_TABLE_CAP:
-            raise CapacityError(f"backward table of (L+1) x S entries at L={L}, S={S} "
-                                f"passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
+        if len(keep) * moments * S > SAMPLE_TABLE_CAP:
+            raise CapacityError(f"backward table of {len(keep) * moments} x S entries at L={L}, "
+                                f"S={S} passes SAMPLE_TABLE_CAP={SAMPLE_TABLE_CAP} entries")
         up_T, down_T = _transposed(a, c)
+        n = np.arange(S)
         if log_s is not None:
             down_T[-1] = 0.0  # no down move out of the top state
-        u = np.empty((L + 1, S))
-        for i, (row, _) in enumerate(_steps(bv, up_T, b, down_T, itertools.repeat(1.0, L))):
-            u[L - i] = row
-        if log_s is None:
-            return tables, u
-        if _certified(float(np.dot(av[:T + 1], u[0, :T + 1])), float(u[0, -1]), log_s):
-            u[:, -1] = 0.0  # level S' - 1 has no up move
-            return tables, u
+            n[-1] = T + L
+        # one column steps faster as a vector than as a stack
+        ends = bv if moments == 1 else bv * n ** np.arange(moments)[:, None]
+        u = np.empty((len(keep), *ends.shape))
+        kept = dict(zip(keep, u))
+        for i, (row, _) in enumerate(_steps(ends, up_T, b, down_T, itertools.repeat(1.0, L))):
+            if L - i in kept:
+                kept[L - i][...] = row
+        u0 = np.atleast_2d(row)  # the last yield, u_0
+        if log_s is not None:
+            top = u0[:, -1].tolist()
+            u0[:, -1] = u[..., -1] = 0.0  # level S' - 1 has no up move
+            heads = av[:T + 1] * n[:T + 1] ** np.arange(moments)[:, None]
+            F = heads @ u0[:, :T + 1].T
+            if not all(_certified(F[i, j], top[j] * T**i, log_s) for i, j in np.ndindex(F.shape)):
+                continue
+        p0 = av * u0[0]
+        total = float(np.sum(p0))
+        if not total > 0.0:
+            raise ValueError("initial-altitude mass alpha_m u_0[m] is not positive")
+        lost = float(np.sum(p0[T + 1:])) / total
+        if lost > 10.0 * numerics.TAIL_TOL:
+            raise CapacityError(f"initial altitudes past T={T} carry mass {lost:.2e} "
+                                f"> {10.0 * numerics.TAIL_TOL:g} at L={L}")
+        return T, tables, u, lost
 
 
 # steps per block of the sampler's move tables

@@ -11,8 +11,9 @@ in place; the oracles below step with them.  The leaking
 stepper is the chain's old k-step loop, which summed the flux past the
 cap step by step; ``kernels._exact_point`` now reads that leak from an
 absorbing state of ``_power``.  The tiled power is the old form of the
-stacked ``_power`` in ``chains._pulled_back_ends``: several end columns as
-one vector, kept apart by zero weights at the block edges.  The sampler and
+stack of end columns that ``motzkin._backward_table`` steps for the
+correlation: several end columns as one vector, kept apart by zero
+weights at the block edges.  The sampler and
 chain oracles are the straightforward per-state forms of ``sample_paths`` and
 ``simulate_chain``: the package's table-driven loops must reproduce them bit
 for bit.  The per-cell writer is the plain form of the CLI's integer-table

@@ -25,16 +25,14 @@ from motzkinq.chains import (
     transition_row,
     tv_distance,
 )
-from motzkinq import chains
+from motzkinq import chains, motzkin
 from motzkinq.errors import CapacityError
-from motzkinq.motzkin import (WeightModel, _power, _transposed, _weight_tables,
-                              matrix_ansatz_expectation)
+from motzkinq.motzkin import WeightModel, matrix_ansatz_expectation
 
 import oracles
 from oracles import (_chebyshev_power, chain_head_law_walk, chebyshev_entry_three_buffers,
                      chebyshev_rows_full_width, endpoint_pair_correlation_per_start,
-                     finite_path_head_law_walk, iterate_tridiagonal, simulate_chain_numpy_loop,
-                     tiled_power)
+                     finite_path_head_law_walk, iterate_tridiagonal, simulate_chain_numpy_loop)
 
 
 # ------------------------------------------------------------- transitions
@@ -606,7 +604,7 @@ def test_initial_law_uses_the_whole_recurrence_cap_then_names_itself():
 
 def test_finite_laws_raise_when_the_cut_loses_mass(monkeypatch):
     # a cut at T = 9 leaves 3.5e-4 of the initial mass past it at L = 200
-    monkeypatch.setattr(chains, "_boundary_cutoff", lambda wm, L: 9)
+    monkeypatch.setattr(motzkin, "_boundary_cutoff", lambda wm, L: 9)
     wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
     msg = r"initial altitudes past T=9 carry mass 3.52e-04 > 1e-11 at L=200"
     with pytest.raises(CapacityError, match=msg):
@@ -666,23 +664,6 @@ def test_endpoint_pair_correlation_at_zero_rho_is_a_value_error(name):
     wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, **rhos))
     with pytest.raises(ValueError, match=rf"{name} = 0 pins an end"):
         endpoint_pair_correlation(wm, 50)
-
-
-@pytest.mark.parametrize("L,K,moments", [(1000, 0, 3), (200, 3, 1)])
-def test_pulled_back_ends_step_their_stack_as_the_tiled_vector(L, K, moments):
-    # the (moments, S) stack of end columns through _power is the old tiled
-    # vector of moments * S entries bit for bit, rescales (at L = 1000) and
-    # their common peak included
-    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
-    T, _, uK, _ = chains._pulled_back_ends(wm, L, K, moments)
-    a, b, c, _, bv = _weight_tables(wm, T + L + 2)
-    up_T, down_T = _transposed(a, c)
-    ends = bv * np.arange(len(bv)) ** np.arange(moments)[:, None]
-    stacked, scale = _power(ends, up_T, b, down_T, [1.0] * (L - K))
-    want, want_scale = tiled_power(ends, up_T, b, down_T, [1.0] * (L - K))
-    assert scale == want_scale and (scale != 0.0) == (L == 1000)
-    assert stacked.tobytes() == want.tobytes()
-    assert uK.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 def test_kstep_integral_overflow_is_named_at_once():

@@ -1,5 +1,6 @@
 """Every exported name exists, no function takes a tail tolerance, only the
-two stepping loops call the tridiagonal step, every raise in the package is
+two stepping loops call the tridiagonal step, only the height rule and the
+integral routes tabulate the weights, every raise in the package is
 one of its typed errors, no module imports a name it never uses, and the
 CLI loads no numpy submodule beyond what it needs."""
 
@@ -42,17 +43,27 @@ def test_no_function_takes_a_tail_tolerance():
     assert takers == []
 
 
+def _callers(callee: str) -> set[str]:
+    """"file:function" of every def in the package that calls ``callee``."""
+    return {f"{name}:{fn.name}" for name, fn in _package_functions() for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None))}
+
+
 def test_only_the_two_stepping_loops_call_the_tridiagonal_step():
     # every exact multi-step pass runs through motzkin._steps and the
     # Chebyshev pass through chains._chebyshev_blocks; a third caller of
     # the step would be a stepping loop with its own rescale rule
-    callers = set()
-    for name, fn in _package_functions():
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and "_tridiagonal_step" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                callers.add(f"{name}:{fn.name}")
-    assert callers == {"motzkin.py:_steps", "chains.py:_chebyshev_blocks"}
+    assert _callers("_tridiagonal_step") == {"motzkin.py:_steps", "chains.py:_chebyshev_blocks"}
+
+
+def test_only_the_height_rule_and_the_integral_routes_tabulate_the_weights():
+    # every exact finite-L pass takes its tables from motzkin._heights, so
+    # each height is certified by one rule; a fifth caller of
+    # _weight_tables would be a pass on a height of its own
+    assert _callers("_weight_tables") == {"motzkin.py:_heights", "motzkin.py:_top_tables",
+                                          "motzkin.py:integral_expectation",
+                                          "motzkin.py:integral_normalizing_constant"}
 
 
 _SUBMODULE_PROBE = """

@@ -1,7 +1,8 @@
 """Every input check of the package raises its typed error with its message.
 
 One case per check that no other test reaches: the argument ranges of the
-polynomial, chain, kernel, path and q-series layers, the positive-mass
+polynomial, chain, kernel, path and q-series layers, a negative L on the
+finite-L routes that no other check of theirs stops, the positive-mass
 guards of the normalizer and the sampler on a model without initial mass,
 and the theta series' term cap, the one ConvergenceError case, run with
 ``numerics.MAX_TERMS`` lowered to 5.
@@ -15,19 +16,21 @@ import pytest
 from motzkinq import numerics
 from motzkinq.ascpoly import (AscParams, QModelParams, _check_order, asc_endpoint_limit_fixed_q,
                               asc_endpoint_limit_q_to_1, index_map)
-from motzkinq.chains import (Distribution, finite_path_head_law, initial_law, kstep_distribution,
-                             transition_row)
+from motzkinq.chains import (Distribution, chain_head_law, endpoint_pair_correlation,
+                             finite_path_head_law, initial_law, kstep_distribution, transition_row)
 from motzkinq.errors import ConvergenceError
 from motzkinq.kernels import (initial_limit_fixed_q, local_limit_error_fixed_q,
                               local_limit_error_q_to_1, xi0_density, zeta0_density)
-from motzkinq.motzkin import (MotzkinPath, WeightModel, altitude_table, log_normalizing_constant,
-                              sample_paths)
+from motzkinq.motzkin import (MotzkinPath, WeightModel, altitude_table,
+                              integral_normalizing_constant, log_normalizing_constant,
+                              normalizing_constant, sample_paths)
 from motzkinq.qspecial import qpoch_finite, ramanujan_ratio, theta1
 
 MODEL = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+WM = WeightModel.from_qmodel(MODEL)
 ASC = AscParams(0.1, 0.2, 0.5)
 # the q-model's tag with every initial weight 0, so no path has mass
-MASSLESS = dataclasses.replace(WeightModel.from_qmodel(MODEL), alpha=lambda n: 0.0)
+MASSLESS = dataclasses.replace(WM, alpha=lambda n: 0.0)
 
 
 def _weights(flat=1.0, alpha=1.0):
@@ -60,8 +63,20 @@ CASES = [
     ("initial_law", lambda: initial_law("Z", MODEL), ValueError, "which must be 'X' or 'Y'"),
     ("kstep_distribution", lambda: kstep_distribution(Distribution.point_mass(0), -1, MODEL),
      ValueError, "k must be nonnegative"),
-    ("finite_path_head_law", lambda: finite_path_head_law(WeightModel.from_qmodel(MODEL), 3, 3),
-     ValueError, "need K < L"),
+    ("finite_path_head_law", lambda: finite_path_head_law(WM, 3, 3), ValueError, "need K < L"),
+    ("finite_path_head_law-K", lambda: finite_path_head_law(WM, 5, -2), ValueError,
+     "K must be nonnegative, got -2"),
+    ("chain_head_law-K", lambda: chain_head_law(MODEL, "X", -1), ValueError,
+     "K must be nonnegative, got -1"),
+    # every finite-L route takes L through the boundary cutoff
+    ("endpoint_pair_correlation-L-1", lambda: endpoint_pair_correlation(WM, -1), ValueError,
+     "L must be nonnegative, got -1"),
+    ("endpoint_pair_correlation-L-2", lambda: endpoint_pair_correlation(WM, -2), ValueError,
+     "L must be nonnegative, got -2"),
+    ("normalizing_constant-L", lambda: normalizing_constant(-2, WM), ValueError,
+     "L must be nonnegative, got -2"),
+    ("integral_normalizing_constant-L", lambda: integral_normalizing_constant(-2, WM), ValueError,
+     "L must be nonnegative, got -2"),
     ("xi0_density", lambda: xi0_density(1.0, 0.0), ValueError, "c must be positive, got 0.0"),
     ("zeta0_density", lambda: zeta0_density(1.0, -1.0), ValueError,
      "c must be positive, got -1.0"),

@@ -42,7 +42,7 @@ from motzkinq.motzkin import (
 from oracles import (backward_vectors_allocating, brute_expectation, brute_partition_sum,
                      end_laws, end_mass_shares_past, enumerate_paths_recursive, gauss_legendre,
                      horizontal_count, parse_path_line, partition_weight, power_allocating,
-                     sample_paths_per_state, transfer_expectation_plain,
+                     sample_paths_per_state, tiled_power, transfer_expectation_plain,
                      tridiagonal_step_allocating, unit_model)
 
 MOTZKIN_NUMBERS = [1, 1, 2, 4, 9, 21, 51, 127]
@@ -363,43 +363,83 @@ def _share_bound(value, top, log_weight):
 @pytest.mark.parametrize("q", _HEIGHT_QS)
 def test_top_state_bound_holds_at_forced_low_heights(monkeypatch, q, extra):
     # at S' = T + 20 the cut drops up to 1e-4 of the value, and the bound is
-    # at least that for the numerator, the denominator and the sampler's mass
+    # at least that for the numerator, the denominator, the mass of the
+    # sampler and of the head law, and the correlation's sums F[i, j] of the
+    # heads alpha_m m^i, m <= T, against the columns beta_n n^j
     wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
     L = 500
     T = _boundary_cutoff(wm, L)
+    S = T + extra
     passes = [(0.9, 0.8, [0.8] + [1.0] * (L - 2) + [1.0 / 1.1]), (1.0, 1.0, [1.0] * L)]
     a, b, c, av, bv = motzkin._weight_tables(wm, T + L + 2)
-    av[T + 1:] = 0.0  # the sampler's initial altitudes
-    full = motzkin._power(av, a, b, c, [1.0] * L)
+    av[T + 1:] = 0.0  # the initial altitudes of the backward pass
+    powers = np.arange(T + L + 2) ** np.arange(3)[:, None]
+    heads, ends = av * powers, bv * powers
+    (full, full_lg), (cut, cut_lg) = (motzkin._power(heads[:, :n], a[:n], b[:n], c[:n], [1.0] * L)
+                                      for n in (T + L + 2, S))
+    F = (cut @ ends[:, :S].T) / (full @ ends.T) * math.exp(cut_lg - full_lg)
     with monkeypatch.context() as mp:
         mp.setattr(motzkin, "_heights", _full_height_only)
         want = motzkin._transfer_logs(wm, L, passes)
-    spied = _at_height(monkeypatch, T + extra)
+    spied = _at_height(monkeypatch, S)
     got = motzkin._transfer_logs(wm, L, passes)
-    motzkin._backward_table(wm, T, L)
-    cut = motzkin._power(av[:T + extra], a[:T + extra], b[:T + extra], c[:T + extra], [1.0] * L)
+    sample_paths(L, wm, 10, seed=1)
+    finite_path_head_law(wm, L, 3)
+    endpoint_pair_correlation(wm, L)
     drops = [1.0 - g / w * math.exp(lg - lw) for (g, lg), (w, lw) in zip(got, want)]
-    drops.append(1.0 - cut[0].dot(bv[:T + extra]) / full[0].dot(bv) * math.exp(cut[1] - full[1]))
+    drops += [1.0 - F[0, 0]] * 2 + list(1.0 - F.ravel())
     for drop, certificate in zip(drops, spied, strict=True):
         assert drop <= _share_bound(*certificate) + 1e-14
     if extra == 20 and q < 0.99:
         assert min(drops) > 1e-6
 
 
-@pytest.mark.parametrize("L", [500, 2000])
+@pytest.mark.parametrize("L,K,moments", [(1000, 0, 3), (200, 3, 1)])
+def test_backward_table_steps_its_stack_as_the_tiled_vector(monkeypatch, L, K, moments):
+    # the (moments, S) stack of end columns through _power is the old tiled
+    # vector of moments * S entries bit for bit, rescales (at L = 1000) and
+    # their common peak included, and the backward pass at the full height
+    # keeps that stack as its row u_K
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    monkeypatch.setattr(motzkin, "_heights", _full_height_only)
+    T, _, uK, _ = motzkin._backward_table(wm, L, (K,), moments)
+    a, b, c, _, bv = motzkin._weight_tables(wm, T + L + 2)
+    up_T, down_T = _transposed(a, c)
+    ends = bv * np.arange(len(bv)) ** np.arange(moments)[:, None]
+    stacked, scale = motzkin._power(ends, up_T, b, down_T, [1.0] * (L - K))
+    want, want_scale = tiled_power(ends, up_T, b, down_T, [1.0] * (L - K))
+    assert scale == want_scale and (scale != 0.0) == (L == 1000)
+    assert stacked.tobytes() == want.tobytes()
+    assert uK[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("L", [500, 2000, 200, 1000])
 @pytest.mark.parametrize("model", [QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25)
                                    for q in _HEIGHT_QS]
                          + [QModelParams(q=0.5, sigma=0.01, rho0=0.9, rho1=0.25),
-                            QModelParams(q=0.9, sigma=0.5, rho0=0.95, rho1=0.95)],
+                            QModelParams(q=0.9, sigma=0.5, rho0=0.95, rho1=0.95),
+                            QModelParams(q=0.2, sigma=0.8, rho0=0.3, rho1=0.25),
+                            QModelParams(q=0.5, sigma=0.8, rho0=0.9, rho1=0.25),
+                            QModelParams(q=0.2, sigma=0.6, rho0=0.2, rho1=0.2),
+                            QModelParams(q=0.0, sigma=1.0, rho0=0.3, rho1=0.3)],
                          ids=str)
 def test_certified_height_agrees_with_the_full_height(monkeypatch, model, L):
     # the values stay within their eps / 16 bounds of the full-height ones;
-    # on these models, bench model included, they agree bit for bit
+    # on these models, bench model included, they agree bit for bit: the
+    # transfer and log C, and at L = 200 and 1000 the head law (K = 3) and
+    # the endpoint correlation
     wm = WeightModel.from_qmodel(model)
     args = (0.9, 0.8, [0.8, 1.3], [1.1, 0.7], L, wm)
-    got = matrix_ansatz_expectation(*args), log_normalizing_constant(L, wm)
+
+    def values():
+        got = [matrix_ansatz_expectation(*args), log_normalizing_constant(L, wm)]
+        if L in (200, 1000):
+            got += [finite_path_head_law(wm, L, 3), endpoint_pair_correlation(wm, L)]
+        return got
+
+    got = values()
     monkeypatch.setattr(motzkin, "_heights", _full_height_only)
-    assert got == (matrix_ansatz_expectation(*args), log_normalizing_constant(L, wm))
+    assert got == values()
 
 
 @pytest.mark.parametrize("q, L, heights", [(0.5, 2000, [453]), (0.5, 20_000, [1227]),
