@@ -29,7 +29,7 @@ print()
 
 print("q = exp(-2/sqrt(N)) -> 1, t = 1, x = y = 0  (target: Bessel-K kernel)")
 print("N,t,x,y,lhs,rhs,rel_err")
-for r in error_table("q-to-1", [400, 2500, 4900], 1.0, 0.0, 0.0, sigma=1.0):
+for r in error_table("q-to-1", [400, 2500, 4900], 1.0, 0.0, 0.0, model=model):
     print(f"{r['N']},{r['t']},{r['x']},{r['y']},{r['lhs']:.8f},{r['rhs']:.8f},{r['rel_err']:.6f}")
 print()
 

@@ -401,6 +401,8 @@ def index_map(z: float, N: int, sigma: float) -> int:
     rn = _root(N)
     if not (0.0 < sigma <= 1.0):
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     return math.floor(z * rn) + math.floor(rn * math.log(math.sqrt(2.0 * N * (1.0 + sigma))))
 
 

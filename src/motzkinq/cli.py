@@ -341,9 +341,8 @@ def _cmd_locallimit(cfg: dict) -> tuple[list[str], list[list], int]:
     """lattice-vs-kernel error table"""
     if not cfg["N"]:
         raise ConfigError("locallimit needs a nonempty N list")
-    model = _qmodel(cfg)  # checked in both regimes; q-to-1 reads only sigma
-    table = error_table(cfg["regime"], cfg["N"], cfg["t"], cfg["x"], cfg["y"],
-                        model=model, sigma=cfg["sigma"])
+    # the model is checked in both regimes; q-to-1 reads only its sigma
+    table = error_table(cfg["regime"], cfg["N"], cfg["t"], cfg["x"], cfg["y"], _qmodel(cfg))
     rows = [[r["N"], r["t"], r["x"], r["y"], r["lhs"], r["rhs"], r["rel_err"]]
             for r in table]
     return ["N", "t", "x", "y", "lhs", "rhs", "rel_err"], rows, 0

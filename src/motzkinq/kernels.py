@@ -77,10 +77,25 @@ class KernelQuery:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_finite(t=self.t, x=self.x, y=self.y)
         if self.t <= 0.0:
             raise ValueError(f"t must be positive, got {self.t}")
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError(f"sigma must lie in (0, 1], got {self.sigma}")
+
+
+def _check_finite(**args: float) -> None:
+    """ValueError naming the first of ``args`` that is NaN or infinite."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_rate(c: float) -> None:
+    """ValueError unless the entrance-law rate c is finite and positive."""
+    _check_finite(c=c)
+    if c <= 0.0:
+        raise ValueError(f"c must be positive, got {c}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +126,8 @@ def bessel3d_transition(q: KernelQuery) -> float:
 
 def xi0_density(x: float, c: float) -> float:
     """Initial density c^2 x exp(-c x) on x > 0."""
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
+    _check_rate(c)
+    _check_finite(x=x)
     if x <= 0.0:
         return 0.0
     return c * c * x * math.exp(-c * x)
@@ -175,8 +190,8 @@ def zeta_transition(q: KernelQuery) -> float:
 
 def zeta0_density(x: float, c: float) -> float:
     """Initial density 4 / (2^c Gamma(c/2)^2) exp(-c x) K_0(exp(-x))."""
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c}")
+    _check_rate(c)
+    _check_finite(x=x)
     norm = 4.0 / (2.0**c * math.gamma(c / 2.0) ** 2)
     return norm * math.exp(-c * x) * bessel_k_imag(0.0, math.exp(-x))
 
@@ -259,10 +274,11 @@ def local_limit_error_fixed_q(N: int, t: float, x: float, y: float,
     against the Bessel target (y/x) q_{t/(1+sigma)}(x, y)."""
     if x <= 0.0 or y <= 0.0 or t <= 0.0:
         raise ValueError("need x, y, t > 0")
+    query = KernelQuery(t=t, x=x, y=y, sigma=model.sigma)
     rn = _root(N)
     m, n, k = math.floor(x * rn), math.floor(y * rn), math.floor(N * t)
     lhs = rn * _chain_point_evolution(model, m, n, k)
-    return _compare(lhs, lambda: bessel3d_transition(KernelQuery(t=t, x=x, y=y, sigma=model.sigma)),
+    return _compare(lhs, lambda: bessel3d_transition(query),
                     f"fixed-q regime at t={t}, x={x}, y={y}")
 
 
@@ -271,6 +287,8 @@ def initial_limit_fixed_q(N: int, x: float, c: float, model: QModelParams) -> Li
     the density c^2 x exp(-c x)."""
     if x <= 0.0:
         raise ValueError("need x > 0")
+    _check_finite(x=x)
+    _check_rate(c)
     rn = _root(N)
     varying = QModelParams(q=model.q, sigma=model.sigma,
                            rho0=math.exp(-c / rn), rho1=model.rho1)
@@ -289,11 +307,12 @@ def local_limit_error_q_to_1(N: int, t: float, x: float, y: float,
         raise ValueError("need t > 0")
     rn = _root(N)
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma)
+    query = KernelQuery(t=t, x=x, y=y, sigma=sigma)
     m, n, k = index_map(x, N, sigma), index_map(y, N, sigma), math.floor(N * t)
     if m < 0 or n < 0:
         raise ValueError(f"index map puts x={x}, y={y} at levels {m}, {n}, left of 0 at N={N}")
     lhs = rn * _chain_point_evolution(model, m, n, k)
-    return _compare(lhs, lambda: zeta_transition(KernelQuery(t=t, x=x, y=y, sigma=sigma)),
+    return _compare(lhs, lambda: zeta_transition(query),
                     f"q-to-1 regime at t={t}, x={x}, y={y}")
 
 
@@ -302,6 +321,8 @@ def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitCompa
     against the entrance law :func:`zeta0_density`,
     4 / (2^c Gamma(c/2)^2) e^{-c x} K_0(e^-x); ConvergenceError naming this
     law and (x, c) where the Bessel-K layer cannot compute it (x far out)."""
+    _check_finite(x=x)
+    _check_rate(c)
     rn = _root(N)
     model = QModelParams(q=math.exp(-2.0 / rn), sigma=sigma, rho0=math.exp(-c / rn))
     level = index_map(x, N, sigma)
@@ -312,20 +333,18 @@ def initial_limit_q_to_1(N: int, x: float, c: float, sigma: float) -> LimitCompa
 
 
 def error_table(regime: str, Ns: list[int], t: float, x: float, y: float,
-                model: QModelParams | None = None, sigma: float = 1.0) -> list[dict]:
+                model: QModelParams) -> list[dict]:
     """Rows (N, t, x, y, lhs, rhs, rel_err) for convergence tables.
 
-    regime 'fixed-q' needs a q-model; 'q-to-1' sets q = exp(-2/sqrt(N))
-    internally and uses ``sigma``.
+    regime 'fixed-q' runs the chain of ``model``; 'q-to-1' sets
+    q = exp(-2/sqrt(N)) internally and reads only ``model.sigma``.
     """
     rows = []
     for N in Ns:
         if regime == "fixed-q":
-            if model is None:
-                raise ValueError("fixed-q regime needs model parameters")
             cmp_ = local_limit_error_fixed_q(N, t, x, y, model)
         elif regime == "q-to-1":
-            cmp_ = local_limit_error_q_to_1(N, t, x, y, sigma)
+            cmp_ = local_limit_error_q_to_1(N, t, x, y, model.sigma)
         else:
             raise ValueError(f"unknown regime {regime!r}")
         rows.append({"N": N, "t": t, "x": x, "y": y,

@@ -23,8 +23,10 @@ for a block of steps at a time on the levels its paths can reach.  The
 transfer and the backward pass step on O(sqrt L) altitudes above the
 boundary cut plus one absorbing top state, whose final entry, weighted by
 the q-model's harmonic vectors, bounds what the height drops; the height
-doubles until that bound is below eps / 16 of the value.  The transfer and
-the integral route take their arguments through one check.
+doubles until that bound is below eps / 16 of the value.  The two finite-L
+routes, :func:`_transfer_logs` and :func:`_integral_logs`, each take passes
+(z0, z1, t, s), checked by :func:`_functional_args`, and return one
+(mantissa, log_scale) per pass.
 """
 
 from __future__ import annotations
@@ -422,9 +424,10 @@ def _bilinear_log(tables: tuple[np.ndarray, ...], z0: float, z1: float,
 
 
 def _transfer_logs(model: WeightModel, L: int, passes) -> list[tuple[float, float]]:
-    """(mantissa, log_scale) of :func:`_bilinear_log` for each
-    (z0, z1, tlist) of ``passes``, on the first tables of :func:`_heights`
-    whose top-state bound passes :func:`_certified` for every pass.
+    """(mantissa, log_scale) per pass (z0, z1, t, s): the value V_alpha(z0)^T
+    M_{t_1}..M_{t_K} M^(L-2K) M_{1/s_K}..M_{1/s_1} W_beta(z1), K = len(t), is
+    mantissa exp(log_scale), by :func:`_bilinear_log` on the first tables of
+    :func:`_heights` whose top-state bound passes :func:`_certified` for all.
 
     A path that leaves the altitudes below S' enters the top state, which
     then grows by B per step.  The q-model's harmonic vector pi_n = s_n /
@@ -434,7 +437,9 @@ def _transfer_logs(model: WeightModel, L: int, passes) -> list[tuple[float, floa
     <= 1 <= pi_n; so that times the top's final entry bounds the drop."""
     T = _boundary_cutoff(model, L)
     q = model.qmodel.q
-    tilts = [sum(abs(math.log(t)) for t in tlist) for _, _, tlist in passes]
+    passes = [(z0, z1, t + [1.0] * (L - 2 * len(t)) + [1.0 / sj for sj in reversed(s)])
+              for z0, z1, t, s in passes]
+    tilts = [sum(abs(math.log(tj)) for tj in tlist) for _, _, tlist in passes]
     for tables, log_s in _heights(model, T, L):
         if log_s is None:
             return [_bilinear_log(tables, *args)[:2] for args in passes]
@@ -458,7 +463,7 @@ def log_normalizing_constant(L: int, model: WeightModel) -> float:
     + 64 doubled up to T + L + 2, T the boundary cutoff, whose absorbing
     top state bounds the weight of the paths that cross S' by at most
     eps / 16 of C_L (:func:`_transfer_logs`)."""
-    (val, lg), = _transfer_logs(model, L, [(1.0, 1.0, [1.0] * L)])
+    (val, lg), = _transfer_logs(model, L, [(1.0, 1.0, [], [])])
     if val <= 0.0:
         raise ValueError("normalizing constant must be positive")
     return math.log(val) + lg
@@ -475,7 +480,7 @@ def normalizing_constant(L: int, model: WeightModel) -> float:
 def _functional_args(z0: float, z1: float, t: list[float], s: list[float],
                      L: int) -> tuple[list[float], list[float]]:
     """(t, s) as lists; ValueError unless len(t) = len(s) = K with 2K <= L,
-    z0, z1 in (0, 1] and every t_j, s_j > 0."""
+    z0, z1 in (0, 1] and every t_j, s_j positive and finite."""
     t, s = list(t), list(s)
     K = len(t)
     if len(s) != K:
@@ -484,8 +489,10 @@ def _functional_args(z0: float, z1: float, t: list[float], s: list[float],
         raise ValueError(f"need 2K <= L, got K={K}, L={L}")
     if not (0.0 < z0 <= 1.0 and 0.0 < z1 <= 1.0):
         raise ValueError("z0, z1 must lie in (0, 1]")
-    if any(tj <= 0 for tj in t) or any(sj <= 0 for sj in s):
-        raise ValueError("t_j and s_j must be positive")
+    for name, tilts in (("t", t), ("s", s)):
+        for j, tilt in enumerate(tilts, 1):
+            if not 0.0 < tilt < math.inf:
+                raise ValueError(f"{name}_{j} must be positive and finite, got {tilt}")
     return t, s
 
 
@@ -503,76 +510,62 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
     below, no bound is needed.
     """
     t, s = _functional_args(z0, z1, t, s, L)
-    K = len(t)
-    tlist = t + [1.0] * (L - 2 * K) + [1.0 / sj for sj in reversed(s)]
-    (num, lg_num), (den, lg_den) = _transfer_logs(
-        model, L, [(z0, z1, tlist), (1.0, 1.0, [1.0] * L)])
+    (num, lg_num), (den, lg_den) = _transfer_logs(model, L, [(z0, z1, t, s), (1.0, 1.0, [], [])])
     return num / den * math.exp(lg_num - lg_den)
 
 
 # ------------------------------------------------- integral representation
 
-def _psi_functions(tables: tuple[np.ndarray, ...], z0: float, z1: float,
-                   t: list[float], s: list[float]) -> tuple[np.ndarray, np.ndarray, float]:
-    """(v, w, log_scale): the row vector V_alpha(z0)^T M_{t_1}..M_{t_K} and
-    the column vector M_{1/s_K}..M_{1/s_1} W_beta(z1) on the truncated
-    operator of :func:`_weight_tables`, both by :func:`_power` and divided
-    by their peaks, with the log of the product of the two scales."""
-    a, b, c, av, bv = tables
-    powers = np.arange(len(a))
-    v, lv = _power(av * np.power(float(z0), powers), a, b, c, t)
+def _integral_logs(model: WeightModel, L: int, passes) -> list[tuple[float, float]]:
+    """The contract of :func:`_transfer_logs` on the integral route, with
+    the power of B left out: per pass, mantissa exp(log_scale) B^(L-2K) is
+    the value, mantissa the moment integral int (x/B)^(L-2K) Psi_0 Psi_1
+    nu(dx) of ``ascpoly._moment_integral``.  Psi_0 and Psi_1 pair the
+    polynomials with V_alpha(z0)^T M_{t_1}..M_{t_K} and M_{1/s_K}..M_{1/s_1}
+    W_beta(z1), stepped by :func:`_power` on T + 2 max K + 8 altitudes, T
+    the boundary cutoff, and divided by their peaks.  An OverflowError of a
+    moment integral (q near 1, large L: the mass of (x/B)^(L-2K) sits where
+    the density is below double range) is raised again naming its pass
+    (C_L / B^L for (1, 1, [], []), else the expectation's numerator), L and q."""
+    qm = _require_qmodel(model)
+    K = max(len(t) for _, _, t, _ in passes)
+    a, b, c, av, bv = _weight_tables(model, _boundary_cutoff(model, L) + 2 * K + 8)
     up_T, down_T = _transposed(a, c)
-    w, lw = _power(bv * np.power(float(z1), powers), up_T, b, down_T, s)
-    pv, pw = float(v.max()), float(w.max())
-    return v / pv, w / pw, lv + lw + math.log(pv) + math.log(pw)
-
-
-def _positive_moments(qm: QModelParams, L: int, *terms) -> list[float]:
-    """:func:`motzkinq.ascpoly._moment_integral` of each term
-    (v, w, power, what); an OverflowError of the first that raises is raised
-    again naming its ``what``, L and q.  At q close to 1 and large L the
-    mass of (x/B)^power sits where the density is below double range."""
-    vals = []
-    for v, w, power, what in terms:
+    powers = np.arange(len(a))
+    logs = []
+    for z0, z1, t, s in passes:
+        v, lv = _power(av * np.power(float(z0), powers), a, b, c, t)
+        w, lw = _power(bv * np.power(float(z1), powers), up_T, b, down_T, s)
+        pv, pw = float(v.max()), float(w.max())
         try:
-            vals.append(_moment_integral(v, w, power, qm))
+            val = _moment_integral(v / pv, w / pw, L - 2 * len(t), qm)
         except OverflowError as exc:
+            what = "C_L / B^L" if (z0, z1, t) == (1.0, 1.0, []) else "the expectation's numerator"
             raise OverflowError(f"moment integral of {what} at L={L}, q={qm.q:g}: {exc}; use the "
                                 "transfer route (matrix_ansatz_expectation, "
                                 "log_normalizing_constant)") from exc
-    return vals
+        logs.append((val, lv + lw + math.log(pv) + math.log(pw)))
+    return logs
 
 
 def integral_expectation(z0: float, z1: float, t: list[float], s: list[float],
                          L: int, model: WeightModel) -> float:
     """Same expectation as :func:`matrix_ansatz_expectation`, with the same
-    argument check, evaluated as (1/C_L) int x^{L-2K} Psi_0(x) Psi_1(x) nu(dx)
-    against the q-model orthogonality measure, both vectors truncated at
-    S = T + 2K + 8, T the boundary cutoff.  Powers are taken of
-    x/B, and Psi_0, Psi_1 divided by their peaks with the scales combined in
-    log space, so the integrand stays bounded for every L and K <= L/2.
-    OverflowError when either integral's L1 mass is below 1e-300 / REL_TOL
-    (q close to 1 at large L).
-    """
-    qm = _require_qmodel(model)
+    argument check, as (1/C_L) int x^{L-2K} Psi_0(x) Psi_1(x) nu(dx) against
+    the q-model orthogonality measure (:func:`_integral_logs`, denominator
+    first).  OverflowError when either integral's L1 mass is below
+    1e-300 / REL_TOL (q close to 1 at large L)."""
     t, s = _functional_args(z0, z1, t, s, L)
-    K = len(t)
-    tables = _weight_tables(model, _boundary_cutoff(model, L) + 2 * K + 8)
-    v1, w1, lg_den = _psi_functions(tables, 1.0, 1.0, [], [])
-    v, w, lg_num = _psi_functions(tables, z0, z1, t, s)
-    den, num = _positive_moments(qm, L, (v1, w1, L, "C_L / B^L"),
-                                 (v, w, L - 2 * K, "the expectation's numerator"))
-    return num / den * math.exp(lg_num - lg_den - 2 * K * math.log(qm.B))
+    (den, lg_den), (num, lg_num) = _integral_logs(model, L, [(1.0, 1.0, [], []), (z0, z1, t, s)])
+    return num / den * math.exp(lg_num - lg_den - 2 * len(t) * math.log(model.qmodel.B))
 
 
 def integral_normalizing_constant(L: int, model: WeightModel) -> float:
-    """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx), both
-    vectors truncated at S = T + 8, T the boundary cutoff."""
-    qm = _require_qmodel(model)
-    B = qm.B
-    tables = _weight_tables(model, _boundary_cutoff(model, L) + 8)
-    v1, w1, log_scale = _psi_functions(tables, 1.0, 1.0, [], [])
-    den, = _positive_moments(qm, L, (v1, w1, L, "C_L / B^L"))
+    """C_L as the moment integral int x^L (V^T P)(W^T Q) nu(dx) of
+    :func:`_integral_logs`, both vectors truncated at S = T + 8, T the
+    boundary cutoff."""
+    (den, log_scale), = _integral_logs(model, L, [(1.0, 1.0, [], [])])
+    B = model.qmodel.B
     log_value = math.log(den) + log_scale + L * math.log(B)
     if log_value > 700.0:
         raise OverflowError(f"integral normalizing constant exp({log_value:.1f}) at L={L}, "

@@ -207,6 +207,13 @@ OUTPUT_DIGESTS = [
     (("sample", "--q", "0.99", "--rho0", "0.9", "--L", "200", "--count", "300", "--seed", "4"),
      "ebf811ed6dc6b319b494cc2bd467fce9e87b466d6e7a2d96c18248585bc3ebc5",
      "d4747a4dc24f1b3e8ad0a265327ee87ea92df4a7517a4218e5dfccc4104eaa5a"),
+    # the local-limit tables of both regimes at the default model
+    (("locallimit", "--regime", "fixed-q", "--N", "400,2500"),
+     "3266e17e80d72deca45f6612720b2318ae5a1a7256acc62ec5ffadddfe83842f",
+     "1e249d7cfe7598d16f2679383154bf140bf8e85396912045c4d50519a401d010"),
+    (("locallimit", "--regime", "q-to-1", "--N", "400,2500"),
+     "6cf01e4358b417ecdf508e50bb244fe2f64c8e8bd5c275048da4a22063b7b21f",
+     "0261707aafa7a17ca7c3a09256f8e56900425efc7fc11c7cca5ea245299a867b"),
 ]
 
 

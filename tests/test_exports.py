@@ -59,11 +59,20 @@ def test_only_the_two_stepping_loops_call_the_tridiagonal_step():
 
 def test_only_the_height_rule_and_the_integral_routes_tabulate_the_weights():
     # every exact finite-L pass takes its tables from motzkin._heights, so
-    # each height is certified by one rule; a fifth caller of
-    # _weight_tables would be a pass on a height of its own
+    # each height is certified by one rule, and the integral route
+    # tabulates once for all its passes; a fourth caller of _weight_tables
+    # would be a pass on a height of its own
     assert _callers("_weight_tables") == {"motzkin.py:_heights", "motzkin.py:_top_tables",
-                                          "motzkin.py:integral_expectation",
-                                          "motzkin.py:integral_normalizing_constant"}
+                                          "motzkin.py:_integral_logs"}
+
+
+def test_only_the_integral_route_and_two_checks_take_moment_integrals():
+    # the finite-L integral route takes its moments in motzkin._integral_logs,
+    # which names the pass whose integral leaves double range; the chains'
+    # k-step integral and the verify suite's moment check are the others
+    assert _callers("_moment_integral") == {"motzkin.py:_integral_logs",
+                                            "chains.py:kstep_transition_integral",
+                                            "verify.py:run_checks"}
 
 
 _SUBMODULE_PROBE = """

@@ -9,6 +9,7 @@ and the theta series' term cap, the one ConvergenceError case, run with
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,14 +20,17 @@ from motzkinq.ascpoly import (AscParams, QModelParams, _check_order, asc_endpoin
 from motzkinq.chains import (Distribution, chain_head_law, endpoint_pair_correlation,
                              finite_path_head_law, initial_law, kstep_distribution, transition_row)
 from motzkinq.errors import ConvergenceError
-from motzkinq.kernels import (initial_limit_fixed_q, local_limit_error_fixed_q,
-                              local_limit_error_q_to_1, xi0_density, zeta0_density)
-from motzkinq.motzkin import (MotzkinPath, WeightModel, altitude_table,
+from motzkinq.kernels import (KernelQuery, bessel3d_transition, initial_limit_fixed_q,
+                              initial_limit_q_to_1, local_limit_error_fixed_q,
+                              local_limit_error_q_to_1, xi0_density, yakubovich_kernel,
+                              zeta0_density, zeta_transition)
+from motzkinq.motzkin import (MotzkinPath, WeightModel, altitude_table, integral_expectation,
                               integral_normalizing_constant, log_normalizing_constant,
-                              normalizing_constant, sample_paths)
+                              matrix_ansatz_expectation, normalizing_constant, sample_paths)
 from motzkinq.qspecial import qpoch_finite, ramanujan_ratio, theta1
 
 MODEL = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+NAN, INF = math.nan, math.inf
 WM = WeightModel.from_qmodel(MODEL)
 ASC = AscParams(0.1, 0.2, 0.5)
 # the q-model's tag with every initial weight 0, so no path has mass
@@ -54,6 +58,7 @@ CASES = [
      r"sigma must lie in \(0, 1\], got 0.0"),
     ("index_map-sigma-1.5", lambda: index_map(0.0, 100, 1.5), ValueError,
      r"sigma must lie in \(0, 1\], got 1.5"),
+    ("index_map-z-nan", lambda: index_map(NAN, 400, 1.0), ValueError, "z must be finite, got nan"),
     ("Distribution-offset", lambda: Distribution(offset=-1, probs=np.ones(1)), ValueError,
      "offset must be nonnegative"),
     ("Distribution-probs", lambda: Distribution(offset=0, probs=np.array([0.5, -0.5])),
@@ -78,16 +83,44 @@ CASES = [
     ("integral_normalizing_constant-L", lambda: integral_normalizing_constant(-2, WM), ValueError,
      "L must be nonnegative, got -2"),
     ("xi0_density", lambda: xi0_density(1.0, 0.0), ValueError, "c must be positive, got 0.0"),
+    ("xi0_density-x-nan", lambda: xi0_density(NAN, 1.0), ValueError, "x must be finite, got nan"),
+    # a non-finite t, x or y stops at the kernel query
+    ("bessel3d_transition-x-nan", lambda: bessel3d_transition(KernelQuery(1.0, NAN, 1.0)),
+     ValueError, "x must be finite, got nan"),
+    ("yakubovich_kernel-t-nan", lambda: yakubovich_kernel(KernelQuery(NAN, 1.0, 1.0)),
+     ValueError, "t must be finite, got nan"),
+    ("zeta_transition-y-inf", lambda: zeta_transition(KernelQuery(1.0, 1.0, INF)), ValueError,
+     "y must be finite, got inf"),
     ("zeta0_density", lambda: zeta0_density(1.0, -1.0), ValueError,
      "c must be positive, got -1.0"),
     ("fixed-q-x", lambda: local_limit_error_fixed_q(100, 1.0, 0.0, 1.0, MODEL), ValueError,
      r"need x, y, t > 0"),
     ("fixed-q-y", lambda: local_limit_error_fixed_q(100, 1.0, 1.0, -1.0, MODEL), ValueError,
      r"need x, y, t > 0"),
+    ("fixed-q-t-nan", lambda: local_limit_error_fixed_q(400, NAN, 1.0, 1.0, MODEL), ValueError,
+     "t must be finite, got nan"),
     ("fixed-q-initial-x", lambda: initial_limit_fixed_q(100, 0.0, 1.0, MODEL), ValueError,
      r"need x > 0"),
+    # c <= 0 would put rho0 = exp(-c / sqrt N) at 1 or past it
+    ("fixed-q-initial-c", lambda: initial_limit_fixed_q(400, 1.0, 0.0, MODEL), ValueError,
+     "c must be positive, got 0.0"),
     ("q-to-1-t", lambda: local_limit_error_q_to_1(100, 0.0, 1.0, 1.0, 0.8), ValueError,
      r"need t > 0"),
+    ("q-to-1-y-inf", lambda: local_limit_error_q_to_1(400, 1.0, 1.0, INF, 1.0), ValueError,
+     "y must be finite, got inf"),
+    ("q-to-1-initial-c", lambda: initial_limit_q_to_1(400, 1.0, -1.0, 1.0), ValueError,
+     "c must be positive, got -1.0"),
+    # a non-finite tilt is an input error on both finite-L routes
+    ("matrix_ansatz-t-nan", lambda: matrix_ansatz_expectation(0.9, 0.8, [NAN], [1.0], 50, WM),
+     ValueError, "t_1 must be positive and finite, got nan"),
+    ("matrix_ansatz-t-inf", lambda: matrix_ansatz_expectation(0.9, 0.8, [INF], [1.0], 50, WM),
+     ValueError, "t_1 must be positive and finite, got inf"),
+    ("matrix_ansatz-s-nan", lambda: matrix_ansatz_expectation(0.9, 0.8, [1.0], [NAN], 50, WM),
+     ValueError, "s_1 must be positive and finite, got nan"),
+    ("integral-t-inf", lambda: integral_expectation(0.9, 0.8, [INF], [1.0], 50, WM), ValueError,
+     "t_1 must be positive and finite, got inf"),
+    ("integral-s-inf", lambda: integral_expectation(0.9, 0.8, [1.0, 1.0], [1.0, INF], 50, WM),
+     ValueError, "s_2 must be positive and finite, got inf"),
     ("log_normalizing_constant", lambda: log_normalizing_constant(5, MASSLESS), ValueError,
      "normalizing constant must be positive"),
     ("initial_mass_past", lambda: sample_paths(5, MASSLESS, 10, 0), ValueError,

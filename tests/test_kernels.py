@@ -677,11 +677,6 @@ def test_error_table_shapes_and_constant_rhs():
         error_table("nope", [100], 1.0, 1.0, 1.0, model=m)
 
 
-def test_error_table_fixed_q_needs_a_model():
-    with pytest.raises(ValueError, match="fixed-q regime needs model parameters"):
-        error_table("fixed-q", [400], 1.0, 1.0, 1.0)
-
-
 def test_kernel_query_validation():
     with pytest.raises(ValueError):
         KernelQuery(t=0.0, x=1.0, y=1.0)

@@ -286,6 +286,23 @@ def test_transfer_values_pinned_bitwise():
         assert repr(log_normalizing_constant(L, wm)) == want
 
 
+# the integral route at the TRANSFER_PINS orientations (L = 2000) and its
+# normalizing constant, on the same model: pinned bit for bit (repr)
+INTEGRAL_PINS = ["0.5946043827799788", "0.5845142254085254", "0.6115622637925628",
+                 "0.6011843383472376", "0.5715763169006439", "0.5625690998264993",
+                 "0.5895243086737568", "0.5802342564160843"]
+INTEGRAL_NORMALIZER_PINS = [(0, "1.123201123201123"), (1, "2.8444889591386393"),
+                            (8, "110624.598381533"), (300, "1.3403887566150397e+252")]
+
+
+def test_integral_values_pinned_bitwise():
+    wm = WeightModel.from_qmodel(QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25))
+    for ((z0, z1), t, s, _), want in zip(TRANSFER_PINS, INTEGRAL_PINS, strict=True):
+        assert repr(integral_expectation(z0, z1, list(t), list(s), 2000, wm)) == want
+    for L, want in INTEGRAL_NORMALIZER_PINS:
+        assert repr(integral_normalizing_constant(L, wm)) == want
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(q=st.floats(0.0, 0.99), sigma=st.floats(0.01, 1.0), rho0=st.floats(0.0, 0.99),
        rho1=st.floats(0.0, 0.99), L=st.integers(1, 400))
@@ -370,7 +387,7 @@ def test_top_state_bound_holds_at_forced_low_heights(monkeypatch, q, extra):
     L = 500
     T = _boundary_cutoff(wm, L)
     S = T + extra
-    passes = [(0.9, 0.8, [0.8] + [1.0] * (L - 2) + [1.0 / 1.1]), (1.0, 1.0, [1.0] * L)]
+    passes = [(0.9, 0.8, [0.8], [1.1]), (1.0, 1.0, [], [])]
     a, b, c, av, bv = motzkin._weight_tables(wm, T + L + 2)
     av[T + 1:] = 0.0  # the initial altitudes of the backward pass
     powers = np.arange(T + L + 2) ** np.arange(3)[:, None]
