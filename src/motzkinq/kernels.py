@@ -139,8 +139,9 @@ def yakubovich_kernel(q: KernelQuery) -> float:
 
     The u-integral truncates where the Gaussian factor reaches e^-40, uses
     1/|Gamma(iu)|^2 = u sinh(pi u)/pi in closed form, and runs on the nested
-    trapezoidal rule (the integrand is even and analytic in u), so each
-    level computes the Bessel grids only at its new u nodes.  ConvergenceError
+    trapezoidal rule (the integrand is even and analytic in u): the first
+    Bessel grids take the u nodes of its first two levels, and each later
+    level computes them only at its new u nodes.  ConvergenceError
     where sinh(pi u) overflows within that horizon (t < 1.6e-3), or where the
     value is negative past its noise floor; after those, a RuntimeWarning
     where e^-x or e^-y is below 1e-8, past which the Bessel grids degrade."""

@@ -434,7 +434,11 @@ def _transfer_logs(model: WeightModel, L: int, passes) -> list[tuple[float, floa
     [n+1]_q (M pi = B pi, pi_0 = 1, nondecreasing) and M_t <=
     max(t, 1/t) M entrywise bound what the path would have added by
     pi_S' prod_j max(t_j, 1/t_j) per unit of top state, as beta_n z1^n
-    <= 1 <= pi_n; so that times the top's final entry bounds the drop."""
+    <= 1 <= pi_n; so that times the top's final entry bounds the drop.
+
+    OverflowError where a pass on the full height T + L + 2 has mantissa 0
+    and a finite log_scale: its vector lives, but its product with the end
+    vector underflowed (q near 1 at large L)."""
     T = _boundary_cutoff(model, L)
     q = model.qmodel.q
     passes = [(z0, z1, t + [1.0] * (L - 2 * len(t)) + [1.0 / sj for sj in reversed(s)])
@@ -442,7 +446,16 @@ def _transfer_logs(model: WeightModel, L: int, passes) -> list[tuple[float, floa
     tilts = [sum(abs(math.log(tj)) for tj in tlist) for _, _, tlist in passes]
     for tables, log_s in _heights(model, T, L):
         if log_s is None:
-            return [_bilinear_log(tables, *args)[:2] for args in passes]
+            logs = [_bilinear_log(tables, *args)[:2] for args in passes]
+            for j, ((z0, z1, _), (val, lg)) in enumerate(zip(passes, logs), 1):
+                if val == 0.0 and lg > -math.inf:
+                    raise OverflowError(
+                        f"transfer pass {j} of {len(passes)} (z0={z0}, z1={z1}) at q={q}, "
+                        f"L={L} underflowed: its vector lives (log scale {lg:.6g}) but its "
+                        "product with the end vector is 0; the backward-pass routes "
+                        "(sample_paths, chains.finite_path_head_law, "
+                        "chains.endpoint_pair_correlation) still run here")
+            return logs
         a, b, c, av, bv = tables
         c[-1] = bv[-1] = 0.0  # no down move out of the top state; not in the value
         log_pi = log_s - math.log(q_number(len(a), q))
@@ -462,7 +475,8 @@ def log_normalizing_constant(L: int, model: WeightModel) -> float:
     The paths run on the first height S' of :func:`_heights`, T + 8 sqrt(L)
     + 64 doubled up to T + L + 2, T the boundary cutoff, whose absorbing
     top state bounds the weight of the paths that cross S' by at most
-    eps / 16 of C_L (:func:`_transfer_logs`)."""
+    eps / 16 of C_L (:func:`_transfer_logs`).  OverflowError where the pass
+    underflows to 0 on the full height (q near 1 at large L)."""
     (val, lg), = _transfer_logs(model, L, [(1.0, 1.0, [], [])])
     if val <= 0.0:
         raise ValueError("normalizing constant must be positive")
@@ -507,7 +521,8 @@ def matrix_ansatz_expectation(z0: float, z1: float, t: list[float], s: list[floa
     first whose absorbing top state bounds the weight of the paths that
     cross S' by at most eps / 16 of both (:func:`_transfer_logs`).  At
     T + L + 2, which every path from an initial altitude m <= T stays
-    below, no bound is needed.
+    below, no bound is needed; OverflowError where a pass underflows to 0
+    there (q near 1 at large L).
     """
     t, s = _functional_args(z0, z1, t, s, L)
     (num, lg_num), (den, lg_den) = _transfer_logs(model, L, [(z0, z1, t, s), (1.0, 1.0, [], [])])

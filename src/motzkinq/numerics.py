@@ -6,9 +6,11 @@ below ``REL_TOL`` relative, and raises :class:`ConvergenceError` past
 Yakubovich u-integral and the orthogonality-measure integral) is one nested
 trapezoidal rule over an even analytic integrand, which halves its step
 from ``MIN_NODES // 2`` intervals until two levels agree to ``REL_TOL``,
-giving up past ``MAX_NODES`` intervals.  Every finite-length route cuts
-the boundary laws at ``TAIL_TOL`` and allows 10 ``TAIL_TOL`` of the
-initial mass past that cut.  The five constants are read at call time.
+giving up past ``MAX_NODES`` intervals; one call of the integrand takes
+the first two levels, and each later call one level's new nodes.  Every
+finite-length route cuts the boundary laws at ``TAIL_TOL`` and allows
+10 ``TAIL_TOL`` of the initial mass past that cut.  The five constants
+are read at call time.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ def _nested_trapezoid(f, T: float, noise: float, what: str) -> tuple[np.ndarray,
     over ``[0, T]`` by the nested trapezoidal rule (geometric convergence).
 
     ``f`` maps nodes to a fresh float ndarray, nodes on the last axis.  Starts
-    from ``MIN_NODES // 2`` intervals and halves the step, evaluating
-    only the new nodes: S_2n = S_n / 2 + h sum_new.  Stops when two levels
-    agree to ``REL_TOL`` * scale + ``noise`` eps * (largest L1 mass) and
-    returns the sums and L1 masses; else :class:`ConvergenceError` names ``what``.
+    from ``MIN_NODES // 2`` intervals and halves the step.  The first call
+    takes the nodes of the first two levels together (the first check needs
+    both); each later call takes only the new nodes: S_2n = S_n / 2 + h sum_new.
+    Stops when two levels agree to ``REL_TOL`` * scale + ``noise`` eps *
+    (largest L1 mass) and returns the sums and L1 masses; else
+    :class:`ConvergenceError` names ``what``.
     """
     n = max(1, MIN_NODES // 2)
     if 2 * n > MAX_NODES:
@@ -44,18 +48,22 @@ def _nested_trapezoid(f, T: float, noise: float, what: str) -> tuple[np.ndarray,
     h = T / n
     w = np.full(n + 1, h)
     w[0] = w[-1] = 0.5 * h
-    fv = f(h * np.arange(n + 1))
-    total, l1 = fv @ w, np.abs(fv) @ w
-    while 2 * n <= MAX_NODES:
+    fv = f(np.concatenate((h * np.arange(n + 1), 0.5 * h * np.arange(1, 2 * n, 2))))
+    head, fv = fv[..., :n + 1], fv[..., n + 1:]
+    total, l1 = head @ w, np.abs(head) @ w
+    peak = abs(total).max()
+    while True:
         h *= 0.5
-        fv = f(h * np.arange(1, 2 * n, 2))
-        prev, n = total, 2 * n
+        prev, prev_peak, n = total, peak, 2 * n
         total = 0.5 * prev + h * fv.sum(axis=-1)
         l1 = 0.5 * l1 + h * np.abs(fv, out=fv).sum(axis=-1)
+        peak = abs(total).max()
         change = abs(total - prev).max()
-        tol = REL_TOL * max(abs(total).max(), abs(prev).max())
+        tol = REL_TOL * max(peak, prev_peak)
         floor = noise * _EPS * l1.max() + 1e-300
         if change <= tol + floor:
             return total, l1
-    raise ConvergenceError(f"{what} did not converge within {n} intervals: last change "
-                           f"{change:.3g} against tolerance {tol:.3g} + floor {floor:.3g}")
+        if 2 * n > MAX_NODES:
+            raise ConvergenceError(f"{what} did not converge within {n} intervals: last change "
+                                   f"{change:.3g} against tolerance {tol:.3g} + floor {floor:.3g}")
+        fv = f(0.5 * h * np.arange(1, 2 * n, 2))

@@ -3,9 +3,11 @@
 The path oracles enumerate paths directly (vectorized over all step
 sequences) and never touch the transfer-operator code they are used to
 check.  The composite Gauss-Legendre rule is an integrator independent of
-the package's nested trapezoidal rule.  The allocating tridiagonal step and
-the scaled power and backward table built on it are frozen copies of the
-loops that ``motzkin._power`` and the sampler's backward table (then its
+the package's nested trapezoidal rule; the level-by-level ladder is that
+rule as it was before its first call took the nodes of two levels.  The
+allocating tridiagonal step and the scaled power and backward table built
+on it are frozen copies of the loops that ``motzkin._power`` and the
+sampler's backward table (then its
 own loop, with every row divided by its max) ran before their step wrote
 in place; the oracles below step with them.  The leaking
 stepper is the chain's old k-step loop, which summed the flux past the
@@ -263,6 +265,37 @@ def gauss_legendre(f, a: float, b: float, rel_tol: float = 1e-12, min_nodes: int
     raise ConvergenceError(
         f"quadrature on [{a}, {b}] did not converge within {max_nodes} nodes"
     )
+
+
+def nested_trapezoid_level_by_level(f, T: float, noise: float,
+                                    what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``numerics._nested_trapezoid`` as it was when ``f`` took one call per
+    level: the first call on the MIN_NODES // 2 + 1 nodes of level 0, each
+    later call on the new nodes of one level, and both peaks taken again at
+    each check.  The constants are read from ``numerics`` at call time."""
+    n = max(1, numerics.MIN_NODES // 2)
+    if 2 * n > numerics.MAX_NODES:
+        raise ConvergenceError(f"{what} has no second level: MAX_NODES = "
+                               f"{numerics.MAX_NODES} is below twice the {n} starting "
+                               f"intervals of MIN_NODES = {numerics.MIN_NODES}")
+    h = T / n
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    fv = f(h * np.arange(n + 1))
+    total, l1 = fv @ w, np.abs(fv) @ w
+    while 2 * n <= numerics.MAX_NODES:
+        h *= 0.5
+        fv = f(h * np.arange(1, 2 * n, 2))
+        prev, n = total, 2 * n
+        total = 0.5 * prev + h * fv.sum(axis=-1)
+        l1 = 0.5 * l1 + h * np.abs(fv, out=fv).sum(axis=-1)
+        change = abs(total - prev).max()
+        tol = numerics.REL_TOL * max(abs(total).max(), abs(prev).max())
+        floor = noise * _EPS * l1.max() + 1e-300
+        if change <= tol + floor:
+            return total, l1
+    raise ConvergenceError(f"{what} did not converge within {n} intervals: last change "
+                           f"{change:.3g} against tolerance {tol:.3g} + floor {floor:.3g}")
 
 
 def sample_paths_per_state(L: int, model, count: int, seed: int) -> np.ndarray:

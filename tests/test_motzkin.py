@@ -231,6 +231,29 @@ def test_normalizing_constant_past_exp_700_raises():
         normalizing_constant(400, wm)
 
 
+@pytest.mark.parametrize("q", [0.999, 0.9999])
+def test_transfer_mantissa_underflow_raises_overflow_error(q):
+    # the passes' vectors live but their products with the end vector are 0;
+    # this raised ValueError (normalizer) and ZeroDivisionError (expectation)
+    wm = WeightModel.from_qmodel(QModelParams(q=q, sigma=0.8, rho0=0.3, rho1=0.25))
+    with pytest.raises(OverflowError, match=rf"transfer pass 1 of 1 \(z0=1.0, z1=1.0\) at q={q}, "
+                                            r"L=2000 underflowed: .* backward-pass routes"):
+        log_normalizing_constant(2000, wm)
+    with pytest.raises(OverflowError, match=rf"transfer pass \d of 2 .* at q={q}, L=2000 "
+                                            "underflowed"):
+        matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 2000, wm)
+
+
+def test_transfer_below_the_underflow_and_the_backward_routes_still_run():
+    wm = WeightModel.from_qmodel(QModelParams(q=0.999, sigma=0.8, rho0=0.3, rho1=0.25))
+    assert math.isfinite(log_normalizing_constant(1400, wm))
+    # the expectation's numerator underflows already; it returned 0.0 here
+    with pytest.raises(OverflowError, match=r"transfer pass 1 of 2 \(z0=0.9, z1=0.8\) at "
+                                            r"q=0.999, L=1400 underflowed"):
+        matrix_ansatz_expectation(0.9, 0.8, [0.8], [1.1], 1400, wm)
+    assert -1.0 <= endpoint_pair_correlation(wm, 2000) <= 1.0
+
+
 def test_functional_args_need_equal_lengths():
     with pytest.raises(ValueError, match="t and s must have equal length"):
         motzkin._functional_args(0.9, 0.8, [0.8, 1.2], [1.1], 6)
