@@ -52,8 +52,9 @@ from .ascpoly import (
     pi_values,
     s_ratios,
 )
-from .motzkin import (WeightModel, _backward_table, _power, _require_qmodel, _step_rows,
-                      _step_views, _table_product, _transposed, _tridiagonal_step, altitude_table)
+from .motzkin import (WeightModel, _aligned_empty, _backward_table, _power, _require_qmodel,
+                      _step_rows, _step_views, _table_product, _transposed, _tridiagonal_step,
+                      altitude_table)
 from .numerics import _EPS
 
 __all__ = [
@@ -182,7 +183,7 @@ def _chebyshev_power_coefficients(k: int, lam0: float) -> np.ndarray:
     w[(nodes == 0) | (nodes == M)] *= 0.5
     # cos(j theta_i) from a table of cos(pi r / M), r = j i mod 2M, exact in r
     cos_table = np.cos((math.pi / M) * np.arange(2 * M))
-    c = cos_table[np.outer(np.arange(top + 1), nodes) % (2 * M)] @ w
+    c = cos_table.take(np.outer(np.arange(top + 1), nodes), mode="wrap") @ w
     c[0] *= 0.5
     tail = np.cumsum(c[::-1])[::-1]  # tail[i] = sum of c[i:]
     keep = int(np.argmax(tail <= 0.25 * _EPS)) if tail[-1] <= 0.25 * _EPS else len(c)
@@ -241,21 +242,29 @@ def _chebyshev_blocks(m: int, n: int, R: int, lam0: float, up: np.ndarray, flat:
     is the float vector of stepping on all states.  Each step goes in place
     through :func:`motzkinq.motzkin._tridiagonal_step` with the rows of
     2 P' (transposed for y), then subtracts the row two back (the first
-    step halves instead).
+    step halves instead).  The ring (_RING + 2 rows of the widest block),
+    the work row and the block's row tables are
+    :func:`motzkinq.motzkin._aligned_empty`, made once per pass, with the
+    down table one slot late: each row and step view read or written whole
+    starts on a 64-byte boundary, and a block copies its tables in place.
     """
     a = 0.5 * (1.0 - lam0)
     b, scale = 1.0 - a, 2.0 / a
     sides = [(scale * u, scale * (flat - b), scale * w)
              for u, w in ((up, down), _transposed(up, down))]
-    ring, work = np.empty((_RING + 2) * (4 * R + 2)), np.empty(4 * R + 1)
+    # a block has at most 4R + 2 states
+    ring, work = _aligned_empty((_RING + 2, 4 * R + 2)), _aligned_empty(4 * R + 1)
+    tables = _aligned_empty((3, 4 * R + 9))
+    tables = tables[0, :4 * R + 2], tables[1, :4 * R + 2], tables[2, 7:]  # up, flat, down
     done, carry = 0, (np.array([[0.0, 0.0], [1.0, 1.0]]), m, n, 1)  # [x_0 | y_0]
     while done < R:
         last = min(done + _RING, R)
         lo_x, lo_y = max(m - last, 0), max(n - last, 0)
         nx, size = m + last + 1 - lo_x, m + n + 2 * last + 2 - lo_x - lo_y
-        rows = _step_rows(*(np.concatenate((u[lo_x:lo_x + nx], v[lo_y:lo_y + size - nx]))
-                            for u, v in zip(*sides)))
-        block = ring[:(last - done + 2) * size].reshape(-1, size)
+        rows = _step_rows(*(np.concatenate((u[lo_x:lo_x + nx], v[lo_y:lo_y + size - nx]),
+                                           out=table[:size])
+                            for u, v, table in zip(*sides, tables)))
+        block = ring[:last - done + 2, :size]
         old, x0, y0, old_nx = carry
         block[:2] = 0.0
         block[:2, x0 - lo_x:x0 - lo_x + old_nx] = old[:, :old_nx]

@@ -11,7 +11,9 @@ probability is alpha beta w(path) / C_L.
 All transfer computations use the tridiagonal structure directly (O(S) per
 step); dense operator matrices are never formed.  Every step of every pass
 in the package is :func:`_tridiagonal_step`, which writes in place into a
-buffer its caller owns.  Every exact multi-step pass (the transfer product,
+buffer its caller owns; both stepping loops make their buffers once per
+pass by :func:`_aligned_empty`, so every row they step starts on a 64-byte
+cache line.  Every exact multi-step pass (the transfer product,
 the integral route's end vectors, the backward pass, the chains' k-step
 laws, the lattice point's exact branches) is the loop :func:`_steps`
 (:func:`_power` is its last vector), on one vector or a stack, which
@@ -196,6 +198,20 @@ def _table_product(table: np.ndarray, up: np.ndarray, flat: np.ndarray,
 
 # --------------------------------------------------------- transfer operator
 
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialized float array of ``shape`` (an int or a tuple) whose
+    data starts on a 64-byte boundary, a cache line, with its last axis
+    padded to a multiple of 8 doubles so that each row of a stack starts on
+    one too: the step buffers of :func:`_steps` and
+    ``chains._chebyshev_blocks``, made once per pass."""
+    *lead, n = (shape,) if isinstance(shape, int) else shape
+    stride = n + -n % 8
+    raw = np.empty(math.prod(lead) * stride + 8)
+    start = -raw.ctypes.data % 64 // 8
+    flat = raw[start:start + raw.size - 8]
+    return flat.reshape(*lead, stride)[..., :n] if lead else flat[:n]
+
+
 def _step_views(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(v, v[..., :-1], v[..., 1:]): the views of a vector or a stack of them
     that :func:`_tridiagonal_step` reads or writes, made once per pass."""
@@ -241,7 +257,11 @@ def _steps(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray, ts
     a stack stepped on its last axis, so its peak is its max, and v_j is
     divided by it after every step that leaves it outside [1e-200, 1e200];
     the last yield is (v_j, -inf) once v dies out.  Two buffers take turns,
-    so v_j is overwritten two steps on; v itself is not written.
+    so v_j is overwritten two steps on; v itself is not written.  The two
+    buffers, the work row and the rows t up, flat and down / t are
+    :func:`_aligned_empty`, made once per pass (down one slot late, so that
+    its step view down[1:] is aligned too), and a new t rewrites its rows
+    in place: a step allocates nothing.
 
     The peak is read only after steps where it may have left that range:
     after a read of peak p, k steps of rows with the rates of
@@ -251,14 +271,22 @@ def _steps(v: np.ndarray, up: np.ndarray, flat: np.ndarray, down: np.ndarray, ts
     read after every step.  The first step with a new t is always read."""
     log_scale = 0.0
     prev = None
-    v = np.array(v, dtype=float)
-    cur, nxt = _step_views(v), _step_views(np.empty_like(v))
-    work = np.empty_like(cur[1])
+    pair = _aligned_empty((2, *np.shape(v)))
+    pair[0] = v
+    cur, nxt = _step_views(pair[0]), _step_views(pair[1])
+    v = cur[0]
+    work = _aligned_empty(cur[1].shape)
+    S = len(flat)
+    tables = _aligned_empty((3, S + 7))
+    tables = tables[0, :S], tables[1, :S], tables[2, 7:]  # up, flat, down
+    tables[1][...] = flat
     unread = 0  # steps left that need no peak read
     yield v, log_scale
     for t in ts:
         if t != prev:
-            rows, prev = _step_rows(t * up, flat, down / t), t
+            np.multiply(up, t, out=tables[0])
+            np.divide(down, t, out=tables[2])
+            rows, prev = _step_rows(*tables), t
             grow, shrink = _peak_rates(rows)
             unread = 0
         _tridiagonal_step(cur, nxt, rows, work)

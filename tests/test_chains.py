@@ -409,6 +409,39 @@ def test_windowed_ring_rows_equal_full_width_stepping(m, n, R):
     assert done == R
 
 
+def _aligned(v: np.ndarray) -> bool:
+    return v.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("m, n, R", [(200, 190, 70), (3, 10, 65), (0, 0, 2 * chains._RING)])
+def test_ring_rows_start_on_cache_lines(m, n, R):
+    # every row of every block starts on a 64-byte boundary, also where the
+    # block's width is not a multiple of 8 doubles
+    model = QModelParams(q=0.7, sigma=0.5)
+    tables = transition_arrays(model, max(m, n) + R)
+    widths = []
+    for block, *_ in chains._chebyshev_blocks(m, n, R, model.A / model.B, *tables):
+        widths.append(block.shape[1])
+        assert all(_aligned(row) for row in block)
+    assert any(width % 8 for width in widths)
+
+
+@pytest.mark.parametrize("moments", [1, 2])
+def test_stepped_vectors_start_on_cache_lines(moments):
+    # every yield of motzkin._steps, one vector or each row of a stack,
+    # starts on a 64-byte boundary, through t changes and rescales (rows of
+    # column sum 10, the stochastic rows times 10, leave the peak range
+    # within 250 steps)
+    up, flat, down = (10.0 * w for w in transition_arrays(QModelParams(q=0.5, sigma=0.8), 37))
+    ends = np.ones(38) if moments == 1 else np.ones(38) * np.arange(38) ** np.arange(2)[:, None]
+    scales = set()
+    for v, log_scale in motzkin._steps(ends, up, flat, down, [2.0] * 3 + [1.0] * 250):
+        scales.add(log_scale)
+        assert v.shape == ends.shape
+        assert all(_aligned(row) for row in np.atleast_2d(v))
+    assert len(scales) > 1
+
+
 # --------------------------------------------------------------- simulation
 
 def test_simulation_steps_and_determinism():

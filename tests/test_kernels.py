@@ -28,6 +28,7 @@ from motzkinq.kernels import (
     zeta0_density,
     zeta_transition,
 )
+from motzkinq.motzkin import WeightModel, log_normalizing_constant
 from motzkinq.qspecial import bessel_k_imag
 
 from oracles import _chebyshev_power, gauss_legendre, iterate_tridiagonal, panel_rule
@@ -498,6 +499,59 @@ def test_exact_branches_match_the_leaking_stepper_bitwise(monkeypatch, q, sigma,
     assert np.array_equal(out[:-1], want) and out[-1] == lost
     assert (lost > 0.0) == (cap < max(m, n) + k)
     assert got == want[n]
+
+
+_BENCH_Q = (0.5, 0.8)  # the fixed-q model of the locallimit benchmark
+
+
+def _q_to_1(root_N: int) -> tuple[float, float]:
+    return math.exp(-2.0 / root_N), 1.0
+
+
+# (q, sigma), m, n, k: the locallimit benchmark's points at t = 1 (both
+# orientations of each (x, y) pair, fixed-q levels floor(z sqrt N), q-to-1
+# levels index_map(z, N, 1)), two points on the cheap exact branch and two
+# far-tail fallbacks (on the exact reach, and on the diffusive cap 730);
+# pinned bit for bit (repr)
+LATTICE_PINS = [
+    (_BENCH_Q, 50, 100, 2500, "0.009027697702043258"),
+    (_BENCH_Q, 100, 50, 2500, "0.0020918016551143438"),
+    (_BENCH_Q, 100, 100, 2500, "0.010704085303476881"),
+    (_q_to_1(50), 180, 280, 2500, "0.003021717895410777"),
+    (_q_to_1(50), 280, 180, 2500, "5.341394199888982e-06"),
+    (_q_to_1(50), 280, 280, 2500, "0.010854299733041656"),
+    (_BENCH_Q, 100, 200, 10_000, "0.004428578287457873"),
+    (_BENCH_Q, 200, 100, 10_000, "0.0010670002855120199"),
+    (_BENCH_Q, 200, 200, 10_000, "0.005352287065136566"),
+    (_q_to_1(100), 429, 629, 10_000, "0.0015403975735944918"),
+    (_q_to_1(100), 629, 429, 10_000, "2.5562348173443076e-06"),
+    (_q_to_1(100), 629, 629, 10_000, "0.005421781195635085"),
+    (_BENCH_Q, 200, 400, 40_000, "0.0021940443995523548"),
+    (_BENCH_Q, 400, 200, 40_000, "0.0005386110327442142"),
+    (_BENCH_Q, 400, 400, 40_000, "0.002676174208619641"),
+    (_q_to_1(200), 998, 1398, 40_000, "0.0007681169741693349"),
+    (_q_to_1(200), 1398, 998, 40_000, "1.2863252153685813e-06"),
+    (_q_to_1(200), 1398, 1398, 40_000, "0.0027113141786548507"),
+    (_BENCH_Q, 0, 1, 7, "0.04057728251488608"),  # cheap: exact reach 8
+    (_BENCH_Q, 2, 1, 5, "0.023919597388518447"),  # cheap: exact reach 7
+    (_BENCH_Q, 0, 300, 400, "1.8384855015667386e-98"),  # far tail, exact reach 700
+    (_BENCH_Q, 0, 400, 2000, "2.50944390816106e-31"),  # far tail, cap 730
+]
+
+
+@pytest.mark.parametrize("params, m, n, k, want", LATTICE_PINS)
+def test_lattice_points_pinned_bitwise(params, m, n, k, want):
+    q, sigma = params
+    assert repr(_chain_point_evolution(QModelParams(q=q, sigma=sigma), m, n, k)) == want
+
+
+def test_long_exact_passes_pinned_bitwise():
+    # the longest passes of _steps that the suite pins: the transfer at
+    # L = 2e4 and 200 exact steps on a cap of 20000 states (bit for bit)
+    model = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
+    assert repr(log_normalizing_constant(20_000, WeightModel.from_qmodel(model))) == \
+        "39463.47399349114"
+    assert repr(kernels._exact_point(model, 5000, 5010, 200, 20_000)) == "0.02419019700357501"
 
 
 def test_leaking_cap_reports_the_leaking_steppers_loss():
