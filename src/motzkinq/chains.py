@@ -20,15 +20,20 @@ reach) or from the orthogonality-measure integral
 
     P(X_k = n | X_0 = m) = (pi_n / pi_m) int (x/B)^k p_m(x) ptilde_n(x) nu(dx),
 
-kept as a cross-validation route.  P is the Al-Salam-Chihara Jacobi
-operator divided by B, so its spectrum lies in [A/B, 1] =
-[(sigma-1)/(sigma+1), 1].  The local-limit drivers take one entry
-e_m P^k e_n of the Chebyshev expansion of P^k on that interval, degree
-d ~ sqrt(2 k ln(4/eps) / (1+sigma)), by one bilinear pass
-(:func:`_chebyshev_entry`): ceil(d/2) in-place tridiagonal steps of the row
-e_m T_a(P') and the column T_a(P') e_n together, P' = P mapped onto
-[-1, 1], instead of k steps, in blocks on the states both ends reach by
-the block's last step, with two row sums of moments per block.  The
+kept as a cross-validation route.  P is the Doob transform of the
+Al-Salam-Chihara Jacobi operator divided by B by the endpoint values:
+P = D^(-1/2) J D^(1/2), D = diag pi_n, with J the symmetric Jacobi matrix
+of :func:`_jacobi_rows`, whose rows are closed-form in q and sigma (no
+ratios s_(n+1) / s_n), so the spectrum of both lies in [A/B, 1] =
+[(sigma-1)/(sigma+1), 1] and P^k[m, n] = sqrt(pi_n / pi_m) J^k[m, n].
+The local-limit functions take one entry e_m J^k e_n of the Chebyshev
+expansion of J^k on that interval, degree d ~ sqrt(2 k ln(4/eps) / (1+sigma)),
+by one bilinear pass (:func:`_chebyshev_entry`): ceil(d/2) in-place
+tridiagonal steps of the row e_m T_a(J') and the column T_a(J') e_n
+together, J' = J mapped onto [-1, 1], instead of k steps, in blocks on the
+states both ends reach by the block's last step, with two row sums of
+moments per block.  J is symmetric, so both take the same rows, and where
+m = n the column is the row bit for bit and the pass steps it alone.  The
 exact length-L laws that the chains approximate take their heads from
 ``altitude_table`` and their middle from ``motzkin._backward_table``, the
 sampler's backward pass: their end columns, one or a stack, pulled back on
@@ -53,8 +58,7 @@ from .ascpoly import (
     s_ratios,
 )
 from .motzkin import (WeightModel, _aligned_empty, _backward_table, _power, _require_qmodel,
-                      _step_rows, _step_views, _table_product, _transposed, _tridiagonal_step,
-                      altitude_table)
+                      _step_rows, _step_views, _table_product, _tridiagonal_step, altitude_table)
 from .numerics import _EPS
 
 __all__ = [
@@ -131,6 +135,27 @@ def transition_arrays(model: QModelParams, cap: int) -> tuple[np.ndarray, np.nda
     return up, flat, down
 
 
+def _jacobi_rows(model: QModelParams, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(up, flat, down) rows of the symmetric Jacobi matrix J = D^(1/2) P
+    D^(-1/2), D = diag pi_n, on states 0..cap, in closed form (Koekoek,
+    Lesky & Swarttouw, Hypergeometric Orthogonal Polynomials and Their
+    q-Analogues, 2010):
+
+        J[n, n]   = sigma (1 - q^(n+1)) / (1 + sigma),
+        J[n, n+1] = sqrt((1 - q^(n+1)) (1 - q^(n+2))) / (2 (1 + sigma)),
+
+    the flat row of P and sqrt(up[n] down[n+1]) of its rows, from one table
+    of 1 - q^(n+1) and no ratios s_(n+1) / s_n.  up[n] = J[n, n+1] and
+    down[n] = J[n, n-1] (down[0] = 0), so down[1:] is up[:-1] as floats."""
+    decay = _decay(cap + 1, model.q)
+    up = np.sqrt(decay[:-1] * decay[1:]) / (2.0 * (1.0 + model.sigma))
+    flat = decay[:-1] * model.sigma / (1.0 + model.sigma)
+    down = np.empty(cap + 1)
+    down[0] = 0.0
+    down[1:] = up[:-1]
+    return up, flat, down
+
+
 def initial_law(which: str, model: QModelParams) -> Distribution:
     """Initial distribution of the head chain (which='X', weight rho0) or
     the tail chain (which='Y', weight rho1): P(n) = rho^n s_n / C, cut at the
@@ -192,33 +217,37 @@ def _chebyshev_power_coefficients(k: int, lam0: float) -> np.ndarray:
 
 def _chebyshev_entry(m: int, n: int, c: np.ndarray, lam0: float, up: np.ndarray,
                      flat: np.ndarray, down: np.ndarray) -> float:
-    """e_m P^k e_n = sum_j c_j e_m T_j(P') e_n for the coefficients
+    """e_m J^k e_n = sum_j c_j e_m T_j(J') e_n for the coefficients
     c = _chebyshev_power_coefficients(k, lam0) of degree d, by one bilinear
-    pass.  P' = (P - b I) / a maps the spectrum [lam0, 1] of P onto [-1, 1],
-    a = (1 - lam0) / 2, b = 1 - a.
+    pass, J the symmetric tridiagonal matrix of the rows (up, flat, down),
+    down[1:] = up[:-1] (:func:`_jacobi_rows`).  J' = (J - b I) / a maps the
+    spectrum [lam0, 1] of J onto [-1, 1], a = (1 - lam0) / 2, b = 1 - a.
 
     T_2a = 2 T_a^2 - I and T_(2a-1) = 2 T_a T_(a-1) - T_1 turn each term
-    into a moment of the row x_a = e_m T_a(P') and the column
-    y_a = T_a(P') e_n: c_2a (2 x_a.y_a - x_0.y_0) and
+    into a moment of the row x_a = e_m T_a(J') and the column
+    y_a = T_a(J') e_n: c_2a (2 x_a.y_a - x_0.y_0) and
     c_(2a-1) (2 x_a.y_(a-1) - x_1.y_0), so x and y need R = ceil(d/2) =
     len(c) // 2 steps of the three-term recurrence instead of d, taken by
     :func:`_chebyshev_blocks` with the rows of states 0..max(m, n) + R and
-    no state cap.  Each block's moments are two einsum row sums over the
-    states x and y share (none when |m - n| > 2R: every term is 0).
+    no state cap, on the same rows since J is symmetric; where m = n the
+    column is the row bit for bit, so the blocks step x alone and y is x.
+    Each block's moments are two einsum row sums over the states x and y
+    share (none when |m - n| > 2R: every term is 0).
 
-    P is similar to a symmetric matrix with spectrum in [lam0, 1], so
-    ||T_a(P')|| <= 1 there and the error is about (d+1) eps in the
-    pi-symmetrized value e_m P^k e_n sqrt(pi_m / pi_n), as for the vector
-    form; tiny values need a guard by the caller.
+    ||T_a(J')|| <= 1 on the spectrum, so the error is about (d+1) eps in
+    e_m J^k e_n = P^k[m, n] sqrt(pi_m / pi_n), P = D^(-1/2) J D^(1/2) the
+    chain, as for the vector form; tiny values need a guard by the caller.
     """
     R = len(c) // 2
     if R == 0 or abs(m - n) > 2 * R:
         return float(m == n)  # k = 0, or no state shared
     even, odd = [np.array([float(m == n)])], []  # x_a.y_a from a = 0, x_a.y_(a-1) from 1
     for block, lo_x, lo_y, nx in _chebyshev_blocks(m, n, R, lam0, up, flat, down):
+        x = block[:, :nx]
+        y = x if m == n else block[:, nx:]
         lo = max(lo_x, lo_y)
-        hi = max(lo, min(lo_x + nx, lo_y + block.shape[1] - nx))
-        xs, ys = block[:, lo - lo_x:hi - lo_x], block[:, nx + lo - lo_y:nx + hi - lo_y]
+        hi = max(lo, min(lo_x + nx, lo_y + y.shape[1]))
+        xs, ys = x[:, lo - lo_x:hi - lo_x], y[:, lo - lo_y:hi - lo_y]
         even.append(np.einsum("ij,ij->i", xs[2:], ys[2:]))
         odd.append(np.einsum("ij,ij->i", xs[2:], ys[1:-1]))
     even, odd = np.concatenate(even), np.concatenate(odd)
@@ -235,48 +264,57 @@ def _chebyshev_blocks(m: int, n: int, R: int, lam0: float, up: np.ndarray, flat:
     """Yield (block, lo_x, lo_y, nx) per block of up to _RING steps of x_a
     and y_a, a <= R, in one ring of _RING + 2 rows [x | y]: x on the states
     lo_x..lo_x + nx - 1 and y from lo_y, the states m +- a and n +- a that
-    each end reaches by the block's last step a, cut at 0.  Row i of a block
-    after step a0 holds step a0 - 1 + i (row 0 is 0 in the first block).
-    Entries past the reach are exactly 0 and no flux crosses from x to y
-    before the last step (a state cut at 0 has down weight 0), so each row
-    is the float vector of stepping on all states.  Each step goes in place
-    through :func:`motzkinq.motzkin._tridiagonal_step` with the rows of
-    2 P' (transposed for y), then subtracts the row two back (the first
-    step halves instead).  The ring (_RING + 2 rows of the widest block),
-    the work row and the block's row tables are
+    each end reaches by the block's last step a, cut at 0.  Where m = n the
+    rows are x alone (nx is the block's width, lo_y = lo_x): on the
+    symmetric rows (up, flat, down) of :func:`_chebyshev_entry` the column
+    pass y_a = T_a(J') e_n is then the row pass x_a bit for bit, so one half
+    of the layout takes half the state-steps.  Row i of a block after step
+    a0 holds step a0 - 1 + i (row 0 is 0 in the first block).  Entries past
+    the reach are exactly 0 and no flux crosses from x to y before the last
+    step (a state cut at 0 has down weight 0), so each row is the float
+    vector of stepping on all states.  Each step goes in place through
+    :func:`motzkinq.motzkin._tridiagonal_step` with the rows of 2 J', on
+    the views of three 2-D views of the block, then subtracts the row two
+    back (the first step halves instead).  The ring (_RING + 2 rows of the
+    widest block), the work row and the block's row tables are
     :func:`motzkinq.motzkin._aligned_empty`, made once per pass, with the
     down table one slot late: each row and step view read or written whole
     starts on a 64-byte boundary, and a block copies its tables in place.
     """
     a = 0.5 * (1.0 - lam0)
     b, scale = 1.0 - a, 2.0 / a
-    sides = [(scale * u, scale * (flat - b), scale * w)
-             for u, w in ((up, down), _transposed(up, down))]
-    # a block has at most 4R + 2 states
-    ring, work = _aligned_empty((_RING + 2, 4 * R + 2)), _aligned_empty(4 * R + 1)
-    tables = _aligned_empty((3, 4 * R + 9))
-    tables = tables[0, :4 * R + 2], tables[1, :4 * R + 2], tables[2, 7:]  # up, flat, down
-    done, carry = 0, (np.array([[0.0, 0.0], [1.0, 1.0]]), m, n, 1)  # [x_0 | y_0]
+    sides = scale * up, scale * (flat - b), scale * down
+    halves = 1 if m == n else 2
+    width = halves * (2 * R + 1)  # the widest block
+    ring, work = _aligned_empty((_RING + 2, width)), _aligned_empty(width - 1)
+    tables = _aligned_empty((3, width + 7))
+    tables = tables[0, :width], tables[1, :width], tables[2, 7:]  # up, flat, down
+    # [x_-1 | y_-1] = 0 and [x_0 | y_0] = [e_m | e_n], one column per half
+    done, carry = 0, (np.repeat([[0.0], [1.0]], halves, axis=1), m, n, 1)
     while done < R:
         last = min(done + _RING, R)
         lo_x, lo_y = max(m - last, 0), max(n - last, 0)
-        nx, size = m + last + 1 - lo_x, m + n + 2 * last + 2 - lo_x - lo_y
-        rows = _step_rows(*(np.concatenate((u[lo_x:lo_x + nx], v[lo_y:lo_y + size - nx]),
+        nx = m + last + 1 - lo_x
+        size = nx if m == n else nx + n + last + 1 - lo_y
+        rows = _step_rows(*(np.concatenate((u[lo_x:lo_x + nx], u[lo_y:lo_y + size - nx]),
                                            out=table[:size])
-                            for u, v, table in zip(*sides, tables)))
+                            for u, table in zip(sides, tables)))
         block = ring[:last - done + 2, :size]
         old, x0, y0, old_nx = carry
         block[:2] = 0.0
         block[:2, x0 - lo_x:x0 - lo_x + old_nx] = old[:, :old_nx]
         block[:2, nx + y0 - lo_y:nx + y0 - lo_y + old.shape[1] - old_nx] = old[:, old_nx:]
-        views, w = [_step_views(v) for v in block], work[:size - 1]
+        whole, below, above = _step_views(block)
+        w = work[:size - 1]
+        before, cur = whole[0], (whole[1], below[1], above[1])
         for i in range(2, len(block)):
-            new = views[i][0]
-            _tridiagonal_step(views[i - 1], views[i], rows, w)
+            new = whole[i], below[i], above[i]
+            _tridiagonal_step(cur, new, rows, w)
             if done == 0 and i == 2:
-                np.multiply(new, 0.5, out=new)  # [x_1 | y_1]
+                np.multiply(new[0], 0.5, out=new[0])  # [x_1 | y_1]
             else:
-                np.subtract(new, views[i - 2][0], out=new)
+                np.subtract(new[0], before, out=new[0])
+            before, cur = cur[0], new
         yield block, lo_x, lo_y, nx
         carry, done = (block[-2:].copy(), lo_x, lo_y, nx), last
 

@@ -17,20 +17,25 @@ Two scaling regimes of the boundary chain are covered:
 
 The lattice sides of the limit statements are computed deterministically
 (never Monte Carlo), so the reported errors reflect convergence in N, not
-sampling noise.  P(X_k = n | X_0 = m) is the (m, n) entry of the
-Chebyshev expansion of P^k on the chain's spectrum [A/B, 1], degree
+sampling noise.  P(X_k = n | X_0 = m) is sqrt(pi_n / pi_m) times the (m, n)
+entry of the Chebyshev expansion of J^k on the chain's spectrum [A/B, 1],
+J = D^(1/2) P D^(-1/2) (D = diag pi_n) the symmetric Jacobi matrix, whose
+rows are closed-form in q and sigma; degree
 d ~ sqrt(2 k ln(4/eps) / (1+sigma)), taken by one bilinear pass of
 ceil(d/2) tridiagonal steps in blocks on the growing reach of both ends,
-with no state cap; it is accurate to about (d+1) eps in the pi-symmetrized
-value P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).  Where k exact steps on the exact
-reach cost no more than the pass, they are taken instead.  A value below
-10^6 times that accuracy (a far tail) is recomputed by k exact steps of
-``motzkin._power``, on the exact reach while that is at most twice a
-state cap eight diffusive widths above the farther of the two levels, and
-on that cap beyond it, where one absorbing state past the cap gathers the
-leaked mass; a cap that leaks more than 1e-9 of it raises CapacityError.
-The chain rows come from the ratios s_{n+1} / s_n and the initial masses
-from log s_n - log C, so neither overflows at large N as q -> 1.
+with no state cap, and on one end alone where m = n, since J's row and
+column passes then coincide.  It is accurate to about (d+1) eps in the
+pi-symmetrized value J^k[m, n] = P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).
+Where k exact steps on the exact reach cost no more than twice the two-end
+pass, they are taken instead.  A value below 10^6 times that accuracy (a
+far tail) is recomputed by k exact steps of ``motzkin._power``, on the
+exact reach while that is at most twice a state cap eight diffusive widths
+above the farther of the two levels, and on that cap beyond it, where one
+absorbing state past the cap gathers the leaked mass; a cap that leaks
+more than 1e-9 of it raises CapacityError.  The exact steps, and
+pi_n / pi_m off the diagonal, take the chain rows from the ratios
+s_{n+1} / s_n, and the initial masses come from log s_n - log C, so
+neither overflows at large N as q -> 1.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascpoly import QModelParams, _initial_probs, _root, index_map
-from .chains import _EPS, _chebyshev_entry, _chebyshev_power_coefficients, transition_arrays
+from .chains import (_EPS, _chebyshev_entry, _chebyshev_power_coefficients, _jacobi_rows,
+                     transition_arrays)
 from .errors import CapacityError, ConvergenceError
 from .motzkin import _power
 from .numerics import _nested_trapezoid
@@ -200,18 +206,23 @@ def zeta0_density(x: float, c: float) -> float:
 # ------------------------------------------------------- lattice iteration
 
 def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float:
-    """P(X_k = n | X_0 = m) from the Chebyshev expansion of P^k on the
-    chain's spectrum [A/B, 1], of degree d, by the bilinear pass
-    :func:`motzkinq.chains._chebyshev_entry` of R = ceil(d/2) steps on one
-    table of states 0..max(m, n) + R, the exact reach of both ends; 0 when
-    |m - n| > k.  Where k steps on the exact reach 0..max(m, n) + k cost no
-    more state-steps than the pass, at most R 2 (2R + 1), they are taken
+    """P(X_k = n | X_0 = m) = sqrt(pi_n / pi_m) J^k[m, n], J the symmetric
+    Jacobi matrix of the chain (P = D^(-1/2) J D^(1/2), D = diag pi_n), from
+    the Chebyshev expansion of J^k on the spectrum [A/B, 1], of degree d, by
+    the bilinear pass :func:`motzkinq.chains._chebyshev_entry` of
+    R = ceil(d/2) steps on the closed-form rows
+    :func:`motzkinq.chains._jacobi_rows` of states 0..max(m, n) + R, the
+    exact reach of both ends, and one half of its ring where m = n; 0 when
+    |m - n| > k.  log(pi_n / pi_m) is summed from the ratios of
+    ``transition_arrays`` on states 0..max(m, n), and not taken where
+    m = n.  Where k steps on the exact reach 0..max(m, n) + k cost no more
+    state-steps than twice the two-half pass, 4R (2R + 1), they are taken
     instead, and nothing leaks past that reach.
 
     The expansion is accurate to about (d+1) eps in the pi-symmetrized value
-    P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value within 10^6 times that
-    of zero (far tails) is recomputed by exact stepping: on the exact reach
-    while max(m, n) + k is at most twice the diffusive cap
+    J^k[m, n] = P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value within 10^6
+    times that of zero (far tails) is recomputed by exact stepping: on the
+    exact reach while max(m, n) + k is at most twice the diffusive cap
     max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64, eight diffusive widths
     above the farther end, and on that cap beyond it, where CapacityError
     names the cap, k and the leak when more than 1e-9 of the mass leaves
@@ -222,19 +233,18 @@ def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float
     lam0 = model.A / model.B
     c = _chebyshev_power_coefficients(k, lam0)
     R = len(c) // 2
-    reach = max(m, n) + k
-    if k * (reach + 1) <= 2 * R * (2 * R + 1):
-        return _exact_point(model, m, n, k, reach)
-    up, flat, down = transition_arrays(model, max(m, n) + R)
-    p = _chebyshev_entry(m, n, c, lam0, up, flat, down)
     lo, hi = min(m, n), max(m, n)
-    log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
-    if n < m:
-        log_ratio = -log_ratio  # log(pi_n / pi_m)
-    floor = 1e6 * len(c) * _EPS
-    if p > 0.0 and math.log(p) - 0.5 * log_ratio >= math.log(floor):
-        return p
-    cap = max(m, n) + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
+    reach = hi + k
+    if k * (reach + 1) <= 4 * R * (2 * R + 1):
+        return _exact_point(model, m, n, k, reach)
+    p = _chebyshev_entry(m, n, c, lam0, *_jacobi_rows(model, hi + R))
+    if p >= 1e6 * len(c) * _EPS:
+        if m == n:
+            return p
+        up, _, down = transition_arrays(model, hi)
+        log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
+        return p * math.exp(0.5 * (log_ratio if m < n else -log_ratio))  # sqrt(pi_n / pi_m)
+    cap = hi + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
     return _exact_point(model, m, n, k, reach if reach <= 2 * cap else cap)
 
 

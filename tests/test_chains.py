@@ -338,16 +338,13 @@ def test_chebyshev_power_matches_stepping_with_leaking_cap():
 # ------------------------------------------------- blocked bilinear pass
 
 def _entry_against_oracle(model, k, m, n):
-    """(blocked pass, three-buffer oracle, pi-symmetrized (d+1) eps bound)
-    for e_m P^k e_n."""
+    """(blocked pass, three-buffer oracle, (d+1) eps bound) for e_m J^k e_n
+    on J's rows, the pi-symmetrized e_m P^k e_n."""
     lam0 = model.A / model.B
     c = _chebyshev_power_coefficients(k, lam0)
-    tables = transition_arrays(model, max(m, n) + len(c) // 2)
-    up, _, down = tables
-    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:-1] / down[1:]))))  # log pi_j / pi_0
-    bound = len(c) * _EPS * math.exp(0.5 * (log_pi[n] - log_pi[m]))
+    tables = chains._jacobi_rows(model, max(m, n) + len(c) // 2)
     return (chains._chebyshev_entry(m, n, c, lam0, *tables),
-            chebyshev_entry_three_buffers(m, n, c, lam0, *tables), bound)
+            chebyshev_entry_three_buffers(m, n, c, lam0, *tables), len(c) * _EPS)
 
 
 def test_blocked_entry_matches_three_buffer_oracle_on_a_seeded_sweep():
@@ -393,7 +390,7 @@ def test_windowed_ring_rows_equal_full_width_stepping(m, n, R):
     # gives, equal as floats on the window and 0 past it
     model = QModelParams(q=0.7, sigma=0.5)
     lam0 = model.A / model.B
-    tables = transition_arrays(model, max(m, n) + R)
+    tables = chains._jacobi_rows(model, max(m, n) + R)
     xs, ys = chebyshev_rows_full_width(m, n, R, lam0, *tables)
     done = 0
     for block, lo_x, lo_y, nx in chains._chebyshev_blocks(m, n, R, lam0, *tables):
@@ -402,11 +399,42 @@ def test_windowed_ring_rows_equal_full_width_stepping(m, n, R):
             if a < 0:
                 assert not row.any()
                 continue
-            for full, part, lo in ((xs[a], row[:nx], lo_x), (ys[a], row[nx:], lo_y)):
+            y = row if m == n else row[nx:]  # one half at m = n: y is x
+            for full, part, lo in ((xs[a], row[:nx], lo_x), (ys[a], y, lo_y)):
                 assert np.array_equal(part, full[lo:lo + len(part)]), (a, i)
                 assert not full[:lo].any() and not full[lo + len(part):].any(), (a, i)
         done += len(block) - 2
     assert done == R
+
+
+class _Unequal(int):
+    """A level that compares unequal to every level, its own value too: the
+    ring takes it as m != n and steps both halves on the same states."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = int.__hash__
+
+
+@pytest.mark.parametrize("m, R", [(0, chains._RING), (0, 5), (10, 2 * chains._RING),
+                                  (40, 2 * chains._RING + 1), (200, chains._RING - 1)])
+def test_one_half_diagonal_ring_equals_two_half_ring_bitwise(m, R):
+    # on J's symmetric rows the column pass at m = n is the row pass, so the
+    # one ring half is each half of the two-half ring bit for bit, also at
+    # the wall (m = 0), where the window is cut at 0 (m < R) and where R is
+    # a multiple of _RING
+    model = QModelParams(q=0.7, sigma=0.5)
+    lam0 = model.A / model.B
+    tables = chains._jacobi_rows(model, m + R)
+    one = [(block.copy(), lo_x, nx)
+           for block, lo_x, _, nx in chains._chebyshev_blocks(m, m, R, lam0, *tables)]
+    two = [(block.copy(), lo_x, lo_y, nx)
+           for block, lo_x, lo_y, nx in chains._chebyshev_blocks(_Unequal(m), m, R, lam0, *tables)]
+    assert len(one) == len(two) == -(-R // chains._RING)
+    for (half, lo, width), (both, lo_x, lo_y, nx) in zip(one, two):
+        assert lo == lo_x == lo_y and width == nx == half.shape[1] == both.shape[1] - nx
+        assert np.array_equal(half, both[:, :nx]) and np.array_equal(half, both[:, nx:])
 
 
 def _aligned(v: np.ndarray) -> bool:
@@ -418,7 +446,7 @@ def test_ring_rows_start_on_cache_lines(m, n, R):
     # every row of every block starts on a 64-byte boundary, also where the
     # block's width is not a multiple of 8 doubles
     model = QModelParams(q=0.7, sigma=0.5)
-    tables = transition_arrays(model, max(m, n) + R)
+    tables = chains._jacobi_rows(model, max(m, n) + R)
     widths = []
     for block, *_ in chains._chebyshev_blocks(m, n, R, model.A / model.B, *tables):
         widths.append(block.shape[1])

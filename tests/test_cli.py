@@ -207,13 +207,14 @@ OUTPUT_DIGESTS = [
     (("sample", "--q", "0.99", "--rho0", "0.9", "--L", "200", "--count", "300", "--seed", "4"),
      "ebf811ed6dc6b319b494cc2bd467fce9e87b466d6e7a2d96c18248585bc3ebc5",
      "d4747a4dc24f1b3e8ad0a265327ee87ea92df4a7517a4218e5dfccc4104eaa5a"),
-    # the local-limit tables of both regimes at the default model
+    # the local-limit tables of both regimes at the default model (x = y = 1,
+    # the pass on J's rows)
     (("locallimit", "--regime", "fixed-q", "--N", "400,2500"),
-     "3266e17e80d72deca45f6612720b2318ae5a1a7256acc62ec5ffadddfe83842f",
-     "1e249d7cfe7598d16f2679383154bf140bf8e85396912045c4d50519a401d010"),
+     "f831439e08d737a7ff29c3dac2f8e207e29762cb6e188a64b01e3738370202e4",
+     "cc78f8faa9f7740a78d08a9db2421f183f43aff5481f201b482ff39f53ef6c3d"),
     (("locallimit", "--regime", "q-to-1", "--N", "400,2500"),
-     "6cf01e4358b417ecdf508e50bb244fe2f64c8e8bd5c275048da4a22063b7b21f",
-     "0261707aafa7a17ca7c3a09256f8e56900425efc7fc11c7cca5ea245299a867b"),
+     "e252815981390d74306a63a1f713391c8a1c47f1688a2b34ab107b4578b86e6d",
+     "4b22dedaea5a524406d4e4e03c486db99f035bfe09e29c143ffc6a0b3041a894"),
 ]
 
 

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzkinq.ascpoly import QModelParams
-from motzkinq import chains, kernels
-from motzkinq.chains import _EPS, _chebyshev_entry, _chebyshev_power_coefficients, transition_arrays
+from motzkinq import ascpoly, chains, kernels
+from motzkinq.chains import (_EPS, _chebyshev_entry, _chebyshev_power_coefficients, _jacobi_rows,
+                             transition_arrays)
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.kernels import (
     KernelQuery,
@@ -393,10 +394,15 @@ def test_level_out_of_reach_is_zero_without_a_table(monkeypatch, N, t, x, y):
 @example(q=0.5, sigma=0.8, m=1, n=59, k=60)  # blocks of radius R = 28 share no state
 @example(q=0.99, sigma=1.0, m=0, n=0, k=4)  # the pass is 2e-8 off here; the driver steps
 @example(q=0.5, sigma=1e-300, m=3, n=5, k=400)  # lam0 = -1: all of [-1, 1]
+@example(q=0.5, sigma=0.8, m=0, n=0, k=107)  # one ring half from the wall, R = _RING
+@example(q=0.5, sigma=0.5, m=60, n=60, k=98)  # one ring half, R = _RING + 1, no cut at 0
+@example(q=0.5, sigma=0.8, m=30, n=30, k=389)  # one ring half cut at 0, R = 2 _RING
+@example(q=0.9, sigma=1.0, m=5, n=5, k=23)  # pass 1.5e-9 off; steps: 667 <= 4R (2R + 1) = 1200
 def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
-    # the bilinear pass is within (d+1) eps of P^k[m, n] in the
-    # pi-symmetrized value; the driver adds 1e-9 relative on top, from the
-    # fallback, or raises CapacityError where the fallback cap really leaks
+    # the bilinear pass on J's rows is within (d+1) eps of
+    # J^k[m, n] = P^k[m, n] sqrt(pi_m / pi_n); the lattice point adds 1e-9
+    # relative on top, from the fallback, or raises CapacityError where the
+    # fallback cap really leaks
     model = QModelParams(q=q, sigma=sigma)
     top = max(m, n) + k + 1  # exact reach: nothing leaks
     up, flat, down = transition_arrays(model, top)
@@ -406,8 +412,10 @@ def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
     lam0 = model.A / model.B
     c = _chebyshev_power_coefficients(k, lam0)
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(up[:top] / down[1:]))))  # log pi_j / pi_0
-    bound = len(c) * _EPS * math.exp(0.5 * (log_pi[n] - log_pi[m]))
-    assert abs(_chebyshev_entry(m, n, c, lam0, up, flat, down) - want) <= bound
+    ratio = math.exp(0.5 * (log_pi[n] - log_pi[m]))  # sqrt(pi_n / pi_m)
+    bound = len(c) * _EPS * ratio
+    jacobi = _chebyshev_entry(m, n, c, lam0, *_jacobi_rows(model, top))
+    assert abs(jacobi * ratio - want) <= bound
     try:
         lattice = _chain_point_evolution(model, m, n, k)
     except CapacityError:
@@ -421,13 +429,15 @@ def test_chain_point_matches_exact_stepping(q, sigma, m, n, k):
 def test_lattice_point_steps_on_the_true_spectrum(monkeypatch):
     # k = 4e4 at sigma = 0.8: the degree d' on [A/B, 1] is about that on
     # [-1, 1] (1658) over sqrt(1.8); at most ceil(d'/2) + 1 in-place steps
-    # on a vector of at most 2 (2A + 1) states, A = ceil(d'/2), from one
-    # table, and no exact stepping
+    # on a vector of at most 2 (2A + 1) states, A = ceil(d'/2), on one
+    # table of J's rows over the reach, the chain's rows only up to
+    # max(m, n) for pi_n / pi_m, and no exact stepping
     model, m, n, k, cap = _lattice_query("fixed-q", 40_000, 1.0, 1.0, 2.0)
     d = len(_chebyshev_power_coefficients(k, model.A / model.B)) - 1
     A = (d + 1) // 2
-    sizes, tables = [], []
+    sizes, tables, jacobi = [], [], []
     real_step, real_table = chains._tridiagonal_step, kernels.transition_arrays
+    real_jacobi = kernels._jacobi_rows
 
     def step(v, out, rows, work):
         sizes.append(len(v[0]))
@@ -437,16 +447,22 @@ def test_lattice_point_steps_on_the_true_spectrum(monkeypatch):
         tables.append(cap)
         return real_table(model, cap)
 
+    def jacobi_rows(model, cap):
+        jacobi.append(cap)
+        return real_jacobi(model, cap)
+
     def no_stepping(*args):
         raise AssertionError("a bench-size point took exact stepping")
 
     monkeypatch.setattr(chains, "_tridiagonal_step", step)
     monkeypatch.setattr(kernels, "transition_arrays", table)
+    monkeypatch.setattr(kernels, "_jacobi_rows", jacobi_rows)
     monkeypatch.setattr(kernels, "_power", no_stepping)
     lattice = _chain_point_evolution(model, m, n, k)
     assert d <= 0.8 * 1658 and 0 < len(sizes) <= A + 1
     assert max(sizes) <= 2 * (2 * A + 1)
-    assert tables == [max(m, n) + A]
+    assert tables == [max(m, n)]
+    assert jacobi == [max(m, n) + A]
     monkeypatch.undo()
     vec = np.zeros(cap + 1)
     vec[m] = 1.0
@@ -454,14 +470,16 @@ def test_lattice_point_steps_on_the_true_spectrum(monkeypatch):
                                     rel=1e-9, abs=0.0)
 
 
-def test_cheap_point_steps_exactly_on_its_reach():
-    # k (max(m, n) + k + 1) = 20 state-steps, no more than the pass's
-    # R 2 (2R + 1) = 20: the driver steps on states 0..k, where nothing
-    # leaks, instead of taking the pass (2e-8 off at this point)
-    model = QModelParams(q=0.99, sigma=1.0)
-    _, _, (want, lost) = _exact_stepping(model, 0, 4, 4)
+@pytest.mark.parametrize("q, m, k", [(0.99, 0, 4), (0.9, 5, 23)])
+def test_cheap_point_steps_exactly_on_its_reach(q, m, k):
+    # k (max(m, n) + k + 1) state-steps, 20 and 667, no more than
+    # 4R (2R + 1), 40 and 1200, twice the two-half pass's: the lattice point
+    # steps on states 0..m + k, where nothing leaks, instead of taking the
+    # pass (2e-8 and 1.5e-9 off at these points, at sigma = 1, n = m)
+    model = QModelParams(q=q, sigma=1.0)
+    _, _, (want, lost) = _exact_stepping(model, m, k, m + k)
     assert lost == 0.0
-    assert _chain_point_evolution(model, 0, 0, 4) == pytest.approx(want[0], rel=1e-9, abs=0.0)
+    assert _chain_point_evolution(model, m, m, k) == pytest.approx(want[m], rel=1e-9, abs=0.0)
 
 
 def test_far_tail_fallback_runs_on_the_exact_reach_within_twice_the_cap():
@@ -512,37 +530,48 @@ def _q_to_1(root_N: int) -> tuple[float, float]:
 # orientations of each (x, y) pair, fixed-q levels floor(z sqrt N), q-to-1
 # levels index_map(z, N, 1)), two points on the cheap exact branch and two
 # far-tail fallbacks (on the exact reach, and on the diffusive cap 730);
-# pinned bit for bit (repr)
+# pinned bit for bit (repr), each beside the value of the pass on P's rows
+# that the pass on J's rows replaced (the same on the exact branches)
 LATTICE_PINS = [
-    (_BENCH_Q, 50, 100, 2500, "0.009027697702043258"),
-    (_BENCH_Q, 100, 50, 2500, "0.0020918016551143438"),
-    (_BENCH_Q, 100, 100, 2500, "0.010704085303476881"),
-    (_q_to_1(50), 180, 280, 2500, "0.003021717895410777"),
-    (_q_to_1(50), 280, 180, 2500, "5.341394199888982e-06"),
-    (_q_to_1(50), 280, 280, 2500, "0.010854299733041656"),
-    (_BENCH_Q, 100, 200, 10_000, "0.004428578287457873"),
-    (_BENCH_Q, 200, 100, 10_000, "0.0010670002855120199"),
-    (_BENCH_Q, 200, 200, 10_000, "0.005352287065136566"),
-    (_q_to_1(100), 429, 629, 10_000, "0.0015403975735944918"),
-    (_q_to_1(100), 629, 429, 10_000, "2.5562348173443076e-06"),
-    (_q_to_1(100), 629, 629, 10_000, "0.005421781195635085"),
-    (_BENCH_Q, 200, 400, 40_000, "0.0021940443995523548"),
-    (_BENCH_Q, 400, 200, 40_000, "0.0005386110327442142"),
-    (_BENCH_Q, 400, 400, 40_000, "0.002676174208619641"),
-    (_q_to_1(200), 998, 1398, 40_000, "0.0007681169741693349"),
-    (_q_to_1(200), 1398, 998, 40_000, "1.2863252153685813e-06"),
-    (_q_to_1(200), 1398, 1398, 40_000, "0.0027113141786548507"),
-    (_BENCH_Q, 0, 1, 7, "0.04057728251488608"),  # cheap: exact reach 8
-    (_BENCH_Q, 2, 1, 5, "0.023919597388518447"),  # cheap: exact reach 7
-    (_BENCH_Q, 0, 300, 400, "1.8384855015667386e-98"),  # far tail, exact reach 700
-    (_BENCH_Q, 0, 400, 2000, "2.50944390816106e-31"),  # far tail, cap 730
+    (_BENCH_Q, 50, 100, 2500, "0.009027697702044164", "0.009027697702043258"),
+    (_BENCH_Q, 100, 50, 2500, "0.002091801655114567", "0.0020918016551143438"),
+    (_BENCH_Q, 100, 100, 2500, "0.010704085303478657", "0.010704085303476881"),
+    (_q_to_1(50), 180, 280, 2500, "0.003021717895410764", "0.003021717895410777"),
+    (_q_to_1(50), 280, 180, 2500, "5.341394199888996e-06", "5.341394199888982e-06"),
+    (_q_to_1(50), 280, 280, 2500, "0.010854299733041547", "0.010854299733041656"),
+    (_BENCH_Q, 100, 200, 10_000, "0.004428578287460539", "0.004428578287457873"),
+    (_BENCH_Q, 200, 100, 10_000, "0.0010670002855127335", "0.0010670002855120199"),
+    (_BENCH_Q, 200, 200, 10_000, "0.005352287065140452", "0.005352287065136566"),
+    (_q_to_1(100), 429, 629, 10_000, "0.0015403975735944484", "0.0015403975735944918"),
+    (_q_to_1(100), 629, 429, 10_000, "2.556234817344174e-06", "2.5562348173443076e-06"),
+    (_q_to_1(100), 629, 629, 10_000, "0.005421781195634867", "0.005421781195635085"),
+    (_BENCH_Q, 200, 400, 40_000, "0.0021940443995573586", "0.0021940443995523548"),
+    (_BENCH_Q, 400, 200, 40_000, "0.0005386110327456443", "0.0005386110327442142"),
+    (_BENCH_Q, 400, 400, 40_000, "0.0026761742086264134", "0.002676174208619641"),
+    (_q_to_1(200), 998, 1398, 40_000, "0.0007681169741693649", "0.0007681169741693349"),
+    (_q_to_1(200), 1398, 998, 40_000, "1.28632521536862e-06", "1.2863252153685813e-06"),
+    (_q_to_1(200), 1398, 1398, 40_000, "0.0027113141786552874", "0.0027113141786548507"),
+    # cheap (exact reach 8 and 7), far tail (exact reach 700, cap 730)
+    (_BENCH_Q, 0, 1, 7, "0.04057728251488608", "0.04057728251488608"),
+    (_BENCH_Q, 2, 1, 5, "0.023919597388518447", "0.023919597388518447"),
+    (_BENCH_Q, 0, 300, 400, "1.8384855015667386e-98", "1.8384855015667386e-98"),
+    (_BENCH_Q, 0, 400, 2000, "2.50944390816106e-31", "2.50944390816106e-31"),
 ]
 
 
-@pytest.mark.parametrize("params, m, n, k, want", LATTICE_PINS)
-def test_lattice_points_pinned_bitwise(params, m, n, k, want):
+@pytest.mark.parametrize("params, m, n, k, want, p_rows", LATTICE_PINS)
+def test_lattice_points_pinned_bitwise(params, m, n, k, want, p_rows):
+    # both passes are within (d+1) eps sqrt(pi_n / pi_m) of P^k[m, n], so
+    # within twice that of each other
     q, sigma = params
-    assert repr(_chain_point_evolution(QModelParams(q=q, sigma=sigma), m, n, k)) == want
+    model = QModelParams(q=q, sigma=sigma)
+    assert repr(_chain_point_evolution(model, m, n, k)) == want
+    c = _chebyshev_power_coefficients(k, model.A / model.B)
+    lo, hi = min(m, n), max(m, n)
+    up, _, down = transition_arrays(model, hi)
+    log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))  # log pi_hi / pi_lo
+    ratio = math.exp(0.5 * (log_ratio if m <= n else -log_ratio))
+    assert abs(float(want) - float(p_rows)) <= 2 * len(c) * _EPS * ratio
 
 
 def test_long_exact_passes_pinned_bitwise():
@@ -572,6 +601,35 @@ def test_chain_spectrum_lies_in_the_scaled_orthogonality_interval(q, sigma):
     eig = np.linalg.eigvalsh(np.diag(flat) + np.diag(off, 1) + np.diag(off, -1))
     assert eig.min() >= model.A / model.B - 1e-12
     assert eig.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.99, math.exp(-2.0 / 1000.0)])
+@pytest.mark.parametrize("sigma", [1e-3, 0.8, 1.0])
+def test_jacobi_rows_are_the_symmetrized_chain_rows(q, sigma):
+    # J[n, n+1] in closed form is sqrt(up[n] down[n+1]) of the chain's rows
+    # within 4 ulp over 10^4 levels, J[n, n] is the flat row bit for bit,
+    # and J is symmetric as floats
+    model = QModelParams(q=q, sigma=sigma)
+    up, flat, down = transition_arrays(model, 10_000)
+    j_up, j_flat, j_down = _jacobi_rows(model, 10_000)
+    want = np.sqrt(up[:-1] * down[1:])
+    assert np.all(np.abs(j_up[:-1] - want) <= 4.0 * np.spacing(want))
+    assert np.array_equal(j_flat, flat)
+    assert j_down[0] == 0.0 and np.array_equal(j_down[1:], j_up[:-1])
+
+
+@pytest.mark.parametrize("params, m, k", [(_BENCH_Q, 400, 40_000), (_q_to_1(200), 1398, 40_000)])
+def test_diagonal_bench_point_reads_no_chain_rows(monkeypatch, params, m, k):
+    # at m = n the pass runs on J's closed-form rows and needs no pi ratio,
+    # so neither the s-ratio loop nor the chain's rows are built
+    def refused(*args):
+        raise AssertionError("a diagonal point built s-ratios or chain rows")
+
+    for module, name in ((ascpoly, "s_ratios"), (chains, "s_ratios"),
+                         (chains, "transition_arrays"), (kernels, "transition_arrays")):
+        monkeypatch.setattr(module, name, refused)
+    q, sigma = params
+    assert _chain_point_evolution(QModelParams(q=q, sigma=sigma), m, m, k) > 0.0
 
 
 def test_initial_limit_fixed_q():
