@@ -14,9 +14,10 @@ r_n = s_{n+1} / s_n, which :func:`motzkinq.ascpoly.s_ratios` gives in O(cap)
 real arithmetic, and the initial laws combine log s_n with log C, so both
 stay finite where s_n and C leave double range (q -> 1 at large N).  Every
 function takes the model parameters directly; nothing is cached.
-k-step probabilities come either from k exact steps of
-``motzkin._power`` (default, on states 0..max support + k, the exact
-reach) or from the orthogonality-measure integral
+k-step probabilities come either from the one exact pass :func:`_kstep`,
+k steps of ``motzkin._power`` on states 0..cap and an absorbing state past
+them (``kstep_distribution`` takes it on 0..max support + k, the exact
+reach), or from the orthogonality-measure integral
 
     P(X_k = n | X_0 = m) = (pi_n / pi_m) int (x/B)^k p_m(x) ptilde_n(x) nu(dx),
 
@@ -26,15 +27,20 @@ P = D^(-1/2) J D^(1/2), D = diag pi_n, with J the symmetric Jacobi matrix
 of :func:`_jacobi_rows`, whose rows are closed-form in q and sigma (no
 ratios s_(n+1) / s_n), so the spectrum of both lies in [A/B, 1] =
 [(sigma-1)/(sigma+1), 1] and P^k[m, n] = sqrt(pi_n / pi_m) J^k[m, n].
-The local-limit functions take one entry e_m J^k e_n of the Chebyshev
-expansion of J^k on that interval, degree d ~ sqrt(2 k ln(4/eps) / (1+sigma)),
-by one bilinear pass (:func:`_chebyshev_entry`): ceil(d/2) in-place
-tridiagonal steps of the row e_m T_a(J') and the column T_a(J') e_n
-together, J' = J mapped onto [-1, 1], instead of k steps, in blocks on the
-states both ends reach by the block's last step, with two row sums of
-moments per block.  J is symmetric, so both take the same rows, and where
-m = n the column is the row bit for bit and the pass steps it alone.  The
-exact length-L laws that the chains approximate take their heads from
+The lattice point :func:`_chain_point_evolution`, the P^k[m, n] of the
+local-limit functions in :mod:`motzkinq.kernels`, takes one entry
+e_m J^k e_n of the Chebyshev expansion of J^k on that interval, degree
+d ~ sqrt(2 k ln(4/eps) / (1+sigma)), by one bilinear pass
+(:func:`_chebyshev_entry`): ceil(d/2) in-place tridiagonal steps of the
+row e_m T_a(J') and the column T_a(J') e_n together, J' = J mapped onto
+[-1, 1], instead of k steps, in blocks on the states both ends reach by
+the block's last step, with two row sums of moments per block.  J is
+symmetric, so both take the same rows, and where m = n the column is the
+row bit for bit and the pass steps it alone.  Where k steps on the exact
+reach cost no more than twice the pass, and for a far tail below the
+pass's accuracy, the point is one :func:`_kstep` instead, on the exact
+reach or on a diffusive state cap that raises CapacityError if it leaks.
+The exact length-L laws that the chains approximate take their heads from
 ``altitude_table`` and their middle from ``motzkin._backward_table``, the
 sampler's backward pass: their end columns, one or a stack, pulled back on
 the first certified O(sqrt L) height, with at most 10 ``numerics.TAIL_TOL``
@@ -57,6 +63,7 @@ from .ascpoly import (
     pi_values,
     s_ratios,
 )
+from .errors import CapacityError
 from .motzkin import (WeightModel, _aligned_empty, _backward_table, _power, _require_qmodel,
                       _step_rows, _step_views, _table_product, _tridiagonal_step, altitude_table)
 from .numerics import _EPS
@@ -86,7 +93,7 @@ class Distribution:
     def __post_init__(self) -> None:
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
-        if np.any(np.asarray(self.probs) < 0.0):
+        if not np.all(np.asarray(self.probs) >= 0.0):  # NaN too
             raise ValueError("probabilities must be nonnegative")
 
     def total(self) -> float:
@@ -320,17 +327,77 @@ def _chebyshev_blocks(m: int, n: int, R: int, lam0: float, up: np.ndarray, flat:
 
 
 def kstep_distribution(start: Distribution, k: int, model: QModelParams) -> Distribution:
-    """Distribution after k steps from ``start`` on states 0..max support + k,
-    the exact reach: mass gets to the top state only at step k, so none is
-    lost past it.  The steps are :func:`motzkinq.motzkin._power`."""
+    """Distribution after k steps from ``start``: :func:`_kstep` on states
+    0..max support + k, the exact reach, where mass gets to the top state
+    only at step k, so none leaks past it."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     cap = start.offset + len(start.probs) - 1 + k
-    up, flat, down = transition_arrays(model, cap)
-    vec = np.zeros(cap + 1)
-    vec[start.offset: start.offset + len(start.probs)] = start.probs
+    return Distribution(offset=0, probs=_kstep(start, k, model, cap))
+
+
+def _kstep(start: Distribution, k: int, model: QModelParams, cap: int) -> np.ndarray:
+    """The law on states 0..cap after k steps from ``start``: k steps of
+    :func:`motzkinq.motzkin._power` on the rows of states 0..cap and one
+    absorbing state cap + 1 (up 0, flat 1, down 0), whose entry gathers the
+    mass that leaves past the cap; CapacityError naming the cap, k and that
+    leak when it is more than 1e-9 (never on the exact reach, where cap is
+    at least the top of the support plus k)."""
+    up, flat, down = (np.append(w, end) for w, end in
+                      zip(transition_arrays(model, cap), (0.0, 1.0, 0.0)))
+    vec = np.zeros(cap + 2)
+    vec[start.offset:start.offset + len(start.probs)] = start.probs
     out, log_scale = _power(vec, up, flat, down, itertools.repeat(1.0, k))
-    return Distribution(offset=0, probs=out * math.exp(log_scale))
+    out = out * math.exp(log_scale)
+    if out[-1] > 1e-9:
+        raise CapacityError(f"state cap {cap} leaks mass {out[-1]:.3g} > 1e-9 in k={k} steps "
+                            f"from level {start.offset}")
+    return out[:-1]
+
+
+def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float:
+    """P(X_k = n | X_0 = m), the lattice point of the local-limit functions
+    of :mod:`motzkinq.kernels`; 0 when |m - n| > k.
+
+    It is sqrt(pi_n / pi_m) J^k[m, n], from the Chebyshev expansion of J^k
+    on the spectrum [A/B, 1], of degree d, by the bilinear pass
+    :func:`_chebyshev_entry` of R = ceil(d/2) steps on the closed-form rows
+    :func:`_jacobi_rows` of states 0..max(m, n) + R, the exact reach of
+    both ends, and one half of its ring where m = n.  log(pi_n / pi_m) is
+    summed from the ratios of ``transition_arrays`` on states 0..max(m, n),
+    and not taken where m = n.
+
+    Where k steps on the exact reach 0..max(m, n) + k cost no more
+    state-steps than twice the two-half pass, 4R (2R + 1), the point is
+    instead the one exact pass :func:`_kstep` from m on that reach, where
+    nothing leaks.  The expansion is accurate to about (d+1) eps in the
+    pi-symmetrized value J^k[m, n] = P(X_k = n | X_0 = m) sqrt(pi_m / pi_n);
+    a value within 10^6 times that of zero (a far tail) is recomputed by
+    the exact pass too: on the exact reach while max(m, n) + k is at most
+    twice the diffusive cap max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64,
+    eight diffusive widths above the farther end, and on that cap beyond
+    it, where CapacityError names the cap, k and the leak when more than
+    1e-9 of the mass leaves past it.
+    """
+    if abs(m - n) > k:
+        return 0.0  # unreachable: at most one level per step
+    lam0 = model.A / model.B
+    c = _chebyshev_power_coefficients(k, lam0)
+    R = len(c) // 2
+    lo, hi = min(m, n), max(m, n)
+    cap = hi + k  # the exact reach
+    if k * (cap + 1) > 4 * R * (2 * R + 1):
+        p = _chebyshev_entry(m, n, c, lam0, *_jacobi_rows(model, hi + R))
+        if p >= 1e6 * len(c) * _EPS:
+            if m == n:
+                return p
+            up, _, down = transition_arrays(model, hi)
+            log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
+            return p * math.exp(0.5 * (log_ratio if m < n else -log_ratio))  # sqrt(pi_n / pi_m)
+        diffusive = hi + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
+        if cap > 2 * diffusive:
+            cap = diffusive
+    return float(_kstep(Distribution.point_mass(m), k, model, cap)[n])
 
 
 def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams) -> float:
@@ -343,9 +410,10 @@ def kstep_transition_integral(m: int, n: int, k: int, model: QModelParams) -> fl
     inaccurate value).
     """
     nmax = max(m, n)
-    unit = np.eye(nmax + 1)
+    e_m, e_n = np.zeros((2, nmax + 1))
+    e_m[m] = e_n[n] = 1.0
     pis = pi_values(nmax, model)
-    return pis[n] / pis[m] * _moment_integral(unit[m], unit[n], k, model)
+    return pis[n] / pis[m] * _moment_integral(e_m, e_n, k, model)
 
 
 def simulate_chain(model: QModelParams, steps: int, seed: int,

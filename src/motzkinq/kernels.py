@@ -17,30 +17,14 @@ Two scaling regimes of the boundary chain are covered:
 
 The lattice sides of the limit statements are computed deterministically
 (never Monte Carlo), so the reported errors reflect convergence in N, not
-sampling noise.  P(X_k = n | X_0 = m) is sqrt(pi_n / pi_m) times the (m, n)
-entry of the Chebyshev expansion of J^k on the chain's spectrum [A/B, 1],
-J = D^(1/2) P D^(-1/2) (D = diag pi_n) the symmetric Jacobi matrix, whose
-rows are closed-form in q and sigma; degree
-d ~ sqrt(2 k ln(4/eps) / (1+sigma)), taken by one bilinear pass of
-ceil(d/2) tridiagonal steps in blocks on the growing reach of both ends,
-with no state cap, and on one end alone where m = n, since J's row and
-column passes then coincide.  It is accurate to about (d+1) eps in the
-pi-symmetrized value J^k[m, n] = P(X_k = n | X_0 = m) sqrt(pi_m / pi_n).
-Where k exact steps on the exact reach cost no more than twice the two-end
-pass, they are taken instead.  A value below 10^6 times that accuracy (a
-far tail) is recomputed by k exact steps of ``motzkin._power``, on the
-exact reach while that is at most twice a state cap eight diffusive widths
-above the farther of the two levels, and on that cap beyond it, where one
-absorbing state past the cap gathers the leaked mass; a cap that leaks
-more than 1e-9 of it raises CapacityError.  The exact steps, and
-pi_n / pi_m off the diagonal, take the chain rows from the ratios
-s_{n+1} / s_n, and the initial masses come from log s_n - log C, so
-neither overflows at large N as q -> 1.
+sampling noise: P(X_k = n | X_0 = m) is the lattice point
+``chains._chain_point_evolution``, whose account (the Chebyshev pass on the
+chain's Jacobi matrix, the exact k-step pass and the far-tail cap) is in
+:mod:`motzkinq.chains`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,11 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascpoly import QModelParams, _initial_probs, _root, index_map
-from .chains import (_EPS, _chebyshev_entry, _chebyshev_power_coefficients, _jacobi_rows,
-                     transition_arrays)
-from .errors import CapacityError, ConvergenceError
-from .motzkin import _power
-from .numerics import _nested_trapezoid
+from .chains import _chain_point_evolution
+from .errors import ConvergenceError
+from .numerics import _EPS, _nested_trapezoid
 from .qspecial import bessel_k_imag, bessel_k_imag_grid
 
 __all__ = [
@@ -119,8 +101,9 @@ class LimitComparison:
 def killed_bm_kernel(t: float, x: float, y: float) -> float:
     """Heat kernel of Brownian motion killed at 0:
     (2 pi t)^(-1/2) (exp(-(y-x)^2/2t) - exp(-(y+x)^2/2t)), x, y > 0."""
-    if t <= 0.0 or x <= 0.0 or y <= 0.0:
-        raise ValueError(f"killed kernel needs t, x, y > 0, got ({t}, {x}, {y})")
+    for name, value in (("t", t), ("x", x), ("y", y)):
+        if not value > 0.0:  # NaN too
+            raise ValueError(f"killed kernel needs {name} > 0, got {name}={value}")
     return (math.exp(-((y - x) ** 2) / (2 * t)) - math.exp(-((y + x) ** 2) / (2 * t))) \
         / math.sqrt(2 * math.pi * t)
 
@@ -201,69 +184,6 @@ def zeta0_density(x: float, c: float) -> float:
     _check_finite(x=x)
     norm = 4.0 / (2.0**c * math.gamma(c / 2.0) ** 2)
     return norm * math.exp(-c * x) * bessel_k_imag(0.0, math.exp(-x))
-
-
-# ------------------------------------------------------- lattice iteration
-
-def _chain_point_evolution(model: QModelParams, m: int, n: int, k: int) -> float:
-    """P(X_k = n | X_0 = m) = sqrt(pi_n / pi_m) J^k[m, n], J the symmetric
-    Jacobi matrix of the chain (P = D^(-1/2) J D^(1/2), D = diag pi_n), from
-    the Chebyshev expansion of J^k on the spectrum [A/B, 1], of degree d, by
-    the bilinear pass :func:`motzkinq.chains._chebyshev_entry` of
-    R = ceil(d/2) steps on the closed-form rows
-    :func:`motzkinq.chains._jacobi_rows` of states 0..max(m, n) + R, the
-    exact reach of both ends, and one half of its ring where m = n; 0 when
-    |m - n| > k.  log(pi_n / pi_m) is summed from the ratios of
-    ``transition_arrays`` on states 0..max(m, n), and not taken where
-    m = n.  Where k steps on the exact reach 0..max(m, n) + k cost no more
-    state-steps than twice the two-half pass, 4R (2R + 1), they are taken
-    instead, and nothing leaks past that reach.
-
-    The expansion is accurate to about (d+1) eps in the pi-symmetrized value
-    J^k[m, n] = P(X_k = n | X_0 = m) sqrt(pi_m / pi_n); a value within 10^6
-    times that of zero (far tails) is recomputed by exact stepping: on the
-    exact reach while max(m, n) + k is at most twice the diffusive cap
-    max(m, n) + floor(8 sqrt(k / (1+sigma))) + 64, eight diffusive widths
-    above the farther end, and on that cap beyond it, where CapacityError
-    names the cap, k and the leak when more than 1e-9 of the mass leaves
-    past it.
-    """
-    if abs(m - n) > k:
-        return 0.0  # unreachable: at most one level per step
-    lam0 = model.A / model.B
-    c = _chebyshev_power_coefficients(k, lam0)
-    R = len(c) // 2
-    lo, hi = min(m, n), max(m, n)
-    reach = hi + k
-    if k * (reach + 1) <= 4 * R * (2 * R + 1):
-        return _exact_point(model, m, n, k, reach)
-    p = _chebyshev_entry(m, n, c, lam0, *_jacobi_rows(model, hi + R))
-    if p >= 1e6 * len(c) * _EPS:
-        if m == n:
-            return p
-        up, _, down = transition_arrays(model, hi)
-        log_ratio = float(np.sum(np.log(up[lo:hi] / down[lo + 1:hi + 1])))
-        return p * math.exp(0.5 * (log_ratio if m < n else -log_ratio))  # sqrt(pi_n / pi_m)
-    cap = hi + int(8.0 * math.sqrt(k / (1.0 + model.sigma))) + 64
-    return _exact_point(model, m, n, k, reach if reach <= 2 * cap else cap)
-
-
-def _exact_point(model: QModelParams, m: int, n: int, k: int, cap: int) -> float:
-    """P(X_k = n | X_0 = m) by k exact steps of
-    :func:`motzkinq.motzkin._power` on states 0..cap and one absorbing state
-    cap + 1 (up 0, flat 1, down 0), whose entry gathers the mass that leaves
-    past the cap; CapacityError naming the cap, k and that leak when it is
-    more than 1e-9 (never on the exact reach cap >= max(m, n) + k)."""
-    up, flat, down = (np.append(w, end) for w, end in
-                      zip(transition_arrays(model, cap), (0.0, 1.0, 0.0)))
-    vec = np.zeros(cap + 2)
-    vec[m] = 1.0
-    out, _ = _power(vec, up, flat, down, itertools.repeat(1.0, k))
-    lost = out[-1]
-    if lost > 1e-9:
-        raise CapacityError(f"state cap {cap} leaks mass {lost:.3g} > 1e-9 in k={k} steps "
-                            f"from level {m}")
-    return float(out[n])
 
 
 def _compare(lhs: float, target, where: str) -> LimitComparison:

@@ -36,17 +36,18 @@ __all__ = [
 ]
 
 
-def _check_q(q: float) -> float:
+def _check_q(q: float, n: int = 0) -> float:
+    """q as a float; ValueError unless 0 <= q < 1 and the count n >= 0."""
     if not (0.0 <= q < 1.0):
         raise ValueError(f"q must lie in [0, 1), got {q}")
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     return float(q)
 
 
 def q_number(n: int, q: float) -> float:
     """[n]_q = 1 + q + ... + q^(n-1); equals 0 at n = 0."""
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_q(q, n)
     if n == 0:
         return 0.0
     return (1.0 - q**n) / (1.0 - q)
@@ -86,9 +87,7 @@ def qpoch_finite(a: complex, q: float, n: int):
     Returns a float for real ``a`` and a complex number otherwise.  The
     empty product (n = 0) is 1.
     """
-    _check_q(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_q(q, n)
     return _product(a, q, n)
 
 
@@ -117,7 +116,7 @@ def qpoch_log_abs(a: complex, q: float, n: int | None = None) -> float:
     Safe replacement for ``log(abs(qpoch_*))`` when the product itself would
     overflow or underflow double precision.
     """
-    _check_q(q)
+    _check_q(q, n or 0)  # n = None: the infinite product
     if n is None:
         n = _term_count(a, q)
     with np.errstate(divide="ignore"):
@@ -298,13 +297,16 @@ def bessel_k_imag_grid(us: np.ndarray, x: float) -> np.ndarray:
     trapezoidal rule shares envelope and phase between orders and stops on
     the largest change against ``numerics.REL_TOL``, with a floor of 64 eps
     times the largest L1 mass; :class:`ConvergenceError` names x past
-    ``numerics.MAX_NODES`` intervals, and for x < 1e-12.
+    ``numerics.MAX_NODES`` intervals, and for x < 1e-12; ValueError unless
+    x > 0 and every order is finite.
     """
-    if x <= 0.0:
+    if not x > 0.0:  # NaN too
         raise ValueError(f"argument must be positive, got x={x}")
     if x < 1e-12:
         raise ConvergenceError(f"x={x} too small: below 1e-12 the K grid is not computed")
     us = np.abs(np.asarray(us, dtype=float))
+    if not us.max(initial=0.0) < math.inf:  # NaN too
+        raise ValueError(f"orders must be finite, got u={us.max()}")
     cos_th = max(math.sqrt(0.5), 1.0 - 1.0 / x)
     xc, xs = x * cos_th, x * math.sqrt(1.0 - cos_th * cos_th)
 

@@ -96,8 +96,9 @@ def run_checks(model: QModelParams, inject_fault: bool = False) -> list[CheckRes
     worst = 0.0
     for (mm, nn, LL) in [(0, 0, 4), (1, 2, 5), (3, 1, 6)]:
         brute_w = sum(path_weight(p, ref_wm) for p in enumerate_paths(LL, mm, nn))
-        unit = np.eye(max(mm, nn) + 1)
-        got = ref.B**LL * _moment_integral(unit[mm], unit[nn], LL, ref)
+        e_m, e_n = np.zeros((2, max(mm, nn) + 1))
+        e_m[mm] = e_n[nn] = 1.0
+        got = ref.B**LL * _moment_integral(e_m, e_n, LL, ref)
         worst = max(worst, _rel(got, brute_w))
     out.append(CheckResult("path-sum-moment-identity", worst, 1e-7))
 

@@ -11,7 +11,7 @@ sampler's backward table (then its
 own loop, with every row divided by its max) ran before their step wrote
 in place; the oracles below step with them.  The leaking
 stepper is the chain's old k-step loop, which summed the flux past the
-cap step by step; ``kernels._exact_point`` now reads that leak from an
+cap step by step; ``chains._kstep`` now reads that leak from an
 absorbing state of ``_power``.  The tiled power is the old form of the
 stack of end columns that ``motzkin._backward_table`` steps for the
 correlation: several end columns as one vector, kept apart by zero

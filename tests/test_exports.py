@@ -1,5 +1,7 @@
 """Every exported name exists, no function takes a tail tolerance, only the
-two stepping loops call the tridiagonal step, only the height rule and the
+two stepping loops call the tridiagonal step, only the two finite-L routes
+and the chains' k-step pass call the power, the kernels take only the
+lattice point from the chains, only the height rule and the
 integral routes tabulate the weights, every raise in the package is
 one of its typed errors, no module imports a name it never uses, and the
 CLI loads no numpy submodule beyond what it needs."""
@@ -55,6 +57,24 @@ def test_only_the_two_stepping_loops_call_the_tridiagonal_step():
     # Chebyshev pass through chains._chebyshev_blocks; a third caller of
     # the step would be a stepping loop with its own rescale rule
     assert _callers("_tridiagonal_step") == {"motzkin.py:_steps", "chains.py:_chebyshev_blocks"}
+
+
+def test_only_the_two_finite_l_routes_and_the_chains_kstep_call_the_power():
+    # every exact k-step law of the chains, the lattice point's exact
+    # branches included, is the one pass chains._kstep; a fourth caller of
+    # _power would be a k-step pass with its own leak rule
+    assert _callers("_power") == {"motzkin.py:_bilinear_log", "motzkin.py:_integral_logs",
+                                  "chains.py:_kstep"}
+
+
+def test_kernels_takes_only_the_lattice_point_from_chains():
+    # how P^k[m, n] is computed is decided in chains; the kernels import
+    # its lattice point and nothing of the pass or the chain rows
+    tree = ast.parse((ROOT / "src" / "motzkinq" / "kernels.py").read_text())
+    taken = {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for module, name in taken if module == "chains"} == {"_chain_point_evolution"}
+    assert not any(module == "motzkin" for module, _ in taken)
 
 
 def test_only_the_height_rule_and_the_integral_routes_tabulate_the_weights():

@@ -21,13 +21,14 @@ from motzkinq.chains import (Distribution, chain_head_law, endpoint_pair_correla
                              finite_path_head_law, initial_law, kstep_distribution, transition_row)
 from motzkinq.errors import ConvergenceError
 from motzkinq.kernels import (KernelQuery, bessel3d_transition, initial_limit_fixed_q,
-                              initial_limit_q_to_1, local_limit_error_fixed_q,
+                              initial_limit_q_to_1, killed_bm_kernel, local_limit_error_fixed_q,
                               local_limit_error_q_to_1, xi0_density, yakubovich_kernel,
                               zeta0_density, zeta_transition)
 from motzkinq.motzkin import (MotzkinPath, WeightModel, altitude_table, integral_expectation,
                               integral_normalizing_constant, log_normalizing_constant,
                               matrix_ansatz_expectation, normalizing_constant, sample_paths)
-from motzkinq.qspecial import qpoch_finite, ramanujan_ratio, theta1
+from motzkinq.qspecial import (bessel_k_imag, bessel_k_imag_grid, qpoch_finite, qpoch_log_abs,
+                               ramanujan_ratio, theta1)
 
 MODEL = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
 NAN, INF = math.nan, math.inf
@@ -62,6 +63,8 @@ CASES = [
     ("Distribution-offset", lambda: Distribution(offset=-1, probs=np.ones(1)), ValueError,
      "offset must be nonnegative"),
     ("Distribution-probs", lambda: Distribution(offset=0, probs=np.array([0.5, -0.5])),
+     ValueError, "probabilities must be nonnegative"),
+    ("Distribution-probs-nan", lambda: Distribution(offset=0, probs=np.array([NAN])),
      ValueError, "probabilities must be nonnegative"),
     ("transition_row", lambda: transition_row(-1, MODEL), ValueError,
      "altitude must be nonnegative"),
@@ -136,6 +139,17 @@ CASES = [
      "L, m, n must be nonnegative"),
     ("qpoch_finite", lambda: qpoch_finite(0.5, 0.5, -1), ValueError,
      "n must be nonnegative, got -1"),
+    ("qpoch_log_abs", lambda: qpoch_log_abs(0.5, 0.5, -2), ValueError,
+     "n must be nonnegative, got -2"),
+    # NaN fails every x > 0 test, so it stops at the domain check
+    ("bessel_k_imag-x-nan", lambda: bessel_k_imag(1.0, NAN), ValueError,
+     "argument must be positive, got x=nan"),
+    ("bessel_k_imag_grid-u-nan", lambda: bessel_k_imag_grid(np.array([0.5, NAN]), 1.0),
+     ValueError, "orders must be finite, got u=nan"),
+    ("bessel_k_imag_grid-u-inf", lambda: bessel_k_imag_grid(np.array([-INF]), 1.0),
+     ValueError, "orders must be finite, got u=inf"),
+    ("killed_bm_kernel-x-nan", lambda: killed_bm_kernel(1.0, NAN, 1.0), ValueError,
+     "killed kernel needs x > 0, got x=nan"),
     # z q^lam = 0.25 * 4 = 1: the first factor of (z q^lam; q)_inf is 0
     ("ramanujan_ratio", lambda: ramanujan_ratio(0.25, -2, 0.5), ValueError,
      "vanishing factor in Ramanujan ratio"),

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from motzkinq.ascpoly import QModelParams
 from motzkinq import ascpoly, chains, kernels
-from motzkinq.chains import (_EPS, _chebyshev_entry, _chebyshev_power_coefficients, _jacobi_rows,
-                             transition_arrays)
+from motzkinq.chains import (_EPS, Distribution, _chebyshev_entry, _chebyshev_power_coefficients,
+                             _jacobi_rows, transition_arrays)
 from motzkinq.errors import CapacityError, ConvergenceError
 from motzkinq.kernels import (
     KernelQuery,
@@ -357,14 +357,14 @@ def test_leaking_state_cap_raises_capacity_error(monkeypatch):
     # reported with the cap, k and the leak
     model, m, n, k, cap = _lattice_query("fixed-q", 2500, 1.0, 1.0, 6.0)
     assert max(m, n) + k > 2 * cap
-    real = kernels._power
+    real = chains._power
 
     def leaky(*args):
         out, log_scale = real(*args)
         out[-1] = 2e-9  # the absorbing state past the cap
         return out, log_scale
 
-    monkeypatch.setattr(kernels, "_power", leaky)
+    monkeypatch.setattr(chains, "_power", leaky)
     with pytest.raises(CapacityError, match=rf"state cap {cap} leaks mass 2e-09 > 1e-9 "
                                             rf"in k={k} steps"):
         _chain_point_evolution(model, m, n, k)
@@ -377,7 +377,7 @@ def test_level_out_of_reach_is_zero_without_a_table(monkeypatch, N, t, x, y):
     def no_table(model, cap):
         raise AssertionError("built a transition table for an unreachable level")
 
-    monkeypatch.setattr(kernels, "transition_arrays", no_table)
+    monkeypatch.setattr(chains, "transition_arrays", no_table)
     out = local_limit_error_fixed_q(N, t, x, y, QModelParams(q=0.5, sigma=1.0))
     assert out.lhs == 0.0
 
@@ -436,8 +436,8 @@ def test_lattice_point_steps_on_the_true_spectrum(monkeypatch):
     d = len(_chebyshev_power_coefficients(k, model.A / model.B)) - 1
     A = (d + 1) // 2
     sizes, tables, jacobi = [], [], []
-    real_step, real_table = chains._tridiagonal_step, kernels.transition_arrays
-    real_jacobi = kernels._jacobi_rows
+    real_step, real_table = chains._tridiagonal_step, chains.transition_arrays
+    real_jacobi = chains._jacobi_rows
 
     def step(v, out, rows, work):
         sizes.append(len(v[0]))
@@ -455,9 +455,9 @@ def test_lattice_point_steps_on_the_true_spectrum(monkeypatch):
         raise AssertionError("a bench-size point took exact stepping")
 
     monkeypatch.setattr(chains, "_tridiagonal_step", step)
-    monkeypatch.setattr(kernels, "transition_arrays", table)
-    monkeypatch.setattr(kernels, "_jacobi_rows", jacobi_rows)
-    monkeypatch.setattr(kernels, "_power", no_stepping)
+    monkeypatch.setattr(chains, "transition_arrays", table)
+    monkeypatch.setattr(chains, "_jacobi_rows", jacobi_rows)
+    monkeypatch.setattr(chains, "_power", no_stepping)
     lattice = _chain_point_evolution(model, m, n, k)
     assert d <= 0.8 * 1658 and 0 < len(sizes) <= A + 1
     assert max(sizes) <= 2 * (2 * A + 1)
@@ -503,13 +503,13 @@ def test_exact_branches_match_the_leaking_stepper_bitwise(monkeypatch, q, sigma,
     # loop's summed leak past the cap (0 on the exact reach, 2.8e-60 on the
     # cap), bit for bit
     model = QModelParams(q=q, sigma=sigma)
-    runs, real = [], kernels._power
+    runs, real = [], chains._power
 
     def spy(*args):
         runs.append(real(*args))
         return runs[-1]
 
-    monkeypatch.setattr(kernels, "_power", spy)
+    monkeypatch.setattr(chains, "_power", spy)
     got = _chain_point_evolution(model, m, n, k)
     _, _, (want, lost) = _exact_stepping(model, m, k, cap)
     [(out, log_scale)] = runs
@@ -580,7 +580,8 @@ def test_long_exact_passes_pinned_bitwise():
     model = QModelParams(q=0.5, sigma=0.8, rho0=0.3, rho1=0.25)
     assert repr(log_normalizing_constant(20_000, WeightModel.from_qmodel(model))) == \
         "39463.47399349114"
-    assert repr(kernels._exact_point(model, 5000, 5010, 200, 20_000)) == "0.02419019700357501"
+    assert repr(float(chains._kstep(Distribution.point_mass(5000), 200, model, 20_000)[5010])) == \
+        "0.02419019700357501"
 
 
 def test_leaking_cap_reports_the_leaking_steppers_loss():
@@ -588,7 +589,7 @@ def test_leaking_cap_reports_the_leaking_steppers_loss():
     model = QModelParams(q=0.99, sigma=1.0)
     _, _, (_, lost) = _exact_stepping(model, 30, 200, 174)
     with pytest.raises(CapacityError, match=rf"state cap 174 leaks mass {lost:.3g} > 1e-9"):
-        kernels._exact_point(model, 30, 30, 200, 174)
+        chains._kstep(Distribution.point_mass(30), 200, model, 174)
 
 
 @pytest.mark.parametrize("q,sigma", [(0.5, 0.8), (0.9, 0.3), (0.99, 1.0), (0.3, 0.05)])
@@ -626,7 +627,7 @@ def test_diagonal_bench_point_reads_no_chain_rows(monkeypatch, params, m, k):
         raise AssertionError("a diagonal point built s-ratios or chain rows")
 
     for module, name in ((ascpoly, "s_ratios"), (chains, "s_ratios"),
-                         (chains, "transition_arrays"), (kernels, "transition_arrays")):
+                         (chains, "transition_arrays")):
         monkeypatch.setattr(module, name, refused)
     q, sigma = params
     assert _chain_point_evolution(QModelParams(q=q, sigma=sigma), m, m, k) > 0.0
